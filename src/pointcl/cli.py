@@ -16,44 +16,16 @@ import traceback
 
 import numpy as np
 
-from . import evaluation, models, training
+from . import evaluation, models
 from .losses import LossConfig
-from .pointcloud import (Dataset, SyntheticSpec, SHAPE_CLASSES,
-                         generate_synthetic_dataset, load_dataset, save_dataset)
+from .pointcloud import (SyntheticSpec, SHAPE_CLASSES, generate_synthetic_dataset,
+                         load_dataset, save_dataset)
 from .training import TrainConfig, pretrain
 from .transforms import parse_transform
 
 
 class ConfigError(ValueError):
     pass
-
-
-# key -> (parser, default); the single source of truth for RunConfig keys
-_SCHEMA = {
-    "transform": (str, "rotate:y:180"),
-    "pairs": (int, 16),
-    "epochs": (int, 30),
-    "points": (int, 128),
-    "tau": (float, 0.1),
-    "symmetric": (lambda s: _parse_bool(s), False),
-    "normalize": (lambda s: _parse_bool(s), True),
-    "exclude_positive": (lambda s: _parse_bool(s), False),
-    "lr_init": (float, 0.001),
-    "lr_floor": (float, 1e-5),
-    "lr_decay_gamma": (float, 0.7),
-    "decay_period_steps": (int, 0),
-    "bn_init": (float, 0.5),
-    "bn_cap": (float, 0.99),
-    "seed": (int, 0),
-    "jitter_augment": (lambda s: _parse_bool(s), False),
-    "encoder_widths": (lambda s: [int(t) for t in str(s).split(",")], [32, 64, 128]),
-    "head_widths": (lambda s: [int(t) for t in str(s).split(",")], [64, 32]),
-    "seg_widths": (lambda s: [int(t) for t in str(s).split(",")], [64, 32]),
-    "dropout": (float, 0.7),
-    "probe_epochs": (int, 100),
-    "finetune_epochs": (int, 20),
-    "features": (str, "encoder"),
-}
 
 
 def _parse_bool(s):
@@ -64,6 +36,41 @@ def _parse_bool(s):
     if str(s).lower() in ("false", "0", "no", "off"):
         return False
     raise ValueError(f"not a boolean: {s!r}")
+
+
+def _parse_widths(s):
+    return [int(t) for t in str(s).split(",")]
+
+
+_TRAIN_DEFAULTS = TrainConfig()
+
+# key -> (parser, default); the single source of truth for RunConfig keys.
+# Training defaults come from TrainConfig.
+_SCHEMA = {
+    "transform": (str, _TRAIN_DEFAULTS.transform),
+    "pairs": (int, _TRAIN_DEFAULTS.pairs_per_batch),
+    "epochs": (int, _TRAIN_DEFAULTS.epochs),
+    "points": (int, _TRAIN_DEFAULTS.points_per_cloud),
+    "tau": (float, _TRAIN_DEFAULTS.loss.tau),
+    "symmetric": (_parse_bool, _TRAIN_DEFAULTS.loss.symmetric),
+    "normalize": (_parse_bool, _TRAIN_DEFAULTS.loss.normalize),
+    "exclude_positive": (_parse_bool, _TRAIN_DEFAULTS.loss.exclude_positive),
+    "lr_init": (float, _TRAIN_DEFAULTS.lr_init),
+    "lr_floor": (float, _TRAIN_DEFAULTS.lr_floor),
+    "lr_decay_gamma": (float, _TRAIN_DEFAULTS.lr_decay_gamma),
+    "decay_period_steps": (int, _TRAIN_DEFAULTS.decay_period_steps),
+    "bn_init": (float, _TRAIN_DEFAULTS.bn_init),
+    "bn_cap": (float, _TRAIN_DEFAULTS.bn_cap),
+    "seed": (int, _TRAIN_DEFAULTS.seed),
+    "jitter_augment": (_parse_bool, _TRAIN_DEFAULTS.jitter_augment),
+    "encoder_widths": (_parse_widths, _TRAIN_DEFAULTS.encoder_widths),
+    "head_widths": (_parse_widths, _TRAIN_DEFAULTS.head_widths),
+    "seg_widths": (_parse_widths, _TRAIN_DEFAULTS.seg_widths),
+    "dropout": (float, _TRAIN_DEFAULTS.dropout_rate),
+    "probe_epochs": (int, 100),
+    "finetune_epochs": (int, 20),
+    "features": (str, "encoder"),
+}
 
 
 def read_config_file(path) -> dict:
@@ -176,10 +183,6 @@ def build_parser():
     return ap
 
 
-def _load(path):
-    return load_dataset(path)
-
-
 def cmd_gen_data(args):
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
     for c in classes:
@@ -200,7 +203,7 @@ def cmd_gen_data(args):
 
 
 def cmd_pretrain(args, cfg, objective="cls"):
-    ds = _load(args.data)
+    ds = load_dataset(args.data)
     tc = make_train_config(cfg)
     model, records = pretrain(ds, tc, objective=objective, out_dir=args.out)
     print(f"pretrained {len(records)} steps; final loss "
@@ -209,7 +212,7 @@ def cmd_pretrain(args, cfg, objective="cls"):
 
 
 def cmd_probe(args, cfg):
-    train_ds, test_ds = _load(args.train_data), _load(args.test_data)
+    train_ds, test_ds = load_dataset(args.train_data), load_dataset(args.test_data)
     model, _ = models.load_checkpoint(args.checkpoint)
     rows = []
     sources = ["encoder", "head"] if cfg["features"] == "both" else [cfg["features"]]
@@ -224,7 +227,7 @@ def cmd_probe(args, cfg):
 
 
 def cmd_finetune(args, cfg):
-    train_ds, test_ds = _load(args.train_data), _load(args.test_data)
+    train_ds, test_ds = load_dataset(args.train_data), load_dataset(args.test_data)
     tc = make_train_config(cfg)
     rows = []
     for init_head in ([False, True] if args.init_head else [False]):
@@ -237,12 +240,12 @@ def cmd_finetune(args, cfg):
 
 
 def cmd_segment(args, cfg):
-    ds = _load(args.data)
+    ds = load_dataset(args.data)
     tc = make_train_config(cfg)
     model, records = pretrain(ds, tc, objective="seg", out_dir=args.out)
     if args.test_data:
-        train_ds = _load(args.train_data) if args.train_data else ds
-        test_ds = _load(args.test_data)
+        train_ds = load_dataset(args.train_data) if args.train_data else ds
+        test_ds = load_dataset(args.test_data)
         m = evaluation.segmentation_eval(model, train_ds, test_ds,
                                          points_per_cloud=cfg["points"],
                                          probe_epochs=cfg["probe_epochs"],
@@ -251,7 +254,7 @@ def cmd_segment(args, cfg):
 
 
 def cmd_ablate(args, cfg):
-    train_ds, test_ds = _load(args.data), _load(args.test_data)
+    train_ds, test_ds = load_dataset(args.data), load_dataset(args.test_data)
     tc = make_train_config(cfg)
     suite = (evaluation.TABLE4_SUITE if args.suite == "table4"
              else evaluation.TABLE5_SUITE)
@@ -260,7 +263,7 @@ def cmd_ablate(args, cfg):
 
 
 def cmd_export_features(args, cfg):
-    ds = _load(args.data)
+    ds = load_dataset(args.data)
     model, _ = models.load_checkpoint(args.checkpoint)
     os.makedirs(args.out, exist_ok=True)
     sources = ["encoder", "head"] if cfg["features"] == "both" else [cfg["features"]]
@@ -293,7 +296,6 @@ def _emit_report(rows, out_dir, name):
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    os.environ.setdefault("POINTCL_THREADS", "1")  # worker-thread cap
     out_dir = getattr(args, "out", None)
     failed_marker = os.path.join(out_dir, ".failed") if out_dir else None
     try:

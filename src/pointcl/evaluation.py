@@ -146,16 +146,10 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
 # Pretraining (finetune) evaluation
 # ---------------------------------------------------------------------------
 
-def _supervised_forward(model, batch, labels, training, rng, dropout_rate):
+def _supervised_forward(model, batch, labels, training, rng):
     g, _ = models.encode(batch, model.encoder, training)
     # classification branch: the head layers with a fresh affine output
-    h = g
-    for i, layer in enumerate(model.head.layers):
-        h = T.linear_forward(h, layer.w, layer.b)
-        if i != len(model.head.layers) - 1:
-            h = T.relu(h)
-            if training and dropout_rate > 0:
-                h = T.dropout(h, dropout_rate, training, rng)
+    h = models.project(g, model.head, training, rng, normalize=False)
     return T.softmax_cross_entropy(h, labels), h
 
 
@@ -212,8 +206,7 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
             idx = rng.choice(len(train_ds), size=min(bs, len(train_ds)), replace=False)
             batch = np.stack([sample_points(train_ds[int(i)], cfg.points_per_cloud,
                                             rng).points for i in idx])
-            loss, _ = _supervised_forward(sup, batch, labels_all[idx], True, rng,
-                                          cfg.dropout_rate)
+            loss, _ = _supervised_forward(sup, batch, labels_all[idx], True, rng)
             T.backward(loss)
             adam_step(params, opt, cfg.lr_init)
     # evaluate
@@ -223,7 +216,7 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
         batch = np.stack([sample_points(p, cfg.points_per_cloud, rng).points
                           for p in chunk])
         y = np.array([p.class_label for p in chunk])
-        _, logits = _supervised_forward(sup, batch, y, False, rng, 0.0)
+        _, logits = _supervised_forward(sup, batch, y, False, rng)
         preds.append(logits.data.argmax(axis=1))
         gts.append(y)
     return classification_metrics(np.concatenate(preds), np.concatenate(gts),

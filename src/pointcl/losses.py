@@ -39,38 +39,10 @@ def _ce_direction(sim: Tensor, labels, exclude_positive: bool):
     n = sim.shape[0]
     mask = np.zeros(sim.shape, dtype=sim.dtype)
     mask[np.arange(n), labels] = -1e9
-    masked = T.add(sim, Tensor(mask))
-    lse = _logsumexp_rows(masked)
-    pos = _gather_rows(sim, labels)
+    lse = T.logsumexp(T.add(sim, Tensor(mask)))
+    pos = T.index(sim, (np.arange(n), labels))
     per_row = T.add(lse, T.scale(pos, -1.0))
     return T.scale(T.tsum(per_row), 1.0 / n)
-
-
-def _logsumexp_rows(x: Tensor) -> Tensor:
-    m = x.data.max(axis=1, keepdims=True)
-    z = x.data - m
-    ez = np.exp(z)
-    s = ez.sum(axis=1)
-    out = (m[:, 0] + np.log(s)).astype(x.dtype)
-    soft = ez / s[:, None]
-
-    def bw(g):
-        T._accum(x, g[:, None] * soft)
-
-    return T._result(out, (x,), bw, "logsumexp_rows")
-
-
-def _gather_rows(x: Tensor, labels) -> Tensor:
-    labels = np.asarray(labels)
-    idx = np.arange(x.shape[0])
-    out = x.data[idx, labels].copy()
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        gx[idx, labels] = g
-        T._accum(x, gx)
-
-    return T._result(out, (x,), bw, "gather_rows")
 
 
 def contrastive_loss_cls(z_orig: Tensor, z_trans: Tensor, cfg: LossConfig) -> Tensor:
@@ -104,8 +76,8 @@ def contrastive_loss_seg(Z_orig: Tensor, Z_trans: Tensor, cfg: LossConfig,
         raise ValueError(f"need at least 2 points per cloud, got {N}")
     terms = []
     for a in range(n):
-        za = _slice_pair(Z_orig, a)
-        zb = _slice_pair(Z_trans, a)
+        za = T.index(Z_orig, a)
+        zb = T.index(Z_trans, a)
         sim = T.scale(T.matmul(za, T.transpose(zb)), 1.0 / cfg.tau)
         if point_labels is None:
             labels = np.arange(N)
@@ -134,15 +106,3 @@ def contrastive_loss_seg(Z_orig: Tensor, Z_trans: Tensor, cfg: LossConfig,
     for t in terms[1:]:
         total = T.add(total, t)
     return T.scale(total, 1.0 / n)
-
-
-def _slice_pair(Z: Tensor, a: int) -> Tensor:
-    out = Z.data[a].copy()
-    shape = Z.shape
-
-    def bw(g):
-        gz = np.zeros(shape, dtype=Z.dtype)
-        gz[a] = g
-        T._accum(Z, gz)
-
-    return T._result(out, (Z,), bw, f"slice[{a}]")

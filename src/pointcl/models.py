@@ -9,6 +9,7 @@ a small fully connected MLP whose output feeds the contrastive losses only.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -32,10 +33,17 @@ __all__ = [
     "CheckpointError",
     "DESK_ENCODER_WIDTHS",
     "FULL_ENCODER_WIDTHS",
+    "HEAD_WIDTHS",
+    "SEG_WIDTHS",
+    "DROPOUT_RATE",
 ]
 
+# Model-shape defaults; TrainConfig and the CLI take theirs from these.
 FULL_ENCODER_WIDTHS = [64, 64, 64, 128, 1024]
 DESK_ENCODER_WIDTHS = [32, 64, 128]
+HEAD_WIDTHS = [64, 32]
+SEG_WIDTHS = [64, 32]
+DROPOUT_RATE = 0.7
 
 
 class CheckpointError(ValueError):
@@ -101,11 +109,11 @@ class EncoderParams:
 class HeadParams:
     layers: list
     widths: list
-    dropout_rate: float = 0.7
+    dropout_rate: float = DROPOUT_RATE
 
     @staticmethod
-    def create(rng, d_in, widths=None, dropout_rate=0.7, dtype=np.float32):
-        widths = list(widths) if widths else [64, 128]
+    def create(rng, d_in, widths=None, dropout_rate=DROPOUT_RATE, dtype=np.float32):
+        widths = list(widths or HEAD_WIDTHS)
         if widths[-1] < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {widths[-1]}")
         dims = [d_in] + widths
@@ -129,7 +137,7 @@ class SegBranchParams:
 
     @staticmethod
     def create(rng, d_mid, d_global, widths=None, dtype=np.float32):
-        widths = list(widths) if widths else [64, 32]
+        widths = list(widths or SEG_WIDTHS)
         dims = [d_mid + d_global] + widths
         layers = [DenseLayer.make(rng, dims[i], dims[i + 1], dtype, with_bn=False)
                   for i in range(len(widths))]
@@ -169,7 +177,7 @@ class ModelParams:
 
     @staticmethod
     def create(rng, encoder_widths=None, head_widths=None, seg_widths=None,
-               dropout_rate=0.7, with_seg=False, dtype=np.float32):
+               dropout_rate=DROPOUT_RATE, with_seg=False, dtype=np.float32):
         enc = EncoderParams.create(rng, encoder_widths, dtype=dtype)
         head = HeadParams.create(rng, enc.d_global, head_widths,
                                  dropout_rate=dropout_rate, dtype=dtype)
@@ -197,17 +205,15 @@ class ModelParams:
 # ---------------------------------------------------------------------------
 
 def encode(points: np.ndarray, enc: EncoderParams, training: bool,
-           bn_momentum: float = 0.9, dtype=None):
+           bn_momentum: float = 0.9):
     """Run the shared per-point MLP and max pool.
 
     points: [B, N, 3] array. Returns (global_feature [B, D_g] Tensor,
     per_point [B, N, D_mid] Tensor).
     """
     points = np.asarray(points)
-    if dtype is None:
-        dtype = enc.layers[0].w.dtype
     B, N, _ = points.shape
-    h = Tensor(points.reshape(B * N, 3).astype(dtype))
+    h = Tensor(points.reshape(B * N, 3).astype(enc.layers[0].w.dtype))
     per_point = None
     for i, layer in enumerate(enc.layers):
         h = T.linear_forward(h, layer.w, layer.b)
@@ -269,14 +275,18 @@ def probe_forward(features, probe: ProbeParams):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic "PCLM", version u16 LE, u32 JSON config length,
-# JSON config bytes, then each parameter tensor in declaration order as
-# ndim u8, dims u32..., f32 payload. Running BN statistics are stored as
-# extra tensors after the trainables so round-trips are bit-exact.
+# Checkpoint format, version 2: magic "PCLM", version u16 LE, u32 JSON header
+# length, JSON header bytes, then tensors, each as ndim u8, dims u32..., f32
+# payload. The header holds the model config, the caller's "extra" dict and
+# the number of caller tensors; it holds no array. The tensors are the
+# trainables in declaration order, the running BN statistics (so round-trips
+# are bit-exact), then the caller's tensors (a training checkpoint's Adam
+# moments). A file is written beside its target and renamed into place, so a
+# failed save leaves the previous file whole.
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"PCLM"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
 
 
 def _model_tensors(model: ModelParams):
@@ -289,64 +299,82 @@ def _model_tensors(model: ModelParams):
     return arrs
 
 
-def save_checkpoint(model: ModelParams, path, extra: dict | None = None) -> None:
-    cfg = dict(model.config)
-    if extra:
-        cfg["extra"] = extra
-    blob = json.dumps(cfg).encode()
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<H", _CKPT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for arr in _model_tensors(model):
-            a = np.ascontiguousarray(arr, dtype="<f4")
-            f.write(struct.pack("<B", a.ndim))
-            f.write(struct.pack(f"<{a.ndim}I", *a.shape))
-            f.write(a.tobytes())
+def save_checkpoint(model: ModelParams, path, extra: dict | None = None,
+                    tensors=()) -> None:
+    """Write the model, a JSON-able extra dict and further tensors to path."""
+    header = dict(model.config, extra=extra or {}, tensors=len(tensors))
+    blob = json.dumps(header).encode()
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_CKPT_MAGIC + struct.pack("<HI", _CKPT_VERSION, len(blob)) + blob)
+            for arr in _model_tensors(model) + list(tensors):
+                a = np.ascontiguousarray(arr, dtype="<f4")
+                f.write(struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape))
+                f.write(a.tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path, dtype=np.float32):
-    """Rebuild ModelParams from a checkpoint; returns (model, extra_dict)."""
+    """Rebuild ModelParams from a checkpoint; returns (model, extra_dict).
+
+    Tensors saved after the model's come back as extra["tensors"].
+    """
     with open(path, "rb") as f:
-        if f.read(4) != _CKPT_MAGIC:
-            raise CheckpointError(f"{path}: bad magic")
-        (version,) = struct.unpack("<H", f.read(2))
-        if version != _CKPT_VERSION:
-            raise CheckpointError(f"{path}: unsupported version {version}")
-        (clen,) = struct.unpack("<I", f.read(4))
-        cfg = json.loads(f.read(clen).decode())
-        rng = np.random.default_rng(0)  # shapes overwritten below
-        model = ModelParams.create(
-            rng,
-            encoder_widths=cfg["encoder_widths"],
-            head_widths=cfg["head_widths"],
-            seg_widths=cfg["seg_widths"],
-            dropout_rate=cfg.get("dropout_rate", 0.7),
-            with_seg=cfg["seg_widths"] is not None,
-            dtype=dtype,
-        )
-        arrays = []
-        targets = _model_tensors(model)
-        for expect in targets:
-            hdr = f.read(1)
-            if len(hdr) != 1:
-                raise CheckpointError(f"{path}: truncated at byte {f.tell()}")
-            (ndim,) = struct.unpack("<B", hdr)
-            dims = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
-            payload = f.read(4 * int(np.prod(dims, dtype=np.int64)))
-            arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
-            if arr.shape != expect.shape:
-                raise CheckpointError(
-                    f"{path}: shape mismatch {arr.shape} vs expected {expect.shape}")
-            arrays.append(arr.astype(dtype))
-        i = 0
-        for p in model.params():
-            p.data = arrays[i]
-            i += 1
-        for layer in model.encoder.layers:
-            if layer.bn is not None:
-                layer.bn.running_mean = arrays[i]
-                layer.bn.running_var = arrays[i + 1]
-                i += 2
-    return model, cfg.get("extra", {})
+        buf = f.read()
+    pos = 0
+
+    def take(n):
+        nonlocal pos
+        if pos + n > len(buf):
+            raise CheckpointError(f"{path}: truncated at byte {len(buf)}")
+        pos += n
+        return buf[pos - n:pos]
+
+    if take(4) != _CKPT_MAGIC:
+        raise CheckpointError(f"{path}: bad magic")
+    version, hlen = struct.unpack("<HI", take(6))
+    if version != _CKPT_VERSION:
+        raise CheckpointError(
+            f"{path}: unsupported version {version} (expected {_CKPT_VERSION})")
+    blob = take(hlen)
+    try:
+        header = json.loads(blob)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: bad header: {e}") from e
+    model = ModelParams.create(
+        np.random.default_rng(0),  # values overwritten below
+        encoder_widths=header["encoder_widths"],
+        head_widths=header["head_widths"],
+        seg_widths=header["seg_widths"],
+        dropout_rate=header["dropout_rate"],
+        with_seg=header["seg_widths"] is not None,
+        dtype=dtype,
+    )
+    arrays = []
+    for expect in _model_tensors(model) + [None] * header["tensors"]:
+        ndim = take(1)[0]
+        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        payload = take(4 * int(np.prod(dims, dtype=np.int64)))
+        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        if expect is not None and arr.shape != expect.shape:
+            raise CheckpointError(
+                f"{path}: shape mismatch {arr.shape} vs expected {expect.shape}")
+        arrays.append(arr.astype(dtype))
+    if pos != len(buf):
+        raise CheckpointError(f"{path}: {len(buf) - pos} bytes after the last tensor")
+    it = iter(arrays)
+    for p in model.params():
+        p.data = next(it)
+    for layer in model.encoder.layers:
+        if layer.bn is not None:
+            layer.bn.running_mean = next(it)
+            layer.bn.running_var = next(it)
+    extra = header["extra"]
+    rest = list(it)
+    if rest:
+        extra["tensors"] = rest
+    return model, extra

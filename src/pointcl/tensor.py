@@ -28,6 +28,8 @@ __all__ = [
     "dropout",
     "softmax_cross_entropy",
     "l2_normalize_rows",
+    "index",
+    "logsumexp",
     "tsum",
     "backward",
     "BNState",
@@ -356,6 +358,42 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
         _accum(x, (g - y * dot) / norms)
 
     return _result(y, (x,), bw, "l2_normalize_rows")
+
+
+def index(x: Tensor, key) -> Tensor:
+    """x.data[key] for any numpy index: an int, a slice or index arrays.
+
+    The gradient scatters back into the indexed positions. Index arrays may
+    select an element twice, so their gradient adds up through np.add.at;
+    ints and slices select each element once and take the faster +=.
+    """
+    out_data = np.array(x.data[key])
+    parts = key if isinstance(key, tuple) else (key,)
+    repeats = any(isinstance(k, (np.ndarray, list)) for k in parts)
+
+    def bw(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        if repeats:
+            np.add.at(x.grad, key, g)
+        else:
+            x.grad[key] += g
+
+    return _result(out_data, (x,), bw, "slice")
+
+
+def logsumexp(x: Tensor) -> Tensor:
+    """log sum exp over the last axis, max-stabilized: [..., K] -> [...]."""
+    m = x.data.max(axis=-1, keepdims=True)
+    ez = np.exp(x.data - m)
+    s = ez.sum(axis=-1, keepdims=True)
+    out_data = (m + np.log(s))[..., 0]
+    soft = ez / s
+
+    def bw(g):
+        _accum(x, g[..., None] * soft)
+
+    return _result(out_data, (x,), bw, "logsumexp")
 
 
 def tsum(x: Tensor) -> Tensor:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import csv
-import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,9 +42,9 @@ class TrainConfig:
     jitter_augment: bool = False
     loss: LossConfig = field(default_factory=LossConfig)
     encoder_widths: list = field(default_factory=lambda: list(models.DESK_ENCODER_WIDTHS))
-    head_widths: list = field(default_factory=lambda: [64, 32])
-    seg_widths: list = field(default_factory=lambda: [64, 32])
-    dropout_rate: float = 0.7
+    head_widths: list = field(default_factory=lambda: list(models.HEAD_WIDTHS))
+    seg_widths: list = field(default_factory=lambda: list(models.SEG_WIDTHS))
+    dropout_rate: float = models.DROPOUT_RATE
     checkpoint_every: int = 0        # steps; 0 = final checkpoint only
 
     def __post_init__(self):
@@ -150,31 +149,16 @@ def _forward_loss(model, orig, trans, cfg, rng, objective, training=True,
     if objective == "cls":
         z = models.project(global_feat, model.head, training, rng,
                            normalize=cfg.loss.normalize)
-        z_orig = _rows(z, 0, n)
-        z_trans = _rows(z, n, 2 * n)
+        z_orig = T.index(z, slice(0, n))
+        z_trans = T.index(z, slice(n, 2 * n))
         return contrastive_loss_cls(z_orig, z_trans, cfg.loss)
     elif objective == "seg":
         Z = models.segment_embed(per_point, global_feat, model.seg, training,
                                  normalize=cfg.loss.normalize)
-        Z_orig = _clouds(Z, 0, n)
-        Z_trans = _clouds(Z, n, 2 * n)
+        Z_orig = T.index(Z, slice(0, n))
+        Z_trans = T.index(Z, slice(n, 2 * n))
         return contrastive_loss_seg(Z_orig, Z_trans, cfg.loss)
     raise ValueError(f"unknown objective {objective!r}")
-
-
-def _rows(x, lo, hi):
-    out = x.data[lo:hi].copy()
-    shape = x.shape
-
-    def bw(g):
-        gx = np.zeros(shape, dtype=x.dtype)
-        gx[lo:hi] = g
-        T._accum(x, gx)
-
-    return T._result(out, (x,), bw, "rows")
-
-
-_clouds = _rows  # same slicing for [2n, N, d] stacks
 
 
 def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
@@ -205,7 +189,9 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
     spec = cfg.transform_spec()
     total_steps = cfg.epochs * steps_per_epoch
     params = model.params()
-    last_good = None
+    last_ckpt = None
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     for step in range(start_step, total_steps):
         epoch = step // steps_per_epoch
         lr = lr_schedule(step, cfg, period)
@@ -215,19 +201,18 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
                              training=True, bn_momentum=bn_m)
         loss_val = loss.item()
         if not np.isfinite(loss_val):
-            if out_dir and last_good:
-                pass  # last-good checkpoint already on disk
             raise FloatingPointError(
-                f"non-finite loss {loss_val} at step {step}; last good checkpoint retained")
+                f"non-finite loss {loss_val} at step {step}; "
+                + (f"last checkpoint written: {last_ckpt}" if last_ckpt
+                   else "no checkpoint was written"))
         T.backward(loss)
         adam_step(params, opt, lr)
         records.append(LossRecord(step, epoch, lr, bn_m, loss_val))
         if out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
             path = os.path.join(out_dir, f"checkpoint_{step + 1:06d}.pclm")
             save_train_checkpoint(model, opt, rng, step + 1, path)
-            last_good = path
+            last_ckpt = path
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         save_train_checkpoint(model, opt, rng, total_steps,
                               os.path.join(out_dir, "checkpoint_final.pclm"))
         write_loss_curve(records, os.path.join(out_dir, "loss_curve.csv"))
@@ -243,15 +228,11 @@ def save_train_checkpoint(model, opt: AdamState, rng: np.random.Generator,
                           step: int, path) -> None:
     extra = {
         "step": step,
-        "adam": {
-            "beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps,
-            "step_count": opt.step_count,
-            "m": [a.tolist() for a in opt.m],
-            "v": [a.tolist() for a in opt.v],
-        },
-        "rng_state": _encode_rng(rng),
+        "adam": {"beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps,
+                 "step_count": opt.step_count},
+        "rng_state": rng.bit_generator.state,
     }
-    models.save_checkpoint(model, path, extra=extra)
+    models.save_checkpoint(model, path, extra=extra, tensors=opt.m + opt.v)
 
 
 def load_train_checkpoint(path):
@@ -259,27 +240,13 @@ def load_train_checkpoint(path):
     if "step" not in extra:
         raise models.CheckpointError(f"{path}: not a training checkpoint")
     params = model.params()
-    opt = AdamState(params, beta1=extra["adam"]["beta1"],
-                    beta2=extra["adam"]["beta2"], eps=extra["adam"]["eps"])
-    opt.step_count = extra["adam"]["step_count"]
-    opt.m = [np.array(a, dtype=p.data.dtype).reshape(p.data.shape)
-             for a, p in zip(extra["adam"]["m"], params)]
-    opt.v = [np.array(a, dtype=p.data.dtype).reshape(p.data.shape)
-             for a, p in zip(extra["adam"]["v"], params)]
-    rng = _decode_rng(extra["rng_state"])
-    return model, opt, rng, extra["step"]
-
-
-def _encode_rng(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return json.loads(json.dumps(state, default=int))
-
-
-def _decode_rng(state: dict) -> np.random.Generator:
+    moments = extra.get("tensors", [])
+    if [a.shape for a in moments] != [p.data.shape for p in params] * 2:
+        raise models.CheckpointError(f"{path}: Adam moments do not match the model")
+    adam = extra["adam"]
+    opt = AdamState(params, beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"])
+    opt.step_count = adam["step_count"]
+    opt.m, opt.v = moments[:len(params)], moments[len(params):]
     rng = np.random.default_rng(0)
-    s = dict(state)
-    if "state" in s and isinstance(s["state"], dict):
-        s["state"] = {k: int(v) if isinstance(v, (int, str)) and str(v).isdigit() else v
-                      for k, v in s["state"].items()}
-    rng.bit_generator.state = s
-    return rng
+    rng.bit_generator.state = extra["rng_state"]
+    return model, opt, rng, extra["step"]

@@ -171,3 +171,17 @@ def test_ablate_suites_shape(tmp_path, data_files):
         assert rc == 0
         rows = (out / f"ablation_{suite}.csv").read_text().splitlines()
         assert len(rows) == expected_rows + 1
+
+
+def test_defaults_agree():
+    """TrainConfig, the model constructors and the CLI name the same shape."""
+    from pointcl import models
+    from pointcl.cli import build_parser, resolve_config
+    from pointcl.training import TrainConfig
+    cfg = resolve_config(build_parser().parse_args(["pretrain", "--data", "d", "--out", "o"]))
+    tc = TrainConfig()
+    m = models.ModelParams.create(np.random.default_rng(0), with_seg=True)
+    assert cfg["encoder_widths"] == tc.encoder_widths == m.encoder.widths
+    assert cfg["head_widths"] == tc.head_widths == m.head.widths
+    assert cfg["seg_widths"] == tc.seg_widths == m.seg.widths
+    assert cfg["dropout"] == tc.dropout_rate == m.head.dropout_rate

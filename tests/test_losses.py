@@ -162,3 +162,16 @@ def test_seg_gradients_match_finite_differences(rng):
 def test_tau_must_be_positive():
     with pytest.raises(ValueError):
         LossConfig(tau=0.0)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_exclude_positive_gradients_match_finite_differences(rng, symmetric):
+    z_o = Tensor(unit_rows(rng.normal(size=(5, 4))), requires_grad=True)
+    z_t = Tensor(unit_rows(rng.normal(size=(5, 4))), requires_grad=True)
+    cfg = LossConfig(tau=0.2, exclude_positive=True, symmetric=symmetric)
+    T.backward(contrastive_loss_cls(z_o, z_t, cfg))
+    grads = [z_o.grad.copy(), z_t.grad.copy()]
+    z_o.grad = z_t.grad = None
+    fd = finite_difference_grads(
+        lambda: contrastive_loss_cls(z_o, z_t, cfg).item(), [z_o, z_t])
+    assert max_rel_error(grads, fd) < 1e-4

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,10 @@ def test_default_widths():
     m = ModelParams.create(np.random.default_rng(0))
     assert m.encoder.widths == models.DESK_ENCODER_WIDTHS
     assert m.encoder.d_global == 128
+
+
+def test_checkpoint_v1_rejected(tmp_path):
+    p = tmp_path / "v1.pclm"
+    p.write_bytes(b"PCLM" + struct.pack("<HI", 1, 2) + b"{}")
+    with pytest.raises(CheckpointError, match="version 1"):
+        load_checkpoint(p)

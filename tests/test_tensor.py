@@ -242,3 +242,37 @@ def test_matmul_grad_property(seed):
     a.grad = b.grad = None
     fd = finite_difference_grads(forward, [a, b])
     assert max_rel_error(grads, fd) < 1e-4
+
+
+@pytest.mark.parametrize("key", [1, slice(1, 3), (np.array([0, 2, 2]), np.array([1, 0, 0]))])
+def test_index_gradient_finite_differences(key):
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+    assert np.array_equal(T.index(x, key).data, x.data[key])
+    w = Tensor(rng.normal(size=x.data[key].shape))
+
+    def f():
+        return T.tsum(T.mul(T.index(x, key), w))
+
+    T.backward(f())
+    grad = x.grad.copy()
+    x.grad = None
+    fd = finite_difference_grads(lambda: f().item(), [x])
+    assert max_rel_error([grad], fd) < 1e-6
+
+
+def test_logsumexp_values_and_gradient():
+    rng = np.random.default_rng(1)
+    x = Tensor(5.0 * rng.normal(size=(4, 6)), requires_grad=True)
+    assert np.allclose(T.logsumexp(x).data, np.log(np.exp(x.data).sum(axis=-1)))
+    assert np.isclose(T.logsumexp(Tensor([[1000.0, 1000.0]])).data[0], 1000.0 + np.log(2))
+    w = Tensor(rng.normal(size=4))
+
+    def f():
+        return T.tsum(T.mul(T.logsumexp(x), w))
+
+    T.backward(f())
+    grad = x.grad.copy()
+    x.grad = None
+    fd = finite_difference_grads(lambda: f().item(), [x])
+    assert max_rel_error([grad], fd) < 1e-6

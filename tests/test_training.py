@@ -1,7 +1,12 @@
+import copy
+import json
+import os
+import struct
+
 import numpy as np
 import pytest
 
-from pointcl import tensor as T, training
+from pointcl import models, tensor as T, training
 from pointcl.tensor import Tensor
 from pointcl.training import (AdamState, TrainConfig, adam_step, bn_schedule,
                               build_batch, load_train_checkpoint, lr_schedule,
@@ -179,3 +184,94 @@ def test_config_validation():
         TrainConfig(lr_init=1e-6, lr_floor=1e-3)
     with pytest.raises(ValueError):
         TrainConfig(bn_cap=0.2)
+
+
+def test_pretrain_creates_missing_out_dir(tmp_path, small_dataset):
+    out = tmp_path / "fresh" / "run"
+    pretrain(small_dataset, tiny_cfg(epochs=1, checkpoint_every=2), out_dir=str(out))
+    assert (out / "checkpoint_000002.pclm").exists()
+    assert (out / "checkpoint_final.pclm").exists()
+
+
+def _with_overflow(ds, which):
+    """PointCloud rejects NaN coordinates, so poison clouds with float32 max:
+    the encoder's batch norm turns them into a NaN loss."""
+    ds = copy.deepcopy(ds)
+    for i in which:
+        ds.samples[i].points[:] = np.finfo(np.float32).max
+    return ds
+
+
+def test_nonfinite_loss_without_checkpoint(tmp_path, small_dataset):
+    ds = _with_overflow(small_dataset, range(len(small_dataset)))
+    with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="at step 0; no checkpoint was written"):
+        pretrain(ds, tiny_cfg(), out_dir=str(tmp_path))
+
+
+def test_nonfinite_loss_names_last_checkpoint(tmp_path, small_dataset):
+    ds = _with_overflow(small_dataset, [0])
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError) as err:
+        pretrain(ds, tiny_cfg(checkpoint_every=1), out_dir=str(tmp_path))
+    written = sorted(tmp_path.glob("checkpoint_*.pclm"))
+    assert written, "the poisoned sample should not be drawn in the first step"
+    assert f"at step {len(written)};" in str(err.value)
+    assert f"last checkpoint written: {written[-1]}" in str(err.value)
+    assert load_train_checkpoint(written[-1])[3] == len(written)
+
+
+@pytest.fixture
+def train_ckpt(tmp_path, small_dataset):
+    out = tmp_path / "run"
+    pretrain(small_dataset, tiny_cfg(epochs=1), out_dir=str(out))
+    return out / "checkpoint_final.pclm"
+
+
+def _tensor_bytes(arrays):
+    return sum(1 + 4 * a.ndim + 4 * a.size for a in arrays)
+
+
+def test_train_checkpoint_moments_are_binary(tmp_path, train_ckpt):
+    model, opt, _, _ = load_train_checkpoint(train_ckpt)
+    model_only = tmp_path / "model.pclm"
+    models.save_checkpoint(model, model_only)
+    data = train_ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", data[6:10])
+    header = json.loads(data[10:10 + hlen])
+    assert set(header["extra"]["adam"]) == {"beta1", "beta2", "eps", "step_count"}
+    (mlen,) = struct.unpack("<I", model_only.read_bytes()[6:10])
+    assert (len(data) - 10 - hlen
+            == model_only.stat().st_size - 10 - mlen + _tensor_bytes(opt.m + opt.v))
+
+
+def test_truncated_train_checkpoint_raises(tmp_path, train_ckpt):
+    data = train_ckpt.read_bytes()
+    (hlen,) = struct.unpack("<I", data[6:10])
+    _, opt, _, _ = load_train_checkpoint(train_ckpt)
+    moments_at = len(data) - _tensor_bytes(opt.m + opt.v)
+    cuts = (set(range(0, 12)) | set(range(10 + hlen - 2, 10 + hlen + 12))
+            | set(np.linspace(10 + hlen, moments_at, 40, dtype=int))
+            | set(range(moments_at - 2, moments_at + 12))
+            | set(np.linspace(moments_at, len(data) - 1, 40, dtype=int)))
+    bad = tmp_path / "bad.pclm"
+    for cut in sorted(cuts):
+        bad.write_bytes(data[:cut])
+        with pytest.raises(models.CheckpointError, match="truncated"):
+            load_train_checkpoint(bad)
+    bad.write_bytes(data + b"\0")
+    with pytest.raises(models.CheckpointError):
+        load_train_checkpoint(bad)
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, small_dataset):
+    model, _ = pretrain(small_dataset, tiny_cfg(epochs=1))
+    opt = AdamState(model.params())
+    path = tmp_path / "t.pclm"
+    save_train_checkpoint(model, opt, np.random.default_rng(0), 5, path)
+    before = path.read_bytes()
+    opt.v[-1] = np.array(["not a number"])  # fails after the other tensors are written
+    with pytest.raises(ValueError):
+        save_train_checkpoint(model, opt, np.random.default_rng(0), 6, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["t.pclm"]
+    assert load_train_checkpoint(path)[3] == 5
