@@ -320,10 +320,12 @@ def main(argv=None) -> int:
         if failed_marker and os.path.exists(failed_marker):
             os.remove(failed_marker)
         return 0
-    except (ConfigError, ValueError) as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return 2
     except Exception as e:
+        # ConfigError is a ValueError; a CheckpointError is one too, but an
+        # unreadable file is a runtime failure.
+        if isinstance(e, ValueError) and not isinstance(e, models.CheckpointError):
+            print(f"configuration error: {e}", file=sys.stderr)
+            return 2
         if failed_marker and os.path.isdir(out_dir):
             with open(failed_marker, "w") as f:
                 f.write(f"{type(e).__name__}: {e}\n")

@@ -216,9 +216,7 @@ def encode(points: np.ndarray, enc: EncoderParams, training: bool,
     h = Tensor(points.reshape(B * N, 3).astype(enc.layers[0].w.dtype))
     per_point = None
     for i, layer in enumerate(enc.layers):
-        h = T.linear_forward(h, layer.w, layer.b)
-        h = T.batch_norm_forward(h, layer.bn, bn_momentum, training)
-        h = T.relu(h)
+        h = T.shared_mlp(h, layer.w, layer.b, layer.bn, bn_momentum, training)
         if i == len(enc.layers) - 2 or (len(enc.layers) == 1 and i == 0):
             per_point = h
     feats = T.reshape(h, (B, N, enc.d_global))

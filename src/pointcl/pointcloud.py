@@ -214,12 +214,15 @@ def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) ->
 # ---------------------------------------------------------------------------
 # Packed-binary format: magic "PCDS", version u16, little-endian.
 # Header: num_samples u32, num_classes u16, num_parts u16 (0 = none).
+# Then parts_per_class: a class count u16 (0 = no map), and per class:
+# class u16, part count u16, the part ids as u16. Only version 2 is read;
+# version 1 had no parts map.
 # Per sample: id u32, class u16, N u32, N*3 f32 coords, N*u16 point labels
 # iff num_parts > 0.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"PCDS"
-_VERSION = 1
+_VERSION = 2
 
 
 def save_dataset(ds: Dataset, path, format="packed-binary") -> None:
@@ -231,6 +234,10 @@ def save_dataset(ds: Dataset, path, format="packed-binary") -> None:
         f.write(_MAGIC)
         f.write(struct.pack("<H", _VERSION))
         f.write(struct.pack("<IHH", len(ds.samples), ds.num_classes, ds.num_parts))
+        ppc = ds.parts_per_class or {}
+        f.write(struct.pack("<H", len(ppc)))
+        for cls, parts in sorted(ppc.items()):
+            f.write(struct.pack(f"<HH{len(parts)}H", cls, len(parts), *parts))
         for pc in ds.samples:
             cls = pc.class_label if pc.class_label is not None else 0
             f.write(struct.pack("<IHI", pc.id, cls, pc.n))
@@ -259,9 +266,10 @@ def load_dataset(path, format="packed-binary", split="train") -> Dataset:
             raise ParseError(f"bad magic {magic!r} at byte offset 0")
         (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
         if version != _VERSION:
-            raise ParseError(f"unsupported version {version}")
+            raise ParseError(f"unsupported version {version} (expected {_VERSION})")
         num_samples, num_classes, num_parts = struct.unpack(
             "<IHH", _read_exact(f, 8, "header"))
+        parts_per_class = _read_parts_map(f, num_classes, num_parts)
         samples = []
         for _ in range(num_samples):
             sid, cls, n = struct.unpack("<IHI", _read_exact(f, 10, "sample header"))
@@ -278,8 +286,22 @@ def load_dataset(path, format="packed-binary", split="train") -> Dataset:
                         f"sample {sid}: point label {labels.max()} >= num_parts {num_parts}")
             samples.append(PointCloud(points=coords.copy(), class_label=int(cls),
                                       point_labels=labels, id=int(sid)))
-    return Dataset(samples=samples, split=split,
-                   num_classes=num_classes, num_parts=num_parts)
+    return Dataset(samples=samples, split=split, num_classes=num_classes,
+                   num_parts=num_parts, parts_per_class=parts_per_class)
+
+
+def _read_parts_map(f, num_classes, num_parts):
+    """The parts_per_class table; None when it is empty."""
+    (count,) = struct.unpack("<H", _read_exact(f, 2, "parts map"))
+    ppc = {}
+    for _ in range(count):
+        cls, n = struct.unpack("<HH", _read_exact(f, 4, "parts map entry"))
+        parts = list(struct.unpack(f"<{n}H", _read_exact(f, 2 * n, "parts map entry")))
+        if (num_classes and cls >= num_classes) or any(p >= num_parts for p in parts):
+            raise ParseError(f"parts map: class {cls} or one of its parts {parts} "
+                             f"out of range ({num_classes} classes, {num_parts} parts)")
+        ppc[cls] = parts
+    return ppc or None
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ __all__ = [
     "broadcast_points",
     "max_pool_points",
     "batch_norm_forward",
+    "shared_mlp",
     "dropout",
     "softmax_cross_entropy",
     "l2_normalize_rows",
@@ -95,8 +96,10 @@ def _accum(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: g may be a view, or be handed to another parent too
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -225,19 +228,19 @@ def max_pool_points(x: Tensor) -> Tensor:
     """Max over the point axis: [B,N,D] -> [B,D].
 
     Gradient routes to the first argmax per (b, d); ties broken by index.
+    The argmax is found in backward, so a pass that never differentiates
+    pays for the max alone.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"max_pool_points: expected [B,N,D], got {x.shape}")
     if x.shape[1] == 0:
         raise ShapeError("max_pool_points: empty cloud (N == 0)")
-    idx = np.argmax(x.data, axis=1)  # first occurrence on ties
     out_data = np.max(x.data, axis=1)
 
     def bw(g):
+        idx = np.argmax(x.data, axis=1)[:, None, :]  # first occurrence on ties
         gx = np.zeros_like(x.data)
-        b_ix, d_ix = np.meshgrid(np.arange(x.shape[0]), np.arange(x.shape[2]),
-                                 indexing="ij")
-        gx[b_ix, idx, d_ix] = g
+        np.put_along_axis(gx, idx, g[:, None, :], axis=1)
         _accum(x, gx)
 
     return _result(out_data, (x,), bw, "max_pool_points")
@@ -260,6 +263,50 @@ class BNState:
 _BN_EPS = 1e-5
 
 
+def _bn_normalize(h, state: BNState, momentum: float, training: bool):
+    """Normalize h[B,D] in place to xhat; returns inv = 1/sqrt(var + eps).
+
+    Training mode uses the batch statistics and moves the running ones
+    toward them: running <- momentum * running + (1 - momentum) * batch.
+    Eval mode uses the running statistics.
+    """
+    if h.ndim != 2 or h.shape[1] != state.dim:
+        raise ShapeError(f"batch_norm: input {h.shape} vs state dim {state.dim}")
+    if training:
+        if h.shape[0] < 2:
+            raise ShapeError(f"batch_norm: batch of {h.shape[0]} too small for training mode")
+        m = h.mean(axis=0)
+        h -= m
+        v = np.einsum("ij,ij->j", h, h) / h.shape[0]  # from the centered h
+        mom = float(momentum)
+        state.running_mean = (mom * state.running_mean + (1.0 - mom) * m).astype(h.dtype)
+        state.running_var = (mom * state.running_var + (1.0 - mom) * v).astype(h.dtype)
+    else:
+        h -= state.running_mean
+        v = state.running_var
+    inv = 1.0 / np.sqrt(v + _BN_EPS)
+    h *= inv
+    return inv
+
+
+def _bn_backward(gy, xhat, inv, state: BNState, training: bool):
+    """Accumulate the gamma and beta gradients from gy, the gradient at the
+    batch-norm output, and return the gradient at its input.
+
+    gy must be an array the caller owns: it is overwritten by the result.
+    """
+    dgamma = np.einsum("ij,ij->j", gy, xhat)
+    dbeta = gy.sum(axis=0)
+    if training:
+        B = gy.shape[0]
+        gy -= xhat * (dgamma / B)
+        gy -= dbeta / B
+    gy *= state.gamma.data * inv
+    _accum(state.gamma, dgamma)
+    _accum(state.beta, dbeta)
+    return gy
+
+
 def batch_norm_forward(x: Tensor, state: BNState, momentum: float,
                        training: bool) -> Tensor:
     """Batch normalization over rows of x[B,D].
@@ -268,42 +315,44 @@ def batch_norm_forward(x: Tensor, state: BNState, momentum: float,
     running <- momentum * running + (1 - momentum) * batch.
     Eval mode normalizes by the stored running statistics.
     """
-    if x.data.ndim != 2 or x.shape[1] != state.dim:
-        raise ShapeError(f"batch_norm: input {x.shape} vs state dim {state.dim}")
-    gamma, beta = state.gamma, state.beta
-    if training:
-        if x.shape[0] < 2:
-            raise ShapeError(f"batch_norm: batch of {x.shape[0]} too small for training mode")
-        m = x.data.mean(axis=0)
-        v = x.data.var(axis=0)
-        inv = 1.0 / np.sqrt(v + _BN_EPS)
-        xhat = (x.data - m) * inv
-        out_data = xhat * gamma.data + beta.data
-        mom = float(momentum)
-        state.running_mean = (mom * state.running_mean + (1.0 - mom) * m).astype(x.dtype)
-        state.running_var = (mom * state.running_var + (1.0 - mom) * v).astype(x.dtype)
-        B = x.shape[0]
+    xhat = np.array(x.data)
+    inv = _bn_normalize(xhat, state, momentum, training)
+    out_data = xhat * state.gamma.data + state.beta.data
 
-        def bw(g):
-            _accum(gamma, (g * xhat).sum(axis=0))
-            _accum(beta, g.sum(axis=0))
-            gx_hat = g * gamma.data
-            gx = inv / B * (B * gx_hat - gx_hat.sum(axis=0)
-                            - xhat * (gx_hat * xhat).sum(axis=0))
-            _accum(x, gx)
+    def bw(g):
+        _accum(x, _bn_backward(np.array(g), xhat, inv, state, training))
 
-        return _result(out_data, (x, gamma, beta), bw, "batch_norm")
-    else:
-        inv = 1.0 / np.sqrt(state.running_var + _BN_EPS)
-        xhat = (x.data - state.running_mean) * inv
-        out_data = xhat * gamma.data + beta.data
+    return _result(out_data, (x, state.gamma, state.beta), bw,
+                   "batch_norm" if training else "batch_norm_eval")
 
-        def bw(g):
-            _accum(gamma, (g * xhat).sum(axis=0))
-            _accum(beta, g.sum(axis=0))
-            _accum(x, g * gamma.data * inv)
 
-        return _result(out_data, (x, gamma, beta), bw, "batch_norm_eval")
+def shared_mlp(x: Tensor, w: Tensor, b: Tensor, bn: BNState, momentum: float,
+               training: bool) -> Tensor:
+    """One shared-MLP layer, relu(batch_norm(x @ w + b)), as one tape node.
+
+    Equal to linear_forward -> batch_norm_forward -> relu up to float
+    rounding. The pre-activation is normalized in place and kept as xhat;
+    the backward derives the relu mask from the output.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise ShapeError(f"shared_mlp: shapes {x.shape} x {w.shape} + {b.shape} "
+                         "do not conform")
+    xhat = x.data @ w.data
+    xhat += b.data
+    inv = _bn_normalize(xhat, bn, momentum, training)
+    out_data = xhat * bn.gamma.data
+    out_data += bn.beta.data
+    np.maximum(out_data, 0, out=out_data)
+
+    def bw(g):
+        gh = _bn_backward(g * (out_data > 0), xhat, inv, bn, training)
+        _accum(b, gh.sum(axis=0))
+        _accum(w, x.data.T @ gh)
+        if x.requires_grad:
+            _accum(x, gh @ w.data.T)
+
+    return _result(out_data, (x, w, b, bn.gamma, bn.beta), bw, "shared_mlp")
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -167,7 +167,8 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
     """Unsupervised contrastive pretraining.
 
     Returns (model, loss_records). With out_dir set, writes loss_curve.csv,
-    periodic checkpoints and checkpoint_final.pclm.
+    periodic checkpoints and checkpoint_final.pclm. A run that raises after
+    completing a step still writes loss_curve.csv, with the steps it completed.
     """
     if objective not in ("cls", "seg"):
         raise ValueError(f"objective must be 'cls' or 'seg', got {objective!r}")
@@ -192,29 +193,37 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
     last_ckpt = None
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    for step in range(start_step, total_steps):
-        epoch = step // steps_per_epoch
-        lr = lr_schedule(step, cfg, period)
-        bn_m = bn_schedule(step, cfg, period)
-        orig, trans = build_batch(ds, cfg, rng, spec)
-        loss = _forward_loss(model, orig, trans, cfg, rng, objective,
-                             training=True, bn_momentum=bn_m)
-        loss_val = loss.item()
-        if not np.isfinite(loss_val):
-            raise FloatingPointError(
-                f"non-finite loss {loss_val} at step {step}; "
-                + (f"last checkpoint written: {last_ckpt}" if last_ckpt
-                   else "no checkpoint was written"))
-        T.backward(loss)
-        adam_step(params, opt, lr)
-        records.append(LossRecord(step, epoch, lr, bn_m, loss_val))
-        if out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
-            path = os.path.join(out_dir, f"checkpoint_{step + 1:06d}.pclm")
-            save_train_checkpoint(model, opt, rng, step + 1, path)
-            last_ckpt = path
+    try:
+        for step in range(start_step, total_steps):
+            epoch = step // steps_per_epoch
+            lr = lr_schedule(step, cfg, period)
+            bn_m = bn_schedule(step, cfg, period)
+            orig, trans = build_batch(ds, cfg, rng, spec)
+            loss = _forward_loss(model, orig, trans, cfg, rng, objective,
+                                 training=True, bn_momentum=bn_m)
+            loss_val = loss.item()
+            if not np.isfinite(loss_val):
+                raise FloatingPointError(
+                    f"non-finite loss {loss_val} at step {step}; "
+                    + (f"last checkpoint written: {last_ckpt}" if last_ckpt
+                       else "no checkpoint was written"))
+            T.backward(loss)
+            adam_step(params, opt, lr)
+            records.append(LossRecord(step, epoch, lr, bn_m, loss_val))
+            if out_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
+                path = os.path.join(out_dir, f"checkpoint_{step + 1:06d}.pclm")
+                save_train_checkpoint(model, opt, rng, step + 1, path)
+                last_ckpt = path
+        if out_dir:
+            save_train_checkpoint(model, opt, rng, total_steps,
+                                  os.path.join(out_dir, "checkpoint_final.pclm"))
+    except BaseException:
+        # Keep the curve of the completed steps. A run that failed before
+        # its first step leaves an earlier curve in out_dir as it was.
+        if out_dir and records:
+            write_loss_curve(records, os.path.join(out_dir, "loss_curve.csv"))
+        raise
     if out_dir:
-        save_train_checkpoint(model, opt, rng, total_steps,
-                              os.path.join(out_dir, "checkpoint_final.pclm"))
         write_loss_curve(records, os.path.join(out_dir, "loss_curve.csv"))
     return model, records
 

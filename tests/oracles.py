@@ -86,3 +86,38 @@ def max_rel_error(analytic_grads, fd_entries, floor=1e-6):
             rel = abs(num - an) / max(floor, abs(num) + abs(an))
             worst = max(worst, rel)
     return worst
+
+
+def reference_encoder_layer(x, w, b, gamma, beta, running_mean, running_var,
+                            momentum, training, gout, eps=1e-5):
+    """relu(batch_norm(x @ w + b)) and its gradients in float64, unfused.
+
+    Uses the textbook formulas (np.var, the three-term batch-norm backward)
+    rather than the library's helpers. gout is the gradient at the output.
+    Returns (out, grads dict for x, w, b, gamma, beta, new running mean,
+    new running var).
+    """
+    x, w, b, gamma, beta, gout = (np.asarray(a, dtype=np.float64)
+                                  for a in (x, w, b, gamma, beta, gout))
+    h = x @ w + b
+    if training:
+        m, v = h.mean(axis=0), h.var(axis=0)
+        running_mean = momentum * running_mean + (1 - momentum) * m
+        running_var = momentum * running_var + (1 - momentum) * v
+    else:
+        m, v = running_mean, running_var
+    inv = 1.0 / np.sqrt(v + eps)
+    xhat = (h - m) * inv
+    y = xhat * gamma + beta
+    out = np.maximum(y, 0.0)
+    gy = gout * (y > 0)
+    gxhat = gy * gamma
+    if training:
+        B = h.shape[0]
+        gh = inv / B * (B * gxhat - gxhat.sum(axis=0)
+                        - xhat * (gxhat * xhat).sum(axis=0))
+    else:
+        gh = gxhat * inv
+    grads = {"x": gh @ w.T, "w": x.T @ gh, "b": gh.sum(axis=0),
+             "gamma": (gy * xhat).sum(axis=0), "beta": gy.sum(axis=0)}
+    return out, grads, running_mean, running_var

@@ -185,3 +185,20 @@ def test_defaults_agree():
     assert cfg["head_widths"] == tc.head_widths == m.head.widths
     assert cfg["seg_widths"] == tc.seg_widths == m.seg.widths
     assert cfg["dropout"] == tc.dropout_rate == m.head.dropout_rate
+
+
+def test_truncated_checkpoint_runtime_failure(tmp_path, data_files, capsys):
+    train, test = data_files
+    run(["pretrain", "--data", str(train), "--out", str(tmp_path / "run"),
+         "--pairs", "4", "--epochs", "1", "--points", "32",
+         "--encoder-widths", "8,16", "--head-widths", "8,4", "--dropout", "0"])
+    cut = tmp_path / "cut.pclm"
+    cut.write_bytes((tmp_path / "run" / "checkpoint_final.pclm").read_bytes()[:300])
+    out = tmp_path / "probe"
+    rc = run(["probe", "--train-data", str(train), "--test-data", str(test),
+              "--checkpoint", str(cut), "--out", str(out)])
+    assert rc == 1
+    assert "runtime failure" in capsys.readouterr().err
+    failed = (out / ".failed").read_text()
+    assert failed.startswith("CheckpointError: ")
+    assert f"{cut}: truncated at byte 300" in failed

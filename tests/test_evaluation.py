@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from pointcl.evaluation import (Metrics, ablate_transforms,
                                 pretrain_finetune_eval, segmentation_eval,
                                 segmentation_metrics, shape_miou,
                                 supervised_baseline_eval)
+from pointcl.pointcloud import load_dataset, save_dataset
 from pointcl.training import TrainConfig, pretrain
 
 from oracles import brute_force_iou
@@ -209,3 +212,16 @@ def test_format_report_aligned():
     lines = text.splitlines()
     assert len(lines) == 3
     assert "overall_accuracy" in lines[0]
+
+
+def test_segmentation_eval_same_on_data_read_back(tmp_path, seg_dataset):
+    model, _ = pretrain(seg_dataset, tiny_cfg(epochs=1, pairs_per_batch=2),
+                        objective="seg")
+    save_dataset(seg_dataset, tmp_path / "seg.pcds")
+    back = load_dataset(tmp_path / "seg.pcds")
+    runs = [segmentation_eval(model, ds, ds, points_per_cloud=32, probe_epochs=20)
+            for ds in (seg_dataset, back, replace(back, parts_per_class=None))]
+    assert runs[1].instance_miou == runs[0].instance_miou
+    assert runs[1].class_miou == runs[0].class_miou
+    # without the map, parts a shape cannot have count as IoU 1
+    assert runs[2].instance_miou > runs[0].instance_miou

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -177,3 +179,27 @@ def test_reload_preserves_order(tmp_path, small_dataset):
     save_dataset(small_dataset, path)
     back = load_dataset(path)
     assert [p.id for p in back.samples] == [p.id for p in small_dataset.samples]
+
+
+def test_binary_round_trip_keeps_parts_map(tmp_path, seg_dataset):
+    path = tmp_path / "ds.pcds"
+    save_dataset(seg_dataset, path)
+    assert seg_dataset.parts_per_class
+    assert load_dataset(path).parts_per_class == seg_dataset.parts_per_class
+
+
+def test_binary_version_1_rejected(tmp_path, seg_dataset):
+    save_dataset(seg_dataset, tmp_path / "v2.pcds")
+    blob = (tmp_path / "v2.pcds").read_bytes()
+    (tmp_path / "v1.pcds").write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
+    with pytest.raises(ParseError, match="unsupported version 1"):
+        load_dataset(tmp_path / "v1.pcds")
+
+
+def test_binary_parts_map_out_of_range(tmp_path, seg_dataset):
+    ds = pcm.Dataset(samples=seg_dataset.samples, num_classes=seg_dataset.num_classes,
+                     num_parts=seg_dataset.num_parts,
+                     parts_per_class={0: [0, seg_dataset.num_parts]})
+    save_dataset(ds, tmp_path / "bad.pcds")
+    with pytest.raises(ParseError, match="parts map"):
+        load_dataset(tmp_path / "bad.pcds")

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from pointcl import tensor as T
 from pointcl.tensor import Tensor
 
-from oracles import finite_difference_grads, max_rel_error
+from oracles import finite_difference_grads, max_rel_error, reference_encoder_layer
 
 
 def test_linear_identity_weights():
@@ -276,3 +276,116 @@ def test_logsumexp_values_and_gradient():
     x.grad = None
     fd = finite_difference_grads(lambda: f().item(), [x])
     assert max_rel_error([grad], fd) < 1e-6
+
+
+def _shared_mlp_inputs(rng, dtype, rows=12, din=4, dout=5):
+    x = Tensor(rng.normal(size=(rows, din)), dtype=dtype, requires_grad=True)
+    w = Tensor(rng.normal(size=(din, dout)), dtype=dtype, requires_grad=True)
+    b = Tensor(rng.normal(size=dout), dtype=dtype, requires_grad=True)
+    bn = T.BNState(dout, dtype=dtype)
+    bn.gamma.data = rng.uniform(0.5, 1.5, size=dout).astype(dtype)
+    bn.beta.data = rng.normal(scale=0.3, size=dout).astype(dtype)
+    bn.running_mean = rng.normal(size=dout).astype(dtype)
+    bn.running_var = rng.uniform(0.5, 2.0, size=dout).astype(dtype)
+    return x, w, b, bn
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_shared_mlp_matches_finite_differences(rng, training):
+    x, w, b, bn = _shared_mlp_inputs(rng, np.float64)
+    r = Tensor(rng.normal(size=(12, 5)), dtype=np.float64)
+    params = [x, w, b, bn.gamma, bn.beta]
+
+    def forward():
+        return T.tsum(T.mul(T.shared_mlp(x, w, b, bn, 0.9, training), r))
+
+    T.backward(forward())
+    grads = [p.grad.copy() for p in params]
+    fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)
+    if training:
+        # batch norm removes the bias: its true gradient is 0, and both
+        # sides are rounding noise
+        assert np.abs(grads[2]).max() < 1e-9
+        grads, fd = grads[:2] + grads[3:], fd[:2] + fd[3:]
+    assert max_rel_error(grads, fd) < 1e-6
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_shared_mlp_equals_unfused_chain_float32(rng, training):
+    """The fused layer and the unfused linear -> batch_norm -> relu chain
+    both agree with a float64 numpy reference that shares no code with
+    either."""
+    x, w, b, bn = _shared_mlp_inputs(rng, np.float32, rows=256, din=16, dout=32)
+    ref_bn = T.BNState(32)
+    ref_bn.gamma.data, ref_bn.beta.data = bn.gamma.data.copy(), bn.beta.data.copy()
+    ref_bn.running_mean = bn.running_mean.copy()
+    ref_bn.running_var = bn.running_var.copy()
+    ref_x, ref_w, ref_b = (Tensor(t.data.copy(), requires_grad=True) for t in (x, w, b))
+    r = rng.normal(size=(256, 32)).astype(np.float32)
+    want, want_grads, want_mean, want_var = reference_encoder_layer(
+        x.data, w.data, b.data, bn.gamma.data, bn.beta.data,
+        bn.running_mean.astype(np.float64), bn.running_var.astype(np.float64),
+        0.8, training, r)
+
+    out = T.shared_mlp(x, w, b, bn, 0.8, training)
+    chain = T.relu(T.batch_norm_forward(T.linear_forward(ref_x, ref_w, ref_b),
+                                        ref_bn, 0.8, training))
+    assert out._op == "shared_mlp" and out._parents == (x, w, b, bn.gamma, bn.beta)
+    for got, state, params in ((out, bn, (x, w, b, bn.gamma, bn.beta)),
+                               (chain, ref_bn, (ref_x, ref_w, ref_b, ref_bn.gamma,
+                                                ref_bn.beta))):
+        T.backward(T.tsum(T.mul(got, Tensor(r))))
+        np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(state.running_mean, want_mean, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(state.running_var, want_var, rtol=1e-5)
+        for name, p in zip(("x", "w", "b", "gamma", "beta"), params):
+            scale = np.abs(want_grads["w"]).max()
+            if name == "b" and training:
+                # batch norm removes the bias: its true gradient is 0 and
+                # the float32 one is rounding noise
+                assert np.abs(p.grad).max() < 1e-4 * scale
+                continue
+            scale = np.abs(want_grads[name]).max()
+            np.testing.assert_allclose(p.grad, want_grads[name], rtol=1e-4,
+                                       atol=1e-5 * scale, err_msg=name)
+
+
+def test_shared_mlp_shape_errors():
+    x = Tensor(np.ones((4, 3)))
+    w = Tensor(np.ones((3, 2)))
+    with pytest.raises(T.ShapeError):
+        T.shared_mlp(x, Tensor(np.ones((2, 2))), Tensor(np.zeros(2)), T.BNState(2), 0.9, True)
+    with pytest.raises(T.ShapeError):
+        T.shared_mlp(x, w, Tensor(np.zeros(3)), T.BNState(2), 0.9, True)
+    with pytest.raises(T.ShapeError):
+        T.shared_mlp(x, w, Tensor(np.zeros(2)), T.BNState(3), 0.9, True)
+    with pytest.raises(T.ShapeError):
+        T.shared_mlp(Tensor(np.ones((1, 3))), w, Tensor(np.zeros(2)), T.BNState(2), 0.9, True)
+
+
+def test_max_pool_forward_is_np_max_without_argmax(rng, monkeypatch):
+    x = np.maximum(rng.normal(size=(3, 7, 5)), 0)  # relu zeros tie
+    t = Tensor(x, requires_grad=True)
+
+    def no_argmax(*args, **kwargs):
+        raise AssertionError("forward pass called argmax")
+
+    monkeypatch.setattr(np, "argmax", no_argmax)
+    out = T.max_pool_points(t)
+    assert (out.data == np.max(x, axis=1)).all()
+    monkeypatch.undo()
+    T.backward(T.tsum(out))
+    want = np.zeros_like(x)
+    idx = np.argmax(x, axis=1)
+    for bi in range(3):
+        for d in range(5):
+            want[bi, idx[bi, d], d] = 1.0
+    assert (t.grad == want).all()
+
+
+def test_shared_gradient_is_not_aliased():
+    a = Tensor(np.ones(3), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    T.backward(T.tsum(T.add(T.add(a, b), a)))
+    assert (a.grad == 2.0).all()
+    assert (b.grad == 1.0).all()

@@ -12,6 +12,8 @@ from pointcl.training import (AdamState, TrainConfig, adam_step, bn_schedule,
                               build_batch, load_train_checkpoint, lr_schedule,
                               pretrain, save_train_checkpoint)
 
+from oracles import finite_difference_grads, max_rel_error
+
 
 def tiny_cfg(**kw):
     defaults = dict(pairs_per_batch=4, epochs=2, points_per_cloud=32,
@@ -275,3 +277,65 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, small_dataset):
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["t.pclm"]
     assert load_train_checkpoint(path)[3] == 5
+
+
+@pytest.mark.parametrize("train_mode", [True, False])
+def test_seg_loss_gradients_through_fused_encoder(train_mode):
+    """float64 finite differences through _forward_loss on the seg path.
+
+    With three encoder layers the seg branch reads the middle one, a fused
+    layer whose input requires grad and whose output feeds two consumers.
+    """
+    rng = np.random.default_rng(11)
+    cfg = tiny_cfg(pairs_per_batch=3, points_per_cloud=6,
+                   encoder_widths=[6, 8, 10], head_widths=[6, 4], seg_widths=[6, 4])
+    model = models.ModelParams.create(rng, encoder_widths=cfg.encoder_widths,
+                                      head_widths=cfg.head_widths,
+                                      seg_widths=cfg.seg_widths, with_seg=True,
+                                      dropout_rate=0.0, dtype=np.float64)
+    for layer in model.encoder.layers:
+        layer.bn.running_mean = rng.normal(size=layer.bn.dim)
+        layer.bn.running_var = rng.uniform(0.5, 2.0, size=layer.bn.dim)
+    # Non-zero biases: with zero ones a point whose seg hidden units are all
+    # off embeds to the zero vector, where row normalization jumps.
+    for layer in model.seg.layers:
+        layer.b.data = rng.normal(scale=0.5, size=layer.b.shape)
+    orig = rng.normal(size=(3, 6, 3))
+    trans = rng.normal(size=(3, 6, 3))
+
+    def forward():
+        return training._forward_loss(model, orig, trans, cfg, np.random.default_rng(7),
+                                      "seg", training=train_mode, bn_momentum=0.9)
+
+    T.backward(forward())
+    params = [p for p in model.params() if p.grad is not None]
+    grads = [p.grad.copy() for p in params]
+    fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)
+    if train_mode:
+        # each encoder bias sits before a batch norm: true gradient 0
+        biases = {id(l.b) for l in model.encoder.layers}
+        keep = [i for i, p in enumerate(params) if id(p) not in biases]
+        assert all(np.abs(grads[i]).max() < 1e-9
+                   for i, p in enumerate(params) if id(p) in biases)
+        grads, fd = [grads[i] for i in keep], [fd[i] for i in keep]
+    assert max_rel_error(grads, fd) < 1e-5
+
+
+def test_loss_curve_written_when_a_step_fails(tmp_path, small_dataset):
+    ds = _with_overflow(small_dataset, [0])
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        pretrain(ds, tiny_cfg(checkpoint_every=1), out_dir=str(tmp_path))
+    written = sorted(tmp_path.glob("checkpoint_*.pclm"))
+    rows = (tmp_path / "loss_curve.csv").read_text().splitlines()
+    assert written
+    assert rows[0] == "step,epoch,lr,bn_momentum,loss"
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(len(written)))
+
+
+def test_run_failing_at_first_step_keeps_earlier_curve(tmp_path, small_dataset):
+    pretrain(small_dataset, tiny_cfg(epochs=1), out_dir=str(tmp_path))
+    before = (tmp_path / "loss_curve.csv").read_bytes()
+    ds = _with_overflow(small_dataset, range(len(small_dataset)))
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="at step 0"):
+        pretrain(ds, tiny_cfg(), out_dir=str(tmp_path))
+    assert (tmp_path / "loss_curve.csv").read_bytes() == before
