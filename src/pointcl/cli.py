@@ -18,8 +18,8 @@ import numpy as np
 
 from . import evaluation, models
 from .losses import LossConfig
-from .pointcloud import (SyntheticSpec, SHAPE_CLASSES, generate_synthetic_dataset,
-                         load_dataset, save_dataset)
+from .pointcloud import (ParseError, SyntheticSpec, SHAPE_CLASSES,
+                         generate_synthetic_dataset, load_dataset, save_dataset)
 from .training import TrainConfig, pretrain
 from .transforms import parse_transform
 
@@ -321,9 +321,10 @@ def main(argv=None) -> int:
             os.remove(failed_marker)
         return 0
     except Exception as e:
-        # ConfigError is a ValueError; a CheckpointError is one too, but an
-        # unreadable file is a runtime failure.
-        if isinstance(e, ValueError) and not isinstance(e, models.CheckpointError):
+        # ConfigError is a ValueError; so are CheckpointError and ParseError,
+        # but an unreadable file is a runtime failure.
+        if (isinstance(e, ValueError)
+                and not isinstance(e, (models.CheckpointError, ParseError))):
             print(f"configuration error: {e}", file=sys.stderr)
             return 2
         if failed_marker and os.path.isdir(out_dir):

@@ -1,10 +1,13 @@
-"""Contrastive objectives.
+"""Contrastive objectives: one InfoNCE over two groupings.
 
-Cloud-level loss: each original embedding attends over all transformed
-embeddings in the minibatch; the aligned one is the positive. With n pairs
-this is cross-entropy with pseudo-labels 0..n-1 over similarity logits.
-Point-wise loss: the same construction per point within each pair, with
-pseudo-labels equal to point indices 0..N-1.
+Each query row attends over the N key rows of its group with logits
+q . k / tau, and takes the cross-entropy against its positive key. The
+cloud-level loss is one group of n pairs; the positive is the pair index.
+The point-wise loss is n groups, one per pair, of N points; the positive is
+the point index, or follows point_labels[a, j], the original point that
+transformed slot j of cloud a came from. Original point i's positive is the
+first slot sourced from i, and a point no slot came from is left out of the
+mean; with symmetric, transformed slot j's positive is point_labels[a, j].
 """
 
 from __future__ import annotations
@@ -45,6 +48,28 @@ def _ce_direction(sim: Tensor, labels, exclude_positive: bool):
     return T.scale(T.tsum(per_row), 1.0 / n)
 
 
+def _info_nce(z_a: Tensor, z_b: Tensor, labels_ab, labels_ba, cfg: LossConfig) -> Tensor:
+    """InfoNCE over [..., N, d] stacks whose leading axes index the groups.
+
+    Rows of z_a attend over the N rows of their group in z_b; labels_ab gives
+    each row's positive within its group, or -1 to leave the row out of the
+    mean. cfg.symmetric averages in z_b over z_a, by labels_ba.
+    """
+    N = z_a.shape[-2]
+
+    def direction(q, k, labels):
+        sim = T.reshape(T.scale(T.matmul(q, T.transpose(k)), 1.0 / cfg.tau), (-1, N))
+        kept = np.flatnonzero(labels >= 0)
+        if kept.size < labels.size:
+            sim, labels = T.index(sim, kept), labels[kept]
+        return _ce_direction(sim, labels, cfg.exclude_positive)
+
+    loss = direction(z_a, z_b, labels_ab)
+    if cfg.symmetric:
+        loss = T.scale(T.add(loss, direction(z_b, z_a, labels_ba)), 0.5)
+    return loss
+
+
 def contrastive_loss_cls(z_orig: Tensor, z_trans: Tensor, cfg: LossConfig) -> Tensor:
     """Cloud-level contrastive loss over n index-aligned embedding pairs."""
     n = z_orig.shape[0]
@@ -53,13 +78,7 @@ def contrastive_loss_cls(z_orig: Tensor, z_trans: Tensor, cfg: LossConfig) -> Te
     if n < 2:
         raise ValueError(f"need at least 2 pairs for a contrastive batch, got {n}")
     labels = np.arange(n)
-    sim = T.scale(T.matmul(z_orig, T.transpose(z_trans)), 1.0 / cfg.tau)
-    loss = _ce_direction(sim, labels, cfg.exclude_positive)
-    if cfg.symmetric:
-        sim_t = T.scale(T.matmul(z_trans, T.transpose(z_orig)), 1.0 / cfg.tau)
-        loss_t = _ce_direction(sim_t, labels, cfg.exclude_positive)
-        loss = T.scale(T.add(loss, loss_t), 0.5)
-    return loss
+    return _info_nce(z_orig, z_trans, labels, labels, cfg)
 
 
 def contrastive_loss_seg(Z_orig: Tensor, Z_trans: Tensor, cfg: LossConfig,
@@ -74,35 +93,12 @@ def contrastive_loss_seg(Z_orig: Tensor, Z_trans: Tensor, cfg: LossConfig,
     n, N, _ = Z_orig.shape
     if N < 2:
         raise ValueError(f"need at least 2 points per cloud, got {N}")
-    terms = []
-    for a in range(n):
-        za = T.index(Z_orig, a)
-        zb = T.index(Z_trans, a)
-        sim = T.scale(T.matmul(za, T.transpose(zb)), 1.0 / cfg.tau)
-        if point_labels is None:
-            labels = np.arange(N)
-        else:
-            # slot j of the transformed cloud came from source point
-            # point_labels[a, j]; original point i matches transformed slots
-            # sourced from i. With refill maps the positive is the first
-            # such slot.
-            src = np.asarray(point_labels[a])
-            labels = np.full(N, -1, dtype=np.int64)
-            for j in range(N - 1, -1, -1):
-                labels[src[j]] = j
-            if (labels < 0).any():
-                # points that vanished under cutout/crop: fall back to identity
-                missing = labels < 0
-                labels[missing] = np.nonzero(missing)[0]
-        loss_a = _ce_direction(sim, labels, cfg.exclude_positive)
-        if cfg.symmetric:
-            sim_t = T.scale(T.matmul(zb, T.transpose(za)), 1.0 / cfg.tau)
-            inv = np.argsort(labels) if point_labels is not None else labels
-            loss_t = _ce_direction(sim_t, np.arange(N) if point_labels is None else inv,
-                                   cfg.exclude_positive)
-            loss_a = T.scale(T.add(loss_a, loss_t), 0.5)
-        terms.append(loss_a)
-    total = terms[0]
-    for t in terms[1:]:
-        total = T.add(total, t)
-    return T.scale(total, 1.0 / n)
+    src = (np.tile(np.arange(N), (n, 1)) if point_labels is None
+           else np.asarray(point_labels, dtype=np.int64))
+    if src.shape != (n, N) or src.min() < 0 or src.max() >= N:
+        raise ValueError(f"point_labels must be [{n}, {N}] indices in [0, {N})")
+    # the first slot sourced from each point, over all n*N slots
+    first = np.full(n * N, -1, dtype=np.int64)
+    sources, slots = np.unique(src + N * np.arange(n)[:, None], return_index=True)
+    first[sources] = slots % N
+    return _info_nce(Z_orig, Z_trans, first, src.ravel(), cfg)

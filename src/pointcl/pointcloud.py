@@ -251,7 +251,8 @@ def save_dataset(ds: Dataset, path, format="packed-binary") -> None:
 def _read_exact(f, nbytes, what):
     buf = f.read(nbytes)
     if len(buf) != nbytes:
-        raise ParseError(f"truncated file reading {what} at byte offset {f.tell() - len(buf)}")
+        raise ParseError(f"{f.name}: truncated file reading {what} "
+                         f"at byte offset {f.tell() - len(buf)}")
     return buf
 
 
@@ -263,10 +264,10 @@ def load_dataset(path, format="packed-binary", split="train") -> Dataset:
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != _MAGIC:
-            raise ParseError(f"bad magic {magic!r} at byte offset 0")
+            raise ParseError(f"{path}: bad magic {magic!r} at byte offset 0")
         (version,) = struct.unpack("<H", _read_exact(f, 2, "version"))
         if version != _VERSION:
-            raise ParseError(f"unsupported version {version} (expected {_VERSION})")
+            raise ParseError(f"{path}: unsupported version {version} (expected {_VERSION})")
         num_samples, num_classes, num_parts = struct.unpack(
             "<IHH", _read_exact(f, 8, "header"))
         parts_per_class = _read_parts_map(f, num_classes, num_parts)
@@ -274,7 +275,8 @@ def load_dataset(path, format="packed-binary", split="train") -> Dataset:
         for _ in range(num_samples):
             sid, cls, n = struct.unpack("<IHI", _read_exact(f, 10, "sample header"))
             if num_classes and cls >= num_classes:
-                raise ParseError(f"sample {sid}: class {cls} >= num_classes {num_classes}")
+                raise ParseError(f"{path}: sample {sid}: class {cls} "
+                                 f">= num_classes {num_classes}")
             coords = np.frombuffer(_read_exact(f, n * 12, "coordinates"),
                                    dtype="<f4").reshape(n, 3)
             labels = None
@@ -282,8 +284,8 @@ def load_dataset(path, format="packed-binary", split="train") -> Dataset:
                 labels = np.frombuffer(_read_exact(f, n * 2, "point labels"),
                                        dtype="<u2").astype(np.int64)
                 if labels.max(initial=0) >= num_parts:
-                    raise ParseError(
-                        f"sample {sid}: point label {labels.max()} >= num_parts {num_parts}")
+                    raise ParseError(f"{path}: sample {sid}: point label "
+                                     f"{labels.max()} >= num_parts {num_parts}")
             samples.append(PointCloud(points=coords.copy(), class_label=int(cls),
                                       point_labels=labels, id=int(sid)))
     return Dataset(samples=samples, split=split, num_classes=num_classes,
@@ -298,7 +300,7 @@ def _read_parts_map(f, num_classes, num_parts):
         cls, n = struct.unpack("<HH", _read_exact(f, 4, "parts map entry"))
         parts = list(struct.unpack(f"<{n}H", _read_exact(f, 2 * n, "parts map entry")))
         if (num_classes and cls >= num_classes) or any(p >= num_parts for p in parts):
-            raise ParseError(f"parts map: class {cls} or one of its parts {parts} "
+            raise ParseError(f"{f.name}: parts map: class {cls} or one of its parts {parts} "
                              f"out of range ({num_classes} classes, {num_parts} parts)")
         ppc[cls] = parts
     return ppc or None

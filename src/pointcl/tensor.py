@@ -137,24 +137,26 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """a[M,K] @ b[K,P], or a[B,M,K] @ b[B,K,P]: one product per batch entry."""
+    if a.data.ndim not in (2, 3) or a.shape[:-2] + a.shape[-1:] != b.shape[:-1]:
         raise ShapeError(f"matmul: shapes {a.shape} x {b.shape} do not conform")
     out_data = a.data @ b.data
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _result(out_data, (a, b), bw, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d, got {a.shape}")
-    out_data = a.data.T.copy()
+    """Swap the last two axes of a 2-d or 3-d tensor."""
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"transpose: expected 2-d or 3-d, got {a.shape}")
+    out_data = np.swapaxes(a.data, -1, -2).copy()
 
     def bw(g):
-        _accum(a, g.T)
+        _accum(a, np.swapaxes(g, -1, -2))
 
     return _result(out_data, (a,), bw, "transpose")
 

@@ -149,16 +149,14 @@ def _forward_loss(model, orig, trans, cfg, rng, objective, training=True,
     if objective == "cls":
         z = models.project(global_feat, model.head, training, rng,
                            normalize=cfg.loss.normalize)
-        z_orig = T.index(z, slice(0, n))
-        z_trans = T.index(z, slice(n, 2 * n))
-        return contrastive_loss_cls(z_orig, z_trans, cfg.loss)
+        loss_fn = contrastive_loss_cls
     elif objective == "seg":
-        Z = models.segment_embed(per_point, global_feat, model.seg, training,
+        z = models.segment_embed(per_point, global_feat, model.seg, training,
                                  normalize=cfg.loss.normalize)
-        Z_orig = T.index(Z, slice(0, n))
-        Z_trans = T.index(Z, slice(n, 2 * n))
-        return contrastive_loss_seg(Z_orig, Z_trans, cfg.loss)
-    raise ValueError(f"unknown objective {objective!r}")
+        loss_fn = contrastive_loss_seg
+    else:
+        raise ValueError(f"unknown objective {objective!r}")
+    return loss_fn(T.index(z, slice(0, n)), T.index(z, slice(n, 2 * n)), cfg.loss)
 
 
 def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",

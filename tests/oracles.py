@@ -22,16 +22,39 @@ def brute_force_infonce(z_orig, z_trans, tau, exclude_positive=False):
     return total / n
 
 
-def brute_force_pointwise(Z_orig, Z_trans, tau):
-    """Per-point cross-entropy with point-index pseudo-labels, averaged."""
+def brute_force_pointwise(Z_orig, Z_trans, tau, src=None, symmetric=False,
+                          exclude_positive=False):
+    """Per-point cross-entropy within each pair, averaged over the points
+    that have a positive.
+
+    src[a][j] is the original point that transformed slot j of cloud a came
+    from; None means slot j came from point j. The positive of original
+    point i is the first slot sourced from i, and an original point that no
+    slot came from is left out. With symmetric, the mean over transformed
+    slots, each with positive src[a][j], is averaged in at weight 1/2.
+    """
     n, N, _ = Z_orig.shape
-    total = 0.0
+    if src is None:
+        src = [list(range(N)) for _ in range(n)]
+
+    def row_loss(query, keys, pos):
+        logits = [float(np.dot(query, key)) / tau for key in keys]
+        denom = sum(np.exp(l) for t, l in enumerate(logits)
+                    if not (exclude_positive and t == pos))
+        return -(logits[pos] - np.log(denom))
+
+    forward, backward = [], []
     for a in range(n):
         for i in range(N):
-            logits = np.array([float(np.dot(Z_orig[a, i], Z_trans[a, t])) / tau
-                               for t in range(N)])
-            total += -(logits[i] - np.log(np.exp(logits).sum()))
-    return total / (n * N)
+            slots = [j for j in range(N) if src[a][j] == i]
+            if slots:
+                forward.append(row_loss(Z_orig[a, i], Z_trans[a], slots[0]))
+            if symmetric:
+                backward.append(row_loss(Z_trans[a, i], Z_orig[a], src[a][i]))
+    loss = sum(forward) / len(forward)
+    if symmetric:
+        loss = 0.5 * (loss + sum(backward) / len(backward))
+    return loss
 
 
 def brute_force_iou(pred, gt, part_ids):

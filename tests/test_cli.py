@@ -187,18 +187,27 @@ def test_defaults_agree():
     assert cfg["dropout"] == tc.dropout_rate == m.head.dropout_rate
 
 
-def test_truncated_checkpoint_runtime_failure(tmp_path, data_files, capsys):
+@pytest.mark.parametrize("suffix", ["pclm", "pcds"])
+def test_truncated_checkpoint_runtime_failure(tmp_path, data_files, capsys, suffix):
+    """A truncated checkpoint or dataset file is a runtime failure, not a
+    configuration error: exit 1 and a .failed marker naming the file."""
     train, test = data_files
-    run(["pretrain", "--data", str(train), "--out", str(tmp_path / "run"),
-         "--pairs", "4", "--epochs", "1", "--points", "32",
-         "--encoder-widths", "8,16", "--head-widths", "8,4", "--dropout", "0"])
-    cut = tmp_path / "cut.pclm"
-    cut.write_bytes((tmp_path / "run" / "checkpoint_final.pclm").read_bytes()[:300])
-    out = tmp_path / "probe"
-    rc = run(["probe", "--train-data", str(train), "--test-data", str(test),
-              "--checkpoint", str(cut), "--out", str(out)])
+    cut = tmp_path / f"cut.{suffix}"
+    out = tmp_path / "out"
+    if suffix == "pclm":
+        run(["pretrain", "--data", str(train), "--out", str(tmp_path / "run"),
+             "--pairs", "4", "--epochs", "1", "--points", "32",
+             "--encoder-widths", "8,16", "--head-widths", "8,4", "--dropout", "0"])
+        cut.write_bytes((tmp_path / "run" / "checkpoint_final.pclm").read_bytes()[:300])
+        rc = run(["probe", "--train-data", str(train), "--test-data", str(test),
+                  "--checkpoint", str(cut), "--out", str(out)])
+        error, message = "CheckpointError", f"{cut}: truncated at byte 300"
+    else:
+        cut.write_bytes(train.read_bytes()[:300])
+        rc = run(["pretrain", "--data", str(cut), "--out", str(out)])
+        error, message = "ParseError", f"{cut}: truncated file reading"
     assert rc == 1
     assert "runtime failure" in capsys.readouterr().err
     failed = (out / ".failed").read_text()
-    assert failed.startswith("CheckpointError: ")
-    assert f"{cut}: truncated at byte 300" in failed
+    assert failed.startswith(f"{error}: ")
+    assert message in failed

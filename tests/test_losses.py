@@ -133,6 +133,32 @@ def test_seg_refill_labels(rng):
     assert abs(aligned - identity) < 1e-6
 
 
+# A crop-like slot -> source map: cloud 0 sources slots 0 and 2 from point 3
+# and loses points 1 and 4; cloud 1 loses points 2, 3 and 5.
+CROP_MAP = np.array([[3, 0, 3, 5, 0, 2], [1, 1, 4, 4, 4, 0]])
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("exclude_positive", [False, True])
+def test_seg_source_map_matches_brute_force(rng, symmetric, exclude_positive):
+    Z_o = unit_rows(rng.normal(size=(2, 6, 5)))
+    Z_t = unit_rows(rng.normal(size=(2, 6, 5)))
+    cfg = LossConfig(tau=0.2, symmetric=symmetric, exclude_positive=exclude_positive)
+    ours = contrastive_loss_seg(Tensor(Z_o), Tensor(Z_t), cfg,
+                                point_labels=CROP_MAP).item()
+    oracle = brute_force_pointwise(Z_o, Z_t, 0.2, src=CROP_MAP, symmetric=symmetric,
+                                   exclude_positive=exclude_positive)
+    assert abs(ours - oracle) < 1e-9
+
+
+def test_seg_point_labels_checked():
+    Z = Tensor(np.ones((2, 6, 5)))
+    for bad in (CROP_MAP[:1], CROP_MAP + 1, CROP_MAP - 1):
+        with pytest.raises(ValueError):
+            contrastive_loss_seg(Z, Tensor(np.ones((2, 6, 5))), LossConfig(),
+                                 point_labels=bad)
+
+
 def test_loss_gradients_match_finite_differences(rng):
     z_o = Tensor(unit_rows(rng.normal(size=(4, 5))), requires_grad=True)
     z_t = Tensor(unit_rows(rng.normal(size=(4, 5))), requires_grad=True)
@@ -164,14 +190,23 @@ def test_tau_must_be_positive():
         LossConfig(tau=0.0)
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
-def test_exclude_positive_gradients_match_finite_differences(rng, symmetric):
-    z_o = Tensor(unit_rows(rng.normal(size=(5, 4))), requires_grad=True)
-    z_t = Tensor(unit_rows(rng.normal(size=(5, 4))), requires_grad=True)
+@pytest.mark.parametrize("symmetric, point_labels",
+                         [(False, None), (True, None), (True, CROP_MAP)],
+                         ids=["False", "True", "seg-crop-map"])
+def test_exclude_positive_gradients_match_finite_differences(rng, symmetric,
+                                                             point_labels):
+    shape = (5, 4) if point_labels is None else (*point_labels.shape, 4)
+    z_o = Tensor(unit_rows(rng.normal(size=shape)), requires_grad=True)
+    z_t = Tensor(unit_rows(rng.normal(size=shape)), requires_grad=True)
     cfg = LossConfig(tau=0.2, exclude_positive=True, symmetric=symmetric)
-    T.backward(contrastive_loss_cls(z_o, z_t, cfg))
+
+    def loss():
+        if point_labels is None:
+            return contrastive_loss_cls(z_o, z_t, cfg)
+        return contrastive_loss_seg(z_o, z_t, cfg, point_labels=point_labels)
+
+    T.backward(loss())
     grads = [z_o.grad.copy(), z_t.grad.copy()]
     z_o.grad = z_t.grad = None
-    fd = finite_difference_grads(
-        lambda: contrastive_loss_cls(z_o, z_t, cfg).item(), [z_o, z_t])
+    fd = finite_difference_grads(lambda: loss().item(), [z_o, z_t])
     assert max_rel_error(grads, fd) < 1e-4

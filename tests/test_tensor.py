@@ -244,6 +244,33 @@ def test_matmul_grad_property(seed):
     assert max_rel_error(grads, fd) < 1e-4
 
 
+def test_batched_matmul_transpose_finite_differences(rng):
+    """a[B,N,d] @ transpose(b[B,M,d]) -> [B,N,M], one product per batch entry."""
+    a = Tensor(rng.normal(size=(3, 4, 2)), dtype=np.float64, requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 5, 2)), dtype=np.float64, requires_grad=True)
+    weights = Tensor(rng.normal(size=(3, 4, 5)), dtype=np.float64)
+
+    def forward():
+        return T.tsum(T.relu(T.mul(T.matmul(a, T.transpose(b)), weights)))
+
+    out = T.matmul(a, T.transpose(b)).data
+    assert np.allclose(out, [x @ y.T for x, y in zip(a.data, b.data)], atol=1e-12)
+    T.backward(forward())
+    grads = [a.grad.copy(), b.grad.copy()]
+    a.grad = b.grad = None
+    fd = finite_difference_grads(lambda: forward().item(), [a, b], h=1e-5)
+    assert max_rel_error(grads, fd) < 1e-6
+
+
+def test_batched_matmul_shape_errors():
+    with pytest.raises(T.ShapeError):
+        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+    with pytest.raises(T.ShapeError):
+        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))))
+    with pytest.raises(T.ShapeError):
+        T.transpose(Tensor(np.ones(3)))
+
+
 @pytest.mark.parametrize("key", [1, slice(1, 3), (np.array([0, 2, 2]), np.array([1, 0, 0]))])
 def test_index_gradient_finite_differences(key):
     rng = np.random.default_rng(0)
