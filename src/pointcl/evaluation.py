@@ -85,8 +85,12 @@ def classification_metrics(pred, gt, num_classes, tags=None) -> Metrics:
 # Feature extraction and the linear probe
 # ---------------------------------------------------------------------------
 
+_EVAL_BATCH = 32  # clouds per models.encode call when extracting features
+
+
 def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
-                     seed: int = 0, source: str = "encoder", batch_size: int = 32):
+                     seed: int = 0, source: str = "encoder",
+                     batch_size: int = _EVAL_BATCH):
     """Eval-mode features for every sample: the pooled global feature
     (source='encoder', the default) or the projection-head output
     (source='head'). Returns (features [S, D], labels [S])."""
@@ -112,7 +116,7 @@ def fit_probe(train_feats, train_labels, num_classes, epochs=100, lr=0.001,
     probe = ProbeParams.create(rng, train_feats.shape[1], num_classes,
                                dtype=train_feats.dtype)
     opt = AdamState(probe.params())
-    x = train_feats.astype(probe.w.dtype)
+    x = T.Tensor(train_feats, dtype=probe.w.dtype)
     for _ in range(epochs):
         logits = models.probe_forward(x, probe)
         loss = T.softmax_cross_entropy(logits, train_labels)
@@ -284,17 +288,20 @@ def segmentation_metrics(preds, gts, classes, parts_per_class, tags=None) -> Met
 
 def extract_point_features(model: ModelParams, ds: Dataset, points_per_cloud,
                            seed=0):
-    """Eval-mode per-point embeddings and labels for every sample."""
+    """Eval-mode per-point embeddings and labels for every sample.
+
+    Every cloud is sampled first, in dataset order, then encoded
+    _EVAL_BATCH clouds at a time.
+    """
     rng = np.random.default_rng(seed)
-    feats, labels, classes = [], [], []
-    for p in ds.samples:
-        q = sample_points(p, points_per_cloud, rng)
-        g, pp = models.encode(q.points[None], model.encoder, training=False)
-        Z = models.segment_embed(pp, g, model.seg, training=False)
-        feats.append(Z.data[0].copy())
-        labels.append(q.point_labels)
-        classes.append(q.class_label)
-    return feats, labels, classes
+    sampled = [sample_points(p, points_per_cloud, rng) for p in ds.samples]
+    feats = []
+    for i in range(0, len(sampled), _EVAL_BATCH):
+        batch = np.stack([q.points for q in sampled[i:i + _EVAL_BATCH]])
+        g, pp = models.encode(batch, model.encoder, training=False)
+        feats.extend(models.segment_embed(pp, g, model.seg, training=False).data)
+    return (feats, [q.point_labels for q in sampled],
+            [q.class_label for q in sampled])
 
 
 def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,

@@ -346,15 +346,16 @@ def load_dataset_xyz(path, split="train") -> Dataset:
                     try:
                         cur_class = int(toks[1])
                     except ValueError:
-                        raise ParseError(f"line {lineno}: bad class header {s!r}")
+                        raise ParseError(f"{path}: line {lineno}: bad class header {s!r}")
                     max_class = max(max_class, cur_class)
                 continue
             toks = s.split()
             if len(toks) != 3:
-                raise ParseError(f"line {lineno}: expected 3 coordinates, got {len(toks)}")
+                raise ParseError(f"{path}: line {lineno}: expected 3 coordinates, "
+                                 f"got {len(toks)}")
             try:
                 cur.append([float(t) for t in toks])
             except ValueError:
-                raise ParseError(f"line {lineno}: non-numeric coordinate in {s!r}")
+                raise ParseError(f"{path}: line {lineno}: non-numeric coordinate in {s!r}")
     flush(len(samples))
     return Dataset(samples=samples, split=split, num_classes=max_class + 1)

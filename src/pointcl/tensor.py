@@ -143,8 +143,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_data = a.data @ b.data
 
     def bw(g):
-        _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        _accum(b, np.swapaxes(a.data, -1, -2) @ g)
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _result(out_data, (a, b), bw, "matmul")
 
@@ -169,7 +171,7 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         _accum(x, g)
-        _accum(b, g.sum(axis=0))
+        _accum(b, np.ones(g.shape[0], dtype=g.dtype) @ g)
 
     return _result(out_data, (x, b), bw, "add_rowvec")
 
@@ -373,26 +375,41 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) ->
     return _result(out_data, (x,), bw, "dropout")
 
 
+def _row_max(x):
+    """Max over the last axis: [..., K] -> [...].
+
+    Reduces a copy with the last axis moved to the front, so the reduction
+    runs along contiguous rows; max(axis=-1) over a short last axis is
+    several times slower.
+    """
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)
+
+
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over rows of -log softmax(logits)[label], row-max stabilized."""
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy: expected [B,K], got {logits.shape}")
     labels = np.asarray(labels, dtype=np.int64)
     B, K = logits.shape
+    if B == 0:
+        raise ShapeError(f"softmax_cross_entropy: empty batch, logits {logits.shape}")
     if labels.shape != (B,):
         raise ShapeError(f"softmax_cross_entropy: {B} rows but {labels.shape} labels")
     if labels.min() < 0 or labels.max() >= K:
         raise IndexError(f"label out of range [0, {K})")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    probs = ez / ez.sum(axis=1, keepdims=True)
-    logp = z - np.log(ez.sum(axis=1, keepdims=True))
-    out_data = -logp[np.arange(B), labels].mean()
+    rows = np.arange(B)
+    # One working array: shifted logits, then their exponents in place.
+    e = logits.data - _row_max(logits.data)[:, None]
+    picked = e[rows, labels]
+    np.exp(e, out=e)
+    s = e @ np.ones(K, dtype=e.dtype)
+    out_data = np.mean(np.log(s) - picked)
 
     def bw(g):
-        gl = probs.copy()
-        gl[np.arange(B), labels] -= 1.0
-        _accum(logits, g * gl / B)
+        gl = e / s[:, None]
+        gl[rows, labels] -= 1.0
+        gl *= g / B
+        _accum(logits, gl)
 
     return _result(np.asarray(out_data, dtype=logits.dtype), (logits,), bw,
                    "softmax_cross_entropy")
@@ -435,7 +452,7 @@ def index(x: Tensor, key) -> Tensor:
 
 def logsumexp(x: Tensor) -> Tensor:
     """log sum exp over the last axis, max-stabilized: [..., K] -> [...]."""
-    m = x.data.max(axis=-1, keepdims=True)
+    m = _row_max(x.data)[..., None]
     ez = np.exp(x.data - m)
     s = ez.sum(axis=-1, keepdims=True)
     out_data = (m + np.log(s))[..., 0]

@@ -57,6 +57,43 @@ def brute_force_pointwise(Z_orig, Z_trans, tau, src=None, symmetric=False,
     return loss
 
 
+def reference_cross_entropy(logits, labels):
+    """Mean softmax cross-entropy over rows and its gradient with respect to
+    the logits, in float64: log-sum-exp minus the label logit."""
+    z = np.asarray(logits, dtype=np.float64)
+    rows = np.arange(z.shape[0])
+    m = np.max(z, axis=1)
+    lse = m + np.log(np.sum(np.exp(z - m[:, None]), axis=1))
+    loss = float(np.mean(lse - z[rows, labels]))
+    grad = np.exp(z - lse[:, None])
+    grad[rows, labels] -= 1.0
+    return loss, grad / z.shape[0]
+
+
+def reference_probe_fit(feats, labels, num_classes, epochs, lr,
+                        beta1=0.9, beta2=0.999, eps=1e-8):
+    """Full-batch Adam on an affine classifier from zero weights, in float64.
+
+    Returns (w [D, K], b [K]).
+    """
+    x = np.asarray(feats, dtype=np.float64)
+    w = np.zeros((x.shape[1], num_classes))
+    b = np.zeros(num_classes)
+    moments = [[np.zeros_like(w), np.zeros_like(w)],
+               [np.zeros_like(b), np.zeros_like(b)]]
+    for t in range(1, epochs + 1):
+        _, gz = reference_cross_entropy(x @ w + b, labels)
+        new = []
+        for p, g, mv in zip((w, b), (x.T @ gz, gz.sum(axis=0)), moments):
+            mv[0] = beta1 * mv[0] + (1 - beta1) * g
+            mv[1] = beta2 * mv[1] + (1 - beta2) * g * g
+            mhat = mv[0] / (1 - beta1 ** t)
+            vhat = mv[1] / (1 - beta2 ** t)
+            new.append(p - lr * mhat / (np.sqrt(vhat) + eps))
+        w, b = new
+    return w, b
+
+
 def brute_force_iou(pred, gt, part_ids):
     """Per-shape mean IoU by explicit set counting."""
     pred, gt = list(pred), list(gt)

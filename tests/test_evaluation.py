@@ -3,17 +3,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pointcl import evaluation, models, training
+from pointcl import evaluation, models, tensor as T, training
 from pointcl.evaluation import (Metrics, ablate_transforms,
                                 classification_metrics, cross_validate,
                                 format_report, linear_probe_eval,
                                 pretrain_finetune_eval, segmentation_eval,
                                 segmentation_metrics, shape_miou,
                                 supervised_baseline_eval)
-from pointcl.pointcloud import load_dataset, save_dataset
+from pointcl.pointcloud import (SyntheticSpec, generate_synthetic_dataset,
+                                load_dataset, sample_points, save_dataset)
 from pointcl.training import TrainConfig, pretrain
 
-from oracles import brute_force_iou
+from oracles import brute_force_iou, reference_probe_fit
 
 
 def tiny_cfg(**kw):
@@ -38,6 +39,21 @@ def test_probe_one_hot_features_perfect():
     probe = evaluation.fit_probe(feats, labels, 4, epochs=200)
     pred = evaluation.probe_predict(probe, feats)
     assert (pred == labels).all()
+
+
+def test_fit_probe_matches_float64_adam(rng):
+    feats = rng.normal(size=(300, 6)).astype(np.float32)
+    labels = rng.integers(0, 5, size=300)
+    probe = evaluation.fit_probe(feats, labels, 5, epochs=5, lr=0.01)
+    w, b = reference_probe_fit(feats, labels, 5, epochs=5, lr=0.01)
+    assert probe.w.dtype == np.float32
+    assert np.allclose(probe.w.data, w, rtol=1e-5, atol=1e-6)
+    assert np.allclose(probe.b.data, b, rtol=1e-5, atol=1e-6)
+
+
+def test_fit_probe_empty_features():
+    with pytest.raises(T.ShapeError, match="empty batch"):
+        evaluation.fit_probe(np.zeros((0, 4), np.float32), np.zeros(0, int), 3)
 
 
 def test_random_classifier_chance_level(rng):
@@ -170,6 +186,27 @@ def test_segmentation_eval_runs(seg_dataset):
                           points_per_cloud=32, probe_epochs=20)
     assert m.instance_miou is not None
     assert 0.0 <= m.instance_miou <= 1.0
+
+
+def test_point_features_batched_match_per_cloud_loop():
+    """40 clouds: one full batch of encode calls and one partial."""
+    spec = SyntheticSpec(classes=["cylinder", "cube"], per_class=20,
+                         points_per_cloud=48, with_parts=True)
+    ds = generate_synthetic_dataset(spec, np.random.default_rng(4))
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4],
+                                      with_seg=True)
+    feats, labels, classes = evaluation.extract_point_features(model, ds, 32, seed=9)
+    rng = np.random.default_rng(9)
+    assert len(feats) == len(ds)
+    for p, f, y, c in zip(ds.samples, feats, labels, classes):
+        q = sample_points(p, 32, rng)
+        g, pp = models.encode(q.points[None], model.encoder, training=False)
+        z = models.segment_embed(pp, g, model.seg, training=False).data[0]
+        assert f.shape == z.shape
+        assert np.allclose(f, z, rtol=0, atol=1e-6)
+        assert np.array_equal(y, q.point_labels)
+        assert c == q.class_label
 
 
 def test_segmentation_eval_needs_labels(small_dataset, seg_dataset):

@@ -174,6 +174,14 @@ def test_xyz_malformed_line(tmp_path):
     assert "line 1" in str(ei.value)
 
 
+def test_xyz_malformed_line_names_file(tmp_path):
+    path = tmp_path / "two.xyz"
+    path.write_text("1.0 2.0 3.0\n4.0 5.0\n")
+    with pytest.raises(ParseError) as ei:
+        load_dataset(path, format="xyz-text")
+    assert str(ei.value) == f"{path}: line 2: expected 3 coordinates, got 2"
+
+
 def test_reload_preserves_order(tmp_path, small_dataset):
     path = tmp_path / "ds.pcds"
     save_dataset(small_dataset, path)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pointcl import tensor as T
 from pointcl.tensor import Tensor
 
-from oracles import finite_difference_grads, max_rel_error, reference_encoder_layer
+from oracles import (finite_difference_grads, max_rel_error, reference_cross_entropy,
+                     reference_encoder_layer)
 
 
 def test_linear_identity_weights():
@@ -143,6 +144,68 @@ def test_softmax_ce_nonnegative(rng):
         assert T.softmax_cross_entropy(logits, labels).item() >= 0.0
 
 
+def test_softmax_ce_empty_batch_names_shape():
+    with pytest.raises(T.ShapeError, match=r"\(0, 3\)"):
+        T.softmax_cross_entropy(Tensor(np.zeros((0, 3))), [])
+
+
+@pytest.mark.parametrize("K", [2, 8, 128])
+def test_softmax_ce_finite_differences(rng, K):
+    logits = Tensor(2.0 * rng.normal(size=(5, K)), dtype=np.float64, requires_grad=True)
+    labels = rng.integers(0, K, size=5)
+
+    def f():
+        return T.softmax_cross_entropy(logits, labels)
+
+    T.backward(f())
+    grad = logits.grad.copy()
+    logits.grad = None
+    fd = finite_difference_grads(lambda: f().item(), [logits])
+    assert max_rel_error([grad], fd) < 1e-5
+
+
+def test_softmax_ce_float32_matches_reference(rng):
+    """Loss and gradient against a float64 oracle, with saturated rows; a
+    second backward through the same node adds the same gradient again."""
+    data = 4.0 * rng.normal(size=(6, 9))
+    data[0, 3] = 1e4     # one dominant logit, the label
+    data[1, 5] = 1e4     # one dominant logit, not the label
+    data[2] = -1e4       # every logit very negative
+    data[2, 7] = 1e4
+    data[3, :4] = 1e4    # a four-way tie at the top
+    labels = np.array([3, 0, 2, 1, 8, 4])
+    logits = Tensor(data.astype(np.float32), requires_grad=True)
+    loss = T.softmax_cross_entropy(logits, labels)
+    ref_loss, ref_grad = reference_cross_entropy(logits.data, labels)
+    assert loss.dtype == np.float32
+    assert np.isclose(loss.item(), ref_loss, rtol=1e-6, atol=1e-3)
+    T.backward(loss)
+    assert logits.grad.dtype == np.float32
+    assert np.allclose(logits.grad, ref_grad, rtol=1e-5, atol=1e-7)
+    first = logits.grad.copy()
+    T.backward(loss)
+    assert np.array_equal(logits.grad, 2 * first)
+
+
+@pytest.mark.parametrize("frozen", ["a", "b"])
+def test_matmul_frozen_operand(rng, frozen):
+    """The frozen side gets no gradient; the other side's equals the
+    two-sided product's bit for bit."""
+    def operands(a_grad, b_grad):
+        r = np.random.default_rng(3)
+        return (Tensor(r.normal(size=(6, 4)), requires_grad=a_grad),
+                Tensor(r.normal(size=(4, 5)), requires_grad=b_grad))
+
+    weights = Tensor(rng.normal(size=(6, 5)))
+    a2, b2 = operands(True, True)
+    T.backward(T.tsum(T.mul(T.matmul(a2, b2), weights)))
+    a, b = operands(frozen != "a", frozen != "b")
+    T.backward(T.tsum(T.mul(T.matmul(a, b), weights)))
+    frozen_t, live, live2 = (a, b, b2) if frozen == "a" else (b, a, a2)
+    assert frozen_t.grad is None
+    assert np.array_equal(live.grad, live2.grad)
+
+
 def test_backward_sum_all_ones():
     x = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
     T.backward(T.tsum(x))
@@ -228,10 +291,14 @@ def test_forward_backward_deterministic(rng):
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(min_value=0, max_value=10_000))
+@example(seed=8607)
 def test_matmul_grad_property(seed):
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(size=(2, 3)), dtype=np.float64, requires_grad=True)
     b = Tensor(rng.normal(size=(3, 2)), dtype=np.float64, requires_grad=True)
+    # A pre-activation within the finite-difference step of the relu kink
+    # makes the numeric gradient straddle it (seed 8607 has one at -1.5e-4).
+    assume(np.abs(a.data @ b.data).min() > 1e-3)
 
     def forward():
         return T.tsum(T.relu(T.matmul(a, b))).item()
@@ -294,6 +361,21 @@ def test_logsumexp_values_and_gradient():
     assert np.allclose(T.logsumexp(x).data, np.log(np.exp(x.data).sum(axis=-1)))
     assert np.isclose(T.logsumexp(Tensor([[1000.0, 1000.0]])).data[0], 1000.0 + np.log(2))
     w = Tensor(rng.normal(size=4))
+
+    def f():
+        return T.tsum(T.mul(T.logsumexp(x), w))
+
+    T.backward(f())
+    grad = x.grad.copy()
+    x.grad = None
+    fd = finite_difference_grads(lambda: f().item(), [x])
+    assert max_rel_error([grad], fd) < 1e-6
+
+
+def test_logsumexp_3d_finite_differences(rng):
+    x = Tensor(2.0 * rng.normal(size=(2, 3, 7)), dtype=np.float64, requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3)), dtype=np.float64)
+    assert np.allclose(T.logsumexp(x).data, np.log(np.exp(x.data).sum(axis=-1)))
 
     def f():
         return T.tsum(T.mul(T.logsumexp(x), w))
