@@ -12,6 +12,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -52,32 +53,43 @@ class CheckpointError(ValueError):
 
 def _glorot(rng, fan_in, fan_out, dtype):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+    w = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype)
+    return Tensor(w, requires_grad=True)
 
 
 @dataclass
 class DenseLayer:
+    """Affine layer of the projection head and the seg branch."""
     w: Tensor
     b: Tensor
-    bn: BNState | None = None
-
-    @staticmethod
-    def make(rng, din, dout, dtype, with_bn):
-        return DenseLayer(
-            w=Tensor(_glorot(rng, din, dout, dtype), requires_grad=True),
-            b=Tensor(np.zeros(dout, dtype=dtype), requires_grad=True),
-            bn=BNState(dout, dtype=dtype) if with_bn else None,
-        )
 
     def params(self):
-        ps = [self.w, self.b]
-        if self.bn is not None:
-            ps += [self.bn.gamma, self.bn.beta]
-        return ps
+        return [self.w, self.b]
 
 
 @dataclass
-class EncoderParams:
+class EncoderLayer:
+    """Shared-MLP layer relu(batch_norm(x @ w)); batch norm's beta is its shift."""
+    w: Tensor
+    bn: BNState
+
+    def params(self):
+        return [self.w, self.bn.gamma, self.bn.beta]
+
+
+def _dense_stack(rng, dims, dtype):
+    return [DenseLayer(_glorot(rng, a, b, dtype),
+                       Tensor(np.zeros(b, dtype=dtype), requires_grad=True))
+            for a, b in zip(dims, dims[1:])]
+
+
+class _LayerStack:
+    def params(self):
+        return [p for l in self.layers for p in l.params()]
+
+
+@dataclass
+class EncoderParams(_LayerStack):
     """Shared per-point MLP widths; the last width is the global feature size."""
     layers: list
     widths: list
@@ -88,8 +100,8 @@ class EncoderParams:
         if any(w < 1 for w in widths):
             raise ValueError(f"encoder widths must be >= 1, got {widths}")
         dims = [3] + widths
-        layers = [DenseLayer.make(rng, dims[i], dims[i + 1], dtype, with_bn=True)
-                  for i in range(len(widths))]
+        layers = [EncoderLayer(_glorot(rng, a, b, dtype), BNState(b, dtype=dtype))
+                  for a, b in zip(dims, dims[1:])]
         return EncoderParams(layers=layers, widths=widths)
 
     @property
@@ -101,12 +113,9 @@ class EncoderParams:
         # per-point feature kept for the segmentation branch
         return self.widths[-2] if len(self.widths) > 1 else self.widths[-1]
 
-    def params(self):
-        return [p for l in self.layers for p in l.params()]
-
 
 @dataclass
-class HeadParams:
+class HeadParams(_LayerStack):
     layers: list
     widths: list
     dropout_rate: float = DROPOUT_RATE
@@ -116,21 +125,12 @@ class HeadParams:
         widths = list(widths or HEAD_WIDTHS)
         if widths[-1] < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {widths[-1]}")
-        dims = [d_in] + widths
-        layers = [DenseLayer.make(rng, dims[i], dims[i + 1], dtype, with_bn=False)
-                  for i in range(len(widths))]
-        return HeadParams(layers=layers, widths=widths, dropout_rate=dropout_rate)
-
-    @property
-    def d_out(self):
-        return self.widths[-1]
-
-    def params(self):
-        return [p for l in self.layers for p in l.params()]
+        return HeadParams(layers=_dense_stack(rng, [d_in] + widths, dtype),
+                          widths=widths, dropout_rate=dropout_rate)
 
 
 @dataclass
-class SegBranchParams:
+class SegBranchParams(_LayerStack):
     """Per-point MLP over [intermediate feature || broadcast global feature]."""
     layers: list
     widths: list
@@ -138,17 +138,12 @@ class SegBranchParams:
     @staticmethod
     def create(rng, d_mid, d_global, widths=None, dtype=np.float32):
         widths = list(widths or SEG_WIDTHS)
-        dims = [d_mid + d_global] + widths
-        layers = [DenseLayer.make(rng, dims[i], dims[i + 1], dtype, with_bn=False)
-                  for i in range(len(widths))]
-        return SegBranchParams(layers=layers, widths=widths)
+        return SegBranchParams(layers=_dense_stack(rng, [d_mid + d_global] + widths, dtype),
+                               widths=widths)
 
     @property
     def d_out(self):
         return self.widths[-1]
-
-    def params(self):
-        return [p for l in self.layers for p in l.params()]
 
 
 @dataclass
@@ -216,7 +211,7 @@ def encode(points: np.ndarray, enc: EncoderParams, training: bool,
     h = Tensor(points.reshape(B * N, 3).astype(enc.layers[0].w.dtype))
     per_point = None
     for i, layer in enumerate(enc.layers):
-        h = T.shared_mlp(h, layer.w, layer.b, layer.bn, bn_momentum, training)
+        h = T.shared_mlp(h, layer.w, layer.bn, bn_momentum, training)
         if i == len(enc.layers) - 2 or (len(enc.layers) == 1 and i == 0):
             per_point = h
     feats = T.reshape(h, (B, N, enc.d_global))
@@ -273,7 +268,7 @@ def probe_forward(features, probe: ProbeParams):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format, version 2: magic "PCLM", version u16 LE, u32 JSON header
+# Checkpoint format, version 3: magic "PCLM", version u16 LE, u32 JSON header
 # length, JSON header bytes, then tensors, each as ndim u8, dims u32..., f32
 # payload. The header holds the model config, the caller's "extra" dict and
 # the number of caller tensors; it holds no array. The tensors are the
@@ -284,16 +279,29 @@ def probe_forward(features, probe: ProbeParams):
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"PCLM"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
+
+
+def _is_widths(v):
+    return isinstance(v, list) and v != [] and all(type(n) is int and n >= 1 for n in v)
+
+
+# What each header field must hold; the model is built from them.
+_HEADER_FIELDS = {
+    "encoder_widths": _is_widths,
+    "head_widths": lambda v: _is_widths(v) and v[-1] >= 2,
+    "seg_widths": lambda v: v is None or _is_widths(v),
+    "dropout_rate": lambda v: type(v) in (int, float) and 0 <= v < 1,
+    "extra": lambda v: isinstance(v, dict),
+    "tensors": lambda v: type(v) is int and v >= 0,
+}
 
 
 def _model_tensors(model: ModelParams):
     """Trainables in declaration order, then BN running stats."""
     arrs = [p.data for p in model.params()]
     for layer in model.encoder.layers:
-        if layer.bn is not None:
-            arrs.append(layer.bn.running_mean)
-            arrs.append(layer.bn.running_var)
+        arrs += [layer.bn.running_mean, layer.bn.running_var]
     return arrs
 
 
@@ -343,17 +351,20 @@ def load_checkpoint(path, dtype=np.float32):
         header = json.loads(blob)
     except ValueError as e:
         raise CheckpointError(f"{path}: bad header: {e}") from e
-    model = ModelParams.create(
-        np.random.default_rng(0),  # values overwritten below
-        encoder_widths=header["encoder_widths"],
-        head_widths=header["head_widths"],
-        seg_widths=header["seg_widths"],
-        dropout_rate=header["dropout_rate"],
-        with_seg=header["seg_widths"] is not None,
-        dtype=dtype,
-    )
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: bad header: not a JSON object")
+    for key, ok in _HEADER_FIELDS.items():
+        if key not in header:
+            raise CheckpointError(f"{path}: bad header: no {key!r}")
+        if not ok(header[key]):
+            raise CheckpointError(f"{path}: bad header: {key!r} is {header[key]!r}")
+    config = {k: header[k] for k in ("encoder_widths", "head_widths", "seg_widths",
+                                     "dropout_rate")}
+    model = ModelParams.create(np.random.default_rng(0),  # values overwritten below
+                               with_seg=config["seg_widths"] is not None,
+                               dtype=dtype, **config)
     arrays = []
-    for expect in _model_tensors(model) + [None] * header["tensors"]:
+    for expect in chain(_model_tensors(model), repeat(None, header["tensors"])):
         ndim = take(1)[0]
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         payload = take(4 * int(np.prod(dims, dtype=np.int64)))
@@ -368,9 +379,8 @@ def load_checkpoint(path, dtype=np.float32):
     for p in model.params():
         p.data = next(it)
     for layer in model.encoder.layers:
-        if layer.bn is not None:
-            layer.bn.running_mean = next(it)
-            layer.bn.running_var = next(it)
+        layer.bn.running_mean = next(it)
+        layer.bn.running_var = next(it)
     extra = header["extra"]
     rest = list(it)
     if rest:

@@ -24,7 +24,6 @@ __all__ = [
     "concat_last",
     "broadcast_points",
     "max_pool_points",
-    "batch_norm_forward",
     "shared_mlp",
     "dropout",
     "softmax_cross_entropy",
@@ -267,96 +266,56 @@ class BNState:
 _BN_EPS = 1e-5
 
 
-def _bn_normalize(h, state: BNState, momentum: float, training: bool):
-    """Normalize h[B,D] in place to xhat; returns inv = 1/sqrt(var + eps).
-
-    Training mode uses the batch statistics and moves the running ones
-    toward them: running <- momentum * running + (1 - momentum) * batch.
-    Eval mode uses the running statistics.
-    """
-    if h.ndim != 2 or h.shape[1] != state.dim:
-        raise ShapeError(f"batch_norm: input {h.shape} vs state dim {state.dim}")
-    if training:
-        if h.shape[0] < 2:
-            raise ShapeError(f"batch_norm: batch of {h.shape[0]} too small for training mode")
-        m = h.mean(axis=0)
-        h -= m
-        v = np.einsum("ij,ij->j", h, h) / h.shape[0]  # from the centered h
-        mom = float(momentum)
-        state.running_mean = (mom * state.running_mean + (1.0 - mom) * m).astype(h.dtype)
-        state.running_var = (mom * state.running_var + (1.0 - mom) * v).astype(h.dtype)
-    else:
-        h -= state.running_mean
-        v = state.running_var
-    inv = 1.0 / np.sqrt(v + _BN_EPS)
-    h *= inv
-    return inv
-
-
-def _bn_backward(gy, xhat, inv, state: BNState, training: bool):
-    """Accumulate the gamma and beta gradients from gy, the gradient at the
-    batch-norm output, and return the gradient at its input.
-
-    gy must be an array the caller owns: it is overwritten by the result.
-    """
-    dgamma = np.einsum("ij,ij->j", gy, xhat)
-    dbeta = gy.sum(axis=0)
-    if training:
-        B = gy.shape[0]
-        gy -= xhat * (dgamma / B)
-        gy -= dbeta / B
-    gy *= state.gamma.data * inv
-    _accum(state.gamma, dgamma)
-    _accum(state.beta, dbeta)
-    return gy
-
-
-def batch_norm_forward(x: Tensor, state: BNState, momentum: float,
-                       training: bool) -> Tensor:
-    """Batch normalization over rows of x[B,D].
-
-    Training mode normalizes by batch statistics and updates
-    running <- momentum * running + (1 - momentum) * batch.
-    Eval mode normalizes by the stored running statistics.
-    """
-    xhat = np.array(x.data)
-    inv = _bn_normalize(xhat, state, momentum, training)
-    out_data = xhat * state.gamma.data + state.beta.data
-
-    def bw(g):
-        _accum(x, _bn_backward(np.array(g), xhat, inv, state, training))
-
-    return _result(out_data, (x, state.gamma, state.beta), bw,
-                   "batch_norm" if training else "batch_norm_eval")
-
-
-def shared_mlp(x: Tensor, w: Tensor, b: Tensor, bn: BNState, momentum: float,
+def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                training: bool) -> Tensor:
-    """One shared-MLP layer, relu(batch_norm(x @ w + b)), as one tape node.
+    """One shared-MLP layer, relu(batch_norm(x @ w)), as one tape node.
 
-    Equal to linear_forward -> batch_norm_forward -> relu up to float
-    rounding. The pre-activation is normalized in place and kept as xhat;
-    the backward derives the relu mask from the output.
+    No bias: batch norm subtracts the mean, which would cancel it. Training
+    mode normalizes by the batch statistics and moves the running ones
+    toward them: running <- momentum * running + (1 - momentum) * batch.
+    Eval mode normalizes by the running statistics. The pre-activation is
+    normalized in place and kept as xhat; the backward derives the relu
+    mask from the output.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
-            or b.shape != (w.shape[1],)):
-        raise ShapeError(f"shared_mlp: shapes {x.shape} x {w.shape} + {b.shape} "
-                         "do not conform")
+            or bn.dim != w.shape[1]):
+        raise ShapeError(f"shared_mlp: shapes {x.shape} x {w.shape} and batch "
+                         f"norm of width {bn.dim} do not conform")
+    if training and x.shape[0] < 2:
+        raise ShapeError(f"shared_mlp: batch of {x.shape[0]} too small for training mode")
     xhat = x.data @ w.data
-    xhat += b.data
-    inv = _bn_normalize(xhat, bn, momentum, training)
+    if training:
+        m = xhat.mean(axis=0)
+        xhat -= m
+        v = np.einsum("ij,ij->j", xhat, xhat) / xhat.shape[0]  # from the centered xhat
+        mom = float(momentum)
+        bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(xhat.dtype)
+        bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(xhat.dtype)
+    else:
+        xhat -= bn.running_mean
+        v = bn.running_var
+    inv = 1.0 / np.sqrt(v + _BN_EPS)
+    xhat *= inv
     out_data = xhat * bn.gamma.data
     out_data += bn.beta.data
     np.maximum(out_data, 0, out=out_data)
 
     def bw(g):
-        gh = _bn_backward(g * (out_data > 0), xhat, inv, bn, training)
-        _accum(b, gh.sum(axis=0))
+        gh = g * (out_data > 0)
+        dgamma = np.einsum("ij,ij->j", gh, xhat)
+        dbeta = gh.sum(axis=0)
+        if training:
+            B = gh.shape[0]
+            gh -= xhat * (dgamma / B)
+            gh -= dbeta / B
+        gh *= bn.gamma.data * inv
+        _accum(bn.gamma, dgamma)
+        _accum(bn.beta, dbeta)
         _accum(w, x.data.T @ gh)
         if x.requires_grad:
             _accum(x, gh @ w.data.T)
 
-    return _result(out_data, (x, w, b, bn.gamma, bn.beta), bw, "shared_mlp")
+    return _result(out_data, (x, w, bn.gamma, bn.beta), bw, "shared_mlp")
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:

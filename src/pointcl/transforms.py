@@ -1,9 +1,9 @@
 """Contrastive transformations: rotate, cutout, crop, scale, jitter, smooth, compose.
 
-Every transform preserves the point count and index alignment: output slot i
-corresponds to input slot i, except for cutout/crop where deleted slots are
-refilled from surviving points (the refill map is available via
-apply_transform_with_map for point-wise pretraining).
+Every transform preserves the point count. All but cutout/crop also keep
+index alignment (output slot i holds input point i); cutout/crop move the
+survivors to the front and refill the rest from them (the slot -> source map
+is available via apply_transform_with_map for point-wise pretraining).
 """
 
 from __future__ import annotations

@@ -148,18 +148,18 @@ def max_rel_error(analytic_grads, fd_entries, floor=1e-6):
     return worst
 
 
-def reference_encoder_layer(x, w, b, gamma, beta, running_mean, running_var,
+def reference_encoder_layer(x, w, gamma, beta, running_mean, running_var,
                             momentum, training, gout, eps=1e-5):
-    """relu(batch_norm(x @ w + b)) and its gradients in float64, unfused.
+    """relu(batch_norm(x @ w)) and its gradients in float64, unfused.
 
     Uses the textbook formulas (np.var, the three-term batch-norm backward)
     rather than the library's helpers. gout is the gradient at the output.
-    Returns (out, grads dict for x, w, b, gamma, beta, new running mean,
+    Returns (out, grads dict for x, w, gamma, beta, new running mean,
     new running var).
     """
-    x, w, b, gamma, beta, gout = (np.asarray(a, dtype=np.float64)
-                                  for a in (x, w, b, gamma, beta, gout))
-    h = x @ w + b
+    x, w, gamma, beta, gout = (np.asarray(a, dtype=np.float64)
+                               for a in (x, w, gamma, beta, gout))
+    h = x @ w
     if training:
         m, v = h.mean(axis=0), h.var(axis=0)
         running_mean = momentum * running_mean + (1 - momentum) * m
@@ -178,6 +178,6 @@ def reference_encoder_layer(x, w, b, gamma, beta, running_mean, running_var,
                         - xhat * (gxhat * xhat).sum(axis=0))
     else:
         gh = gxhat * inv
-    grads = {"x": gh @ w.T, "w": x.T @ gh, "b": gh.sum(axis=0),
+    grads = {"x": gh @ w.T, "w": x.T @ gh,
              "gamma": (gy * xhat).sum(axis=0), "beta": gy.sum(axis=0)}
     return out, grads, running_mean, running_var

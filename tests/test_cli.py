@@ -1,8 +1,10 @@
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from pointcl import models
 from pointcl.cli import main
 from pointcl.pointcloud import load_dataset
 
@@ -211,3 +213,20 @@ def test_truncated_checkpoint_runtime_failure(tmp_path, data_files, capsys, suff
     failed = (out / ".failed").read_text()
     assert failed.startswith(f"{error}: ")
     assert message in failed
+
+
+@pytest.mark.parametrize("header", [b"{}", b"[1, 2]", b'{"encoder_widths": [0]}'],
+                         ids=["empty", "list", "zero-width"])
+def test_malformed_checkpoint_header_runtime_failure(tmp_path, data_files, capsys, header):
+    """A checkpoint whose header is valid JSON but no model config is a
+    runtime failure naming the file, not a configuration error."""
+    train, test = data_files
+    bad = tmp_path / "bad.pclm"
+    bad.write_bytes(b"PCLM" + struct.pack("<HI", models._CKPT_VERSION, len(header)) + header)
+    out = tmp_path / "out"
+    rc = run(["probe", "--train-data", str(train), "--test-data", str(test),
+              "--checkpoint", str(bad), "--out", str(out)])
+    assert rc == 1
+    assert "runtime failure" in capsys.readouterr().err
+    failed = (out / ".failed").read_text()
+    assert failed.startswith(f"CheckpointError: {bad}: bad header: ")

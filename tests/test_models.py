@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -36,7 +37,6 @@ def test_encoder_zero_weights_zero_feature(rng):
                            head_widths=[4])
     for layer in m.encoder.layers:
         layer.w.data[:] = 0.0
-        layer.b.data[:] = 0.0
         layer.bn.beta.data[:] = 0.0
     g, _ = encode(rng.normal(size=(2, 6, 3)).astype(np.float32),
                   m.encoder, training=False)
@@ -158,8 +158,76 @@ def test_default_widths():
     assert m.encoder.d_global == 128
 
 
-def test_checkpoint_v1_rejected(tmp_path):
-    p = tmp_path / "v1.pclm"
-    p.write_bytes(b"PCLM" + struct.pack("<HI", 1, 2) + b"{}")
-    with pytest.raises(CheckpointError, match="version 1"):
+@pytest.mark.parametrize("version", [1, 2])
+def test_checkpoint_v1_rejected(tmp_path, version):
+    p = tmp_path / f"v{version}.pclm"
+    p.write_bytes(b"PCLM" + struct.pack("<HI", version, 2) + b"{}")
+    with pytest.raises(CheckpointError, match=f"version {version}"):
         load_checkpoint(p)
+
+
+def _header(**fields):
+    h = {"encoder_widths": [4, 8], "head_widths": [4, 2], "seg_widths": None,
+         "dropout_rate": 0.5, "extra": {}, "tensors": 0}
+    h.update(fields)
+    return {k: v for k, v in h.items() if v != "missing"}
+
+
+@pytest.mark.parametrize("header, field", [
+    ({}, "'encoder_widths'"),
+    ([1, 2], "not a JSON object"),
+    (_header(tensors="missing"), "no 'tensors'"),
+    (_header(encoder_widths=[0]), "'encoder_widths' is [0]"),
+    (_header(encoder_widths=[]), "'encoder_widths'"),
+    (_header(encoder_widths=8), "'encoder_widths'"),
+    (_header(head_widths=[4, 1]), "'head_widths'"),
+    (_header(seg_widths=["8"]), "'seg_widths'"),
+    (_header(dropout_rate=1.0), "'dropout_rate'"),
+    (_header(extra=[]), "'extra'"),
+    (_header(tensors=-1), "'tensors'"),
+    (_header(tensors=1.5), "'tensors'"),
+], ids=["empty", "list", "no-tensors", "zero-width", "no-widths", "int-widths",
+        "head-width-1", "str-seg-width", "dropout-1", "list-extra",
+        "negative-tensors", "float-tensors"])
+def test_checkpoint_malformed_header(tmp_path, header, field):
+    """A header that is valid JSON but not a model config raises
+    CheckpointError naming the file and the bad field."""
+    p = tmp_path / "bad.pclm"
+    blob = json.dumps(header).encode()
+    p.write_bytes(b"PCLM" + struct.pack("<HI", models._CKPT_VERSION, len(blob)) + blob)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(p)
+    assert str(info.value).startswith(f"{p}: bad header: ")
+    assert field in str(info.value)
+
+
+def test_checkpoint_huge_tensor_count_is_truncation(tmp_path, model):
+    """A caller-tensor count beyond the file's bytes reads as truncation,
+    without building a list of that length."""
+    p = tmp_path / "m.pclm"
+    save_checkpoint(model, p)
+    raw = p.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10:10 + hlen])
+    header["tensors"] = 10 ** 15
+    blob = json.dumps(header).encode()
+    p.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + hlen:])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(p)
+
+
+def test_create_draws_one_glorot_matrix_per_layer():
+    """Initialization draws only the weight matrices, in layer order; biases,
+    gamma and beta are constants. So a fixed seed gives the same weights
+    whichever layer kinds carry a bias."""
+    m = ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                           head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    rng = np.random.default_rng(5)
+    for layer in m.encoder.layers + m.head.layers + m.seg.layers:
+        din, dout = layer.w.shape
+        limit = np.sqrt(6.0 / (din + dout))
+        want = rng.uniform(-limit, limit, size=(din, dout)).astype(np.float32)
+        assert np.array_equal(layer.w.data, want)
+    for layer in m.encoder.layers:
+        assert layer.params() == [layer.w, layer.bn.gamma, layer.bn.beta]
+        assert (layer.bn.gamma.data == 1).all() and (layer.bn.beta.data == 0).all()

@@ -80,38 +80,43 @@ def test_max_pool_tie_routes_first():
     assert np.allclose(x.grad[0, :, 0], [1.0, 0.0])
 
 
+def _bn_layer(x, state, momentum, training):
+    """shared_mlp with an identity weight: relu(batch_norm(x))."""
+    x = np.asarray(x, dtype=np.float64)
+    return T.shared_mlp(Tensor(x), Tensor(np.eye(x.shape[1])), state, momentum, training)
+
+
 def test_batch_norm_zero_variance_column():
     state = T.BNState(2)
-    x = Tensor(np.array([[3.0, 1.0], [3.0, 2.0]]))
-    out = T.batch_norm_forward(x, state, 0.9, training=True)
+    out = _bn_layer([[3.0, 1.0], [3.0, 2.0]], state, 0.9, training=True)
     assert np.allclose(out.data[:, 0], 0.0, atol=1e-3)
 
 
 def test_batch_norm_standardized_input_unchanged():
     state = T.BNState(1)
+    state.beta.data[:] = 2.0  # keeps both rows above the relu kink
     x = np.array([[1.0], [-1.0]])  # mean 0, var 1
-    out = T.batch_norm_forward(Tensor(x), state, 0.9, training=True)
-    assert np.allclose(out.data, x, atol=1e-4)
+    out = _bn_layer(x, state, 0.9, training=True)
+    assert np.allclose(out.data, x + 2.0, atol=1e-4)
 
 
 def test_batch_norm_running_update():
     state = T.BNState(1)
     state.running_mean[:] = 0.0
-    x = Tensor(np.array([[1.0], [3.0]]))  # batch mean 2
-    T.batch_norm_forward(x, state, 0.5, training=True)
+    _bn_layer([[1.0], [3.0]], state, 0.5, training=True)  # batch mean 2
     assert np.allclose(state.running_mean, [1.0])
 
 
 def test_batch_norm_small_batch_error():
     with pytest.raises(T.ShapeError):
-        T.batch_norm_forward(Tensor(np.ones((1, 2))), T.BNState(2), 0.9, True)
+        _bn_layer(np.ones((1, 2)), T.BNState(2), 0.9, True)
 
 
 def test_batch_norm_eval_uses_running_stats():
     state = T.BNState(1)
     state.running_mean[:] = 5.0
     state.running_var[:] = 4.0
-    out = T.batch_norm_forward(Tensor(np.array([[7.0]])), state, 0.9, False)
+    out = _bn_layer([[7.0]], state, 0.9, False)
     assert np.allclose(out.data, [[1.0]], atol=1e-3)
 
 
@@ -227,18 +232,16 @@ def test_backward_nonscalar_rejected():
 def test_composed_net_matches_finite_differences(rng):
     """A small MLP with batch norm, relu, pooling and cross-entropy."""
     w1 = Tensor(rng.normal(size=(3, 5)), dtype=np.float64, requires_grad=True)
-    b1 = Tensor(np.zeros(5), dtype=np.float64, requires_grad=True)
     w2 = Tensor(rng.normal(size=(5, 4)), dtype=np.float64, requires_grad=True)
     b2 = Tensor(np.zeros(4), dtype=np.float64, requires_grad=True)
     state = T.BNState(5, dtype=np.float64)
     x = rng.normal(size=(2, 6, 3))
     labels = [1, 3]
-    params = [w1, b1, state.gamma, state.beta, w2, b2]
+    params = [w1, state.gamma, state.beta, w2, b2]
 
     def forward():
-        h = T.linear_forward(Tensor(x.reshape(12, 3), dtype=np.float64), w1, b1)
-        h = T.batch_norm_forward(h, state, 0.9, training=True)
-        h = T.relu(h)
+        h = T.shared_mlp(Tensor(x.reshape(12, 3), dtype=np.float64), w1, state,
+                         0.9, training=True)
         pooled = T.max_pool_points(T.reshape(h, (2, 6, 5)))
         logits = T.linear_forward(pooled, w2, b2)
         return T.softmax_cross_entropy(logits, labels)
@@ -390,86 +393,65 @@ def test_logsumexp_3d_finite_differences(rng):
 def _shared_mlp_inputs(rng, dtype, rows=12, din=4, dout=5):
     x = Tensor(rng.normal(size=(rows, din)), dtype=dtype, requires_grad=True)
     w = Tensor(rng.normal(size=(din, dout)), dtype=dtype, requires_grad=True)
-    b = Tensor(rng.normal(size=dout), dtype=dtype, requires_grad=True)
     bn = T.BNState(dout, dtype=dtype)
     bn.gamma.data = rng.uniform(0.5, 1.5, size=dout).astype(dtype)
     bn.beta.data = rng.normal(scale=0.3, size=dout).astype(dtype)
     bn.running_mean = rng.normal(size=dout).astype(dtype)
     bn.running_var = rng.uniform(0.5, 2.0, size=dout).astype(dtype)
-    return x, w, b, bn
+    return x, w, bn
 
 
 @pytest.mark.parametrize("training", [True, False])
 def test_shared_mlp_matches_finite_differences(rng, training):
-    x, w, b, bn = _shared_mlp_inputs(rng, np.float64)
+    x, w, bn = _shared_mlp_inputs(rng, np.float64)
     r = Tensor(rng.normal(size=(12, 5)), dtype=np.float64)
-    params = [x, w, b, bn.gamma, bn.beta]
+    params = [x, w, bn.gamma, bn.beta]
 
     def forward():
-        return T.tsum(T.mul(T.shared_mlp(x, w, b, bn, 0.9, training), r))
+        return T.tsum(T.mul(T.shared_mlp(x, w, bn, 0.9, training), r))
 
     T.backward(forward())
     grads = [p.grad.copy() for p in params]
     fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)
-    if training:
-        # batch norm removes the bias: its true gradient is 0, and both
-        # sides are rounding noise
-        assert np.abs(grads[2]).max() < 1e-9
-        grads, fd = grads[:2] + grads[3:], fd[:2] + fd[3:]
     assert max_rel_error(grads, fd) < 1e-6
 
 
 @pytest.mark.parametrize("training", [True, False])
 def test_shared_mlp_equals_unfused_chain_float32(rng, training):
-    """The fused layer and the unfused linear -> batch_norm -> relu chain
-    both agree with a float64 numpy reference that shares no code with
-    either."""
-    x, w, b, bn = _shared_mlp_inputs(rng, np.float32, rows=256, din=16, dout=32)
-    ref_bn = T.BNState(32)
-    ref_bn.gamma.data, ref_bn.beta.data = bn.gamma.data.copy(), bn.beta.data.copy()
-    ref_bn.running_mean = bn.running_mean.copy()
-    ref_bn.running_var = bn.running_var.copy()
-    ref_x, ref_w, ref_b = (Tensor(t.data.copy(), requires_grad=True) for t in (x, w, b))
+    """The fused float32 layer agrees with the unfused float64 numpy
+    reference, which shares no code with it."""
+    x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=256, din=16, dout=32)
     r = rng.normal(size=(256, 32)).astype(np.float32)
     want, want_grads, want_mean, want_var = reference_encoder_layer(
-        x.data, w.data, b.data, bn.gamma.data, bn.beta.data,
+        x.data, w.data, bn.gamma.data, bn.beta.data,
         bn.running_mean.astype(np.float64), bn.running_var.astype(np.float64),
         0.8, training, r)
 
-    out = T.shared_mlp(x, w, b, bn, 0.8, training)
-    chain = T.relu(T.batch_norm_forward(T.linear_forward(ref_x, ref_w, ref_b),
-                                        ref_bn, 0.8, training))
-    assert out._op == "shared_mlp" and out._parents == (x, w, b, bn.gamma, bn.beta)
-    for got, state, params in ((out, bn, (x, w, b, bn.gamma, bn.beta)),
-                               (chain, ref_bn, (ref_x, ref_w, ref_b, ref_bn.gamma,
-                                                ref_bn.beta))):
-        T.backward(T.tsum(T.mul(got, Tensor(r))))
-        np.testing.assert_allclose(got.data, want, rtol=1e-5, atol=1e-5)
-        np.testing.assert_allclose(state.running_mean, want_mean, rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(state.running_var, want_var, rtol=1e-5)
-        for name, p in zip(("x", "w", "b", "gamma", "beta"), params):
-            scale = np.abs(want_grads["w"]).max()
-            if name == "b" and training:
-                # batch norm removes the bias: its true gradient is 0 and
-                # the float32 one is rounding noise
-                assert np.abs(p.grad).max() < 1e-4 * scale
-                continue
-            scale = np.abs(want_grads[name]).max()
-            np.testing.assert_allclose(p.grad, want_grads[name], rtol=1e-4,
-                                       atol=1e-5 * scale, err_msg=name)
+    out = T.shared_mlp(x, w, bn, 0.8, training)
+    assert out._op == "shared_mlp" and out._parents == (x, w, bn.gamma, bn.beta)
+    T.backward(T.tsum(T.mul(out, Tensor(r))))
+    np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
+    np.testing.assert_allclose(bn.running_mean, want_mean, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(bn.running_var, want_var, rtol=1e-5)
+    for name, p in zip(("x", "w", "gamma", "beta"), (x, w, bn.gamma, bn.beta)):
+        scale = np.abs(want_grads[name]).max()
+        np.testing.assert_allclose(p.grad, want_grads[name], rtol=1e-4,
+                                   atol=1e-5 * scale, err_msg=name)
 
 
 def test_shared_mlp_shape_errors():
     x = Tensor(np.ones((4, 3)))
     w = Tensor(np.ones((3, 2)))
     with pytest.raises(T.ShapeError):
-        T.shared_mlp(x, Tensor(np.ones((2, 2))), Tensor(np.zeros(2)), T.BNState(2), 0.9, True)
+        T.shared_mlp(x, Tensor(np.ones((2, 2))), T.BNState(2), 0.9, True)
     with pytest.raises(T.ShapeError):
-        T.shared_mlp(x, w, Tensor(np.zeros(3)), T.BNState(2), 0.9, True)
-    with pytest.raises(T.ShapeError):
-        T.shared_mlp(x, w, Tensor(np.zeros(2)), T.BNState(3), 0.9, True)
-    with pytest.raises(T.ShapeError):
-        T.shared_mlp(Tensor(np.ones((1, 3))), w, Tensor(np.zeros(2)), T.BNState(2), 0.9, True)
+        T.shared_mlp(Tensor(np.ones((4, 3, 3))), w, T.BNState(2), 0.9, True)
+    for width in (1, 3):  # batch norm narrower and wider than w
+        with pytest.raises(T.ShapeError, match=f"width {width}"):
+            T.shared_mlp(x, w, T.BNState(width), 0.9, True)
+    with pytest.raises(T.ShapeError, match="batch of 1"):
+        T.shared_mlp(Tensor(np.ones((1, 3))), w, T.BNState(2), 0.9, True)
+    assert T.shared_mlp(Tensor(np.ones((1, 3))), w, T.BNState(2), 0.9, False).shape == (1, 2)
 
 
 def test_max_pool_forward_is_np_max_without_argmax(rng, monkeypatch):

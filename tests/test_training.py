@@ -311,13 +311,6 @@ def test_seg_loss_gradients_through_fused_encoder(train_mode):
     params = [p for p in model.params() if p.grad is not None]
     grads = [p.grad.copy() for p in params]
     fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)
-    if train_mode:
-        # each encoder bias sits before a batch norm: true gradient 0
-        biases = {id(l.b) for l in model.encoder.layers}
-        keep = [i for i, p in enumerate(params) if id(p) not in biases]
-        assert all(np.abs(grads[i]).max() < 1e-9
-                   for i, p in enumerate(params) if id(p) in biases)
-        grads, fd = [grads[i] for i in keep], [fd[i] for i in keep]
     assert max_rel_error(grads, fd) < 1e-5
 
 
