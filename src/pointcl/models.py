@@ -305,6 +305,19 @@ def _model_tensors(model: ModelParams):
     return arrs
 
 
+def _model_nbytes(config):
+    """File bytes of the model tensors config implies: each is ndim u8, dims
+    u32... and f32 values; an encoder layer a -> b holds w [a, b] and four [b]
+    vectors (gamma, beta, running stats), a dense layer w [a, b] and b [b]."""
+    enc = [3] + config["encoder_widths"]
+    stacks = [(enc, 29, 16), (enc[-1:] + config["head_widths"], 14, 4)]
+    if config["seg_widths"] is not None:
+        d_mid = enc[-2] if len(enc) > 2 else enc[-1]
+        stacks.append(([d_mid + enc[-1]] + config["seg_widths"], 14, 4))
+    return sum(fixed + 4 * a * b + per_b * b
+               for dims, fixed, per_b in stacks for a, b in zip(dims, dims[1:]))
+
+
 def save_checkpoint(model: ModelParams, path, extra: dict | None = None,
                     tensors=()) -> None:
     """Write the model, a JSON-able extra dict and further tensors to path."""
@@ -360,6 +373,8 @@ def load_checkpoint(path, dtype=np.float32):
             raise CheckpointError(f"{path}: bad header: {key!r} is {header[key]!r}")
     config = {k: header[k] for k in ("encoder_widths", "head_widths", "seg_widths",
                                      "dropout_rate")}
+    if _model_nbytes(config) > len(buf) - pos:  # before allocating any of it
+        raise CheckpointError(f"{path}: truncated at byte {len(buf)}")
     model = ModelParams.create(np.random.default_rng(0),  # values overwritten below
                                with_seg=config["seg_widths"] is not None,
                                dtype=dtype, **config)

@@ -174,7 +174,6 @@ class SyntheticSpec:
     per_class: int = 50
     points_per_cloud: int = 128
     with_parts: bool = False
-    jitter_sigma: float = 0.0   # optional construction-time noise
     split: str = "train"
 
 
@@ -198,8 +197,6 @@ def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) ->
         gen, _ = SHAPE_CLASSES[name]
         for _ in range(spec.per_class):
             pts, labels = gen(spec.points_per_cloud, rng)
-            if spec.jitter_sigma > 0:
-                pts = pts + rng.normal(scale=spec.jitter_sigma, size=pts.shape)
             pc = PointCloud(points=pts, class_label=ci,
                             point_labels=labels + offsets[name] if spec.with_parts else None,
                             id=sid)

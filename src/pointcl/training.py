@@ -11,7 +11,7 @@ import numpy as np
 from . import models, tensor as T
 from .losses import LossConfig, contrastive_loss_cls, contrastive_loss_seg
 from .pointcloud import Dataset, sample_points
-from .transforms import TransformSpec, parse_transform, apply_transform
+from .transforms import TransformSpec, parse_transform, transform_stack
 
 __all__ = [
     "TrainConfig",
@@ -106,20 +106,15 @@ def build_batch(ds: Dataset, cfg: TrainConfig, rng: np.random.Generator,
     n = cfg.pairs_per_batch
     if len(ds) < n:
         raise ValueError(f"dataset of {len(ds)} samples < batch of {n} pairs")
-    if spec is None:
-        spec = cfg.transform_spec()
-    jitter = TransformSpec(kind="jitter") if cfg.jitter_augment else None
     idx = rng.choice(len(ds), size=n, replace=False)
-    orig, trans = [], []
-    for i in idx:
-        p = sample_points(ds[int(i)], cfg.points_per_cloud, rng)
-        q = apply_transform(p, spec, rng)
-        if jitter is not None:
-            p = apply_transform(p, jitter, rng)
-            q = apply_transform(q, jitter, rng)
-        orig.append(p.points)
-        trans.append(q.points)
-    return np.stack(orig), np.stack(trans)
+    orig = np.stack([sample_points(ds[int(i)], cfg.points_per_cloud, rng).points
+                     for i in idx])
+    trans, _ = transform_stack(orig, spec or cfg.transform_spec(), rng)
+    if cfg.jitter_augment:
+        jitter = TransformSpec(kind="jitter")
+        orig, _ = transform_stack(orig, jitter, rng)
+        trans, _ = transform_stack(trans, jitter, rng)
+    return orig, trans
 
 
 @dataclass

@@ -1,15 +1,16 @@
 """Contrastive transformations: rotate, cutout, crop, scale, jitter, smooth, compose.
 
-Every transform preserves the point count. All but cutout/crop also keep
-index alignment (output slot i holds input point i); cutout/crop move the
-survivors to the front and refill the rest from them (the slot -> source map
-is available via apply_transform_with_map for point-wise pretraining).
+transform_stack transforms a [n, N, 3] stack of clouds in one pass and
+returns an [n, N] slot -> source map with it; apply_transform and
+apply_transform_with_map are its one-cloud case. Every transform preserves
+the point count. All but cutout/crop also keep index alignment (the map is
+the identity); cutout/crop move the survivors to the front and refill the
+rest from them, and the map says where each slot came from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +22,7 @@ __all__ = [
     "format_transform",
     "apply_transform",
     "apply_transform_with_map",
-    "make_pair",
+    "transform_stack",
     "rotation_matrix",
 ]
 
@@ -59,8 +60,12 @@ class TransformSpec:
 
 
 def rotation_matrix(axis: str, angle_deg: float) -> np.ndarray:
+    """Rotation about axis; exact at multiples of 90 degrees, so e.g. Y-180
+    maps (x, y, z) -> (-x, y, -z) with no floating-point residue."""
     t = np.deg2rad(angle_deg)
     c, s = np.cos(t), np.sin(t)
+    if angle_deg % 90 == 0:
+        c, s = np.rint(c), np.rint(s)
     if axis.lower() == "x":
         return np.array([[1, 0, 0], [0, c, -s], [0, s, c]])
     if axis.lower() == "y":
@@ -68,92 +73,82 @@ def rotation_matrix(axis: str, angle_deg: float) -> np.ndarray:
     return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]])
 
 
-def _exact_rot(axis: str, angle_deg: float) -> Optional[np.ndarray]:
-    """Exact matrices for multiples of 90 degrees so e.g. Y-180 maps
-    (x,y,z) -> (-x,y,-z) with no floating-point residue."""
-    if angle_deg % 90 != 0:
-        return None
-    q = int(angle_deg // 90) % 4
-    m = rotation_matrix(axis, 90.0 * q)
-    return np.rint(m)
+def transform_stack(points: np.ndarray, spec: TransformSpec,
+                    rng: np.random.Generator):
+    """Transform each cloud of a [n, N, 3] stack; the input is left as it is.
 
-
-def _apply(points: np.ndarray, spec: TransformSpec, rng: np.random.Generator):
-    """Returns (new_points, index_map); index_map[i] is the source slot of
-    output slot i (identity for everything but cutout/crop)."""
-    n = points.shape[0]
-    ident = np.arange(n)
+    Returns (float32 [n, N, 3], map [n, N]); map[a, j] is the source slot of
+    output slot j of cloud a (the identity for everything but cutout/crop).
+    """
+    points = np.asarray(points, dtype=np.float32)
+    n, N, _ = points.shape
+    ident = np.tile(np.arange(N), (n, 1))
     if spec.kind == "rotate":
-        m = _exact_rot(spec.axis, spec.angle_deg)
-        if m is None:
-            m = rotation_matrix(spec.axis, spec.angle_deg)
+        m = rotation_matrix(spec.axis, spec.angle_deg)
         return (points @ m.T).astype(np.float32), ident
     if spec.kind == "scale":
         lo, hi = spec.scale_range
-        factors = rng.uniform(lo, hi, size=3)
+        factors = rng.uniform(lo, hi, size=(n, 1, 3))
         return (points * factors).astype(np.float32), ident
     if spec.kind == "jitter":
         noise = np.clip(rng.normal(scale=spec.sigma, size=points.shape),
                         -spec.clip, spec.clip)
         return (points + noise).astype(np.float32), ident
     if spec.kind == "smooth":
-        k = min(spec.k, n - 1)
+        k = min(spec.k, N - 1)
         if k < 1:
             return points.copy(), ident
-        d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        nbr = np.argsort(d2, axis=1)[:, :k]
-        avg = points[nbr].mean(axis=1)
+        sq = np.einsum("anc,anc->an", points, points)
+        d2 = sq[:, :, None] + sq[:, None, :] - 2 * (points @ points.transpose(0, 2, 1))
+        d2[:, np.arange(N), np.arange(N)] = np.inf
+        # in distance order, which fixes the summation order of their mean
+        nbr = np.argsort(d2, axis=2)[:, :, :k]
+        avg = points[np.arange(n)[:, None, None], nbr].mean(axis=2)
         return ((1 - spec.lam) * points + spec.lam * avg).astype(np.float32), ident
     if spec.kind == "cutout":
-        center = points[rng.integers(n)]
-        survive = np.where(((points - center) ** 2).sum(axis=1) > spec.radius ** 2)[0]
-        return _refill(points, survive, n, rng)
+        center = points[np.arange(n), rng.integers(N, size=n)]
+        keep = ((points - center[:, None]) ** 2).sum(axis=2) > spec.radius ** 2
+        return _refill(points, keep, rng)
     if spec.kind == "crop":
-        normal = rng.normal(size=3)
-        normal /= np.linalg.norm(normal)
-        proj = points @ normal
+        normal = rng.normal(size=(n, 3))
+        normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+        proj = np.einsum("anc,ac->an", points, normal)
         # keep the top keep_fraction of points along the plane normal
-        thresh = np.quantile(proj, 1.0 - spec.keep_fraction)
-        survive = np.where(proj >= thresh)[0]
-        return _refill(points, survive, n, rng)
+        thresh = np.quantile(proj, 1.0 - spec.keep_fraction, axis=1, keepdims=True)
+        return _refill(points, proj >= thresh, rng)
     if spec.kind == "compose":
-        idx = np.arange(n)
-        out = points
+        out, idx = points, ident
         for child in spec.children:
-            out, m = _apply(out, child, rng)
-            idx = idx[m]
+            out, m = transform_stack(out, child, rng)
+            idx = np.take_along_axis(idx, m, axis=1)
         return out, idx
     raise ValueError(f"unknown transform kind {spec.kind!r}")
 
 
-def _refill(points, survive, n, rng):
-    if survive.size == 0:
-        survive = np.arange(n)  # degenerate: nothing survived, keep all
-    if survive.size == n:
-        return points.copy(), np.arange(n)
-    fill = rng.choice(survive, size=n - survive.size, replace=True)
-    idx = np.concatenate([survive, fill])
-    return points[idx].copy(), idx
+def _refill(points, keep, rng):
+    """Move each cloud's kept points to the front and fill the remaining
+    slots with draws from them; a cloud that keeps nothing keeps all."""
+    n, N, _ = points.shape
+    idx = np.empty((n, N), dtype=np.int64)
+    for a in range(n):
+        survive = np.flatnonzero(keep[a]) if keep[a].any() else np.arange(N)
+        fill = rng.choice(survive, size=N - survive.size, replace=True)
+        idx[a] = np.concatenate([survive, fill])
+    return np.take_along_axis(points, idx[:, :, None], axis=1), idx
 
 
 def apply_transform_with_map(p: PointCloud, spec: TransformSpec,
                              rng: np.random.Generator):
     """Transform p; also return the slot -> source-slot correspondence map."""
-    pts, idx = _apply(p.points, spec, rng)
-    labels = p.point_labels[idx] if p.point_labels is not None else None
-    return replace(p, points=pts, point_labels=labels), idx
+    pts, idx = transform_stack(p.points[None], spec, rng)
+    labels = p.point_labels[idx[0]] if p.point_labels is not None else None
+    return replace(p, points=pts[0], point_labels=labels), idx[0]
 
 
 def apply_transform(p: PointCloud, spec: TransformSpec,
                     rng: np.random.Generator) -> PointCloud:
     out, _ = apply_transform_with_map(p, spec, rng)
     return out
-
-
-def make_pair(p: PointCloud, spec: TransformSpec, rng: np.random.Generator):
-    """An (original, transformed) contrastive pair; the original is untouched."""
-    return p, apply_transform(p, spec, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,18 @@ def reference_probe_fit(feats, labels, num_classes, epochs, lr,
     return w, b
 
 
+def reference_smooth(points, k, lam):
+    """One cloud blended with the mean of each point's k nearest other
+    points, in float64, one point at a time."""
+    p = np.asarray(points, dtype=np.float64)
+    out = np.empty_like(p)
+    for i in range(len(p)):
+        d = ((p - p[i]) ** 2).sum(axis=1)
+        d[i] = np.inf
+        out[i] = (1 - lam) * p[i] + lam * p[np.argsort(d)[:k]].mean(axis=0)
+    return out
+
+
 def brute_force_iou(pred, gt, part_ids):
     """Per-shape mean IoU by explicit set counting."""
     pred, gt = list(pred), list(gt)

@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,36 @@ def test_checkpoint_huge_tensor_count_is_truncation(tmp_path, model):
     p.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + hlen:])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(p)
+
+
+def test_checkpoint_huge_widths_is_truncation_before_allocation(tmp_path):
+    """A short file whose header asks for a large model raises truncation
+    before any of that model is allocated."""
+    p = tmp_path / "big.pclm"
+    blob = json.dumps(_header(encoder_widths=[4096, 4096])).encode()
+    p.write_bytes(b"PCLM" + struct.pack("<HI", models._CKPT_VERSION, len(blob)) + blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=f"truncated at byte {p.stat().st_size}$"):
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 21
+
+
+@pytest.mark.parametrize("widths", [[8, 16], [5]])
+@pytest.mark.parametrize("with_seg", [False, True])
+def test_checkpoint_size_check_is_exact(tmp_path, widths, with_seg):
+    """The bytes the header's widths imply are the bytes save_checkpoint
+    writes after the header, so the check rejects no whole file."""
+    m = ModelParams.create(np.random.default_rng(0), encoder_widths=widths,
+                           head_widths=[8, 4], seg_widths=[8, 4], with_seg=with_seg)
+    p = tmp_path / "m.pclm"
+    save_checkpoint(m, p)
+    raw = p.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    assert models._model_nbytes(m.config) == len(raw) - 10 - hlen
 
 
 def test_create_draws_one_glorot_matrix_per_layer():

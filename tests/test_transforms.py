@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import reference_smooth
 from pointcl.pointcloud import PointCloud, normalize_unit_sphere
 from pointcl.transforms import (TransformSpec, apply_transform,
                                 apply_transform_with_map, format_transform,
-                                make_pair, parse_transform, rotation_matrix)
+                                parse_transform, rotation_matrix,
+                                transform_stack)
 
 
 def cloud(rng, n=32):
@@ -93,28 +95,6 @@ def test_labels_carried_through_refill(rng):
     assert (out.point_labels == idx).all()
 
 
-def test_make_pair_original_untouched(rng):
-    p = cloud(rng)
-    before = p.points.copy()
-    a, b = make_pair(p, TransformSpec(kind="rotate"), rng)
-    assert a is p
-    assert (p.points == before).all()
-
-
-def test_make_pair_identity_spec(rng):
-    p = cloud(rng)
-    a, b = make_pair(p, TransformSpec(kind="scale", scale_range=(1.0, 1.0)), rng)
-    assert np.allclose(a.points, b.points, atol=1e-7)
-
-
-def test_make_pair_rigidity(rng):
-    p = cloud(rng)
-    a, b = make_pair(p, TransformSpec(kind="rotate", axis="y", angle_deg=180), rng)
-    da = np.linalg.norm(a.points[:, None] - a.points[None], axis=2)
-    db = np.linalg.norm(b.points[:, None] - b.points[None], axis=2)
-    assert np.abs(da - db).max() <= 1e-6
-
-
 def test_compose_single_equals_child(rng):
     p = cloud(rng)
     child = TransformSpec(kind="rotate", axis="x", angle_deg=90)
@@ -173,6 +153,65 @@ def test_parse_rejects_garbage():
 
 def test_rotation_matrix_orthonormal():
     for axis in "xyz":
-        m = rotation_matrix(axis, 37.0)
-        assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
-        assert abs(np.linalg.det(m) - 1.0) < 1e-12
+        for angle in (37.0, -90.0, 90.0, 180.0, 270.0):
+            m = rotation_matrix(axis, angle)
+            assert np.allclose(m @ m.T, np.eye(3), atol=1e-12)
+            assert abs(np.linalg.det(m) - 1.0) < 1e-12
+            if angle % 90 == 0:
+                # exact: every entry is -1, 0 or 1
+                assert (m == np.rint(m)).all() and (m @ m.T == np.eye(3)).all()
+        assert (rotation_matrix(axis, -90) == rotation_matrix(axis, 90).T).all()
+        assert (rotation_matrix(axis, 270) == rotation_matrix(axis, -90)).all()
+
+
+def cloud_stack(seed, n=16, N=128):
+    """n clouds of N distinct points in the unit ball, as float32 [n, N, 3]."""
+    pts = np.random.default_rng(seed).normal(size=(n, N, 3))
+    return (pts / np.linalg.norm(pts, axis=2).max(axis=1)[:, None, None]).astype(np.float32)
+
+
+ALL_SPECS = ["rotate:x:45", "rotate:y:180", "cutout", "crop", "scale", "jitter",
+             "smooth", "compose(rotate:y:180,crop)", "compose(cutout,jitter)"]
+
+# Each spec's point-wise part, applied to a whole stack, and how far the
+# transformed stack may sit from it once gathered through the map.
+POINTWISE_PART = {
+    "rotate:x:45": (lambda pts: (pts @ rotation_matrix("x", 45).T).astype(np.float32), 0),
+    "smooth": (lambda pts: np.stack([reference_smooth(p, 8, 0.5) for p in pts]), 1e-6),
+    "cutout": (lambda pts: pts, 0),
+    "crop": (lambda pts: pts, 0),
+    "compose(rotate:y:180,crop)": (lambda pts: pts * np.float32([-1, 1, -1]), 0),
+}
+
+
+@pytest.mark.parametrize("text", POINTWISE_PART)
+def test_stack_slots_hold_their_sources(text):
+    points = cloud_stack(0)
+    out, idx = transform_stack(points, parse_transform(text), np.random.default_rng(1))
+    part, atol = POINTWISE_PART[text]
+    want = np.take_along_axis(part(points), idx[:, :, None], axis=1)
+    assert out.dtype == np.float32 and idx.shape == points.shape[:2]
+    assert np.abs(out - want).max() <= atol
+    identity = (idx == np.arange(points.shape[1])).all(axis=1)
+    assert identity.all() if text in ("rotate:x:45", "smooth") else not identity.any()
+
+
+@pytest.mark.parametrize("text", ALL_SPECS)
+def test_apply_transform_is_stack_of_one(text, rng):
+    p = cloud(rng, n=64)
+    spec = parse_transform(text)
+    one, one_idx = apply_transform_with_map(p, spec, np.random.default_rng(6))
+    out, idx = transform_stack(p.points[None], spec, np.random.default_rng(6))
+    assert (one.points == out[0]).all() and (one_idx == idx[0]).all()
+
+
+@pytest.mark.parametrize("text", ALL_SPECS)
+def test_inputs_untouched(text, rng):
+    spec = parse_transform(text)
+    points = cloud_stack(2, n=4, N=32)
+    before = points.copy()
+    transform_stack(points, spec, rng)
+    assert (points == before).all()
+    p = PointCloud(points=points[0], point_labels=np.arange(32))
+    apply_transform(p, spec, rng)
+    assert (p.points == before[0]).all() and (p.point_labels == np.arange(32)).all()
