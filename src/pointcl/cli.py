@@ -202,10 +202,10 @@ def cmd_gen_data(args):
     print(f"wrote {len(ds)} samples to {args.out}")
 
 
-def cmd_pretrain(args, cfg, objective="cls"):
+def cmd_pretrain(args, cfg):
     ds = load_dataset(args.data)
     tc = make_train_config(cfg)
-    model, records = pretrain(ds, tc, objective=objective, out_dir=args.out)
+    model, records = pretrain(ds, tc, objective="cls", out_dir=args.out)
     print(f"pretrained {len(records)} steps; final loss "
           f"{records[-1].loss:.4f}" if records else "no steps run")
     print(f"checkpoint: {os.path.join(args.out, 'checkpoint_final.pclm')}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models, tensor as T
-from .models import ModelParams, ProbeParams
+from .models import DenseLayer, ModelParams
 from .pointcloud import Dataset, sample_points
 from .training import AdamState, TrainConfig, adam_step, pretrain
 from .transforms import format_transform, parse_transform
@@ -89,8 +89,7 @@ _EVAL_BATCH = 32  # clouds per models.encode call when extracting features
 
 
 def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
-                     seed: int = 0, source: str = "encoder",
-                     batch_size: int = _EVAL_BATCH):
+                     seed: int = 0, source: str = "encoder"):
     """Eval-mode features for every sample: the pooled global feature
     (source='encoder', the default) or the projection-head output
     (source='head'). Returns (features [S, D], labels [S])."""
@@ -100,8 +99,8 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
     clouds = [sample_points(p, points_per_cloud, rng).points for p in ds.samples]
     labels = np.array([p.class_label for p in ds.samples])
     feats = []
-    for i in range(0, len(clouds), batch_size):
-        batch = np.stack(clouds[i:i + batch_size])
+    for i in range(0, len(clouds), _EVAL_BATCH):
+        batch = np.stack(clouds[i:i + _EVAL_BATCH])
         g, _ = models.encode(batch, model.encoder, training=False)
         if source == "head":
             g = models.project(g, model.head, training=False)
@@ -109,24 +108,28 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
     return np.concatenate(feats), labels
 
 
-def fit_probe(train_feats, train_labels, num_classes, epochs=100, lr=0.001,
-              seed=0) -> ProbeParams:
-    """Full-batch Adam fit of a single affine classifier on cached features."""
-    rng = np.random.default_rng(seed)
-    probe = ProbeParams.create(rng, train_feats.shape[1], num_classes,
-                               dtype=train_feats.dtype)
+def fit_probe(train_feats, train_labels, num_classes, epochs=100,
+              lr=0.001) -> DenseLayer:
+    """Full-batch Adam fit of a single affine classifier on cached features,
+    from zero weights."""
+    dtype = train_feats.dtype
+    probe = DenseLayer(
+        w=T.Tensor(np.zeros((train_feats.shape[1], num_classes), dtype=dtype),
+                   requires_grad=True),
+        b=T.Tensor(np.zeros(num_classes, dtype=dtype), requires_grad=True))
     opt = AdamState(probe.params())
-    x = T.Tensor(train_feats, dtype=probe.w.dtype)
+    x = T.Tensor(train_feats, dtype=dtype)
     for _ in range(epochs):
-        logits = models.probe_forward(x, probe)
+        logits = T.linear_forward(x, probe.w, probe.b)
         loss = T.softmax_cross_entropy(logits, train_labels)
         T.backward(loss)
         adam_step(probe.params(), opt, lr)
     return probe
 
 
-def probe_predict(probe, feats):
-    return models.probe_forward(feats, probe).data.argmax(axis=1)
+def probe_predict(probe: DenseLayer, feats):
+    x = T.Tensor(feats, dtype=probe.w.dtype)
+    return T.linear_forward(x, probe.w, probe.b).data.argmax(axis=1)
 
 
 def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
@@ -138,7 +141,7 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
             f"class-count mismatch: {train_ds.num_classes} vs {test_ds.num_classes}")
     tr_f, tr_y = extract_features(model, train_ds, points_per_cloud, seed, source)
     te_f, te_y = extract_features(model, test_ds, points_per_cloud, seed + 1, source)
-    probe = fit_probe(tr_f, tr_y, train_ds.num_classes, epochs=probe_epochs, seed=seed)
+    probe = fit_probe(tr_f, tr_y, train_ds.num_classes, epochs=probe_epochs)
     pred = probe_predict(probe, te_f)
     t = {"protocol": "linear_probe", "features": source}
     t.update(tags or {})
@@ -308,14 +311,19 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = 128, probe_epochs: int = 100,
                       seed: int = 0, tags=None) -> Metrics:
     """Fit a per-point linear probe on frozen point embeddings; report mIoU."""
-    if train_ds.num_parts == 0 or any(p.point_labels is None for p in train_ds.samples):
-        raise ValueError("segmentation evaluation needs point labels")
+    for role, ds in (("training", train_ds), ("test", test_ds)):
+        if ds.num_parts == 0 or any(p.point_labels is None for p in ds.samples):
+            raise ValueError(
+                f"segmentation evaluation needs point labels; the {role} set has none")
+    if train_ds.num_parts != test_ds.num_parts:
+        raise ValueError(
+            f"part-count mismatch: {train_ds.num_parts} vs {test_ds.num_parts}")
     if model.seg is None:
         raise ValueError("model has no segmentation branch")
     tr_f, tr_y, _ = extract_point_features(model, train_ds, points_per_cloud, seed)
     te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
     probe = fit_probe(np.concatenate(tr_f), np.concatenate(tr_y),
-                      train_ds.num_parts, epochs=probe_epochs, seed=seed)
+                      train_ds.num_parts, epochs=probe_epochs)
     preds = [probe_predict(probe, f) for f in te_f]
     ppc = test_ds.parts_per_class or {
         c: list(range(test_ds.num_parts)) for c in set(te_c)}

@@ -1,4 +1,4 @@
-"""Encoder, projection head, segmentation branch, linear probe, checkpoints.
+"""Encoder, projection head, segmentation branch, checkpoints.
 
 The encoder is a shared per-point MLP (no input/feature alignment sub-network
 anywhere) followed by a max pool over points; the pooled global feature is
@@ -23,12 +23,11 @@ __all__ = [
     "EncoderParams",
     "HeadParams",
     "SegBranchParams",
-    "ProbeParams",
+    "DenseLayer",
     "ModelParams",
     "encode",
     "project",
     "segment_embed",
-    "probe_forward",
     "save_checkpoint",
     "load_checkpoint",
     "CheckpointError",
@@ -59,7 +58,8 @@ def _glorot(rng, fan_in, fan_out, dtype):
 
 @dataclass
 class DenseLayer:
-    """Affine layer of the projection head and the seg branch."""
+    """Affine layer x @ w + b: a layer of the projection head or the seg
+    branch, or the linear probe."""
     w: Tensor
     b: Tensor
 
@@ -147,23 +147,6 @@ class SegBranchParams(_LayerStack):
 
 
 @dataclass
-class ProbeParams:
-    """Single affine map: the strict reading of a linear classifier."""
-    w: Tensor
-    b: Tensor
-
-    @staticmethod
-    def create(rng, d_in, num_classes, dtype=np.float32):
-        return ProbeParams(
-            w=Tensor(np.zeros((d_in, num_classes), dtype=dtype), requires_grad=True),
-            b=Tensor(np.zeros(num_classes, dtype=dtype), requires_grad=True),
-        )
-
-    def params(self):
-        return [self.w, self.b]
-
-
-@dataclass
 class ModelParams:
     encoder: EncoderParams
     head: HeadParams
@@ -222,20 +205,26 @@ def encode(points: np.ndarray, enc: EncoderParams, training: bool,
     return global_feat, per_point
 
 
+def _dense(h: Tensor, layers, dropout_rate=0.0, rng=None):
+    """Affine layers with ReLU between them, each ReLU followed by dropout
+    when dropout_rate > 0; the last layer stays linear."""
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        h = T.linear_forward(h, layer.w, layer.b)
+        if i != last:
+            h = T.relu(h)
+            if dropout_rate > 0:
+                if rng is None:
+                    raise ValueError("training-mode projection needs an rng for dropout")
+                h = T.dropout(h, dropout_rate, True, rng)
+    return h
+
+
 def project(global_feat: Tensor, head: HeadParams, training: bool,
             rng: np.random.Generator | None = None, normalize: bool = True):
     """Projection head: FC stack with ReLU + dropout between layers, linear
     output, then (by default) unit-norm rows."""
-    h = global_feat
-    last = len(head.layers) - 1
-    for i, layer in enumerate(head.layers):
-        h = T.linear_forward(h, layer.w, layer.b)
-        if i != last:
-            h = T.relu(h)
-            if training and head.dropout_rate > 0:
-                if rng is None:
-                    raise ValueError("training-mode projection needs an rng for dropout")
-                h = T.dropout(h, head.dropout_rate, training, rng)
+    h = _dense(global_feat, head.layers, head.dropout_rate if training else 0.0, rng)
     if normalize:
         h = T.l2_normalize_rows(h)
     return h
@@ -249,22 +238,10 @@ def segment_embed(per_point: Tensor, global_feat: Tensor, seg: SegBranchParams,
     g = T.broadcast_points(global_feat, N)
     h = T.concat_last(per_point, g)
     h = T.reshape(h, (B * N, dmid + global_feat.shape[1]))
-    last = len(seg.layers) - 1
-    for i, layer in enumerate(seg.layers):
-        h = T.linear_forward(h, layer.w, layer.b)
-        if i != last:
-            h = T.relu(h)
-    h = T.reshape(h, (B, N, seg.d_out))
+    h = T.reshape(_dense(h, seg.layers), (B, N, seg.d_out))
     if normalize:
         h = T.l2_normalize_rows(h)
     return h
-
-
-def probe_forward(features, probe: ProbeParams):
-    """Affine logits over frozen features [B, D_in]."""
-    if isinstance(features, np.ndarray):
-        features = Tensor(features.astype(probe.w.dtype))
-    return T.linear_forward(features, probe.w, probe.b)
 
 
 # ---------------------------------------------------------------------------

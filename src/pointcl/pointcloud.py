@@ -104,12 +104,9 @@ def _gen_cube(n, rng):
     uv = rng.uniform(-1, 1, size=(n, 2))
     pts = np.empty((n, 3))
     axis = face // 2
-    sign = np.where(face % 2 == 0, 1.0, -1.0)
-    for i in range(n):
-        others = [a for a in range(3) if a != axis[i]]
-        pts[i, axis[i]] = sign[i]
-        pts[i, others[0]] = uv[i, 0]
-        pts[i, others[1]] = uv[i, 1]
+    rows = np.arange(n)
+    pts[rows, axis] = np.where(face % 2 == 0, 1.0, -1.0)
+    pts[rows[:, None], np.array([[1, 2], [0, 2], [0, 1]])[axis]] = uv  # the other two axes
     labels = axis.astype(np.int64)  # parts: one per axis pair of faces
     return pts, labels
 

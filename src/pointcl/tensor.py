@@ -17,7 +17,6 @@ __all__ = [
     "scale",
     "matmul",
     "transpose",
-    "add_rowvec",
     "linear_forward",
     "relu",
     "reshape",
@@ -159,22 +158,27 @@ def transpose(a: Tensor) -> Tensor:
     return _result(out_data, (a,), bw, "transpose")
 
 
-def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
-    """x[B,D] + b[D], the bias add. The only broadcast this engine supports."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_rowvec: shapes {x.shape} + {b.shape} do not conform")
-    out_data = x.data + b.data
+def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x[B,D] @ w[D,K] + b[K], the affine layer, as one tape node.
+
+    The gradient of a frozen x or w is never formed; the bias gradient is
+    the column sum ones(B) @ g.
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ShapeError(f"linear_forward: shapes {x.shape} x {w.shape} + {b.shape} "
+                         "do not conform")
+    out_data = x.data @ w.data
+    out_data += b.data
 
     def bw(g):
-        _accum(x, g)
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
         _accum(b, np.ones(g.shape[0], dtype=g.dtype) @ g)
 
-    return _result(out_data, (x, b), bw, "add_rowvec")
-
-
-def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """out[i,k] = sum_j x[i,j] w[j,k] + b[k]."""
-    return add_rowvec(matmul(x, w), b)
+    return _result(out_data, (x, w, b), bw, "linear")
 
 
 def relu(x: Tensor) -> Tensor:

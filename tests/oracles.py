@@ -106,6 +106,22 @@ def reference_smooth(points, k, lam):
     return out
 
 
+def reference_gen_cube(n, rng):
+    """Cube-surface points and per-axis part labels, one point at a time,
+    with the same draws as pointcloud._gen_cube."""
+    face = rng.integers(0, 6, size=n)
+    uv = rng.uniform(-1, 1, size=(n, 2))
+    pts = np.empty((n, 3))
+    axis = face // 2
+    sign = np.where(face % 2 == 0, 1.0, -1.0)
+    for i in range(n):
+        others = [a for a in range(3) if a != axis[i]]
+        pts[i, axis[i]] = sign[i]
+        pts[i, others[0]] = uv[i, 0]
+        pts[i, others[1]] = uv[i, 1]
+    return pts, axis.astype(np.int64)
+
+
 def brute_force_iou(pred, gt, part_ids):
     """Per-shape mean IoU by explicit set counting."""
     pred, gt = list(pred), list(gt)

@@ -160,6 +160,24 @@ def test_segment_command(tmp_path):
     assert (out / "segmentation_metrics.csv").exists()
 
 
+@pytest.mark.parametrize("test_args, message", [
+    (["--classes", "cylinder,cube"], "the test set has none"),
+    (["--classes", "cylinder,cube,sphere", "--with-parts"], "part-count mismatch: 5 vs 7"),
+], ids=["no-point-labels", "7-parts-vs-5"])
+def test_segment_bad_test_set_exit_2(tmp_path, capsys, test_args, message):
+    train, test = tmp_path / "seg.pcds", tmp_path / "test.pcds"
+    run(["gen-data", "--classes", "cylinder,cube", "--per-class", "2",
+         "--points", "32", "--seed", "4", "--with-parts", "--out", str(train)])
+    run(["gen-data", *test_args, "--per-class", "2", "--points", "32",
+         "--seed", "5", "--out", str(test)])
+    rc = run(["segment", "--data", str(train), "--test-data", str(test),
+              "--out", str(tmp_path / "segrun"), "--pairs", "2", "--epochs", "1",
+              "--points", "32", "--encoder-widths", "8,16", "--head-widths", "8,4",
+              "--seg-widths", "8,4", "--dropout", "0"])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+
+
 def test_ablate_suites_shape(tmp_path, data_files):
     train, test = data_files
     for suite, expected_rows in (("table4", 11), ("table5", 5)):

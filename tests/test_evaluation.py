@@ -216,6 +216,19 @@ def test_segmentation_eval_needs_labels(small_dataset, seg_dataset):
         segmentation_eval(model, small_dataset, small_dataset)
 
 
+def test_segmentation_eval_checks_test_set(small_dataset, seg_dataset):
+    model = models.ModelParams.create(np.random.default_rng(0), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    with pytest.raises(ValueError, match="the test set has none"):
+        segmentation_eval(model, seg_dataset, small_dataset)
+    spec = SyntheticSpec(classes=["cylinder", "cube", "sphere"], per_class=2,
+                         points_per_cloud=32, with_parts=True)
+    test = generate_synthetic_dataset(spec, np.random.default_rng(2))
+    assert (seg_dataset.num_parts, test.num_parts) == (5, 7)
+    with pytest.raises(ValueError, match="part-count mismatch: 5 vs 7"):
+        segmentation_eval(model, seg_dataset, test)
+
+
 def test_ablate_single_entry(small_dataset):
     rows = ablate_transforms(small_dataset, small_dataset,
                              tiny_cfg(epochs=1), ["rotate:y:180"])

@@ -5,10 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pointcl import models, tensor as T
-from pointcl.models import (CheckpointError, ModelParams, ProbeParams,
-                            encode, load_checkpoint, probe_forward, project,
-                            save_checkpoint, segment_embed)
+from pointcl import evaluation, models, tensor as T
+from pointcl.models import (CheckpointError, ModelParams, encode, load_checkpoint,
+                            project, save_checkpoint, segment_embed)
 
 
 @pytest.fixture
@@ -109,18 +108,21 @@ def test_segment_global_ablation(model, rng):
 
 
 def test_probe_zero_weights_uniform(rng):
-    probe = ProbeParams.create(rng, 8, 4)
-    logits = probe_forward(rng.normal(size=(5, 8)).astype(np.float32), probe)
-    loss = T.softmax_cross_entropy(logits, [0, 1, 2, 3, 0])
+    feats = rng.normal(size=(5, 8)).astype(np.float32)
+    labels = [0, 1, 2, 3, 0]
+    probe = evaluation.fit_probe(feats, labels, 4, epochs=0)
+    assert isinstance(probe, models.DenseLayer)
+    assert probe.w.shape == (8, 4) and not probe.w.data.any() and not probe.b.data.any()
+    logits = T.linear_forward(T.Tensor(feats), probe.w, probe.b)
+    loss = T.softmax_cross_entropy(logits, labels)
     assert abs(loss.item() - np.log(4)) < 1e-6
 
 
-def test_probe_identity_block(rng):
-    probe = ProbeParams.create(rng, 4, 4)
+def test_probe_identity_block():
+    probe = evaluation.fit_probe(np.zeros((1, 4), np.float32), [0], 4, epochs=0)
     probe.w.data = np.eye(4, dtype=np.float32)
     feats = np.eye(4, dtype=np.float32)[[2, 0, 3]]
-    logits = probe_forward(feats, probe)
-    assert (logits.data.argmax(axis=1) == [2, 0, 3]).all()
+    assert (evaluation.probe_predict(probe, feats) == [2, 0, 3]).all()
 
 
 def test_no_alignment_subnetwork(model):

@@ -9,6 +9,8 @@ from pointcl.pointcloud import (PointCloud, SyntheticSpec, ParseError,
                                 normalize_unit_sphere, sample_points,
                                 save_dataset)
 
+from oracles import reference_gen_cube
+
 
 def test_normalize_symmetric_pair():
     p = PointCloud(points=[[2, 0, 0], [-2, 0, 0]])
@@ -88,6 +90,14 @@ def test_synthetic_cylinder_cap_labels(rng):
     caps = pts[labels == 1]
     assert caps.shape[0] > 0
     assert np.allclose(np.abs(caps[:, 2]), 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+def test_gen_cube_equals_per_point_loop(seed):
+    pts, labels = pcm._gen_cube(300, np.random.default_rng(seed))
+    want_pts, want_labels = reference_gen_cube(300, np.random.default_rng(seed))
+    assert np.array_equal(pts, want_pts)
+    assert np.array_equal(labels, want_labels)
 
 
 def test_synthetic_unknown_class(rng):

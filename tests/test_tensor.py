@@ -31,6 +31,54 @@ def test_linear_hand_product():
 def test_linear_shape_mismatch():
     with pytest.raises(T.ShapeError):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+    w = Tensor(np.ones((3, 2)))
+    with pytest.raises(T.ShapeError, match="linear_forward"):
+        T.linear_forward(Tensor(np.ones((4, 3))), w, Tensor(np.ones(3)))  # bias width
+    with pytest.raises(T.ShapeError, match="linear_forward"):
+        T.linear_forward(Tensor(np.ones((2, 4, 3))), w, Tensor(np.ones(2)))  # 3-d x
+
+
+def _linear_inputs(rng, dtype, frozen_x=False, rows=7, din=4, dout=3):
+    return (Tensor(rng.normal(size=(rows, din)), dtype=dtype, requires_grad=not frozen_x),
+            Tensor(rng.normal(size=(din, dout)), dtype=dtype, requires_grad=True),
+            Tensor(rng.normal(size=dout), dtype=dtype, requires_grad=True))
+
+
+@pytest.mark.parametrize("frozen_x", [False, True])
+def test_linear_finite_differences(rng, frozen_x):
+    """frozen_x is the probe: fixed features, trained w and b."""
+    x, w, b = _linear_inputs(rng, np.float64, frozen_x)
+    r = Tensor(rng.normal(size=(7, 3)), dtype=np.float64)
+    params = [w, b] if frozen_x else [x, w, b]
+
+    def forward():
+        return T.tsum(T.mul(T.linear_forward(x, w, b), r))
+
+    T.backward(forward())
+    assert (x.grad is None) == frozen_x
+    grads = [p.grad.copy() for p in params]
+    fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)
+    assert max_rel_error(grads, fd) < 1e-6
+
+
+def test_linear_float32_equals_numpy(rng):
+    x, w, b = _linear_inputs(rng, np.float32, rows=64, din=16, dout=9)
+    r = rng.normal(size=(64, 9)).astype(np.float32)
+    out = T.linear_forward(x, w, b)
+    assert out.dtype == np.float32
+    assert np.array_equal(out.data, x.data @ w.data + b.data)
+    T.backward(T.tsum(T.mul(out, Tensor(r))))
+    assert np.array_equal(x.grad, r @ w.data.T)
+    assert np.array_equal(w.grad, x.data.T @ r)
+    assert np.array_equal(b.grad, np.ones(64, np.float32) @ r)
+    np.testing.assert_allclose(b.grad, r.sum(axis=0), rtol=1e-5, atol=1e-5)
+
+
+def test_linear_is_one_tape_node(rng):
+    x, w, b = _linear_inputs(rng, np.float32)
+    out = T.linear_forward(x, w, b)
+    assert out._op == "linear" and out._parents == (x, w, b)
+    assert all(p._backward is None for p in out._parents)
 
 
 def test_relu_values():
