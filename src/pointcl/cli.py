@@ -241,11 +241,13 @@ def cmd_finetune(args, cfg):
 
 def cmd_segment(args, cfg):
     ds = load_dataset(args.data)
+    if args.test_data:  # checked before pretraining, which a bad set would waste
+        train_ds = load_dataset(args.train_data) if args.train_data else ds
+        test_ds = load_dataset(args.test_data)
+        evaluation.check_segmentation_sets(train_ds, test_ds)
     tc = make_train_config(cfg)
     model, records = pretrain(ds, tc, objective="seg", out_dir=args.out)
     if args.test_data:
-        train_ds = load_dataset(args.train_data) if args.train_data else ds
-        test_ds = load_dataset(args.test_data)
         m = evaluation.segmentation_eval(model, train_ds, test_ds,
                                          points_per_cloud=cfg["points"],
                                          probe_epochs=cfg["probe_epochs"],

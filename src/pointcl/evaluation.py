@@ -24,6 +24,7 @@ __all__ = [
     "pretrain_finetune_eval",
     "cross_validate",
     "segmentation_eval",
+    "check_segmentation_sets",
     "shape_miou",
     "ablate_transforms",
     "TABLE4_SUITE",
@@ -307,10 +308,8 @@ def extract_point_features(model: ModelParams, ds: Dataset, points_per_cloud,
             [q.class_label for q in sampled])
 
 
-def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
-                      points_per_cloud: int = 128, probe_epochs: int = 100,
-                      seed: int = 0, tags=None) -> Metrics:
-    """Fit a per-point linear probe on frozen point embeddings; report mIoU."""
+def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:
+    """Raise ValueError unless both sets have point labels over as many parts."""
     for role, ds in (("training", train_ds), ("test", test_ds)):
         if ds.num_parts == 0 or any(p.point_labels is None for p in ds.samples):
             raise ValueError(
@@ -318,6 +317,13 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
     if train_ds.num_parts != test_ds.num_parts:
         raise ValueError(
             f"part-count mismatch: {train_ds.num_parts} vs {test_ds.num_parts}")
+
+
+def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
+                      points_per_cloud: int = 128, probe_epochs: int = 100,
+                      seed: int = 0, tags=None) -> Metrics:
+    """Fit a per-point linear probe on frozen point embeddings; report mIoU."""
+    check_segmentation_sets(train_ds, test_ds)
     if model.seg is None:
         raise ValueError("model has no segmentation branch")
     tr_f, tr_y, _ = extract_point_features(model, train_ds, points_per_cloud, seed)

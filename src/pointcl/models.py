@@ -192,17 +192,17 @@ def encode(points: np.ndarray, enc: EncoderParams, training: bool,
     points = np.asarray(points)
     B, N, _ = points.shape
     h = Tensor(points.reshape(B * N, 3).astype(enc.layers[0].w.dtype))
-    per_point = None
-    for i, layer in enumerate(enc.layers):
+    *body, last = enc.layers
+    for layer in body:
         h = T.shared_mlp(h, layer.w, layer.bn, bn_momentum, training)
-        if i == len(enc.layers) - 2 or (len(enc.layers) == 1 and i == 0):
-            per_point = h
-    feats = T.reshape(h, (B, N, enc.d_global))
-    global_feat = T.max_pool_points(feats)
-    if per_point is None:
-        per_point = h
-    per_point = T.reshape(per_point, (B, N, enc.d_mid))
-    return global_feat, per_point
+    if body:
+        global_feat = T.shared_mlp_max_pool(h, last.w, last.bn, bn_momentum, training, N)
+        return global_feat, T.reshape(h, (B, N, enc.d_mid))
+    # A one-layer encoder's output is also its per-point feature, which the
+    # fused layer and pool never form, so here the two stay apart.
+    h = T.shared_mlp(h, last.w, last.bn, bn_momentum, training)
+    per_point = T.reshape(h, (B, N, enc.d_mid))
+    return T.max_pool_points(per_point), per_point
 
 
 def _dense(h: Tensor, layers, dropout_rate=0.0, rng=None):
@@ -232,13 +232,15 @@ def project(global_feat: Tensor, head: HeadParams, training: bool,
 
 def segment_embed(per_point: Tensor, global_feat: Tensor, seg: SegBranchParams,
                   training: bool, normalize: bool = True):
-    """Per-point embeddings [B, N, d_out] from the concatenated
-    per-point/global features; rows unit-normalized by default."""
-    B, N, dmid = per_point.shape
-    g = T.broadcast_points(global_feat, N)
-    h = T.concat_last(per_point, g)
-    h = T.reshape(h, (B * N, dmid + global_feat.shape[1]))
-    h = T.reshape(_dense(h, seg.layers), (B, N, seg.d_out))
+    """Per-point embeddings [B, N, d_out] from the per-point features
+    concatenated with their cloud's global feature (never formed); rows
+    unit-normalized by default."""
+    B, N, _ = per_point.shape
+    first, *rest = seg.layers
+    h = T.linear_points_global(per_point, global_feat, first.w, first.b)
+    if rest:
+        h = _dense(T.relu(h), rest)
+    h = T.reshape(h, (B, N, seg.d_out))
     if normalize:
         h = T.l2_normalize_rows(h)
     return h

@@ -20,10 +20,10 @@ __all__ = [
     "linear_forward",
     "relu",
     "reshape",
-    "concat_last",
-    "broadcast_points",
+    "linear_points_global",
     "max_pool_points",
     "shared_mlp",
+    "shared_mlp_max_pool",
     "dropout",
     "softmax_cross_entropy",
     "l2_normalize_rows",
@@ -202,30 +202,31 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _result(out_data, (x,), bw, "reshape")
 
 
-def concat_last(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the last axis; leading axes must match."""
-    if a.data.shape[:-1] != b.data.shape[:-1]:
-        raise ShapeError(f"concat_last: leading dims differ {a.shape} vs {b.shape}")
-    out_data = np.concatenate([a.data, b.data], axis=-1)
-    da = a.data.shape[-1]
+def linear_points_global(p: Tensor, g: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """[p, g repeated over the N points] @ w + b as one tape node, without
+    forming the concatenation: p[B,N,Dp], g[B,Dg], w[Dp+Dg,K] -> [B*N,K].
+    g's half of the product, on the rows w[Dp:], is taken once per cloud."""
+    if (p.data.ndim != 3 or g.data.ndim != 2 or b.data.ndim != 1 or g.shape[0] != p.shape[0]
+            or w.shape != (p.shape[2] + g.shape[1], b.shape[0])):
+        raise ShapeError(f"linear_points_global: shapes [{p.shape}, {g.shape}] x "
+                         f"{w.shape} + {b.shape} do not conform")
+    B, N, dp = p.shape
+    p2 = p.data.reshape(B * N, dp)
+    out = (p2 @ w.data[:dp]).reshape(B, N, -1)
+    out += (g.data @ w.data[dp:] + b.data)[:, None, :]
+    out_data = out.reshape(B * N, -1)
 
-    def bw(g):
-        _accum(a, g[..., :da])
-        _accum(b, g[..., da:])
+    def bw(gr):
+        gs = gr.reshape(B, N, -1).sum(axis=1)  # [B, K]: the global half's gradient
+        if p.requires_grad:
+            _accum(p, (gr @ w.data[:dp].T).reshape(B, N, dp))
+        if g.requires_grad:
+            _accum(g, gs @ w.data[dp:].T)
+        if w.requires_grad:
+            _accum(w, np.concatenate([p2.T @ gr, g.data.T @ gs]))
+        _accum(b, gs.sum(axis=0))
 
-    return _result(out_data, (a, b), bw, "concat_last")
-
-
-def broadcast_points(v: Tensor, n: int) -> Tensor:
-    """Tile v[B,D] to [B,N,D] (a global feature repeated per point)."""
-    if v.data.ndim != 2:
-        raise ShapeError(f"broadcast_points: expected 2-d, got {v.shape}")
-    out_data = np.repeat(v.data[:, None, :], n, axis=1)
-
-    def bw(g):
-        _accum(v, g.sum(axis=1))
-
-    return _result(out_data, (v,), bw, "broadcast_points")
+    return _result(out_data, (p, g, w, b), bw, "linear_points_global")
 
 
 def max_pool_points(x: Tensor) -> Tensor:
@@ -267,23 +268,20 @@ class BNState:
 _BN_EPS = 1e-5
 
 
-def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
-               training: bool) -> Tensor:
-    """One shared-MLP layer, relu(batch_norm(x @ w)), as one tape node.
+def _bn_relu(name, x, w, bn, momentum, training):
+    """relu(batch_norm(x @ w)), the forward of both encoder-layer ops.
 
-    No bias: batch norm subtracts the mean, which would cancel it. Training
-    mode normalizes by the batch statistics and moves the running ones
-    toward them: running <- momentum * running + (1 - momentum) * batch.
-    Eval mode normalizes by the running statistics. The pre-activation is
-    normalized in place and kept as xhat; the backward derives the relu
-    mask from the output.
+    Returns (out, xhat, a): xhat is the normalized x @ w and a = gamma /
+    sqrt(var + eps). Training mode normalizes by the batch statistics and
+    moves the running ones toward them: running <- momentum * running +
+    (1 - momentum) * batch. Eval mode normalizes by the running statistics.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or bn.dim != w.shape[1]):
-        raise ShapeError(f"shared_mlp: shapes {x.shape} x {w.shape} and batch "
+        raise ShapeError(f"{name}: shapes {x.shape} x {w.shape} and batch "
                          f"norm of width {bn.dim} do not conform")
     if training and x.shape[0] < 2:
-        raise ShapeError(f"shared_mlp: batch of {x.shape[0]} too small for training mode")
+        raise ShapeError(f"{name}: batch of {x.shape[0]} too small for training mode")
     xhat = x.data @ w.data
     if training:
         m = xhat.mean(axis=0)
@@ -297,9 +295,21 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
         v = bn.running_var
     inv = 1.0 / np.sqrt(v + _BN_EPS)
     xhat *= inv
-    out_data = xhat * bn.gamma.data
-    out_data += bn.beta.data
-    np.maximum(out_data, 0, out=out_data)
+    out = xhat * bn.gamma.data
+    out += bn.beta.data
+    np.maximum(out, 0, out=out)
+    return out, xhat, bn.gamma.data * inv
+
+
+def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
+               training: bool) -> Tensor:
+    """One shared-MLP layer, relu(batch_norm(x @ w)), as one tape node.
+
+    No bias: batch norm subtracts the mean, which would cancel it. The
+    pre-activation is normalized in place and kept as xhat; the backward
+    derives the relu mask from the output.
+    """
+    out_data, xhat, a = _bn_relu("shared_mlp", x, w, bn, momentum, training)
 
     def bw(g):
         gh = g * (out_data > 0)
@@ -309,7 +319,7 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
             B = gh.shape[0]
             gh -= xhat * (dgamma / B)
             gh -= dbeta / B
-        gh *= bn.gamma.data * inv
+        gh *= a
         _accum(bn.gamma, dgamma)
         _accum(bn.beta, dbeta)
         _accum(w, x.data.T @ gh)
@@ -317,6 +327,52 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
             _accum(x, gh @ w.data.T)
 
     return _result(out_data, (x, w, bn.gamma, bn.beta), bw, "shared_mlp")
+
+
+def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
+                        training: bool, n_points: int) -> Tensor:
+    """max_pool_points(reshape(shared_mlp(x, w, bn, ...), (B, N, D))) as one
+    tape node, x[B*N, Din] -> [B, D]: the encoder's last layer and its pool.
+
+    The forward forms no argmax. One point per (cloud, channel) survives the
+    pool, so the backward takes the relu mask, dgamma and dbeta from the B*D
+    pooled entries alone. The dense pre-activation gradient is the batch-norm
+    term -a * (xhat * dgamma + dbeta) / R (none in eval mode) plus a times the
+    pooled gradient at the first point that reaches each max.
+    """
+    n_points = int(n_points)
+    if x.data.ndim != 2 or n_points < 1 or x.shape[0] % n_points:
+        raise ShapeError(f"shared_mlp_max_pool: {x.shape} is not [B*N, D] "
+                         f"rows for N = {n_points} points")
+    out, xhat, a = _bn_relu("shared_mlp_max_pool", x, w, bn, momentum, training)
+    R, D = out.shape
+    out3 = out.reshape(R // n_points, n_points, D)
+    pooled = out3.max(axis=1)
+
+    def bw(g):
+        B = g.shape[0]
+        # The first point at the max has the largest weight N - n among the
+        # points not below it, a few times cheaper to find than an argmax
+        # over the strided point axis. A NaN max routes to point 0.
+        rev = np.arange(n_points, 0, -1, dtype=np.min_scalar_type(n_points))
+        first = n_points - (~(out3 < pooled[:, None, :]) * rev[:, None]).max(axis=1)
+        at = ((first + n_points * np.arange(B)[:, None]) * D + np.arange(D)).ravel()
+        gp = g * (pooled > 0)
+        dgamma = np.einsum("ij,ij->j", gp, xhat.reshape(-1)[at].reshape(B, D))
+        dbeta = gp.sum(axis=0)
+        if training:
+            gh = xhat * (-a * dgamma / R)
+            gh -= a * dbeta / R
+        else:
+            gh = np.zeros_like(xhat)
+        gh.reshape(-1)[at] += (gp * a).ravel()  # at: flat [R, D] positions, unique
+        _accum(bn.gamma, dgamma)
+        _accum(bn.beta, dbeta)
+        _accum(w, x.data.T @ gh)
+        if x.requires_grad:
+            _accum(x, gh @ w.data.T)
+
+    return _result(pooled, (x, w, bn.gamma, bn.beta), bw, "shared_mlp_max_pool")
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:

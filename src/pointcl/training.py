@@ -70,7 +70,8 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update in place; grads are cleared afterwards."""
+    """Bias-corrected Adam update; the moments are updated in place, each
+    parameter's data is rebound to a new array and grads are cleared."""
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
@@ -81,11 +82,17 @@ def adam_step(params, state: AdamState, lr: float) -> None:
         if not np.isfinite(g).all():
             raise FloatingPointError(
                 f"non-finite gradient in parameter {i} (shape {p.data.shape})")
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        mhat = state.m[i] / (1 - b1 ** t)
-        vhat = state.v[i] / (1 - b2 ** t)
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + state.eps)
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and lr*mhat/(sqrt(vhat)+eps)
+        # with the moments updated in place, in that operation order: same bits.
+        m, v = state.m[i], state.v[i]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        step = m / (1 - b1 ** t)
+        step *= lr
+        step /= np.sqrt(v / (1 - b2 ** t)) + state.eps
+        p.data = p.data - step
         p.grad = None
 
 

@@ -209,3 +209,22 @@ def reference_encoder_layer(x, w, gamma, beta, running_mean, running_var,
     grads = {"x": gh @ w.T, "w": x.T @ gh,
              "gamma": (gy * xhat).sum(axis=0), "beta": gy.sum(axis=0)}
     return out, grads, running_mean, running_var
+
+
+def reference_adam_step(params, state, lr):
+    """Bias-corrected Adam with a new array for every operation, the update
+    as first written; the in-place training.adam_step must match it bit for
+    bit."""
+    state.step_count += 1
+    t = state.step_count
+    b1, b2 = state.beta1, state.beta2
+    for i, p in enumerate(params):
+        g = p.grad
+        if g is None:
+            continue
+        state.m[i] = b1 * state.m[i] + (1 - b1) * g
+        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
+        mhat = state.m[i] / (1 - b1 ** t)
+        vhat = state.v[i] / (1 - b2 ** t)
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + state.eps)
+        p.grad = None

@@ -176,6 +176,7 @@ def test_segment_bad_test_set_exit_2(tmp_path, capsys, test_args, message):
               "--seg-widths", "8,4", "--dropout", "0"])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not list((tmp_path / "segrun").glob("*.pclm"))  # failed before pretraining
 
 
 def test_ablate_suites_shape(tmp_path, data_files):

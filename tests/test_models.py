@@ -1,3 +1,4 @@
+import copy
 import json
 import struct
 import tracemalloc
@@ -8,6 +9,8 @@ import pytest
 from pointcl import evaluation, models, tensor as T
 from pointcl.models import (CheckpointError, ModelParams, encode, load_checkpoint,
                             project, save_checkpoint, segment_embed)
+
+from oracles import finite_difference_grads, max_rel_error
 
 
 @pytest.fixture
@@ -105,6 +108,52 @@ def test_segment_global_ablation(model, rng):
     Z2 = segment_embed(pp2, T.Tensor(np.zeros_like(g.data)), model.seg,
                        training=False)
     assert np.allclose(Z1.data, Z2.data)
+
+
+@pytest.mark.parametrize("widths", [[8], [8, 16]])
+def test_encode_pools_the_last_layer(rng, widths):
+    """Global features are the max over points of the last layer, fused
+    with it into one node except in a one-layer encoder, whose layer output
+    is also the per-point feature."""
+    enc = models.EncoderParams.create(np.random.default_rng(0), widths)
+    ref = copy.deepcopy(enc)
+    pts = rng.normal(size=(2, 6, 3)).astype(np.float32)
+    g, pp = encode(pts, enc, training=True)
+    h = T.Tensor(pts.reshape(12, 3))
+    outs = []
+    for layer in ref.layers:
+        h = T.shared_mlp(h, layer.w, layer.bn, 0.9, True)
+        outs.append(h.data.reshape(2, 6, -1))
+    assert np.array_equal(g.data, outs[-1].max(axis=1))
+    assert np.array_equal(pp.data, outs[-2 if len(widths) > 1 else -1])
+    if len(widths) > 1:
+        assert g._op == "shared_mlp_max_pool"
+    else:
+        assert g._op == "max_pool_points" and g._parents == (pp,)
+        T.backward(T.add(T.tsum(g), T.tsum(T.index(pp, (slice(None), 0)))))
+        want = np.zeros((2, 6, 8), dtype=np.float32)
+        np.put_along_axis(want, np.argmax(pp.data, axis=1)[:, None], 1.0, axis=1)
+        want[:, 0] += 1.0
+        assert np.array_equal(pp.grad, want)  # from the pool and from pp itself
+
+
+@pytest.mark.parametrize("seg_widths", [[5, 3], [3]])
+def test_segment_embed_finite_differences(rng, seg_widths):
+    m = ModelParams.create(np.random.default_rng(2), encoder_widths=[4, 6],
+                           head_widths=[4, 2], seg_widths=seg_widths, with_seg=True,
+                           dtype=np.float64)
+    pp = T.Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
+    g = T.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    r = T.Tensor(rng.normal(size=(2, 4, seg_widths[-1])))
+    params = [pp, g] + m.seg.params()
+
+    def forward():
+        return T.tsum(T.mul(segment_embed(pp, g, m.seg, training=True), r))
+
+    T.backward(forward())
+    grads = [p.grad.copy() for p in params]
+    fd = finite_difference_grads(lambda: forward().item(), params, h=1e-6)
+    assert max_rel_error(grads, fd) < 1e-6
 
 
 def test_probe_zero_weights_uniform(rng):

@@ -528,3 +528,170 @@ def test_shared_gradient_is_not_aliased():
     T.backward(T.tsum(T.add(T.add(a, b), a)))
     assert (a.grad == 2.0).all()
     assert (b.grad == 1.0).all()
+
+
+def _copy_layer(x, w, bn):
+    """Fresh leaves with the values of x, w and bn, for a second tape."""
+    x2, w2 = (Tensor(t.data.copy(), requires_grad=True) for t in (x, w))
+    bn2 = T.BNState(bn.dim, dtype=w.dtype)
+    bn2.gamma.data, bn2.beta.data = bn.gamma.data.copy(), bn.beta.data.copy()
+    bn2.running_mean, bn2.running_var = bn.running_mean.copy(), bn.running_var.copy()
+    return x2, w2, bn2
+
+
+def _unfused_pool(x, w, bn, momentum, training, n_points):
+    out = T.shared_mlp(x, w, bn, momentum, training)
+    return T.max_pool_points(T.reshape(out, (x.shape[0] // n_points, n_points, w.shape[1])))
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_shared_mlp_max_pool_finite_differences(rng, training):
+    x, w, bn = _shared_mlp_inputs(rng, np.float64)  # 12 rows: 3 clouds of 4 points
+    r = Tensor(rng.normal(size=(3, 5)), dtype=np.float64)
+    params = [x, w, bn.gamma, bn.beta]
+
+    def forward():
+        return T.tsum(T.mul(T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4), r))
+
+    T.backward(forward())
+    grads = [p.grad.copy() for p in params]
+    fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)
+    assert max_rel_error(grads, fd) < 1e-6
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_shared_mlp_max_pool_equals_unfused_chain_float32(rng, training):
+    """Values, BN running statistics and gradients of the fused node against
+    shared_mlp -> reshape -> max_pool_points on the same float32 inputs."""
+    B, N = 8, 32
+    x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=B * N, din=16, dout=32)
+    r = rng.normal(size=(B, 32)).astype(np.float32)
+    x2, w2, bn2 = _copy_layer(x, w, bn)
+
+    out = T.shared_mlp_max_pool(x, w, bn, 0.8, training, N)
+    want = _unfused_pool(x2, w2, bn2, 0.8, training, N)
+    assert np.array_equal(out.data, want.data)
+    assert np.array_equal(bn.running_mean, bn2.running_mean)
+    assert np.array_equal(bn.running_var, bn2.running_var)
+    T.backward(T.tsum(T.mul(out, Tensor(r))))
+    T.backward(T.tsum(T.mul(want, Tensor(r))))
+    for name, p, q in zip(("x", "w", "gamma", "beta"), (x, w, bn.gamma, bn.beta),
+                          (x2, w2, bn2.gamma, bn2.beta)):
+        np.testing.assert_allclose(p.grad, q.grad, rtol=1e-4,
+                                   atol=1e-5 * np.abs(q.grad).max(), err_msg=name)
+
+
+def _exact_layer_inputs(rng, B, N, din=3, dout=4):
+    """Small-integer x and half-integer w: every product and sum is exact,
+    so equal rows of x give bit-equal rows of the layer output."""
+    x = Tensor(rng.integers(-3, 4, size=(B * N, din)), dtype=np.float64,
+               requires_grad=True)
+    w = Tensor(rng.integers(-4, 5, size=(din, dout)) / 2, dtype=np.float64,
+               requires_grad=True)
+    bn = T.BNState(dout, dtype=np.float64)
+    bn.beta.data = np.full(dout, 0.5)
+    return x, w, bn
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_shared_mlp_max_pool_ties_route_to_first_point(rng, training):
+    """Every cloud is one point repeated: each channel's maximum ties over
+    all its points, and the pooled gradient goes to the first of them."""
+    B, N = 3, 5
+    x, w, bn = _exact_layer_inputs(rng, B, N)
+    x.data = np.repeat(x.data[::N], N, axis=0)
+    x2, w2, bn2 = _copy_layer(x, w, bn)
+    T.backward(T.tsum(T.shared_mlp_max_pool(x, w, bn, 0.9, training, N)))
+    T.backward(T.tsum(_unfused_pool(x2, w2, bn2, 0.9, training, N)))
+    np.testing.assert_allclose(x.grad, x2.grad, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(w.grad, w2.grad, rtol=1e-12, atol=1e-12)
+    first, rest = x.grad.reshape(B, N, 3)[:, 0], x.grad.reshape(B, N, 3)[:, 1:]
+    assert np.abs(first[:, None] - rest).max(axis=(0, 2)).min() > 0  # first != each tie
+    if not training:  # no batch-norm term: only the first point has a gradient
+        assert (rest == 0).all() and (first != 0).any()
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_shared_mlp_max_pool_dead_channel_gets_no_gradient(rng, training):
+    x, w, bn = _exact_layer_inputs(rng, 3, 4)
+    bn.beta.data[2] = -100.0  # relu(.) is 0 at every point of channel 2
+    r = Tensor(rng.normal(size=(3, 4)))
+    out = T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4)
+    assert (out.data[:, 2] == 0).all()
+    T.backward(T.tsum(T.mul(out, r)))
+    assert bn.gamma.grad[2] == 0 and bn.beta.grad[2] == 0
+    assert (w.grad[:, 2] == 0).all()
+    assert (bn.beta.grad[[0, 1, 3]] != 0).any()
+
+
+def test_shared_mlp_max_pool_forward_calls_no_argmax(rng, monkeypatch):
+    x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=12)
+
+    def no_argmax(*args, **kwargs):
+        raise AssertionError("forward pass called argmax")
+
+    for training in (True, False):
+        monkeypatch.setattr(np, "argmax", no_argmax)
+        out = T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4)
+        monkeypatch.undo()
+        T.backward(T.tsum(out))
+
+
+def test_shared_mlp_max_pool_is_one_tape_node(rng):
+    x, w, bn = _shared_mlp_inputs(rng, np.float32)
+    out = T.shared_mlp_max_pool(x, w, bn, 0.9, True, 3)
+    assert out.shape == (4, 5)
+    assert out._op == "shared_mlp_max_pool"
+    assert out._parents == (x, w, bn.gamma, bn.beta)
+
+
+def test_shared_mlp_max_pool_shape_errors():
+    x = Tensor(np.ones((6, 3)))
+    w = Tensor(np.ones((3, 2)))
+    for n_points in (4, 0, 7):  # 6 rows are not clouds of 4, 0 or 7 points
+        with pytest.raises(T.ShapeError, match=f"N = {n_points}"):
+            T.shared_mlp_max_pool(x, w, T.BNState(2), 0.9, True, n_points)
+    with pytest.raises(T.ShapeError):
+        T.shared_mlp_max_pool(Tensor(np.ones((2, 3, 3))), w, T.BNState(2), 0.9, True, 3)
+    with pytest.raises(T.ShapeError, match="width 3"):
+        T.shared_mlp_max_pool(x, w, T.BNState(3), 0.9, True, 3)
+    with pytest.raises(T.ShapeError, match="batch of 1"):
+        T.shared_mlp_max_pool(Tensor(np.ones((1, 3))), w, T.BNState(2), 0.9, True, 1)
+    assert T.shared_mlp_max_pool(Tensor(np.ones((1, 3))), w, T.BNState(2), 0.9,
+                                 False, 1).shape == (1, 2)
+
+
+def _points_global_inputs(rng, dtype, B=3, N=5, dp=4, dg=6, K=3):
+    return (Tensor(rng.normal(size=(B, N, dp)), dtype=dtype, requires_grad=True),
+            Tensor(rng.normal(size=(B, dg)), dtype=dtype, requires_grad=True),
+            Tensor(rng.normal(size=(dp + dg, K)), dtype=dtype, requires_grad=True),
+            Tensor(rng.normal(size=K), dtype=dtype, requires_grad=True))
+
+
+def test_linear_points_global_equals_concatenated_float64(rng):
+    """[p, g repeated] @ w + b and its gradients, formed with the
+    concatenation in plain numpy."""
+    p, g, w, b = _points_global_inputs(rng, np.float64)
+    B, N, dp = p.shape
+    r = rng.normal(size=(B * N, 3))
+    cat = np.concatenate([p.data, np.repeat(g.data[:, None], N, axis=1)], axis=2)
+    cat = cat.reshape(B * N, -1)
+    out = T.linear_points_global(p, g, w, b)
+    assert out._op == "linear_points_global" and out._parents == (p, g, w, b)
+    np.testing.assert_allclose(out.data, cat @ w.data + b.data, rtol=1e-12, atol=1e-12)
+    T.backward(T.tsum(T.mul(out, Tensor(r))))
+    dcat = (r @ w.data.T).reshape(B, N, -1)
+    for got, want in ((p.grad, dcat[..., :dp]), (g.grad, dcat[..., dp:].sum(axis=1)),
+                      (w.grad, cat.T @ r), (b.grad, r.sum(axis=0))):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_linear_points_global_shape_errors():
+    p, g, w, b = _points_global_inputs(np.random.default_rng(0), np.float32)
+    bad = [(Tensor(np.ones((15, 4))), g, w, b),            # p not [B, N, Dp]
+           (p, Tensor(np.ones((2, 6))), w, b),             # other cloud count
+           (p, Tensor(np.ones((3, 5))), w, b),             # Dp + Dg != rows of w
+           (p, g, w, Tensor(np.ones(4)))]                  # bias width
+    for args in bad:
+        with pytest.raises(T.ShapeError, match="linear_points_global"):
+            T.linear_points_global(*args)

@@ -12,7 +12,7 @@ from pointcl.training import (AdamState, TrainConfig, adam_step, bn_schedule,
                               build_batch, load_train_checkpoint, lr_schedule,
                               pretrain, save_train_checkpoint)
 
-from oracles import finite_difference_grads, max_rel_error
+from oracles import finite_difference_grads, max_rel_error, reference_adam_step
 
 
 def tiny_cfg(**kw):
@@ -59,6 +59,22 @@ def test_adam_nan_grad_aborts():
     p.grad = np.array([np.nan, 0.0], dtype=np.float32)
     with pytest.raises(FloatingPointError):
         adam_step([p], AdamState([p]), 0.001)
+
+
+@pytest.mark.parametrize("objective, pairs, epochs", [("cls", 8, 5), ("seg", 4, 10)])
+def test_adam_in_place_matches_reference_bytes(tmp_path, monkeypatch, small_dataset,
+                                               seg_dataset, objective, pairs, epochs):
+    """A fixed-seed 50-step pretrain writes the same checkpoint bytes with
+    the in-place update as with the reference update."""
+    ds = small_dataset if objective == "cls" else seg_dataset
+    cfg = tiny_cfg(pairs_per_batch=pairs, epochs=epochs, dropout_rate=0.5)
+    _, records = pretrain(ds, cfg, objective, out_dir=str(tmp_path / "in_place"))
+    assert len(records) == 50
+    monkeypatch.setattr(training, "adam_step", reference_adam_step)
+    pretrain(ds, cfg, objective, out_dir=str(tmp_path / "reference"))
+    for name in ("checkpoint_final.pclm", "loss_curve.csv"):
+        assert ((tmp_path / "in_place" / name).read_bytes()
+                == (tmp_path / "reference" / name).read_bytes()), name
 
 
 def test_lr_schedule_endpoints():
