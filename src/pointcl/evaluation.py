@@ -14,7 +14,7 @@ from . import models, tensor as T
 from .models import DenseLayer, ModelParams
 from .pointcloud import Dataset, sample_points
 from .training import AdamState, TrainConfig, adam_step, pretrain
-from .transforms import format_transform, parse_transform
+from .transforms import parse_transform
 
 __all__ = [
     "Metrics",
@@ -350,9 +350,9 @@ def ablate_transforms(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
         raise ValueError("transform list must be non-empty")
     rows = []
     for name in transform_names:
-        spec = parse_transform(name)  # validate before the run
+        parse_transform(name)  # validate before the run
         run_cfg = copy.deepcopy(cfg)
-        run_cfg.transform = format_transform(spec)
+        run_cfg.transform = name
         model, _ = pretrain(train_ds, run_cfg, objective="cls")
         m, _, _ = linear_probe_eval(model, train_ds, test_ds,
                                     points_per_cloud=cfg.points_per_cloud,

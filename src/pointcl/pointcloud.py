@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -78,10 +79,7 @@ def normalize_unit_sphere(p: PointCloud) -> PointCloud:
 
 def sample_points(p: PointCloud, n_out: int, rng: np.random.Generator) -> PointCloud:
     """Resample to exactly n_out points; without replacement when possible."""
-    if p.n >= n_out:
-        idx = rng.choice(p.n, size=n_out, replace=False)
-    else:
-        idx = rng.choice(p.n, size=n_out, replace=True)
+    idx = rng.choice(p.n, size=n_out, replace=p.n < n_out)
     labels = p.point_labels[idx] if p.point_labels is not None else None
     return replace(p, points=p.points[idx].copy(), point_labels=labels)
 
@@ -180,25 +178,16 @@ def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) ->
         if name not in SHAPE_CLASSES:
             raise ValueError(
                 f"unknown class {name!r}; choose from {sorted(SHAPE_CLASSES)}")
-    samples = []
-    parts_per_class = {}
-    part_offset = 0
-    offsets = {}
+    samples, parts_per_class, part_offset = [], {}, 0
     for ci, name in enumerate(spec.classes):
-        _, nparts = SHAPE_CLASSES[name]
-        offsets[name] = part_offset
+        gen, nparts = SHAPE_CLASSES[name]
         parts_per_class[ci] = list(range(part_offset, part_offset + nparts))
-        part_offset += nparts
-    sid = 0
-    for ci, name in enumerate(spec.classes):
-        gen, _ = SHAPE_CLASSES[name]
         for _ in range(spec.per_class):
             pts, labels = gen(spec.points_per_cloud, rng)
-            pc = PointCloud(points=pts, class_label=ci,
-                            point_labels=labels + offsets[name] if spec.with_parts else None,
-                            id=sid)
+            pc = PointCloud(points=pts, class_label=ci, id=len(samples),
+                            point_labels=labels + part_offset if spec.with_parts else None)
             samples.append(normalize_unit_sphere(pc))
-            sid += 1
+        part_offset += nparts
     return Dataset(samples=samples, split=spec.split,
                    num_classes=len(spec.classes),
                    num_parts=part_offset if spec.with_parts else 0,
@@ -224,22 +213,28 @@ def save_dataset(ds: Dataset, path, format="packed-binary") -> None:
         return save_dataset_xyz(ds, path)
     if format != "packed-binary":
         raise ValueError(f"unknown format {format!r}")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<H", _VERSION))
-        f.write(struct.pack("<IHH", len(ds.samples), ds.num_classes, ds.num_parts))
-        ppc = ds.parts_per_class or {}
-        f.write(struct.pack("<H", len(ppc)))
-        for cls, parts in sorted(ppc.items()):
-            f.write(struct.pack(f"<HH{len(parts)}H", cls, len(parts), *parts))
-        for pc in ds.samples:
-            cls = pc.class_label if pc.class_label is not None else 0
-            f.write(struct.pack("<IHI", pc.id, cls, pc.n))
-            f.write(np.ascontiguousarray(pc.points, dtype="<f4").tobytes())
-            if ds.num_parts > 0:
-                if pc.point_labels is None:
-                    raise ValueError(f"sample {pc.id}: num_parts > 0 but no point labels")
-                f.write(pc.point_labels.astype("<u2").tobytes())
+    tmp = os.fspath(path) + ".tmp"  # a failed save keeps the file at path
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<H", _VERSION))
+            f.write(struct.pack("<IHH", len(ds.samples), ds.num_classes, ds.num_parts))
+            ppc = ds.parts_per_class or {}
+            f.write(struct.pack("<H", len(ppc)))
+            for cls, parts in sorted(ppc.items()):
+                f.write(struct.pack(f"<HH{len(parts)}H", cls, len(parts), *parts))
+            for pc in ds.samples:
+                cls = pc.class_label if pc.class_label is not None else 0
+                f.write(struct.pack("<IHI", pc.id, cls, pc.n))
+                f.write(np.ascontiguousarray(pc.points, dtype="<f4").tobytes())
+                if ds.num_parts > 0:
+                    if pc.point_labels is None:
+                        raise ValueError(f"sample {pc.id}: num_parts > 0 but no point labels")
+                    f.write(pc.point_labels.astype("<u2").tobytes())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_exact(f, nbytes, what):

@@ -2,7 +2,7 @@
 
 Backed by numpy. Compute is float32 by default; pass dtype=np.float64 when
 building models for finite-difference verification. Tensors are immutable
-after creation (backward writes only to .grad).
+after creation (backward writes only to .grad, through _accum).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class Tensor:
     ------
     data : np.ndarray (row-major)
     requires_grad : bool
-    grad : same-shape np.ndarray, populated by backward()
+    grad : same-shape read-only np.ndarray, maybe a view another grad shares
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -88,13 +88,16 @@ def _result(data, parents, backward_fn, op):
 
 
 def _accum(t, g):
+    """The only writer of .grad: keeps the first g as given, even a view or an
+    array another parent holds too, and adds later ones out of place. Stored
+    grads are read-only, so a backward that writes into one raises."""
     if not t.requires_grad:
         return
-    if t.grad is None:
-        # a copy: g may be a view, or be handed to another parent too
-        t.grad = np.array(g, dtype=t.data.dtype)
-    else:
-        t.grad += g
+    if t.grad is not None:
+        g = t.grad + g
+    g = np.asarray(g, dtype=t.data.dtype).view()
+    g.flags.writeable = False
+    t.grad = g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -449,19 +452,19 @@ def index(x: Tensor, key) -> Tensor:
 
     The gradient scatters back into the indexed positions. Index arrays may
     select an element twice, so their gradient adds up through np.add.at;
-    ints and slices select each element once and take the faster +=.
+    ints and slices select each element once and take a plain assignment.
     """
     out_data = np.array(x.data[key])
     parts = key if isinstance(key, tuple) else (key,)
     repeats = any(isinstance(k, (np.ndarray, list)) for k in parts)
 
     def bw(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
+        gx = np.zeros_like(x.data)
         if repeats:
-            np.add.at(x.grad, key, g)
+            np.add.at(gx, key, g)
         else:
-            x.grad[key] += g
+            gx[key] = g
+        _accum(x, gx)
 
     return _result(out_data, (x,), bw, "slice")
 
@@ -484,7 +487,7 @@ def tsum(x: Tensor) -> Tensor:
     out_data = np.asarray(x.data.sum(), dtype=x.dtype)
 
     def bw(g):
-        _accum(x, np.full_like(x.data, g))
+        _accum(x, np.broadcast_to(g, x.shape))
 
     return _result(out_data, (x,), bw, "sum")
 
@@ -513,6 +516,7 @@ def backward(loss: Tensor) -> None:
             if id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
+    loss.grad.flags.writeable = False
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

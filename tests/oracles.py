@@ -211,6 +211,18 @@ def reference_encoder_layer(x, w, gamma, beta, running_mean, running_var,
     return out, grads, running_mean, running_var
 
 
+def reference_accum(t, g):
+    """tensor._accum as first written: the first gradient is copied and a
+    later one is added in place. The copy-free, read-only _accum must match
+    it bit for bit."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.array(g, dtype=t.data.dtype)
+    else:
+        t.grad += g
+
+
 def reference_adam_step(params, state, lr):
     """Bias-corrected Adam with a new array for every operation, the update
     as first written; the in-place training.adam_step must match it bit for

@@ -243,6 +243,20 @@ def test_ablate_sorted_by_overall(small_dataset):
     assert accs == sorted(accs, reverse=True)
 
 
+def test_ablate_identity_pretrains_without_scaling(small_dataset, monkeypatch):
+    seen = []
+
+    def spy(ds, cfg, **kw):
+        seen.append(cfg.transform_spec())
+        return pretrain(ds, cfg, **kw)
+
+    monkeypatch.setattr(evaluation, "pretrain", spy)
+    rows = ablate_transforms(small_dataset, small_dataset, tiny_cfg(epochs=1),
+                             ["identity"])
+    assert [r["transform"] for r in rows] == ["identity"]
+    assert [(s.kind, s.scale_range) for s in seen] == [("scale", (1.0, 1.0))]
+
+
 def test_ablate_empty_list_rejected(small_dataset):
     with pytest.raises(ValueError):
         ablate_transforms(small_dataset, small_dataset, tiny_cfg(), [])

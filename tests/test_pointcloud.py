@@ -153,6 +153,20 @@ def test_binary_truncated_names_offset(tmp_path, small_dataset):
     assert "byte offset" in str(ei.value)
 
 
+def test_failed_save_keeps_previous_file(tmp_path, seg_dataset):
+    path = tmp_path / "ds.pcds"
+    save_dataset(seg_dataset, path)
+    before = path.read_bytes()
+    unlabeled = PointCloud(points=seg_dataset[1].points, class_label=0, id=1)
+    bad = pcm.Dataset(samples=[seg_dataset[0], unlabeled],
+                      num_classes=seg_dataset.num_classes, num_parts=seg_dataset.num_parts)
+    with pytest.raises(ValueError, match="no point labels"):
+        save_dataset(bad, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.pcds"]
+    assert len(load_dataset(path)) == len(seg_dataset)
+
+
 def test_binary_bad_magic(tmp_path):
     (tmp_path / "bad.pcds").write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ParseError):

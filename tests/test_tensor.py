@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from pointcl import tensor as T
+from pointcl import models, tensor as T, training
+from pointcl.losses import LossConfig
 from pointcl.tensor import Tensor
+from pointcl.training import TrainConfig, pretrain
 
-from oracles import (finite_difference_grads, max_rel_error, reference_cross_entropy,
-                     reference_encoder_layer)
+from oracles import (finite_difference_grads, max_rel_error, reference_accum,
+                     reference_cross_entropy, reference_encoder_layer)
 
 
 def test_linear_identity_weights():
@@ -528,6 +530,78 @@ def test_shared_gradient_is_not_aliased():
     T.backward(T.tsum(T.add(T.add(a, b), a)))
     assert (a.grad == 2.0).all()
     assert (b.grad == 1.0).all()
+
+
+def _tape(loss):
+    """Every tensor reachable from loss, loss included."""
+    seen, stack = {}, [loss]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen[id(t)] = t
+            stack.extend(t._parents)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("objective", ["cls", "seg"])
+def test_stored_gradients_are_read_only(objective):
+    rng = np.random.default_rng(5)
+    cfg = TrainConfig(pairs_per_batch=3, points_per_cloud=6, encoder_widths=[6, 8, 10],
+                      head_widths=[6, 4], seg_widths=[6, 4], dropout_rate=0.5,
+                      loss=LossConfig(symmetric=True, exclude_positive=True))
+    model = models.ModelParams.create(rng, encoder_widths=cfg.encoder_widths,
+                                      head_widths=cfg.head_widths,
+                                      seg_widths=cfg.seg_widths, with_seg=True,
+                                      dropout_rate=cfg.dropout_rate)
+    loss = training._forward_loss(model, rng.normal(size=(3, 6, 3)),
+                                  rng.normal(size=(3, 6, 3)), cfg, rng, objective)
+    T.backward(loss)
+    stored = [t for t in _tape(loss) if t.grad is not None]
+    assert len(stored) > 20
+    assert [t._op for t in stored if t.grad.flags.writeable] == []
+
+
+def test_first_gradient_is_not_copied():
+    x = Tensor(np.arange(6.0), requires_grad=True)
+    y = T.reshape(x, (2, 3))
+    T.backward(T.tsum(T.scale(y, 3.0)))
+    assert np.shares_memory(x.grad, y.grad)
+    assert (x.grad == 3.0).all()
+
+
+def test_backward_writing_its_incoming_gradient_raises():
+    x = Tensor(np.ones(3), requires_grad=True)
+
+    def bw(g):
+        g *= 2
+        T._accum(x, g)
+
+    doubled = T._result(x.data * 2, (x,), bw, "double_in_place")
+    with pytest.raises(ValueError, match="read-only"):
+        T.backward(T.tsum(T.scale(doubled, 1.0)))
+
+
+@pytest.mark.parametrize("objective, transform, loss, pairs, epochs", [
+    ("cls", "rotate:y:180", LossConfig(), 8, 5),
+    ("cls", "rotate:y:180", LossConfig(symmetric=True, exclude_positive=True), 8, 5),
+    ("seg", "smooth", LossConfig(), 4, 10),
+], ids=["cls", "cls-symmetric-exclude-positive", "seg-smooth"])
+def test_accum_matches_copying_reference_bytes(tmp_path, monkeypatch, small_dataset,
+                                               seg_dataset, objective, transform, loss,
+                                               pairs, epochs):
+    """A fixed-seed 50-step pretrain writes the same bytes with the copy-free
+    _accum as with the copying reference."""
+    ds = small_dataset if objective == "cls" else seg_dataset
+    cfg = TrainConfig(pairs_per_batch=pairs, epochs=epochs, points_per_cloud=32,
+                      encoder_widths=[8, 16], head_widths=[8, 4], seg_widths=[8, 4],
+                      seed=7, dropout_rate=0.5, transform=transform, loss=loss)
+    _, records = pretrain(ds, cfg, objective, out_dir=str(tmp_path / "kept"))
+    assert len(records) == 50
+    monkeypatch.setattr(T, "_accum", reference_accum)
+    pretrain(ds, cfg, objective, out_dir=str(tmp_path / "reference"))
+    for name in ("checkpoint_final.pclm", "loss_curve.csv"):
+        assert ((tmp_path / "kept" / name).read_bytes()
+                == (tmp_path / "reference" / name).read_bytes()), name
 
 
 def _copy_layer(x, w, bn):
