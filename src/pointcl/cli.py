@@ -18,8 +18,8 @@ import numpy as np
 
 from . import evaluation, models
 from .losses import LossConfig
-from .pointcloud import (ParseError, SyntheticSpec, SHAPE_CLASSES,
-                         generate_synthetic_dataset, load_dataset, save_dataset)
+from .pointcloud import (ParseError, SyntheticSpec, generate_synthetic_dataset,
+                         load_dataset, save_dataset)
 from .training import TrainConfig, pretrain
 from .transforms import parse_transform
 
@@ -185,9 +185,6 @@ def build_parser():
 
 def cmd_gen_data(args):
     classes = [c.strip() for c in args.classes.split(",") if c.strip()]
-    for c in classes:
-        if c not in SHAPE_CLASSES:
-            raise ConfigError(f"unknown class {c!r}; choose from {sorted(SHAPE_CLASSES)}")
     spec = SyntheticSpec(classes=classes, per_class=args.per_class,
                          points_per_cloud=args.points, with_parts=args.with_parts,
                          split=args.split)
@@ -296,6 +293,11 @@ def _emit_report(rows, out_dir, name):
     print(text, end="")
 
 
+_COMMANDS = {"pretrain": cmd_pretrain, "probe": cmd_probe, "finetune": cmd_finetune,
+             "segment": cmd_segment, "ablate": cmd_ablate,
+             "export-features": cmd_export_features}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = getattr(args, "out", None)
@@ -307,18 +309,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         if out_dir:
             write_resolved_config(cfg, out_dir)
-        if args.command == "pretrain":
-            cmd_pretrain(args, cfg)
-        elif args.command == "probe":
-            cmd_probe(args, cfg)
-        elif args.command == "finetune":
-            cmd_finetune(args, cfg)
-        elif args.command == "segment":
-            cmd_segment(args, cfg)
-        elif args.command == "ablate":
-            cmd_ablate(args, cfg)
-        elif args.command == "export-features":
-            cmd_export_features(args, cfg)
+        _COMMANDS[args.command](args, cfg)
         if failed_marker and os.path.exists(failed_marker):
             os.remove(failed_marker)
         return 0

@@ -4,15 +4,14 @@ transformation ablation harness."""
 
 from __future__ import annotations
 
-import copy
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import models, tensor as T
 from .models import DenseLayer, ModelParams
-from .pointcloud import Dataset, sample_points
+from .pointcloud import Dataset, sample_stack
 from .training import AdamState, TrainConfig, adam_step, pretrain
 from .transforms import parse_transform
 
@@ -70,13 +69,11 @@ def classification_metrics(pred, gt, num_classes, tags=None) -> Metrics:
     gt = np.asarray(gt)
     overall = float((pred == gt).mean())
     per_class = {}
-    accs = []
     for c in range(num_classes):
         mask = gt == c
         if mask.any():
-            acc = float((pred[mask] == c).mean())
-            per_class[c] = acc
-            accs.append(acc)
+            per_class[c] = float((pred[mask] == c).mean())
+    accs = list(per_class.values())
     return Metrics(overall_accuracy=overall,
                    mean_class_accuracy=float(np.mean(accs)) if accs else 0.0,
                    per_class=per_class, tags=tags or {})
@@ -89,6 +86,19 @@ def classification_metrics(pred, gt, num_classes, tags=None) -> Metrics:
 _EVAL_BATCH = 32  # clouds per models.encode call when extracting features
 
 
+def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed, embed):
+    """Sample every cloud of ds in order, then embed(global, per_point) in eval
+    mode over _EVAL_BATCH clouds at a time. Returns (features [S, ...], point
+    labels [S, N] or None, class labels [S])."""
+    points, labels = sample_stack(ds.samples, points_per_cloud,
+                                  np.random.default_rng(seed))
+    out = []
+    for i in range(0, len(points), _EVAL_BATCH):
+        g, pp = models.encode(points[i:i + _EVAL_BATCH], model.encoder, training=False)
+        out.append(embed(g, pp).data)
+    return np.concatenate(out), labels, np.array([p.class_label for p in ds.samples])
+
+
 def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
                      seed: int = 0, source: str = "encoder"):
     """Eval-mode features for every sample: the pooled global feature
@@ -96,17 +106,12 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
     (source='head'). Returns (features [S, D], labels [S])."""
     if source not in ("encoder", "head"):
         raise ValueError(f"feature source must be 'encoder' or 'head', got {source!r}")
-    rng = np.random.default_rng(seed)
-    clouds = [sample_points(p, points_per_cloud, rng).points for p in ds.samples]
-    labels = np.array([p.class_label for p in ds.samples])
-    feats = []
-    for i in range(0, len(clouds), _EVAL_BATCH):
-        batch = np.stack(clouds[i:i + _EVAL_BATCH])
-        g, _ = models.encode(batch, model.encoder, training=False)
-        if source == "head":
-            g = models.project(g, model.head, training=False)
-        feats.append(g.data.copy())
-    return np.concatenate(feats), labels
+
+    def embed(g, pp):
+        return models.project(g, model.head, training=False) if source == "head" else g
+
+    feats, _, labels = _features(model, ds, points_per_cloud, seed, embed)
+    return feats, labels
 
 
 def fit_probe(train_feats, train_labels, num_classes, epochs=100,
@@ -174,17 +179,9 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
         encoder_widths=pretrained.encoder.widths,
         head_widths=list(pretrained.head.widths[:-1]) + [num_classes],
         dropout_rate=cfg.dropout_rate)
-    # copy pretrained encoder weights
-    for dst, src in zip(sup.encoder.params(), pretrained.encoder.params()):
-        dst.data = src.data.copy()
-    for dl, sl in zip(sup.encoder.layers, pretrained.encoder.layers):
-        dl.bn.running_mean = sl.bn.running_mean.copy()
-        dl.bn.running_var = sl.bn.running_var.copy()
-    if init_head:
-        # all head layers except the final class-count affine
-        for dst_l, src_l in zip(sup.head.layers[:-1], pretrained.head.layers[:-1]):
-            dst_l.w.data = src_l.w.data.copy()
-            dst_l.b.data = src_l.b.data.copy()
+    sup.encoder = pretrained.encoder  # weights and batch-norm statistics
+    if init_head:  # all head layers but the final class-count affine
+        sup.head.layers[:-1] = pretrained.head.layers[:-1]
     return _supervised_fit_eval(sup, train_ds, test_ds, cfg, finetune_epochs,
                                 rng, tags={"protocol": "finetune",
                                            "head_init": init_head, **(tags or {})})
@@ -212,23 +209,20 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
     for epoch in range(epochs):
         for _ in range(steps_per_epoch):
             idx = rng.choice(len(train_ds), size=min(bs, len(train_ds)), replace=False)
-            batch = np.stack([sample_points(train_ds[int(i)], cfg.points_per_cloud,
-                                            rng).points for i in idx])
+            batch, _ = sample_stack([train_ds[int(i)] for i in idx],
+                                    cfg.points_per_cloud, rng)
             loss, _ = _supervised_forward(sup, batch, labels_all[idx], True, rng)
             T.backward(loss)
             adam_step(params, opt, cfg.lr_init)
-    # evaluate
-    preds, gts = [], []
-    for i in range(0, len(test_ds), bs):
-        chunk = test_ds.samples[i:i + bs]
-        batch = np.stack([sample_points(p, cfg.points_per_cloud, rng).points
-                          for p in chunk])
-        y = np.array([p.class_label for p in chunk])
-        _, logits = _supervised_forward(sup, batch, y, False, rng)
+    # evaluate; an eval-mode forward draws nothing from rng
+    points, _ = sample_stack(test_ds.samples, cfg.points_per_cloud, rng)
+    gts = np.array([p.class_label for p in test_ds.samples])
+    preds = []
+    for i in range(0, len(gts), bs):
+        _, logits = _supervised_forward(sup, points[i:i + bs], gts[i:i + bs], False, rng)
         preds.append(logits.data.argmax(axis=1))
-        gts.append(y)
-    return classification_metrics(np.concatenate(preds), np.concatenate(gts),
-                                  test_ds.num_classes, tags=tags)
+    return classification_metrics(np.concatenate(preds), gts, test_ds.num_classes,
+                                  tags=tags)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +269,7 @@ def segmentation_metrics(preds, gts, classes, parts_per_class, tags=None) -> Met
     per_class_ious: dict = {}
     correct = total = 0
     for pred, gt, cls in zip(preds, gts, classes):
-        parts = parts_per_class[cls]
-        iou = shape_miou(pred, gt, parts)
+        iou = shape_miou(pred, gt, parts_per_class[cls])
         shape_ious.append(iou)
         per_class_ious.setdefault(cls, []).append(iou)
         correct += int((np.asarray(pred) == np.asarray(gt)).sum())
@@ -292,20 +285,10 @@ def segmentation_metrics(preds, gts, classes, parts_per_class, tags=None) -> Met
 
 def extract_point_features(model: ModelParams, ds: Dataset, points_per_cloud,
                            seed=0):
-    """Eval-mode per-point embeddings and labels for every sample.
-
-    Every cloud is sampled first, in dataset order, then encoded
-    _EVAL_BATCH clouds at a time.
-    """
-    rng = np.random.default_rng(seed)
-    sampled = [sample_points(p, points_per_cloud, rng) for p in ds.samples]
-    feats = []
-    for i in range(0, len(sampled), _EVAL_BATCH):
-        batch = np.stack([q.points for q in sampled[i:i + _EVAL_BATCH]])
-        g, pp = models.encode(batch, model.encoder, training=False)
-        feats.extend(models.segment_embed(pp, g, model.seg, training=False).data)
-    return (feats, [q.point_labels for q in sampled],
-            [q.class_label for q in sampled])
+    """Eval-mode per-point embeddings [S, N, D], point labels [S, N] (None
+    unless every sample has them) and class labels [S]."""
+    return _features(model, ds, points_per_cloud, seed,
+                     lambda g, pp: models.segment_embed(pp, g, model.seg, training=False))
 
 
 def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:
@@ -328,12 +311,14 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
         raise ValueError("model has no segmentation branch")
     tr_f, tr_y, _ = extract_point_features(model, train_ds, points_per_cloud, seed)
     te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
-    probe = fit_probe(np.concatenate(tr_f), np.concatenate(tr_y),
+    probe = fit_probe(tr_f.reshape(-1, tr_f.shape[-1]), tr_y.reshape(-1),
                       train_ds.num_parts, epochs=probe_epochs)
+    # One predict per cloud: BLAS rounds a [S*N, D] product differently for
+    # many feature and part counts, and that can move a tied argmax.
     preds = [probe_predict(probe, f) for f in te_f]
     ppc = test_ds.parts_per_class or {
         c: list(range(test_ds.num_parts)) for c in set(te_c)}
-    return segmentation_metrics(preds, te_y, te_c, ppc,
+    return segmentation_metrics(preds, te_y, te_c.tolist(), ppc,
                                 tags={"protocol": "segmentation", **(tags or {})})
 
 
@@ -351,9 +336,7 @@ def ablate_transforms(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     rows = []
     for name in transform_names:
         parse_transform(name)  # validate before the run
-        run_cfg = copy.deepcopy(cfg)
-        run_cfg.transform = name
-        model, _ = pretrain(train_ds, run_cfg, objective="cls")
+        model, _ = pretrain(train_ds, replace(cfg, transform=name), objective="cls")
         m, _, _ = linear_probe_eval(model, train_ds, test_ds,
                                     points_per_cloud=cfg.points_per_cloud,
                                     seed=cfg.seed)
@@ -367,12 +350,10 @@ def ablate_transforms(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
 def write_report_csv(rows, path):
     if not rows:
         return
-    keys = list(rows[0].keys())
     with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=keys)
+        w = csv.DictWriter(f, fieldnames=list(rows[0]))
         w.writeheader()
-        for r in rows:
-            w.writerow(r)
+        w.writerows(rows)
 
 
 def format_report(rows) -> str:

@@ -15,6 +15,7 @@ __all__ = [
     "ParseError",
     "normalize_unit_sphere",
     "sample_points",
+    "sample_stack",
     "SyntheticSpec",
     "SHAPE_CLASSES",
     "generate_synthetic_dataset",
@@ -77,11 +78,25 @@ def normalize_unit_sphere(p: PointCloud) -> PointCloud:
     return replace(p, points=pts.astype(np.float32))
 
 
+def sample_stack(clouds, n_out: int, rng: np.random.Generator):
+    """Resample each cloud to n_out points, without replacement when possible:
+    one rng.choice per cloud, in order. Returns float32 points [S, n_out, 3]
+    and point labels [S, n_out], or None unless every cloud has labels."""
+    points = np.empty((len(clouds), n_out, 3), dtype=np.float32)
+    labels = (np.empty((len(clouds), n_out), dtype=np.int64)
+              if all(p.point_labels is not None for p in clouds) else None)
+    for s, p in enumerate(clouds):
+        idx = rng.choice(p.n, size=n_out, replace=p.n < n_out)
+        points[s] = p.points[idx]
+        if labels is not None:
+            labels[s] = p.point_labels[idx]
+    return points, labels
+
+
 def sample_points(p: PointCloud, n_out: int, rng: np.random.Generator) -> PointCloud:
-    """Resample to exactly n_out points; without replacement when possible."""
-    idx = rng.choice(p.n, size=n_out, replace=p.n < n_out)
-    labels = p.point_labels[idx] if p.point_labels is not None else None
-    return replace(p, points=p.points[idx].copy(), point_labels=labels)
+    """sample_stack of one cloud."""
+    points, labels = sample_stack([p], n_out, rng)
+    return replace(p, points=points[0], point_labels=None if labels is None else labels[0])
 
 
 # ---------------------------------------------------------------------------

@@ -232,12 +232,21 @@ def linear_points_global(p: Tensor, g: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (p, g, w, b), bw, "linear_points_global")
 
 
+def _first_at_max(x, m):
+    """[B, D] index of the first point at the max m [B, D] of x [B, N, D]: the
+    largest weight N - n among the points not below m, a few times cheaper
+    than an argmax over the strided point axis. A NaN max gives point 0."""
+    n = x.shape[1]
+    rev = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))
+    return n - (~(x < m[:, None, :]) * rev[:, None]).max(axis=1)
+
+
 def max_pool_points(x: Tensor) -> Tensor:
     """Max over the point axis: [B,N,D] -> [B,D].
 
-    Gradient routes to the first argmax per (b, d); ties broken by index.
-    The argmax is found in backward, so a pass that never differentiates
-    pays for the max alone.
+    Gradient routes to the first point at the max per (b, d) (_first_at_max),
+    found in backward, so a pass that never differentiates pays for the max
+    alone.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"max_pool_points: expected [B,N,D], got {x.shape}")
@@ -246,9 +255,9 @@ def max_pool_points(x: Tensor) -> Tensor:
     out_data = np.max(x.data, axis=1)
 
     def bw(g):
-        idx = np.argmax(x.data, axis=1)[:, None, :]  # first occurrence on ties
         gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx, g[:, None, :], axis=1)
+        np.put_along_axis(gx, _first_at_max(x.data, out_data)[:, None, :],
+                          g[:, None, :], axis=1)
         _accum(x, gx)
 
     return _result(out_data, (x,), bw, "max_pool_points")
@@ -354,11 +363,7 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
 
     def bw(g):
         B = g.shape[0]
-        # The first point at the max has the largest weight N - n among the
-        # points not below it, a few times cheaper to find than an argmax
-        # over the strided point axis. A NaN max routes to point 0.
-        rev = np.arange(n_points, 0, -1, dtype=np.min_scalar_type(n_points))
-        first = n_points - (~(out3 < pooled[:, None, :]) * rev[:, None]).max(axis=1)
+        first = _first_at_max(out3, pooled)
         at = ((first + n_points * np.arange(B)[:, None]) * D + np.arange(D)).ravel()
         gp = g * (pooled > 0)
         dgamma = np.einsum("ij,ij->j", gp, xhat.reshape(-1)[at].reshape(B, D))
@@ -496,7 +501,8 @@ def backward(loss: Tensor) -> None:
     """Populate .grad of every requires_grad tensor reachable from loss.
 
     loss must be a scalar. Walks the recorded graph in reverse topological
-    order; each node's local backward accumulates into its parents.
+    order; each node's local backward accumulates into its parents. Leaf
+    gradients add up over calls; intermediate ones are reset first.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -511,6 +517,8 @@ def backward(loss: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        if node._backward is not None:  # an earlier call's gradient; leaves keep theirs
+            node.grad = None
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import models, tensor as T
 from .losses import LossConfig, contrastive_loss_cls, contrastive_loss_seg
-from .pointcloud import Dataset, sample_points
+from .pointcloud import Dataset, sample_stack
 from .transforms import TransformSpec, parse_transform, transform_stack
 
 __all__ = [
@@ -62,8 +62,9 @@ class TrainConfig:
 class AdamState:
     """First/second moment buffers and step counter for one parameter list."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params):
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
@@ -114,8 +115,7 @@ def build_batch(ds: Dataset, cfg: TrainConfig, rng: np.random.Generator,
     if len(ds) < n:
         raise ValueError(f"dataset of {len(ds)} samples < batch of {n} pairs")
     idx = rng.choice(len(ds), size=n, replace=False)
-    orig = np.stack([sample_points(ds[int(i)], cfg.points_per_cloud, rng).points
-                     for i in idx])
+    orig, _ = sample_stack([ds[int(i)] for i in idx], cfg.points_per_cloud, rng)
     trans, _ = transform_stack(orig, spec or cfg.transform_spec(), rng)
     if cfg.jitter_augment:
         jitter = TransformSpec(kind="jitter")
@@ -237,8 +237,7 @@ def save_train_checkpoint(model, opt: AdamState, rng: np.random.Generator,
                           step: int, path) -> None:
     extra = {
         "step": step,
-        "adam": {"beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps,
-                 "step_count": opt.step_count},
+        "adam": {"step_count": opt.step_count},
         "rng_state": rng.bit_generator.state,
     }
     models.save_checkpoint(model, path, extra=extra, tensors=opt.m + opt.v)
@@ -246,16 +245,21 @@ def save_train_checkpoint(model, opt: AdamState, rng: np.random.Generator,
 
 def load_train_checkpoint(path):
     model, extra = models.load_checkpoint(path)
-    if "step" not in extra:
-        raise models.CheckpointError(f"{path}: not a training checkpoint")
+    if type(extra.get("step")) is not int:
+        raise models.CheckpointError(f"{path}: not a training checkpoint ('step')")
     params = model.params()
     moments = extra.get("tensors", [])
     if [a.shape for a in moments] != [p.data.shape for p in params] * 2:
         raise models.CheckpointError(f"{path}: Adam moments do not match the model")
-    adam = extra["adam"]
-    opt = AdamState(params, beta1=adam["beta1"], beta2=adam["beta2"], eps=adam["eps"])
+    adam = extra.get("adam")
+    if not (isinstance(adam, dict) and type(adam.get("step_count")) is int):
+        raise models.CheckpointError(f"{path}: bad header: 'adam' is {adam!r}")
+    opt = AdamState(params)
     opt.step_count = adam["step_count"]
     opt.m, opt.v = moments[:len(params)], moments[len(params):]
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = extra["rng_state"]
+    try:
+        rng.bit_generator.state = extra.get("rng_state")
+    except (KeyError, TypeError, ValueError) as e:
+        raise models.CheckpointError(f"{path}: bad header: 'rng_state': {e!r}") from e
     return model, opt, rng, extra["step"]

@@ -240,3 +240,18 @@ def reference_adam_step(params, state, lr):
         vhat = state.v[i] / (1 - b2 ** t)
         p.data = p.data - lr * mhat / (np.sqrt(vhat) + state.eps)
         p.grad = None
+
+
+def reference_sample_stack(clouds, n_out, rng):
+    """Per-cloud resampling as first written: one rng.choice per cloud in
+    order, a copy of the chosen points and labels, then np.stack. Returns
+    (points [S, n_out, 3], labels [S, n_out] or None unless every cloud has
+    labels); pointcloud.sample_stack must match its bytes and rng state."""
+    points, labels = [], []
+    for p in clouds:
+        idx = rng.choice(p.n, size=n_out, replace=p.n < n_out)
+        points.append(p.points[idx].copy())
+        labels.append(None if p.point_labels is None else p.point_labels[idx])
+    if any(lab is None for lab in labels):
+        return np.stack(points), None
+    return np.stack(points), np.stack(labels)

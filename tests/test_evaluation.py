@@ -14,7 +14,7 @@ from pointcl.pointcloud import (SyntheticSpec, generate_synthetic_dataset,
                                 load_dataset, sample_points, save_dataset)
 from pointcl.training import TrainConfig, pretrain
 
-from oracles import brute_force_iou, reference_probe_fit
+from oracles import brute_force_iou, reference_probe_fit, reference_sample_stack
 
 
 def tiny_cfg(**kw):
@@ -199,6 +199,7 @@ def test_point_features_batched_match_per_cloud_loop():
     feats, labels, classes = evaluation.extract_point_features(model, ds, 32, seed=9)
     rng = np.random.default_rng(9)
     assert len(feats) == len(ds)
+    assert (feats.shape, labels.shape, classes.shape) == ((40, 32, 4), (40, 32), (40,))
     for p, f, y, c in zip(ds.samples, feats, labels, classes):
         q = sample_points(p, 32, rng)
         g, pp = models.encode(q.points[None], model.encoder, training=False)
@@ -207,6 +208,31 @@ def test_point_features_batched_match_per_cloud_loop():
         assert np.allclose(f, z, rtol=0, atol=1e-6)
         assert np.array_equal(y, q.point_labels)
         assert c == q.class_label
+
+
+@pytest.mark.parametrize("protocol", ["probe", "segmentation", "supervised"])
+def test_evaluation_equals_per_cloud_sampler(monkeypatch, seg_dataset, protocol):
+    """Each protocol gives the metrics (and probe predictions) it gave when
+    every cloud was resampled on its own and stacked."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+
+    def run():
+        if protocol == "probe":
+            m, pred, gt = linear_probe_eval(model, seg_dataset, seg_dataset,
+                                            points_per_cloud=32, probe_epochs=20, seed=2)
+            return m, pred.tolist(), gt.tolist()
+        if protocol == "segmentation":
+            return segmentation_eval(model, seg_dataset, seg_dataset,
+                                     points_per_cloud=32, probe_epochs=20, seed=2)
+        return supervised_baseline_eval(seg_dataset, seg_dataset, tiny_cfg(), epochs=2,
+                                        seed=3)
+
+    stacked = run()
+    monkeypatch.setattr(evaluation, "sample_stack", reference_sample_stack)
+    assert run() == stacked
+    if protocol == "segmentation":  # keys stay Python ints, as JSON needs
+        assert {type(c) for c in stacked.per_class} == {int}
 
 
 def test_segmentation_eval_needs_labels(small_dataset, seg_dataset):

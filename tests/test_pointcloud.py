@@ -7,9 +7,9 @@ from pointcl import pointcloud as pcm
 from pointcl.pointcloud import (PointCloud, SyntheticSpec, ParseError,
                                 generate_synthetic_dataset, load_dataset,
                                 normalize_unit_sphere, sample_points,
-                                save_dataset)
+                                sample_stack, save_dataset)
 
-from oracles import reference_gen_cube
+from oracles import reference_gen_cube, reference_sample_stack
 
 
 def test_normalize_symmetric_pair():
@@ -65,6 +65,47 @@ def test_sample_carries_labels(rng):
     out = sample_points(p, 4, rng)
     for pt, lab in zip(out.points, out.point_labels):
         assert (pt == p.points[lab]).all()
+
+
+def _clouds(labeled, sizes=(5, 40, 64, 17, 64)):
+    r = np.random.default_rng(0)
+    return [PointCloud(points=r.normal(size=(n, 3)), class_label=i % 2,
+                       point_labels=r.integers(0, 4, size=n) if labeled else None)
+            for i, n in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+@pytest.mark.parametrize("n_out", [4, 16, 64, 100])
+def test_sample_stack_matches_per_cloud_reference(labeled, n_out):
+    """Down-, up- and mixed resampling: the bytes of the per-cloud loop, and
+    the same rng state after it."""
+    clouds = _clouds(labeled)
+    rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
+    points, labels = sample_stack(clouds, n_out, rng)
+    ref_points, ref_labels = reference_sample_stack(clouds, n_out, ref_rng)
+    assert points.dtype == np.float32 and points.shape == (len(clouds), n_out, 3)
+    assert points.tobytes() == ref_points.tobytes()
+    if labeled:
+        assert labels.dtype == np.int64 and labels.shape == (len(clouds), n_out)
+        assert labels.tobytes() == ref_labels.tobytes()
+    else:
+        assert labels is None and ref_labels is None
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_stack_labels_need_every_cloud_labeled():
+    clouds = _clouds(True)
+    clouds[2].point_labels = None
+    points, labels = sample_stack(clouds, 8, np.random.default_rng(0))
+    assert points.shape == (5, 8, 3) and labels is None
+
+
+def test_sample_points_is_the_one_cloud_stack():
+    p = _clouds(True)[1]
+    q = sample_points(p, 24, np.random.default_rng(5))
+    points, labels = sample_stack([p], 24, np.random.default_rng(5))
+    assert np.array_equal(q.points, points[0]) and np.array_equal(q.point_labels, labels[0])
+    assert (q.class_label, q.id) == (p.class_label, p.id)
 
 
 def test_point_labels_length_checked():

@@ -130,6 +130,41 @@ def test_max_pool_tie_routes_first():
     assert np.allclose(x.grad[0, :, 0], [1.0, 0.0])
 
 
+def test_max_pools_route_ties_and_nan_columns_alike():
+    """Both pools send a column's gradient to its first point at the max,
+    and a NaN column's to point 0. Cloud 0 ties in both columns; cloud 1 has
+    two NaN points, so both its columns are NaN."""
+    nan = np.nan
+    clouds = np.array([[[1.0, 0.5], [3.0, 1.0], [3.0, 2.0], [0.0, 2.0]],
+                       [[1.0, 1.0], [nan, nan], [2.0, 2.0], [nan, nan]]])
+    routed = np.zeros((2, 4, 2))
+    routed[0, 1, 0] = routed[0, 2, 1] = routed[1, 0, 0] = routed[1, 0, 1] = 1.0
+    x = Tensor(clouds, dtype=np.float64, requires_grad=True)
+    T.backward(T.tsum(T.max_pool_points(x)))
+    np.testing.assert_array_equal(x.grad, routed)
+    # Fused, in eval mode with an identity weight and batch norm: the x
+    # gradient is a times the pooled one at the routed point. A NaN column's
+    # pooled gradient is 0 (relu mask), so only its dgamma, 0 times xhat at
+    # the routed point, shows the route: 0 at point 0, NaN at a NaN point.
+    x = Tensor(clouds.reshape(8, 2), dtype=np.float64, requires_grad=True)
+    bn = T.BNState(2, dtype=np.float64)
+    T.backward(T.tsum(T.shared_mlp_max_pool(x, Tensor(np.eye(2)), bn, 0.9, False, 4)))
+    a = 1.0 / np.sqrt(1.0 + T._BN_EPS)
+    want = a * routed
+    want[1] = 0.0  # cloud 1's pooled gradient is masked out
+    np.testing.assert_array_equal(x.grad.reshape(2, 4, 2), want)
+    np.testing.assert_array_equal(bn.gamma.grad, [3.0 * a, 2.0 * a])
+
+
+def test_max_pool_gradient_goes_to_argmax_on_finite_ties():
+    r = np.random.default_rng(0).integers(0, 3, size=(4, 6, 5)).astype(float)
+    x = Tensor(r, requires_grad=True)
+    T.backward(T.tsum(T.max_pool_points(x)))
+    want = np.zeros_like(r)
+    np.put_along_axis(want, r.argmax(axis=1)[:, None], 1.0, axis=1)
+    assert np.array_equal(x.grad, want)
+
+
 def _bn_layer(x, state, momentum, training):
     """shared_mlp with an identity weight: relu(batch_norm(x))."""
     x = np.asarray(x, dtype=np.float64)
@@ -271,6 +306,26 @@ def test_backward_square():
     x = Tensor([1.0, 2.0], requires_grad=True)
     T.backward(T.tsum(T.mul(x, x)))
     assert np.allclose(x.grad, [2.0, 4.0])
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_second_backward_doubles_leaf_gradient(depth):
+    """Leaf gradients add up over two calls on one graph; the intermediate
+    ones are reset first, so a chain of one or three nodes below the loss
+    adds the first call's gradient once, not again on the way down."""
+    x = Tensor(np.array([-1.0, 0.5, 2.0]), dtype=np.float64, requires_grad=True)
+    chain = [T.relu(x)]
+    if depth == 3:
+        chain.append(T.scale(chain[-1], 3.0))
+        chain.append(T.mul(chain[-1], Tensor(np.array([0.5, -2.0, 1.5]))))
+    loss = T.tsum(chain[-1])
+    T.backward(loss)
+    first = x.grad.copy()
+    inner = [t.grad.copy() for t in chain]
+    assert first[0] == 0 and (first[1:] != 0).all()
+    T.backward(loss)
+    assert np.array_equal(x.grad, 2 * first)
+    assert all(np.array_equal(t.grad, g) for t, g in zip(chain, inner))
 
 
 def test_backward_nonscalar_rejected():

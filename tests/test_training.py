@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -12,7 +13,8 @@ from pointcl.training import (AdamState, TrainConfig, adam_step, bn_schedule,
                               build_batch, load_train_checkpoint, lr_schedule,
                               pretrain, save_train_checkpoint)
 
-from oracles import finite_difference_grads, max_rel_error, reference_adam_step
+from oracles import (finite_difference_grads, max_rel_error, reference_adam_step,
+                     reference_sample_stack)
 
 
 def tiny_cfg(**kw):
@@ -256,10 +258,63 @@ def test_train_checkpoint_moments_are_binary(tmp_path, train_ckpt):
     data = train_ckpt.read_bytes()
     (hlen,) = struct.unpack("<I", data[6:10])
     header = json.loads(data[10:10 + hlen])
-    assert set(header["extra"]["adam"]) == {"beta1", "beta2", "eps", "step_count"}
+    assert set(header["extra"]["adam"]) == {"step_count"}
     (mlen,) = struct.unpack("<I", model_only.read_bytes()[6:10])
     assert (len(data) - 10 - hlen
             == model_only.stat().st_size - 10 - mlen + _tensor_bytes(opt.m + opt.v))
+
+
+def _edit_extra(src, dst, edit):
+    """Write src to dst with edit applied to its header's extra dict."""
+    data = src.read_bytes()
+    (hlen,) = struct.unpack("<I", data[6:10])
+    header = json.loads(data[10:10 + hlen])
+    edit(header["extra"])
+    blob = json.dumps(header).encode()
+    dst.write_bytes(data[:6] + struct.pack("<I", len(blob)) + blob + data[10 + hlen:])
+    return dst
+
+
+@pytest.mark.parametrize("edit", [lambda e: e.pop("adam"),
+                                  lambda e: e["adam"].pop("step_count"),
+                                  lambda e: e.update(adam=[3])],
+                         ids=["missing", "no-step-count", "not-a-dict"])
+def test_train_checkpoint_bad_adam_names_the_field(tmp_path, train_ckpt, edit):
+    bad = _edit_extra(train_ckpt, tmp_path / "bad.pclm", edit)
+    with pytest.raises(models.CheckpointError,
+                       match=re.escape(f"{bad}: bad header: 'adam'")):
+        load_train_checkpoint(bad)
+
+
+@pytest.mark.parametrize("edit", [lambda e: e.pop("rng_state"),
+                                  lambda e: e.update(rng_state="PCG64"),
+                                  lambda e: e["rng_state"].update(bit_generator="MT19937"),
+                                  lambda e: e["rng_state"].pop("state")],
+                         ids=["missing", "not-a-dict", "other-generator", "no-state"])
+def test_train_checkpoint_bad_rng_state_names_the_field(tmp_path, train_ckpt, edit):
+    bad = _edit_extra(train_ckpt, tmp_path / "bad.pclm", edit)
+    with pytest.raises(models.CheckpointError,
+                       match=re.escape(f"{bad}: bad header: 'rng_state'")):
+        load_train_checkpoint(bad)
+
+
+@pytest.mark.parametrize("step", [None, "1", 1.0])
+def test_train_checkpoint_bad_step_names_the_field(tmp_path, train_ckpt, step):
+    bad = _edit_extra(train_ckpt, tmp_path / "bad.pclm", lambda e: e.update(step=step))
+    with pytest.raises(models.CheckpointError,
+                       match=re.escape(f"{bad}: not a training checkpoint ('step')")):
+        load_train_checkpoint(bad)
+
+
+def test_train_checkpoint_with_adam_constants_still_loads(tmp_path, train_ckpt):
+    """Files written when the header also stored beta1, beta2 and eps."""
+    old = _edit_extra(train_ckpt, tmp_path / "old.pclm",
+                      lambda e: e["adam"].update(beta1=0.9, beta2=0.999, eps=1e-8))
+    _, opt, rng, step = load_train_checkpoint(old)
+    _, want_opt, want_rng, want_step = load_train_checkpoint(train_ckpt)
+    assert (opt.step_count, step) == (want_opt.step_count, want_step)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+    assert (opt.beta1, opt.beta2, opt.eps) == (0.9, 0.999, 1e-8)
 
 
 def test_truncated_train_checkpoint_raises(tmp_path, train_ckpt):
@@ -348,3 +403,16 @@ def test_run_failing_at_first_step_keeps_earlier_curve(tmp_path, small_dataset):
     with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="at step 0"):
         pretrain(ds, tiny_cfg(), out_dir=str(tmp_path))
     assert (tmp_path / "loss_curve.csv").read_bytes() == before
+
+
+@pytest.mark.parametrize("jitter", [False, True])
+def test_build_batch_equals_per_cloud_sampler(monkeypatch, seg_dataset, jitter):
+    """The batch bytes and the rng state after it, against every cloud
+    resampled on its own and stacked."""
+    cfg = tiny_cfg(jitter_augment=jitter, transform="crop")
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    batch = build_batch(seg_dataset, cfg, rng)
+    monkeypatch.setattr(training, "sample_stack", reference_sample_stack)
+    ref = build_batch(seg_dataset, cfg, ref_rng)
+    assert [a.tobytes() for a in batch] == [a.tobytes() for a in ref]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
