@@ -290,8 +290,11 @@ def load_dataset(path, format="packed-binary", split="train") -> Dataset:
                 if labels.max(initial=0) >= num_parts:
                     raise ParseError(f"{path}: sample {sid}: point label "
                                      f"{labels.max()} >= num_parts {num_parts}")
-            samples.append(PointCloud(points=coords.copy(), class_label=int(cls),
-                                      point_labels=labels, id=int(sid)))
+            try:  # no points, or a coordinate that is not finite
+                samples.append(PointCloud(points=coords.copy(), class_label=int(cls),
+                                          point_labels=labels, id=int(sid)))
+            except ValueError as e:
+                raise ParseError(f"{path}: sample {sid}: {e}") from None
     return Dataset(samples=samples, split=split, num_classes=num_classes,
                    num_parts=num_parts, parts_per_class=parts_per_class)
 
@@ -330,6 +333,7 @@ def load_dataset_xyz(path, split="train") -> Dataset:
     cur: list = []
     cur_class = None
     max_class = -1
+    f32_max = float(np.finfo(np.float32).max)
 
     def flush(sid):
         nonlocal cur, cur_class
@@ -358,8 +362,11 @@ def load_dataset_xyz(path, split="train") -> Dataset:
                 raise ParseError(f"{path}: line {lineno}: expected 3 coordinates, "
                                  f"got {len(toks)}")
             try:
-                cur.append([float(t) for t in toks])
+                xyz = [float(t) for t in toks]
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric coordinate in {s!r}")
+            if not all(abs(c) <= f32_max for c in xyz):  # a NaN fails too
+                raise ParseError(f"{path}: line {lineno}: non-finite float32 coordinate in {s!r}")
+            cur.append(xyz)
     flush(len(samples))
     return Dataset(samples=samples, split=split, num_classes=max_class + 1)

@@ -232,13 +232,17 @@ def linear_points_global(p: Tensor, g: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (p, g, w, b), bw, "linear_points_global")
 
 
-def _first_at_max(x, m):
-    """[B, D] index of the first point at the max m [B, D] of x [B, N, D]: the
-    largest weight N - n among the points not below m, a few times cheaper
-    than an argmax over the strided point axis. A NaN max gives point 0."""
+def _first_at_max(x, m, neg=None):
+    """[B, D] index of the first point at the max m [B, D] of x [B, N, D] (at
+    the min in the channels of the [D] mask neg): the largest weight N - n
+    among the points not below m (not above), a few times cheaper than an
+    argmax over the strided point axis. A NaN m gives point 0."""
     n = x.shape[1]
     rev = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))
-    return n - (~(x < m[:, None, :]) * rev[:, None]).max(axis=1)
+    off = x < m[:, None, :]
+    if neg is not None and neg.any():
+        off[:, :, neg] = x[:, :, neg] > m[:, None, neg]
+    return n - (~off * rev[:, None]).max(axis=1)
 
 
 def max_pool_points(x: Tensor) -> Tensor:
@@ -280,13 +284,14 @@ class BNState:
 _BN_EPS = 1e-5
 
 
-def _bn_relu(name, x, w, bn, momentum, training):
-    """relu(batch_norm(x @ w)), the forward of both encoder-layer ops.
+def _bn_center(name, x, w, bn, momentum, training):
+    """x @ w centred in place, and inv = 1 / sqrt(var + eps): the batch-norm
+    statistics of both encoder-layer ops.
 
-    Returns (out, xhat, a): xhat is the normalized x @ w and a = gamma /
-    sqrt(var + eps). Training mode normalizes by the batch statistics and
-    moves the running ones toward them: running <- momentum * running +
-    (1 - momentum) * batch. Eval mode normalizes by the running statistics.
+    Training mode centres by the batch mean, takes the variance from the
+    centred array and moves the running statistics toward the batch ones:
+    running <- momentum * running + (1 - momentum) * batch. Eval mode
+    centres by the running mean and takes the running variance.
     """
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or bn.dim != w.shape[1]):
@@ -294,23 +299,18 @@ def _bn_relu(name, x, w, bn, momentum, training):
                          f"norm of width {bn.dim} do not conform")
     if training and x.shape[0] < 2:
         raise ShapeError(f"{name}: batch of {x.shape[0]} too small for training mode")
-    xhat = x.data @ w.data
+    t = x.data @ w.data
     if training:
-        m = xhat.mean(axis=0)
-        xhat -= m
-        v = np.einsum("ij,ij->j", xhat, xhat) / xhat.shape[0]  # from the centered xhat
+        m = t.mean(axis=0)
+        t -= m
+        v = np.einsum("ij,ij->j", t, t) / t.shape[0]  # from the centred t
         mom = float(momentum)
-        bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(xhat.dtype)
-        bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(xhat.dtype)
+        bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(t.dtype)
+        bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(t.dtype)
     else:
-        xhat -= bn.running_mean
+        t -= bn.running_mean
         v = bn.running_var
-    inv = 1.0 / np.sqrt(v + _BN_EPS)
-    xhat *= inv
-    out = xhat * bn.gamma.data
-    out += bn.beta.data
-    np.maximum(out, 0, out=out)
-    return out, xhat, bn.gamma.data * inv
+    return t, 1.0 / np.sqrt(v + _BN_EPS)
 
 
 def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
@@ -321,7 +321,12 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     pre-activation is normalized in place and kept as xhat; the backward
     derives the relu mask from the output.
     """
-    out_data, xhat, a = _bn_relu("shared_mlp", x, w, bn, momentum, training)
+    xhat, inv = _bn_center("shared_mlp", x, w, bn, momentum, training)
+    xhat *= inv
+    out_data = xhat * bn.gamma.data
+    out_data += bn.beta.data
+    np.maximum(out_data, 0, out=out_data)
+    a = bn.gamma.data * inv
 
     def bw(g):
         gh = g * (out_data > 0)
@@ -346,33 +351,42 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     """max_pool_points(reshape(shared_mlp(x, w, bn, ...), (B, N, D))) as one
     tape node, x[B*N, Din] -> [B, D]: the encoder's last layer and its pool.
 
-    The forward forms no argmax. One point per (cloud, channel) survives the
-    pool, so the backward takes the relu mask, dgamma and dbeta from the B*D
-    pooled entries alone. The dense pre-activation gradient is the batch-norm
-    term -a * (xhat * dgamma + dbeta) / R (none in eval mode) plus a times the
-    pooled gradient at the first point that reaches each max.
+    It pools before the affine: the max over the points of the centred
+    pre-activation t (the min where gamma < 0), then *inv, *gamma, +beta and
+    the relu on those B*D entries alone, in shared_mlp's order. Each step is
+    monotone, so the values are shared_mlp's pooled bit for bit, and t is
+    the only [B*N, D] array. The backward routes each pooled gradient to the
+    first point at that max (min) of t. The pre-activation gradient is the
+    batch-norm term -a * (t * inv * dgamma + dbeta) / R (none in eval mode)
+    plus a times the pooled gradient at the routed points.
     """
     n_points = int(n_points)
     if x.data.ndim != 2 or n_points < 1 or x.shape[0] % n_points:
         raise ShapeError(f"shared_mlp_max_pool: {x.shape} is not [B*N, D] "
                          f"rows for N = {n_points} points")
-    out, xhat, a = _bn_relu("shared_mlp_max_pool", x, w, bn, momentum, training)
-    R, D = out.shape
-    out3 = out.reshape(R // n_points, n_points, D)
-    pooled = out3.max(axis=1)
+    t, inv = _bn_center("shared_mlp_max_pool", x, w, bn, momentum, training)
+    R, D = t.shape
+    t3 = t.reshape(R // n_points, n_points, D)
+    neg = bn.gamma.data < 0
+    tp = t3.max(axis=1)
+    if neg.any():
+        tp[:, neg] = t3[:, :, neg].min(axis=1)
+    pooled = np.maximum(tp * inv * bn.gamma.data + bn.beta.data, 0)
+    a = bn.gamma.data * inv
 
     def bw(g):
         B = g.shape[0]
-        first = _first_at_max(out3, pooled)
+        first = _first_at_max(t3, tp, neg)
         at = ((first + n_points * np.arange(B)[:, None]) * D + np.arange(D)).ravel()
         gp = g * (pooled > 0)
-        dgamma = np.einsum("ij,ij->j", gp, xhat.reshape(-1)[at].reshape(B, D))
+        dgamma = np.einsum("ij,ij->j", gp, t.reshape(-1)[at].reshape(B, D) * inv)
         dbeta = gp.sum(axis=0)
         if training:
-            gh = xhat * (-a * dgamma / R)
+            gh = t * inv  # xhat, as shared_mlp forms it
+            gh *= -a * dgamma / R
             gh -= a * dbeta / R
         else:
-            gh = np.zeros_like(xhat)
+            gh = np.zeros_like(t)
         gh.reshape(-1)[at] += (gp * a).ravel()  # at: flat [R, D] positions, unique
         _accum(bn.gamma, dgamma)
         _accum(bn.beta, dbeta)

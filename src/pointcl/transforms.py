@@ -177,9 +177,13 @@ def parse_transform(text: str) -> TransformSpec:
                              children=[parse_transform(t) for t in parts])
     toks = s.split(":")
     kind = toks[0]
-    if kind == "rotate":
+    if kind == "rotate" and len(toks) <= 3:  # a fourth token falls to the error below
         axis = toks[1] if len(toks) > 1 else "y"
-        angle = float(toks[2]) if len(toks) > 2 else 180.0
+        try:
+            angle = float(toks[2]) if len(toks) > 2 else 180.0
+        except ValueError:
+            raise ValueError(f"cannot parse transform spec {text!r}: angle "
+                             f"{toks[2]!r} is not a number") from None
         return TransformSpec(kind="rotate", axis=axis, angle_deg=angle)
     if kind in ("cutout", "crop", "scale", "jitter", "smooth"):
         if len(toks) > 1:

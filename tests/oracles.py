@@ -2,9 +2,13 @@
 
 These deliberately avoid the library's own code paths: plain-numpy brute
 force for the losses and IoU, and central finite differences for gradients.
+The reference_* ops keep an earlier form of a library op; the one that
+stands in for a tape op records itself through the tape's own helpers.
 """
 
 import numpy as np
+
+from pointcl import tensor as T
 
 
 def brute_force_infonce(z_orig, z_trans, tau, exclude_positive=False):
@@ -255,3 +259,52 @@ def reference_sample_stack(clouds, n_out, rng):
     if any(lab is None for lab in labels):
         return np.stack(points), None
     return np.stack(points), np.stack(labels)
+
+
+def reference_shared_mlp_max_pool(x, w, bn, momentum, training, n_points):
+    """tensor.shared_mlp_max_pool as first written, dense: the batch-norm
+    affine and relu over all B*N points, then a max over the points; the
+    backward routes each pooled gradient to the first point at the max of
+    that output. The pool-before-affine op must match it bit for bit in
+    fixed-seed training."""
+    xhat = x.data @ w.data
+    if training:
+        m = xhat.mean(axis=0)
+        xhat -= m
+        v = np.einsum("ij,ij->j", xhat, xhat) / xhat.shape[0]
+        mom = float(momentum)
+        bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(xhat.dtype)
+        bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(xhat.dtype)
+    else:
+        xhat -= bn.running_mean
+        v = bn.running_var
+    inv = 1.0 / np.sqrt(v + T._BN_EPS)
+    xhat *= inv
+    out = xhat * bn.gamma.data
+    out += bn.beta.data
+    np.maximum(out, 0, out=out)
+    a = bn.gamma.data * inv
+    R, D = out.shape
+    out3 = out.reshape(R // n_points, n_points, D)
+    pooled = out3.max(axis=1)
+
+    def bw(g):
+        B = g.shape[0]
+        first = T._first_at_max(out3, pooled)
+        at = ((first + n_points * np.arange(B)[:, None]) * D + np.arange(D)).ravel()
+        gp = g * (pooled > 0)
+        dgamma = np.einsum("ij,ij->j", gp, xhat.reshape(-1)[at].reshape(B, D))
+        dbeta = gp.sum(axis=0)
+        if training:
+            gh = xhat * (-a * dgamma / R)
+            gh -= a * dbeta / R
+        else:
+            gh = np.zeros_like(xhat)
+        gh.reshape(-1)[at] += (gp * a).ravel()
+        T._accum(bn.gamma, dgamma)
+        T._accum(bn.beta, dbeta)
+        T._accum(w, x.data.T @ gh)
+        if x.requires_grad:
+            T._accum(x, gh @ w.data.T)
+
+    return T._result(pooled, (x, w, bn.gamma, bn.beta), bw, "shared_mlp_max_pool")

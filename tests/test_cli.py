@@ -234,6 +234,18 @@ def test_truncated_checkpoint_runtime_failure(tmp_path, data_files, capsys, suff
     assert message in failed
 
 
+def test_non_finite_dataset_runtime_failure(tmp_path, capsys):
+    """A dataset with a NaN coordinate is a corrupt file: exit 1 and a
+    .failed marker naming the file, not a configuration error."""
+    bad = tmp_path / "nan.pcds"
+    bad.write_bytes(b"PCDS" + struct.pack("<HIHHH", 2, 1, 1, 0, 0)
+                    + struct.pack("<IHI", 4, 0, 1) + np.float32([0, np.nan, 0]).tobytes())
+    out = tmp_path / "out"
+    assert run(["pretrain", "--data", str(bad), "--out", str(out)]) == 1
+    assert "runtime failure" in capsys.readouterr().err
+    assert (out / ".failed").read_text().startswith(f"ParseError: {bad}: sample 4: ")
+
+
 @pytest.mark.parametrize("header", [b"{}", b"[1, 2]", b'{"encoder_widths": [0]}'],
                          ids=["empty", "list", "zero-width"])
 def test_malformed_checkpoint_header_runtime_failure(tmp_path, data_files, capsys, header):

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -245,6 +246,29 @@ def test_xyz_malformed_line_names_file(tmp_path):
     with pytest.raises(ParseError) as ei:
         load_dataset(path, format="xyz-text")
     assert str(ei.value) == f"{path}: line 2: expected 3 coordinates, got 2"
+
+
+@pytest.mark.parametrize("coords", [[[0.0, np.nan, 0.0]], [[np.inf, 0.0, 0.0]], []],
+                         ids=["nan", "inf", "no-points"])
+def test_binary_bad_sample_names_file_and_sample(tmp_path, coords):
+    """A NaN or inf coordinate or a sample without points is a corrupt file:
+    a ParseError naming the path and the sample id."""
+    coords = np.array(coords, dtype="<f4").reshape(-1, 3)
+    path = tmp_path / "bad.pcds"
+    path.write_bytes(b"PCDS" + struct.pack("<HIHHH", 2, 2, 1, 0, 0)
+                     + struct.pack("<IHI", 7, 0, 1) + bytes(12)
+                     + struct.pack("<IHI", 9, 0, len(coords)) + coords.tobytes())
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: sample 9: "):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+def test_xyz_non_finite_coordinate_names_line(tmp_path, value):
+    """1e39 is finite as a Python float but not as a float32 coordinate."""
+    path = tmp_path / "bad.xyz"
+    path.write_text(f"1.0 2.0 3.0\n\n0.0 {value} 0.0\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: "):
+        load_dataset(path, format="xyz-text")
 
 
 def test_reload_preserves_order(tmp_path, small_dataset):

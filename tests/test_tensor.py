@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -673,41 +675,88 @@ def _unfused_pool(x, w, bn, momentum, training, n_points):
     return T.max_pool_points(T.reshape(out, (x.shape[0] // n_points, n_points, w.shape[1])))
 
 
+def _mix_gamma_signs(bn):
+    """Negate gamma in every third channel and zero it in channel 1. Its
+    beta < 0 keeps channel 1 dead: at gamma = 0 a live channel's pool has a
+    kink in gamma (the max of t on one side, the min on the other)."""
+    bn.gamma.data[::3] *= -1
+    bn.gamma.data[1] = 0
+    bn.beta.data[1] = -0.5
+
+
 @pytest.mark.parametrize("training", [True, False])
 def test_shared_mlp_max_pool_finite_differences(rng, training):
-    x, w, bn = _shared_mlp_inputs(rng, np.float64)  # 12 rows: 3 clouds of 4 points
-    r = Tensor(rng.normal(size=(3, 5)), dtype=np.float64)
-    params = [x, w, bn.gamma, bn.beta]
+    """With gamma in [0.5, 1.5], then with negative and zero gamma channels,
+    whose pool takes the min of the pre-activation (or nothing)."""
+    for mixed in (False, True):
+        x, w, bn = _shared_mlp_inputs(rng, np.float64)  # 12 rows: 3 clouds of 4 points
+        if mixed:
+            _mix_gamma_signs(bn)
+        r = Tensor(rng.normal(size=(3, 5)), dtype=np.float64)
+        params = [x, w, bn.gamma, bn.beta]
 
-    def forward():
-        return T.tsum(T.mul(T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4), r))
+        def forward():
+            return T.tsum(T.mul(T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4), r))
 
-    T.backward(forward())
-    grads = [p.grad.copy() for p in params]
-    fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)
-    assert max_rel_error(grads, fd) < 1e-6
+        T.backward(forward())
+        grads = [p.grad.copy() for p in params]
+        fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)
+        assert max_rel_error(grads, fd) < 1e-6, mixed
 
 
 @pytest.mark.parametrize("training", [True, False])
 def test_shared_mlp_max_pool_equals_unfused_chain_float32(rng, training):
     """Values, BN running statistics and gradients of the fused node against
-    shared_mlp -> reshape -> max_pool_points on the same float32 inputs."""
+    shared_mlp -> reshape -> max_pool_points on the same float32 inputs,
+    also with negative and zero gamma channels."""
     B, N = 8, 32
-    x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=B * N, din=16, dout=32)
-    r = rng.normal(size=(B, 32)).astype(np.float32)
-    x2, w2, bn2 = _copy_layer(x, w, bn)
+    for mixed in (False, True):
+        x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=B * N, din=16, dout=32)
+        if mixed:
+            _mix_gamma_signs(bn)
+        r = rng.normal(size=(B, 32)).astype(np.float32)
+        x2, w2, bn2 = _copy_layer(x, w, bn)
 
-    out = T.shared_mlp_max_pool(x, w, bn, 0.8, training, N)
-    want = _unfused_pool(x2, w2, bn2, 0.8, training, N)
-    assert np.array_equal(out.data, want.data)
-    assert np.array_equal(bn.running_mean, bn2.running_mean)
-    assert np.array_equal(bn.running_var, bn2.running_var)
-    T.backward(T.tsum(T.mul(out, Tensor(r))))
-    T.backward(T.tsum(T.mul(want, Tensor(r))))
-    for name, p, q in zip(("x", "w", "gamma", "beta"), (x, w, bn.gamma, bn.beta),
-                          (x2, w2, bn2.gamma, bn2.beta)):
-        np.testing.assert_allclose(p.grad, q.grad, rtol=1e-4,
-                                   atol=1e-5 * np.abs(q.grad).max(), err_msg=name)
+        out = T.shared_mlp_max_pool(x, w, bn, 0.8, training, N)
+        want = _unfused_pool(x2, w2, bn2, 0.8, training, N)
+        assert np.array_equal(out.data, want.data)
+        assert np.array_equal(bn.running_mean, bn2.running_mean)
+        assert np.array_equal(bn.running_var, bn2.running_var)
+        T.backward(T.tsum(T.mul(out, Tensor(r))))
+        T.backward(T.tsum(T.mul(want, Tensor(r))))
+        for name, p, q in zip(("x", "w", "gamma", "beta"), (x, w, bn.gamma, bn.beta),
+                              (x2, w2, bn2.gamma, bn2.beta)):
+            np.testing.assert_allclose(p.grad, q.grad, rtol=1e-4,
+                                       atol=1e-5 * np.abs(q.grad).max(),
+                                       err_msg=f"{name}, mixed={mixed}")
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_shared_mlp_max_pool_keeps_one_layer_array(rng, training):
+    """After the forward, the node keeps the centred pre-activation and
+    [B, D] arrays only: at most 1.25 x R*D*itemsize bytes. A dense forward
+    that keeps xhat and the relu output holds over 2x."""
+    B, N, D = 8, 64, 256
+    x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=B * N, din=16, dout=D)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.shared_mlp_max_pool(x, w, bn, 0.9, training, N)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert kept <= 1.25 * B * N * D * 4, kept / (B * N * D * 4)
+
+
+def test_first_at_max_takes_the_min_where_neg():
+    """Channel 0 routes to its first max, channel 1 (neg) to its first min,
+    and channel 2 (neg), a NaN column, to point 0."""
+    x = np.array([[[1.0, 2.0, 1.0], [3.0, 0.0, np.nan], [3.0, 0.0, 0.0]]])
+    neg = np.array([False, True, True])
+    m = np.array([[3.0, 0.0, np.nan]])
+    np.testing.assert_array_equal(T._first_at_max(x, m, neg), [[1, 1, 0]])
+    np.testing.assert_array_equal(T._first_at_max(x, m), [[1, 0, 0]])
 
 
 def _exact_layer_inputs(rng, B, N, din=3, dout=4):
@@ -727,17 +776,19 @@ def test_shared_mlp_max_pool_ties_route_to_first_point(rng, training):
     """Every cloud is one point repeated: each channel's maximum ties over
     all its points, and the pooled gradient goes to the first of them."""
     B, N = 3, 5
-    x, w, bn = _exact_layer_inputs(rng, B, N)
-    x.data = np.repeat(x.data[::N], N, axis=0)
-    x2, w2, bn2 = _copy_layer(x, w, bn)
-    T.backward(T.tsum(T.shared_mlp_max_pool(x, w, bn, 0.9, training, N)))
-    T.backward(T.tsum(_unfused_pool(x2, w2, bn2, 0.9, training, N)))
-    np.testing.assert_allclose(x.grad, x2.grad, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(w.grad, w2.grad, rtol=1e-12, atol=1e-12)
-    first, rest = x.grad.reshape(B, N, 3)[:, 0], x.grad.reshape(B, N, 3)[:, 1:]
-    assert np.abs(first[:, None] - rest).max(axis=(0, 2)).min() > 0  # first != each tie
-    if not training:  # no batch-norm term: only the first point has a gradient
-        assert (rest == 0).all() and (first != 0).any()
+    for gamma in ([1.0] * 4, [-1.0, 1.0, -1.0, 1.0]):  # ties at the min where gamma < 0
+        x, w, bn = _exact_layer_inputs(rng, B, N)
+        bn.gamma.data = np.array(gamma)
+        x.data = np.repeat(x.data[::N], N, axis=0)
+        x2, w2, bn2 = _copy_layer(x, w, bn)
+        T.backward(T.tsum(T.shared_mlp_max_pool(x, w, bn, 0.9, training, N)))
+        T.backward(T.tsum(_unfused_pool(x2, w2, bn2, 0.9, training, N)))
+        np.testing.assert_allclose(x.grad, x2.grad, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.grad, w2.grad, rtol=1e-12, atol=1e-12)
+        first, rest = x.grad.reshape(B, N, 3)[:, 0], x.grad.reshape(B, N, 3)[:, 1:]
+        assert np.abs(first[:, None] - rest).max(axis=(0, 2)).min() > 0  # first != each tie
+        if not training:  # no batch-norm term: only the first point has a gradient
+            assert (rest == 0).all() and (first != 0).any()
 
 
 @pytest.mark.parametrize("training", [True, False])

@@ -14,7 +14,7 @@ from pointcl.training import (AdamState, TrainConfig, adam_step, bn_schedule,
                               pretrain, save_train_checkpoint)
 
 from oracles import (finite_difference_grads, max_rel_error, reference_adam_step,
-                     reference_sample_stack)
+                     reference_sample_stack, reference_shared_mlp_max_pool)
 
 
 def tiny_cfg(**kw):
@@ -76,6 +76,27 @@ def test_adam_in_place_matches_reference_bytes(tmp_path, monkeypatch, small_data
     pretrain(ds, cfg, objective, out_dir=str(tmp_path / "reference"))
     for name in ("checkpoint_final.pclm", "loss_curve.csv"):
         assert ((tmp_path / "in_place" / name).read_bytes()
+                == (tmp_path / "reference" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("objective, transform, pairs, epochs", [
+    ("cls", "rotate:y:180", 8, 5), ("seg", "smooth", 4, 10), ("cls", "crop", 8, 5),
+], ids=["cls", "seg-smooth", "cls-crop"])
+def test_pooled_layer_matches_dense_reference_bytes(tmp_path, monkeypatch, small_dataset,
+                                                    seg_dataset, objective, transform,
+                                                    pairs, epochs):
+    """A fixed-seed 50-step pretrain of the desk encoder writes the same
+    bytes when the last layer pools before its affine as with the dense
+    reference layer."""
+    ds = small_dataset if objective == "cls" else seg_dataset
+    cfg = tiny_cfg(pairs_per_batch=pairs, epochs=epochs, dropout_rate=0.5,
+                   encoder_widths=[32, 64, 128], transform=transform)
+    _, records = pretrain(ds, cfg, objective, out_dir=str(tmp_path / "pooled"))
+    assert len(records) == 50
+    monkeypatch.setattr(T, "shared_mlp_max_pool", reference_shared_mlp_max_pool)
+    pretrain(ds, cfg, objective, out_dir=str(tmp_path / "reference"))
+    for name in ("checkpoint_final.pclm", "loss_curve.csv"):
+        assert ((tmp_path / "pooled" / name).read_bytes()
                 == (tmp_path / "reference" / name).read_bytes()), name
 
 

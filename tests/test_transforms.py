@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -147,8 +149,12 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_transform("spin:z:10")
+    """An unknown kind, a fourth rotate token or an angle that is not a
+    number is an error that quotes the spec, not a dropped token or a bare
+    float error."""
+    for text in ("spin:z:10", "rotate:y:180:99", "rotate:y:90deg"):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            parse_transform(text)
 
 
 def test_rotation_matrix_orthonormal():
