@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import traceback
+from operator import attrgetter
 
 import numpy as np
 
@@ -42,33 +43,38 @@ def _parse_widths(s):
     return [int(t) for t in str(s).split(",")]
 
 
+# Training key -> (parser, TrainConfig field); "loss.<name>" is a LossConfig field.
+_TRAIN_KEYS = {
+    "transform": (str, "transform"),
+    "pairs": (int, "pairs_per_batch"),
+    "epochs": (int, "epochs"),
+    "points": (int, "points_per_cloud"),
+    "tau": (float, "loss.tau"),
+    "symmetric": (_parse_bool, "loss.symmetric"),
+    "normalize": (_parse_bool, "loss.normalize"),
+    "exclude_positive": (_parse_bool, "loss.exclude_positive"),
+    "lr_init": (float, "lr_init"),
+    "lr_floor": (float, "lr_floor"),
+    "lr_decay_gamma": (float, "lr_decay_gamma"),
+    "decay_period_steps": (int, "decay_period_steps"),
+    "bn_init": (float, "bn_init"),
+    "bn_cap": (float, "bn_cap"),
+    "seed": (int, "seed"),
+    "jitter_augment": (_parse_bool, "jitter_augment"),
+    "encoder_widths": (_parse_widths, "encoder_widths"),
+    "head_widths": (_parse_widths, "head_widths"),
+    "seg_widths": (_parse_widths, "seg_widths"),
+    "dropout": (float, "dropout_rate"),
+}
+
 _TRAIN_DEFAULTS = TrainConfig()
 
 # key -> (parser, default); the single source of truth for RunConfig keys.
-# Training defaults come from TrainConfig.
 _SCHEMA = {
-    "transform": (str, _TRAIN_DEFAULTS.transform),
-    "pairs": (int, _TRAIN_DEFAULTS.pairs_per_batch),
-    "epochs": (int, _TRAIN_DEFAULTS.epochs),
-    "points": (int, _TRAIN_DEFAULTS.points_per_cloud),
-    "tau": (float, _TRAIN_DEFAULTS.loss.tau),
-    "symmetric": (_parse_bool, _TRAIN_DEFAULTS.loss.symmetric),
-    "normalize": (_parse_bool, _TRAIN_DEFAULTS.loss.normalize),
-    "exclude_positive": (_parse_bool, _TRAIN_DEFAULTS.loss.exclude_positive),
-    "lr_init": (float, _TRAIN_DEFAULTS.lr_init),
-    "lr_floor": (float, _TRAIN_DEFAULTS.lr_floor),
-    "lr_decay_gamma": (float, _TRAIN_DEFAULTS.lr_decay_gamma),
-    "decay_period_steps": (int, _TRAIN_DEFAULTS.decay_period_steps),
-    "bn_init": (float, _TRAIN_DEFAULTS.bn_init),
-    "bn_cap": (float, _TRAIN_DEFAULTS.bn_cap),
-    "seed": (int, _TRAIN_DEFAULTS.seed),
-    "jitter_augment": (_parse_bool, _TRAIN_DEFAULTS.jitter_augment),
-    "encoder_widths": (_parse_widths, _TRAIN_DEFAULTS.encoder_widths),
-    "head_widths": (_parse_widths, _TRAIN_DEFAULTS.head_widths),
-    "seg_widths": (_parse_widths, _TRAIN_DEFAULTS.seg_widths),
-    "dropout": (float, _TRAIN_DEFAULTS.dropout_rate),
-    "probe_epochs": (int, 100),
-    "finetune_epochs": (int, 20),
+    **{key: (parser, attrgetter(name)(_TRAIN_DEFAULTS))
+       for key, (parser, name) in _TRAIN_KEYS.items()},
+    "probe_epochs": (int, evaluation.PROBE_EPOCHS),
+    "finetune_epochs": (int, evaluation.FINETUNE_EPOCHS),
     "features": (str, "encoder"),
 }
 
@@ -103,25 +109,15 @@ def resolve_config(args) -> dict:
         if flag is not None:
             cfg[key] = parser(flag) if isinstance(flag, str) else flag
     parse_transform(cfg["transform"])  # validate before any work
-    if cfg["features"] not in ("encoder", "head", "both"):
-        raise ConfigError(
-            f"features must be 'encoder', 'head' or 'both', got {cfg['features']!r}")
+    evaluation.feature_sources(cfg["features"])
     return cfg
 
 
 def make_train_config(cfg) -> TrainConfig:
-    return TrainConfig(
-        pairs_per_batch=cfg["pairs"], epochs=cfg["epochs"],
-        points_per_cloud=cfg["points"], lr_init=cfg["lr_init"],
-        lr_floor=cfg["lr_floor"], lr_decay_gamma=cfg["lr_decay_gamma"],
-        decay_period_steps=cfg["decay_period_steps"], bn_init=cfg["bn_init"],
-        bn_cap=cfg["bn_cap"], seed=cfg["seed"], transform=cfg["transform"],
-        jitter_augment=cfg["jitter_augment"],
-        loss=LossConfig(tau=cfg["tau"], symmetric=cfg["symmetric"],
-                        normalize=cfg["normalize"],
-                        exclude_positive=cfg["exclude_positive"]),
-        encoder_widths=cfg["encoder_widths"], head_widths=cfg["head_widths"],
-        seg_widths=cfg["seg_widths"], dropout_rate=cfg["dropout"])
+    fields = {name: cfg[key] for key, (_, name) in _TRAIN_KEYS.items()}
+    loss = {n.removeprefix("loss."): fields.pop(n)
+            for n in list(fields) if n.startswith("loss.")}
+    return TrainConfig(loss=LossConfig(**loss), **fields)
 
 
 def write_resolved_config(cfg, out_dir):
@@ -195,7 +191,8 @@ def cmd_gen_data(args):
     with open(manifest, "w") as f:
         f.write(f"samples = {len(ds)}\nclasses = {','.join(classes)}\n"
                 f"per_class = {args.per_class}\npoints = {args.points}\n"
-                f"num_parts = {ds.num_parts}\nseed = {args.seed}\n")
+                f"num_parts = {ds.num_parts}\nseed = {args.seed}\n"
+                f"split = {args.split}\n")
     print(f"wrote {len(ds)} samples to {args.out}")
 
 
@@ -212,8 +209,7 @@ def cmd_probe(args, cfg):
     train_ds, test_ds = load_dataset(args.train_data), load_dataset(args.test_data)
     model, _ = models.load_checkpoint(args.checkpoint)
     rows = []
-    sources = ["encoder", "head"] if cfg["features"] == "both" else [cfg["features"]]
-    for source in sources:
+    for source in evaluation.feature_sources(cfg["features"]):
         m, pred, gt = evaluation.linear_probe_eval(
             model, train_ds, test_ds, points_per_cloud=cfg["points"],
             source=source, probe_epochs=cfg["probe_epochs"], seed=cfg["seed"])
@@ -265,8 +261,7 @@ def cmd_export_features(args, cfg):
     ds = load_dataset(args.data)
     model, _ = models.load_checkpoint(args.checkpoint)
     os.makedirs(args.out, exist_ok=True)
-    sources = ["encoder", "head"] if cfg["features"] == "both" else [cfg["features"]]
-    for source in sources:
+    for source in evaluation.feature_sources(cfg["features"]):
         feats, labels = evaluation.extract_features(
             model, ds, cfg["points"], seed=cfg["seed"], source=source)
         out = os.path.join(args.out, f"features_{source}.csv")

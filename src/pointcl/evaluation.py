@@ -17,6 +17,9 @@ from .transforms import parse_transform
 
 __all__ = [
     "Metrics",
+    "PROBE_EPOCHS",
+    "FINETUNE_EPOCHS",
+    "feature_sources",
     "extract_features",
     "fit_probe",
     "linear_probe_eval",
@@ -29,6 +32,9 @@ __all__ = [
     "TABLE4_SUITE",
     "TABLE5_SUITE",
 ]
+
+PROBE_EPOCHS = 100     # full-batch Adam epochs of the linear probe
+FINETUNE_EPOCHS = 20   # epochs of supervised finetuning
 
 # The single-transform sweep and the two-transform compositions.
 TABLE4_SUITE = [
@@ -87,9 +93,9 @@ _EVAL_BATCH = 32  # clouds per models.encode call when extracting features
 
 
 def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed, embed):
-    """Sample every cloud of ds in order, then embed(global, per_point) in eval
-    mode over _EVAL_BATCH clouds at a time. Returns (features [S, ...], point
-    labels [S, N] or None, class labels [S])."""
+    """Sample every cloud of ds in order (seed: an int or a Generator), then
+    embed(global, per_point) in eval mode over _EVAL_BATCH clouds at a time.
+    Returns (features [S, ...], point labels [S, N] or None, class labels [S])."""
     points, labels = sample_stack(ds.samples, points_per_cloud,
                                   np.random.default_rng(seed))
     out = []
@@ -99,13 +105,22 @@ def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed, embed):
     return np.concatenate(out), labels, np.array([p.class_label for p in ds.samples])
 
 
+def feature_sources(name: str) -> list:
+    """The feature sources name selects: 'encoder' (the pooled global
+    feature), 'head' (the projection-head output) or 'both'."""
+    if name == "both":
+        return ["encoder", "head"]
+    if name not in ("encoder", "head"):
+        raise ValueError(f"features must be 'encoder', 'head' or 'both', got {name!r}")
+    return [name]
+
+
 def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
                      seed: int = 0, source: str = "encoder"):
-    """Eval-mode features for every sample: the pooled global feature
-    (source='encoder', the default) or the projection-head output
-    (source='head'). Returns (features [S, D], labels [S])."""
-    if source not in ("encoder", "head"):
-        raise ValueError(f"feature source must be 'encoder' or 'head', got {source!r}")
+    """Eval-mode features for every sample from one feature source (see
+    feature_sources). Returns (features [S, D], labels [S])."""
+    if feature_sources(source) != [source]:
+        raise ValueError(f"extract_features takes one feature source, got {source!r}")
 
     def embed(g, pp):
         return models.project(g, model.head, training=False) if source == "head" else g
@@ -114,7 +129,7 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
     return feats, labels
 
 
-def fit_probe(train_feats, train_labels, num_classes, epochs=100,
+def fit_probe(train_feats, train_labels, num_classes, epochs=PROBE_EPOCHS,
               lr=0.001) -> DenseLayer:
     """Full-batch Adam fit of a single affine classifier on cached features,
     from zero weights."""
@@ -139,8 +154,9 @@ def probe_predict(probe: DenseLayer, feats):
 
 
 def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
-                      points_per_cloud: int = 128, source: str = "encoder",
-                      probe_epochs: int = 100, seed: int = 0, tags=None):
+                      points_per_cloud: int = TrainConfig.points_per_cloud,
+                      source: str = "encoder", probe_epochs: int = PROBE_EPOCHS,
+                      seed: int = 0, tags=None):
     """Frozen-feature linear classification evaluation."""
     if train_ds.num_classes != test_ds.num_classes:
         raise ValueError(
@@ -159,15 +175,8 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
 # Pretraining (finetune) evaluation
 # ---------------------------------------------------------------------------
 
-def _supervised_forward(model, batch, labels, training, rng):
-    g, _ = models.encode(batch, model.encoder, training)
-    # classification branch: the head layers with a fresh affine output
-    h = models.project(g, model.head, training, rng, normalize=False)
-    return T.softmax_cross_entropy(h, labels), h
-
-
 def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
-                           cfg: TrainConfig, finetune_epochs: int = 20,
+                           cfg: TrainConfig, finetune_epochs: int = FINETUNE_EPOCHS,
                            init_head: bool = False, seed: int = 0, tags=None):
     """Initialize a supervised classifier's encoder (and optionally its MLP
     branch) from an unsupervised checkpoint, train it, report test metrics."""
@@ -188,7 +197,7 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
 
 
 def supervised_baseline_eval(train_ds, test_ds, cfg: TrainConfig,
-                             epochs: int = 20, seed: int = 0, tags=None):
+                             epochs: int = FINETUNE_EPOCHS, seed: int = 0, tags=None):
     """Same supervised pipeline from a random initialization."""
     rng = np.random.default_rng(seed)
     sup = models.ModelParams.create(
@@ -201,27 +210,23 @@ def supervised_baseline_eval(train_ds, test_ds, cfg: TrainConfig,
 
 
 def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
+    """Train encoder and head (its unnormalized output is the logits), then
+    classify test_ds."""
     params = sup.params()
     opt = AdamState(params)
     bs = 2 * cfg.pairs_per_batch
-    steps_per_epoch = max(len(train_ds) // bs, 1)
     labels_all = np.array([p.class_label for p in train_ds.samples])
-    for epoch in range(epochs):
-        for _ in range(steps_per_epoch):
-            idx = rng.choice(len(train_ds), size=min(bs, len(train_ds)), replace=False)
-            batch, _ = sample_stack([train_ds[int(i)] for i in idx],
-                                    cfg.points_per_cloud, rng)
-            loss, _ = _supervised_forward(sup, batch, labels_all[idx], True, rng)
-            T.backward(loss)
-            adam_step(params, opt, cfg.lr_init)
-    # evaluate; an eval-mode forward draws nothing from rng
-    points, _ = sample_stack(test_ds.samples, cfg.points_per_cloud, rng)
-    gts = np.array([p.class_label for p in test_ds.samples])
-    preds = []
-    for i in range(0, len(gts), bs):
-        _, logits = _supervised_forward(sup, points[i:i + bs], gts[i:i + bs], False, rng)
-        preds.append(logits.data.argmax(axis=1))
-    return classification_metrics(np.concatenate(preds), gts, test_ds.num_classes,
+    for _ in range(epochs * max(len(train_ds) // bs, 1)):
+        idx = rng.choice(len(train_ds), size=min(bs, len(train_ds)), replace=False)
+        batch, _ = sample_stack([train_ds[int(i)] for i in idx], cfg.points_per_cloud, rng)
+        g, _ = models.encode(batch, sup.encoder, training=True)
+        logits = models.project(g, sup.head, True, rng, normalize=False)
+        T.backward(T.softmax_cross_entropy(logits, labels_all[idx]))
+        adam_step(params, opt, cfg.lr_init)
+    logits, _, gts = _features(sup, test_ds, cfg.points_per_cloud, rng,
+                               lambda g, pp: models.project(g, sup.head, False,
+                                                            normalize=False))
+    return classification_metrics(logits.argmax(axis=1), gts, test_ds.num_classes,
                                   tags=tags)
 
 
@@ -303,8 +308,9 @@ def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:
 
 
 def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
-                      points_per_cloud: int = 128, probe_epochs: int = 100,
-                      seed: int = 0, tags=None) -> Metrics:
+                      points_per_cloud: int = TrainConfig.points_per_cloud,
+                      probe_epochs: int = PROBE_EPOCHS, seed: int = 0,
+                      tags=None) -> Metrics:
     """Fit a per-point linear probe on frozen point embeddings; report mIoU."""
     check_segmentation_sets(train_ds, test_ds)
     if model.seg is None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
@@ -87,12 +87,16 @@ class _LayerStack:
     def params(self):
         return [p for l in self.layers for p in l.params()]
 
+    @property
+    def widths(self):
+        """Output width of each layer, read off its weight."""
+        return [l.w.shape[1] for l in self.layers]
+
 
 @dataclass
 class EncoderParams(_LayerStack):
-    """Shared per-point MLP widths; the last width is the global feature size."""
+    """Shared per-point MLP; the last width is the global feature size."""
     layers: list
-    widths: list
 
     @staticmethod
     def create(rng, widths=None, dtype=np.float32):
@@ -102,7 +106,7 @@ class EncoderParams(_LayerStack):
         dims = [3] + widths
         layers = [EncoderLayer(_glorot(rng, a, b, dtype), BNState(b, dtype=dtype))
                   for a, b in zip(dims, dims[1:])]
-        return EncoderParams(layers=layers, widths=widths)
+        return EncoderParams(layers=layers)
 
     @property
     def d_global(self):
@@ -117,7 +121,6 @@ class EncoderParams(_LayerStack):
 @dataclass
 class HeadParams(_LayerStack):
     layers: list
-    widths: list
     dropout_rate: float = DROPOUT_RATE
 
     @staticmethod
@@ -126,24 +129,18 @@ class HeadParams(_LayerStack):
         if widths[-1] < 2:
             raise ValueError(f"embedding dimension must be >= 2, got {widths[-1]}")
         return HeadParams(layers=_dense_stack(rng, [d_in] + widths, dtype),
-                          widths=widths, dropout_rate=dropout_rate)
+                          dropout_rate=dropout_rate)
 
 
 @dataclass
 class SegBranchParams(_LayerStack):
     """Per-point MLP over [intermediate feature || broadcast global feature]."""
     layers: list
-    widths: list
 
     @staticmethod
     def create(rng, d_mid, d_global, widths=None, dtype=np.float32):
         widths = list(widths or SEG_WIDTHS)
-        return SegBranchParams(layers=_dense_stack(rng, [d_mid + d_global] + widths, dtype),
-                               widths=widths)
-
-    @property
-    def d_out(self):
-        return self.widths[-1]
+        return SegBranchParams(layers=_dense_stack(rng, [d_mid + d_global] + widths, dtype))
 
 
 @dataclass
@@ -151,7 +148,6 @@ class ModelParams:
     encoder: EncoderParams
     head: HeadParams
     seg: SegBranchParams | None = None
-    config: dict = field(default_factory=dict)
 
     @staticmethod
     def create(rng, encoder_widths=None, head_widths=None, seg_widths=None,
@@ -163,13 +159,14 @@ class ModelParams:
         if with_seg:
             seg = SegBranchParams.create(rng, enc.d_mid, enc.d_global,
                                          seg_widths, dtype=dtype)
-        cfg = {
-            "encoder_widths": enc.widths,
-            "head_widths": head.widths,
-            "seg_widths": seg.widths if seg else None,
-            "dropout_rate": dropout_rate,
-        }
-        return ModelParams(encoder=enc, head=head, seg=seg, config=cfg)
+        return ModelParams(encoder=enc, head=head, seg=seg)
+
+    @property
+    def config(self):
+        """The checkpoint header's model config, read off the layers."""
+        return {"encoder_widths": self.encoder.widths, "head_widths": self.head.widths,
+                "seg_widths": self.seg.widths if self.seg else None,
+                "dropout_rate": self.head.dropout_rate}
 
     def params(self):
         ps = self.encoder.params() + self.head.params()
@@ -240,7 +237,7 @@ def segment_embed(per_point: Tensor, global_feat: Tensor, seg: SegBranchParams,
     h = T.linear_points_global(per_point, global_feat, first.w, first.b)
     if rest:
         h = _dense(T.relu(h), rest)
-    h = T.reshape(h, (B, N, seg.d_out))
+    h = T.reshape(h, (B, N, seg.widths[-1]))
     if normalize:
         h = T.l2_normalize_rows(h)
     return h

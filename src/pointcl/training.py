@@ -54,6 +54,15 @@ class TrainConfig:
             raise ValueError("lr_floor must not exceed lr_init")
         if not 0.5 <= self.bn_cap <= 1.0:
             raise ValueError("bn momentum cap must be in [0.5, 1]")
+        for name in ("epochs", "decay_period_steps", "checkpoint_every"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.points_per_cloud < 1:
+            raise ValueError(f"points_per_cloud must be >= 1, got {self.points_per_cloud}")
+        # the rule a checkpoint header's dropout_rate must meet, so pretrain
+        # never writes a checkpoint that load_checkpoint rejects
+        if not models._HEADER_FIELDS["dropout_rate"](self.dropout_rate):
+            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
 
     def transform_spec(self) -> TransformSpec:
         return parse_transform(self.transform)

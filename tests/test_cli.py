@@ -1,12 +1,15 @@
+import inspect
 import os
 import struct
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from pointcl import models
+from pointcl import cli, evaluation, models
 from pointcl.cli import main
 from pointcl.pointcloud import load_dataset
+from pointcl.training import TrainConfig
 
 
 def run(args):
@@ -29,10 +32,12 @@ def data_files(tmp_path):
 def test_gen_data_counts(tmp_path):
     out = tmp_path / "ds.pcds"
     assert run(["gen-data", "--classes", "sphere,cube", "--per-class", "50",
-                "--points", "128", "--seed", "1", "--out", str(out)]) == 0
+                "--points", "128", "--seed", "1", "--split", "val",
+                "--out", str(out)]) == 0
     ds = load_dataset(out)
     assert len(ds) == 100
-    assert (out.parent / (out.name + ".manifest.txt")).exists()
+    manifest = (out.parent / (out.name + ".manifest.txt")).read_text().splitlines()
+    assert "split = val" in manifest  # the .pcds file has no field for it
 
 
 def test_gen_data_deterministic(tmp_path):
@@ -123,6 +128,17 @@ def test_bad_transform_exit_2(tmp_path, data_files):
     assert rc == 2
 
 
+def test_invalid_train_config_exit_2_writes_no_checkpoint(tmp_path, data_files, capsys):
+    """A dropout rate load_checkpoint would reject fails before any step."""
+    train, _ = data_files
+    out = tmp_path / "o"
+    rc = run(["pretrain", "--data", str(train), "--out", str(out),
+              "--dropout", "1.5", "--epochs", "0"])
+    assert rc == 2
+    assert "dropout_rate must be in [0, 1), got 1.5" in capsys.readouterr().err
+    assert not list(out.glob("*.pclm"))
+
+
 def test_missing_data_runtime_failure(tmp_path):
     rc = run(["pretrain", "--data", str(tmp_path / "nope.pcds"),
               "--out", str(tmp_path / "o"), "--epochs", "1"])
@@ -206,6 +222,87 @@ def test_defaults_agree():
     assert cfg["head_widths"] == tc.head_widths == m.head.widths
     assert cfg["seg_widths"] == tc.seg_widths == m.seg.widths
     assert cfg["dropout"] == tc.dropout_rate == m.head.dropout_rate
+
+
+# Every CLI key -> (a non-default flag value, where the value lands): a
+# TrainConfig attribute, or the (command, evaluation function, keyword) that
+# each command passes it to.
+_KEY_TARGETS = {
+    "transform": ("cutout", "transform"),
+    "pairs": ("3", "pairs_per_batch"),
+    "epochs": ("2", "epochs"),
+    "points": ("64", "points_per_cloud"),
+    "tau": ("0.5", "loss.tau"),
+    "symmetric": ("true", "loss.symmetric"),
+    "normalize": ("false", "loss.normalize"),
+    "exclude_positive": ("true", "loss.exclude_positive"),
+    "lr_init": ("0.01", "lr_init"),
+    "lr_floor": ("0.0001", "lr_floor"),
+    "lr_decay_gamma": ("0.5", "lr_decay_gamma"),
+    "decay_period_steps": ("7", "decay_period_steps"),
+    "bn_init": ("0.25", "bn_init"),
+    "bn_cap": ("0.9", "bn_cap"),
+    "seed": ("5", "seed"),
+    "jitter_augment": ("true", "jitter_augment"),
+    "encoder_widths": ("4,8", "encoder_widths"),
+    "head_widths": ("6,3", "head_widths"),
+    "seg_widths": ("6,3", "seg_widths"),
+    "dropout": ("0.25", "dropout_rate"),
+    "probe_epochs": ("7", [("probe", "linear_probe_eval", "probe_epochs"),
+                           ("segment", "segmentation_eval", "probe_epochs")]),
+    "finetune_epochs": ("3", [("finetune", "pretrain_finetune_eval", "finetune_epochs")]),
+    "features": ("head", [("probe", "linear_probe_eval", "source"),
+                          ("export-features", "extract_features", "source")]),
+}
+
+_COMMAND_ARGS = {
+    "probe": ["--train-data", "a", "--test-data", "b", "--checkpoint", "c"],
+    "finetune": ["--train-data", "a", "--test-data", "b", "--checkpoint", "c"],
+    "segment": ["--data", "a", "--test-data", "b"],
+    "export-features": ["--data", "a", "--checkpoint", "c"],
+}
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_every_key_has_a_target():
+    assert list(_KEY_TARGETS) == list(cli._SCHEMA)
+
+
+@pytest.mark.parametrize("key", list(_KEY_TARGETS))
+def test_key_default_and_flag_reach_the_library(key, tmp_path, monkeypatch):
+    """Each key's default is the library default it maps to, and a
+    non-default flag reaches that TrainConfig field or protocol keyword."""
+    value, target = _KEY_TARGETS[key]
+    parser, default = cli._SCHEMA[key]
+    assert parser(value) != default
+    flag = [f"--{key.replace('_', '-')}", value]
+    if isinstance(target, str):
+        assert default == attrgetter(target)(TrainConfig())
+        args = cli.build_parser().parse_args(["pretrain", "--data", "d", "--out", "o"] + flag)
+        tc = cli.make_train_config(cli.resolve_config(args))
+        assert attrgetter(target)(tc) == parser(value)
+        return
+    monkeypatch.setattr(cli, "load_dataset", lambda path: None)
+    monkeypatch.setattr(models, "load_checkpoint", lambda path: (None, {}))
+    monkeypatch.setattr(cli, "pretrain", lambda *a, **k: (None, []))
+    monkeypatch.setattr(evaluation, "check_segmentation_sets", lambda *a: None)
+    for command, fn, keyword in target:
+        assert default == inspect.signature(getattr(evaluation, fn)).parameters[keyword].default
+        seen = {}
+
+        def stub(*a, **k):
+            seen.update(k)
+            raise _Reached
+
+        monkeypatch.setattr(evaluation, fn, stub)
+        args = cli.build_parser().parse_args(
+            [command, *_COMMAND_ARGS[command], "--out", str(tmp_path)] + flag)
+        with pytest.raises(_Reached):
+            cli._COMMANDS[command](args, cli.resolve_config(args))
+        assert seen[keyword] == parser(value)
 
 
 @pytest.mark.parametrize("suffix", ["pclm", "pcds"])

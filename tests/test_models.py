@@ -197,6 +197,23 @@ def test_checkpoint_round_trip(tmp_path, model, rng):
         assert (la.bn.running_var == lb.bn.running_var).all()
 
 
+def test_checkpoint_round_trip_after_encoder_swap(tmp_path, model, rng):
+    """The header's widths are read off the layers, so a model whose encoder
+    was replaced by one of other widths saves the widths it has."""
+    model.encoder = models.EncoderParams.create(np.random.default_rng(1), [5, 8, 16])
+    encode(rng.normal(size=(4, 8, 3)), model.encoder, training=True, bn_momentum=0.5)
+    path = tmp_path / "m.pclm"
+    save_checkpoint(model, path)
+    back, _ = load_checkpoint(path)
+    assert back.config == model.config
+    assert back.encoder.widths == [5, 8, 16]
+    for a, b in zip(model.params(), back.params(), strict=True):
+        assert a.data.tobytes() == b.data.tobytes()
+    for la, lb in zip(model.encoder.layers, back.encoder.layers):
+        assert la.bn.running_mean.tobytes() == lb.bn.running_mean.tobytes()
+        assert la.bn.running_var.tobytes() == lb.bn.running_var.tobytes()
+
+
 def test_checkpoint_bad_magic(tmp_path):
     p = tmp_path / "x.pclm"
     p.write_bytes(b"XXXX" + b"\x00" * 32)

@@ -225,6 +225,12 @@ def test_config_validation():
         TrainConfig(lr_init=1e-6, lr_floor=1e-3)
     with pytest.raises(ValueError):
         TrainConfig(bn_cap=0.2)
+    # each of these used to fail late or write a checkpoint that cannot be loaded
+    for field, value in [("epochs", -2), ("checkpoint_every", -1), ("decay_period_steps", -5),
+                         ("points_per_cloud", 0), ("dropout_rate", 1.5), ("dropout_rate", -0.1),
+                         ("dropout_rate", 1)]:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**{field: value})
 
 
 def test_pretrain_creates_missing_out_dir(tmp_path, small_dataset):
