@@ -141,9 +141,7 @@ def fit_probe(train_feats, train_labels, num_classes, epochs=PROBE_EPOCHS,
     opt = AdamState(probe.params())
     x = T.Tensor(train_feats, dtype=dtype)
     for _ in range(epochs):
-        logits = T.linear_forward(x, probe.w, probe.b)
-        loss = T.softmax_cross_entropy(logits, train_labels)
-        T.backward(loss)
+        T.backward(T.linear_cross_entropy(x, probe.w, probe.b, train_labels))
         adam_step(probe.params(), opt, lr)
     return probe
 
@@ -175,6 +173,13 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
 # Pretraining (finetune) evaluation
 # ---------------------------------------------------------------------------
 
+def _classifier(rng, encoder_widths, head_widths, num_classes, dropout_rate):
+    """A supervised classifier: the head's last layer gives num_classes logits."""
+    return models.ModelParams.create(
+        rng, encoder_widths=encoder_widths,
+        head_widths=list(head_widths[:-1]) + [num_classes], dropout_rate=dropout_rate)
+
+
 def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
                            cfg: TrainConfig, finetune_epochs: int = FINETUNE_EPOCHS,
                            init_head: bool = False, seed: int = 0, tags=None):
@@ -182,12 +187,8 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
     branch) from an unsupervised checkpoint, train it, report test metrics."""
     pretrained, _ = models.load_checkpoint(checkpoint_path)
     rng = np.random.default_rng(seed)
-    num_classes = train_ds.num_classes
-    sup = models.ModelParams.create(
-        rng,
-        encoder_widths=pretrained.encoder.widths,
-        head_widths=list(pretrained.head.widths[:-1]) + [num_classes],
-        dropout_rate=cfg.dropout_rate)
+    sup = _classifier(rng, pretrained.encoder.widths, pretrained.head.widths,
+                      train_ds.num_classes, cfg.dropout_rate)
     sup.encoder = pretrained.encoder  # weights and batch-norm statistics
     if init_head:  # all head layers but the final class-count affine
         sup.head.layers[:-1] = pretrained.head.layers[:-1]
@@ -200,10 +201,8 @@ def supervised_baseline_eval(train_ds, test_ds, cfg: TrainConfig,
                              epochs: int = FINETUNE_EPOCHS, seed: int = 0, tags=None):
     """Same supervised pipeline from a random initialization."""
     rng = np.random.default_rng(seed)
-    sup = models.ModelParams.create(
-        rng, encoder_widths=cfg.encoder_widths,
-        head_widths=list(cfg.head_widths[:-1]) + [train_ds.num_classes],
-        dropout_rate=cfg.dropout_rate)
+    sup = _classifier(rng, cfg.encoder_widths, cfg.head_widths, train_ds.num_classes,
+                      cfg.dropout_rate)
     return _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng,
                                 tags={"protocol": "supervised_random_init",
                                       **(tags or {})})

@@ -93,6 +93,12 @@ class _LayerStack:
         return [l.w.shape[1] for l in self.layers]
 
 
+def _d_mid(encoder_widths):
+    """Width of the per-point feature kept for the segmentation branch: the
+    encoder's second-last layer, or its only one."""
+    return encoder_widths[-2] if len(encoder_widths) > 1 else encoder_widths[-1]
+
+
 @dataclass
 class EncoderParams(_LayerStack):
     """Shared per-point MLP; the last width is the global feature size."""
@@ -114,8 +120,7 @@ class EncoderParams(_LayerStack):
 
     @property
     def d_mid(self):
-        # per-point feature kept for the segmentation branch
-        return self.widths[-2] if len(self.widths) > 1 else self.widths[-1]
+        return _d_mid(self.widths)
 
 
 @dataclass
@@ -288,8 +293,8 @@ def _model_nbytes(config):
     enc = [3] + config["encoder_widths"]
     stacks = [(enc, 29, 16), (enc[-1:] + config["head_widths"], 14, 4)]
     if config["seg_widths"] is not None:
-        d_mid = enc[-2] if len(enc) > 2 else enc[-1]
-        stacks.append(([d_mid + enc[-1]] + config["seg_widths"], 14, 4))
+        d_in = _d_mid(config["encoder_widths"]) + enc[-1]
+        stacks.append(([d_in] + config["seg_widths"], 14, 4))
     return sum(fixed + 4 * a * b + per_b * b
                for dims, fixed, per_b in stacks for a, b in zip(dims, dims[1:]))
 

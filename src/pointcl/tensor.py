@@ -26,6 +26,7 @@ __all__ = [
     "shared_mlp_max_pool",
     "dropout",
     "softmax_cross_entropy",
+    "linear_cross_entropy",
     "l2_normalize_rows",
     "index",
     "logsumexp",
@@ -161,16 +162,20 @@ def transpose(a: Tensor) -> Tensor:
     return _result(out_data, (a,), bw, "transpose")
 
 
+def _check_affine(name, x, w, b):
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ShapeError(f"{name}: shapes {x.shape} x {w.shape} + {b.shape} "
+                         "do not conform")
+
+
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x[B,D] @ w[D,K] + b[K], the affine layer, as one tape node.
 
     The gradient of a frozen x or w is never formed; the bias gradient is
     the column sum ones(B) @ g.
     """
-    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
-            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
-        raise ShapeError(f"linear_forward: shapes {x.shape} x {w.shape} + {b.shape} "
-                         "do not conform")
+    _check_affine("linear_forward", x, w, b)
     out_data = x.data @ w.data
     out_data += b.data
 
@@ -423,18 +428,24 @@ def _row_max(x):
     return np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)
 
 
+def _checked_labels(name, labels, B, K):
+    """labels as an int64 [B] array of class ids below K, for B > 0 logit rows."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if B == 0:
+        raise ShapeError(f"{name}: empty batch, logits {(B, K)}")
+    if labels.shape != (B,):
+        raise ShapeError(f"{name}: {B} rows but {labels.shape} labels")
+    if labels.min() < 0 or labels.max() >= K:
+        raise IndexError(f"label out of range [0, {K})")
+    return labels
+
+
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
     """Mean over rows of -log softmax(logits)[label], row-max stabilized."""
     if logits.data.ndim != 2:
         raise ShapeError(f"softmax_cross_entropy: expected [B,K], got {logits.shape}")
-    labels = np.asarray(labels, dtype=np.int64)
     B, K = logits.shape
-    if B == 0:
-        raise ShapeError(f"softmax_cross_entropy: empty batch, logits {logits.shape}")
-    if labels.shape != (B,):
-        raise ShapeError(f"softmax_cross_entropy: {B} rows but {labels.shape} labels")
-    if labels.min() < 0 or labels.max() >= K:
-        raise IndexError(f"label out of range [0, {K})")
+    labels = _checked_labels("softmax_cross_entropy", labels, B, K)
     rows = np.arange(B)
     # One working array: shifted logits, then their exponents in place.
     e = logits.data - _row_max(logits.data)[:, None]
@@ -451,6 +462,45 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
     return _result(np.asarray(out_data, dtype=logits.dtype), (logits,), bw,
                    "softmax_cross_entropy")
+
+
+def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, labels) -> Tensor:
+    """softmax_cross_entropy(linear_forward(x, w, b), labels) as one tape
+    node: the linear probe's loss.
+
+    The logits are formed class-major, as one [K, R] array, so each per-row
+    max, sum and label read runs over the long axis. That array becomes the
+    softmax in place and then (P - Y) / R, the logits' gradient. The forward
+    also takes the gradients of w, b and (only if it is trained) x from it
+    and keeps those alone; the backward scales them by g.
+    """
+    _check_affine("linear_cross_entropy", x, w, b)
+    R, K = x.shape[0], w.shape[1]
+    labels = _checked_labels("linear_cross_entropy", labels, R, K)
+    at = labels * R + np.arange(R)  # flat [K, R] positions of the label entries
+    e = w.data.T @ x.data.T
+    e += b.data[:, None]
+    e -= e.max(axis=0)
+    picked = e.reshape(-1)[at]
+    np.exp(e, out=e)
+    s = e.sum(axis=0)
+    out_data = np.mean(np.log(s) - picked)
+    e /= s * R
+    e.reshape(-1)[at] -= 1.0 / R
+    grads = []  # (parent, its gradient at g = 1)
+    if x.requires_grad:
+        grads.append((x, e.T @ w.data.T))
+    if w.requires_grad:
+        grads.append((w, (e @ x.data).T))
+    if b.requires_grad:
+        grads.append((b, e.sum(axis=1)))
+
+    def bw(g):
+        for p, d in grads:
+            _accum(p, g * d)
+
+    return _result(np.asarray(out_data, dtype=x.dtype), (x, w, b), bw,
+                   "linear_cross_entropy")
 
 
 def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:

@@ -52,9 +52,14 @@ class TrainConfig:
             raise ValueError("need at least 2 pairs per batch")
         if self.lr_floor > self.lr_init:
             raise ValueError("lr_floor must not exceed lr_init")
+        if not 0.0 < self.lr_decay_gamma <= 1.0:
+            raise ValueError(f"lr_decay_gamma must be in (0, 1], got {self.lr_decay_gamma}")
+        if not 0.0 <= self.bn_init <= 1.0:  # bn_schedule is 1 - bn_init * 0.5 ** k
+            raise ValueError(f"bn_init must be in [0, 1], got {self.bn_init}")
         if not 0.5 <= self.bn_cap <= 1.0:
             raise ValueError("bn momentum cap must be in [0.5, 1]")
-        for name in ("epochs", "decay_period_steps", "checkpoint_every"):
+        # a negative lr_init or lr_floor makes Adam climb the loss
+        for name in ("epochs", "decay_period_steps", "checkpoint_every", "lr_init", "lr_floor"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.points_per_cloud < 1:

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,23 @@ def test_fit_probe_matches_float64_adam(rng):
     assert probe.w.dtype == np.float32
     assert np.allclose(probe.w.data, w, rtol=1e-5, atol=1e-6)
     assert np.allclose(probe.b.data, b, rtol=1e-5, atol=1e-6)
+
+
+def test_fit_probe_allocates_under_two_logit_arrays(rng):
+    """The probe's epoch keeps one class-major [K, R] array: the traced peak
+    of a fit stays within two float32 [R, K] arrays. The two-op path of
+    linear_forward and softmax_cross_entropy peaks at six."""
+    R, K = 20000, 9
+    feats = rng.normal(size=(R, 32)).astype(np.float32)
+    labels = rng.integers(0, K, size=R)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluation.fit_probe(feats, labels, K, epochs=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * R * K * 4, peak / (R * K * 4)
 
 
 def test_fit_probe_empty_features():

@@ -279,6 +279,72 @@ def test_softmax_ce_float32_matches_reference(rng):
     assert np.array_equal(logits.grad, 2 * first)
 
 
+@pytest.mark.parametrize("frozen_x", [False, True])
+def test_linear_cross_entropy_finite_differences(rng, frozen_x):
+    """frozen_x is the probe. The loss is scaled by 2.5 above the node, so
+    the backward must scale the gradients it kept from the forward."""
+    x, w, b = _linear_inputs(rng, np.float64, frozen_x, rows=11, din=4, dout=5)
+    labels = rng.integers(0, 5, size=11)
+    params = [w, b] if frozen_x else [x, w, b]
+
+    def forward():
+        return T.scale(T.linear_cross_entropy(x, w, b, labels), 2.5)
+
+    T.backward(forward())
+    assert (x.grad is None) == frozen_x
+    grads = [p.grad.copy() for p in params]
+    fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)
+    assert max_rel_error(grads, fd) < 1e-6
+
+
+def test_linear_cross_entropy_float32_matches_two_ops(rng):
+    """Loss and gradients equal linear_forward -> softmax_cross_entropy's,
+    on float32 logits with a saturated row."""
+    x, w, b = _linear_inputs(rng, np.float32, rows=300, din=16, dout=9)
+    x.data[0] *= 1e3
+    labels = rng.integers(0, 9, size=300)
+    loss = T.linear_cross_entropy(x, w, b, labels)
+    assert loss._op == "linear_cross_entropy" and loss._parents == (x, w, b)
+    assert loss.dtype == np.float32
+    T.backward(loss)
+    got = [p.grad for p in (x, w, b)]
+    for p in (x, w, b):
+        p.grad = None
+    ref = T.softmax_cross_entropy(T.linear_forward(x, w, b), labels)
+    T.backward(ref)
+    assert np.isclose(loss.item(), ref.item(), rtol=1e-6)
+    for g, p in zip(got, (x, w, b)):
+        assert g.dtype == np.float32 and g.shape == p.shape
+        np.testing.assert_allclose(g, p.grad, rtol=1e-4, atol=1e-6)
+
+
+def test_linear_cross_entropy_second_backward_doubles(rng):
+    """The node keeps its gradients and changes none of them in backward, so
+    a second call on the same graph adds the same leaf gradients again."""
+    x, w, b = _linear_inputs(rng, np.float64, rows=9)
+    loss = T.linear_cross_entropy(x, w, b, rng.integers(0, 3, size=9))
+    T.backward(loss)
+    first = [p.grad.copy() for p in (x, w, b)]
+    T.backward(loss)
+    for p, g in zip((x, w, b), first):
+        assert np.array_equal(p.grad, 2 * g)
+
+
+def test_linear_cross_entropy_checks_like_softmax_cross_entropy():
+    w, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))
+    for op in (lambda x, y: T.softmax_cross_entropy(T.linear_forward(x, w, b), y),
+               lambda x, y: T.linear_cross_entropy(x, w, b, y)):
+        with pytest.raises(T.ShapeError, match=r"empty batch, logits \(0, 3\)"):
+            op(Tensor(np.zeros((0, 4))), [])
+        with pytest.raises(T.ShapeError, match=r"2 rows but \(3,\) labels"):
+            op(Tensor(np.zeros((2, 4))), [0, 1, 2])
+        for bad in ([0, 3], [-1, 0]):
+            with pytest.raises(IndexError, match=r"label out of range \[0, 3\)"):
+                op(Tensor(np.zeros((2, 4))), bad)
+    with pytest.raises(T.ShapeError, match="linear_cross_entropy"):
+        T.linear_cross_entropy(Tensor(np.zeros((2, 5))), w, b, [0, 1])
+
+
 @pytest.mark.parametrize("frozen", ["a", "b"])
 def test_matmul_frozen_operand(rng, frozen):
     """The frozen side gets no gradient; the other side's equals the

@@ -233,6 +233,28 @@ def test_config_validation():
             TrainConfig(**{field: value})
 
 
+_TRAINS_WRONGLY = {  # field: (settings rejected, settings accepted at the range's ends)
+    "lr_init": ([dict(lr_init=-0.001, lr_floor=-0.01)], [dict(lr_init=0.0, lr_floor=0.0)]),
+    "lr_floor": ([dict(lr_floor=-1e-5)], [dict(lr_floor=0.0)]),
+    "lr_decay_gamma": ([dict(lr_decay_gamma=v) for v in (2.0, 1.0001, 0.0, -0.5)],
+                       [dict(lr_decay_gamma=1.0)]),
+    "bn_init": ([dict(bn_init=v) for v in (3.0, 1.01, -0.1)],
+                [dict(bn_init=v) for v in (0.0, 1.0)]),
+}
+
+
+@pytest.mark.parametrize("field", list(_TRAINS_WRONGLY))
+def test_config_rejects_settings_that_train_wrongly(field):
+    """A negative lr makes Adam climb the loss, a gamma above 1 grows the lr
+    and a bn_init outside [0, 1] gives a momentum outside [0, 1]."""
+    bad, good = _TRAINS_WRONGLY[field]
+    for kw in bad:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainConfig(**kw)
+    for kw in good:
+        TrainConfig(**kw)
+
+
 def test_pretrain_creates_missing_out_dir(tmp_path, small_dataset):
     out = tmp_path / "fresh" / "run"
     pretrain(small_dataset, tiny_cfg(epochs=1, checkpoint_every=2), out_dir=str(out))
