@@ -471,8 +471,9 @@ def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, labels) -> Tensor:
     The logits are formed class-major, as one [K, R] array, so each per-row
     max, sum and label read runs over the long axis. That array becomes the
     softmax in place and then (P - Y) / R, the logits' gradient. The forward
-    also takes the gradients of w, b and (only if it is trained) x from it
-    and keeps those alone; the backward scales them by g.
+    also takes each trained parent's gradient from it (so a probe on frozen
+    x never forms the [R, D] one) and keeps those alone; the backward
+    scales them by g.
     """
     _check_affine("linear_cross_entropy", x, w, b)
     R, K = x.shape[0], w.shape[1]
