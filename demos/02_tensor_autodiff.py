@@ -9,17 +9,17 @@ import numpy as np
 from pointcl import tensor as T
 from pointcl.tensor import Tensor
 
-# A tiny shared-MLP block: linear -> relu -> max pool over points -> loss.
+# A tiny shared-MLP block: x @ w -> batch norm -> relu -> max pool over
+# points, one tape node (the encoder's last layer), then a softmax loss.
 rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64, requires_grad=True)
-b = Tensor(np.zeros(4), dtype=np.float64, requires_grad=True)
+bn = T.BNState(4, dtype=np.float64)  # learned gamma and beta, running stats
 points = rng.normal(size=(2, 5, 3))  # 2 clouds, 5 points each
 
 
 def forward():
-    h = T.linear_forward(Tensor(points.reshape(10, 3), dtype=np.float64), w, b)
-    h = T.relu(h)
-    pooled = T.max_pool_points(T.reshape(h, (2, 5, 4)))
+    x = Tensor(points.reshape(10, 3), dtype=np.float64)
+    pooled = T.shared_mlp_max_pool(x, w, bn, momentum=0.9, training=True, n_points=5)
     return T.softmax_cross_entropy(pooled, [1, 3])
 
 

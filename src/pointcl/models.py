@@ -95,8 +95,8 @@ class _LayerStack:
 
 def _d_mid(encoder_widths):
     """Width of the per-point feature kept for the segmentation branch: the
-    encoder's second-last layer, or its only one."""
-    return encoder_widths[-2] if len(encoder_widths) > 1 else encoder_widths[-1]
+    encoder's second-last layer."""
+    return encoder_widths[-2]
 
 
 @dataclass
@@ -107,8 +107,8 @@ class EncoderParams(_LayerStack):
     @staticmethod
     def create(rng, widths=None, dtype=np.float32):
         widths = list(widths or DESK_ENCODER_WIDTHS)
-        if any(w < 1 for w in widths):
-            raise ValueError(f"encoder widths must be >= 1, got {widths}")
+        if not _HEADER_FIELDS["encoder_widths"](widths):
+            raise ValueError(f"encoder_widths must be two or more widths >= 1, got {widths}")
         dims = [3] + widths
         layers = [EncoderLayer(_glorot(rng, a, b, dtype), BNState(b, dtype=dtype))
                   for a, b in zip(dims, dims[1:])]
@@ -189,7 +189,8 @@ def encode(points: np.ndarray, enc: EncoderParams, training: bool,
     """Run the shared per-point MLP and max pool.
 
     points: [B, N, 3] array. Returns (global_feature [B, D_g] Tensor,
-    per_point [B, N, D_mid] Tensor).
+    per_point [B, N, D_mid] Tensor): the pooled last layer, one node, and
+    the output of the layer before it.
     """
     points = np.asarray(points)
     B, N, _ = points.shape
@@ -197,14 +198,8 @@ def encode(points: np.ndarray, enc: EncoderParams, training: bool,
     *body, last = enc.layers
     for layer in body:
         h = T.shared_mlp(h, layer.w, layer.bn, bn_momentum, training)
-    if body:
-        global_feat = T.shared_mlp_max_pool(h, last.w, last.bn, bn_momentum, training, N)
-        return global_feat, T.reshape(h, (B, N, enc.d_mid))
-    # A one-layer encoder's output is also its per-point feature, which the
-    # fused layer and pool never form, so here the two stay apart.
-    h = T.shared_mlp(h, last.w, last.bn, bn_momentum, training)
-    per_point = T.reshape(h, (B, N, enc.d_mid))
-    return T.max_pool_points(per_point), per_point
+    global_feat = T.shared_mlp_max_pool(h, last.w, last.bn, bn_momentum, training, N)
+    return global_feat, T.reshape(h, (B, N, enc.d_mid))
 
 
 def _dense(h: Tensor, layers, dropout_rate=0.0, rng=None):
@@ -267,9 +262,11 @@ def _is_widths(v):
     return isinstance(v, list) and v != [] and all(type(n) is int and n >= 1 for n in v)
 
 
-# What each header field must hold; the model is built from them.
+# What each header field must hold; the model is built from them. An encoder
+# has two or more layers: the last one pools (shared_mlp_max_pool), and the
+# one before it gives the per-point feature.
 _HEADER_FIELDS = {
-    "encoder_widths": _is_widths,
+    "encoder_widths": lambda v: _is_widths(v) and len(v) >= 2,
     "head_widths": lambda v: _is_widths(v) and v[-1] >= 2,
     "seg_widths": lambda v: v is None or _is_widths(v),
     "dropout_rate": lambda v: type(v) in (int, float) and 0 <= v < 1,

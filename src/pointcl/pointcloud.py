@@ -211,16 +211,17 @@ def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) ->
 
 # ---------------------------------------------------------------------------
 # Packed-binary format: magic "PCDS", version u16, little-endian.
-# Header: num_samples u32, num_classes u16, num_parts u16 (0 = none).
+# Header: num_samples u32, num_classes u16, num_parts u16 (0 = none), then
+# the split name: its UTF-8 byte count u16 and the bytes.
 # Then parts_per_class: a class count u16 (0 = no map), and per class:
-# class u16, part count u16, the part ids as u16. Only version 2 is read;
-# version 1 had no parts map.
+# class u16, part count u16, the part ids as u16. Only version 3 is read;
+# version 1 had no parts map and version 2 no split.
 # Per sample: id u32, class u16, N u32, N*3 f32 coords, N*u16 point labels
 # iff num_parts > 0.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"PCDS"
-_VERSION = 2
+_VERSION = 3
 
 
 def save_dataset(ds: Dataset, path, format="packed-binary") -> None:
@@ -234,6 +235,8 @@ def save_dataset(ds: Dataset, path, format="packed-binary") -> None:
             f.write(_MAGIC)
             f.write(struct.pack("<H", _VERSION))
             f.write(struct.pack("<IHH", len(ds.samples), ds.num_classes, ds.num_parts))
+            split = ds.split.encode()
+            f.write(struct.pack("<H", len(split)) + split)
             ppc = ds.parts_per_class or {}
             f.write(struct.pack("<H", len(ppc)))
             for cls, parts in sorted(ppc.items()):
@@ -260,9 +263,11 @@ def _read_exact(f, nbytes, what):
     return buf
 
 
-def load_dataset(path, format="packed-binary", split="train") -> Dataset:
+def load_dataset(path, format="packed-binary") -> Dataset:
+    """Read a dataset file. A packed-binary file holds its split; an
+    xyz-text one does not, and reads back as "train"."""
     if format == "xyz-text":
-        return load_dataset_xyz(path, split=split)
+        return load_dataset_xyz(path)
     if format != "packed-binary":
         raise ValueError(f"unknown format {format!r}")
     with open(path, "rb") as f:
@@ -274,6 +279,11 @@ def load_dataset(path, format="packed-binary", split="train") -> Dataset:
             raise ParseError(f"{path}: unsupported version {version} (expected {_VERSION})")
         num_samples, num_classes, num_parts = struct.unpack(
             "<IHH", _read_exact(f, 8, "header"))
+        (n,) = struct.unpack("<H", _read_exact(f, 2, "split"))
+        try:
+            split = _read_exact(f, n, "split").decode()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: split name is not UTF-8: {e}") from None
         parts_per_class = _read_parts_map(f, num_classes, num_parts)
         samples = []
         for _ in range(num_samples):

@@ -12,24 +12,20 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ShapeError",
-    "add",
     "mul",
     "scale",
-    "matmul",
-    "transpose",
     "linear_forward",
     "relu",
     "reshape",
     "linear_points_global",
-    "max_pool_points",
     "shared_mlp",
     "shared_mlp_max_pool",
     "dropout",
     "softmax_cross_entropy",
     "linear_cross_entropy",
     "l2_normalize_rows",
+    "info_nce",
     "index",
-    "logsumexp",
     "tsum",
     "backward",
     "BNState",
@@ -101,18 +97,6 @@ def _accum(t, g):
     t.grad = g
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out_data = a.data + b.data
-
-    def bw(g):
-        _accum(a, g)
-        _accum(b, g)
-
-    return _result(out_data, (a, b), bw, "add")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
@@ -133,33 +117,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         _accum(a, g * c)
 
     return _result(out_data, (a,), bw, "scale")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a[M,K] @ b[K,P], or a[B,M,K] @ b[B,K,P]: one product per batch entry."""
-    if a.data.ndim not in (2, 3) or a.shape[:-2] + a.shape[-1:] != b.shape[:-1]:
-        raise ShapeError(f"matmul: shapes {a.shape} x {b.shape} do not conform")
-    out_data = a.data @ b.data
-
-    def bw(g):
-        if a.requires_grad:
-            _accum(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            _accum(b, np.swapaxes(a.data, -1, -2) @ g)
-
-    return _result(out_data, (a, b), bw, "matmul")
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes of a 2-d or 3-d tensor."""
-    if a.data.ndim not in (2, 3):
-        raise ShapeError(f"transpose: expected 2-d or 3-d, got {a.shape}")
-    out_data = np.swapaxes(a.data, -1, -2).copy()
-
-    def bw(g):
-        _accum(a, np.swapaxes(g, -1, -2))
-
-    return _result(out_data, (a,), bw, "transpose")
 
 
 def _check_affine(name, x, w, b):
@@ -250,28 +207,6 @@ def _first_at_max(x, m, neg=None):
     return n - (~off * rev[:, None]).max(axis=1)
 
 
-def max_pool_points(x: Tensor) -> Tensor:
-    """Max over the point axis: [B,N,D] -> [B,D].
-
-    Gradient routes to the first point at the max per (b, d) (_first_at_max),
-    found in backward, so a pass that never differentiates pays for the max
-    alone.
-    """
-    if x.data.ndim != 3:
-        raise ShapeError(f"max_pool_points: expected [B,N,D], got {x.shape}")
-    if x.shape[1] == 0:
-        raise ShapeError("max_pool_points: empty cloud (N == 0)")
-    out_data = np.max(x.data, axis=1)
-
-    def bw(g):
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, _first_at_max(x.data, out_data)[:, None, :],
-                          g[:, None, :], axis=1)
-        _accum(x, gx)
-
-    return _result(out_data, (x,), bw, "max_pool_points")
-
-
 class BNState:
     """Learned scale/shift plus running statistics for one batch-norm layer."""
 
@@ -353,8 +288,9 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
 
 def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                         training: bool, n_points: int) -> Tensor:
-    """max_pool_points(reshape(shared_mlp(x, w, bn, ...), (B, N, D))) as one
-    tape node, x[B*N, Din] -> [B, D]: the encoder's last layer and its pool.
+    """The max over the points of reshape(shared_mlp(x, w, bn, ...), (B, N, D))
+    as one tape node, x[B*N, Din] -> [B, D]: the encoder's last layer and its
+    pool. An empty cloud (N = 0) has no max and raises.
 
     It pools before the affine: the max over the points of the centred
     pre-activation t (the min where gamma < 0), then *inv, *gamma, +beta and
@@ -517,40 +453,89 @@ def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
     return _result(y, (x,), bw, "l2_normalize_rows")
 
 
-def index(x: Tensor, key) -> Tensor:
-    """x.data[key] for any numpy index: an int, a slice or index arrays.
+def info_nce(q: Tensor, k: Tensor, tau: float, labels, labels_back=None,
+             exclude_positive: bool = False) -> Tensor:
+    """InfoNCE over [..., N, d] stacks whose leading axes index the groups,
+    as one tape node: the contrastive loss.
 
-    The gradient scatters back into the indexed positions. Index arrays may
-    select an element twice, so their gradient adds up through np.add.at;
-    ints and slices select each element once and take a plain assignment.
+    Each row of q attends over the N rows of its group in k with the logits
+    q . k / tau and takes the cross-entropy against its key labels[r] (over
+    the flattened rows). A row labelled -1 has no positive and weight 0; the
+    mean runs over the others. Given labels_back, the loss averages in the
+    direction from k over q, the same logits read transposed. With
+    exclude_positive the positive's term leaves its row's softmax (its
+    logit is -inf there). Each direction's logit gradient is (P - Y) / rows,
+    P the softmax; the backward sums both into dS and forms dS . k / tau and
+    dS^T . q / tau.
     """
-    out_data = np.array(x.data[key])
+    if q.data.ndim not in (2, 3) or q.shape != k.shape:
+        raise ShapeError(f"info_nce: shapes {q.shape} and {k.shape} are not one "
+                         "[..., N, d] shape")
+    N = q.shape[-2]
+    c = float(1.0 / tau)
+    # k's transpose made contiguous: the product's bits depend on the
+    # operand layout, and fixed-seed runs pin this one.
+    sim = q.data @ np.swapaxes(k.data, -1, -2).copy()
+    sim *= c
+    views = [(sim.reshape(-1, N), labels)]
+    if labels_back is not None:
+        views.append((np.ascontiguousarray(np.swapaxes(sim, -1, -2)).reshape(-1, N),
+                      labels_back))
+    parts, means = [], []
+    for e, lab in views:  # e becomes exp(logits - row max) in place
+        lab = np.asarray(lab, dtype=np.int64)
+        if lab.shape != e.shape[:1]:
+            raise ShapeError(f"info_nce: {len(e)} rows but {lab.shape} labels")
+        kept = lab >= 0
+        at = np.arange(len(e)), np.maximum(lab, 0)
+        pos = e[at]
+        if exclude_positive:
+            e[at] = -np.inf
+        m = _row_max(e)
+        e -= m[:, None]
+        np.exp(e, out=e)
+        sums = e @ np.ones(N, dtype=e.dtype)
+        per_row = np.log(sums) - (pos - m)
+        parts.append((e, sums, at, kept))
+        means.append(np.mean(per_row if kept.all() else per_row[kept]))
+    out_data = means[0] if len(means) == 1 else (means[0] + means[1]) * 0.5
+
+    def bw(g):
+        g = g * 0.5 if len(parts) == 2 else g
+        ds = None
+        for e, sums, at, kept in parts:
+            gl = e / sums[:, None]
+            gl[at] -= 1.0
+            gl *= g / int(kept.sum())  # an int keeps g / n in g's dtype
+            gl[~kept] = 0.0
+            gl = gl.reshape(sim.shape)
+            ds = gl if ds is None else ds + np.swapaxes(gl, -1, -2)
+        ds *= c
+        if q.requires_grad:
+            _accum(q, ds @ k.data)
+        if k.requires_grad:
+            _accum(k, np.swapaxes(ds, -1, -2) @ q.data)
+
+    return _result(np.asarray(out_data, dtype=q.dtype), (q, k), bw, "info_nce")
+
+
+def index(x: Tensor, key) -> Tensor:
+    """x.data[key] for an int, a slice or a tuple of them.
+
+    Each element is selected once, so the gradient is a plain assignment
+    into the indexed positions. An index array raises ShapeError.
+    """
     parts = key if isinstance(key, tuple) else (key,)
-    repeats = any(isinstance(k, (np.ndarray, list)) for k in parts)
+    if not all(isinstance(p, (int, np.integer, slice)) for p in parts):
+        raise ShapeError(f"index: key {key!r} is not ints and slices")
+    out_data = np.array(x.data[key])
 
     def bw(g):
         gx = np.zeros_like(x.data)
-        if repeats:
-            np.add.at(gx, key, g)
-        else:
-            gx[key] = g
+        gx[key] = g
         _accum(x, gx)
 
     return _result(out_data, (x,), bw, "slice")
-
-
-def logsumexp(x: Tensor) -> Tensor:
-    """log sum exp over the last axis, max-stabilized: [..., K] -> [...]."""
-    m = _row_max(x.data)[..., None]
-    ez = np.exp(x.data - m)
-    s = ez.sum(axis=-1, keepdims=True)
-    out_data = (m + np.log(s))[..., 0]
-    soft = ez / s
-
-    def bw(g):
-        _accum(x, g[..., None] * soft)
-
-    return _result(out_data, (x,), bw, "logsumexp")
 
 
 def tsum(x: Tensor) -> Tensor:

@@ -64,10 +64,13 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.points_per_cloud < 1:
             raise ValueError(f"points_per_cloud must be >= 1, got {self.points_per_cloud}")
-        # the rule a checkpoint header's dropout_rate must meet, so pretrain
+        # the rules a checkpoint header's fields must meet, so pretrain
         # never writes a checkpoint that load_checkpoint rejects
         if not models._HEADER_FIELDS["dropout_rate"](self.dropout_rate):
             raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
+        if not models._HEADER_FIELDS["encoder_widths"](list(self.encoder_widths)):
+            raise ValueError("encoder_widths must be two or more widths >= 1, "
+                             f"got {self.encoder_widths!r}")
 
     def transform_spec(self) -> TransformSpec:
         return parse_transform(self.transform)

@@ -36,8 +36,15 @@ def test_gen_data_counts(tmp_path):
                 "--out", str(out)]) == 0
     ds = load_dataset(out)
     assert len(ds) == 100
+    assert ds.split == "val"
     manifest = (out.parent / (out.name + ".manifest.txt")).read_text().splitlines()
-    assert "split = val" in manifest  # the .pcds file has no field for it
+    assert "split = val" in manifest
+
+
+def test_gen_data_split_reads_back(data_files):
+    train, test = data_files
+    assert load_dataset(train).split == "train"
+    assert load_dataset(test).split == "test"
 
 
 def test_gen_data_deterministic(tmp_path):
@@ -335,7 +342,7 @@ def test_non_finite_dataset_runtime_failure(tmp_path, capsys):
     """A dataset with a NaN coordinate is a corrupt file: exit 1 and a
     .failed marker naming the file, not a configuration error."""
     bad = tmp_path / "nan.pcds"
-    bad.write_bytes(b"PCDS" + struct.pack("<HIHHH", 2, 1, 1, 0, 0)
+    bad.write_bytes(b"PCDS" + struct.pack("<HIHHHH", 3, 1, 1, 0, 0, 0)
                     + struct.pack("<IHI", 4, 0, 1) + np.float32([0, np.nan, 0]).tobytes())
     out = tmp_path / "out"
     assert run(["pretrain", "--data", str(bad), "--out", str(out)]) == 1

@@ -156,6 +156,14 @@ def test_cross_validate_tags(small_dataset):
     assert "unsup_dataset" in m.tags and "probe_dataset" in m.tags
 
 
+def test_cross_validate_tags_a_test_file_as_test(tmp_path, small_dataset):
+    """The probe set's split comes from its file, as gen-data --split wrote it."""
+    save_dataset(replace(small_dataset, split="test"), tmp_path / "test.pcds")
+    m = cross_validate(small_dataset, small_dataset, load_dataset(tmp_path / "test.pcds"),
+                       tiny_cfg(epochs=1))
+    assert m.tags["unsup_dataset"] == "train" and m.tags["probe_dataset"] == "test"
+
+
 def test_cross_validate_empty_probe_set(small_dataset):
     from pointcl.pointcloud import Dataset
     empty = Dataset(samples=[], num_classes=4)

@@ -159,54 +159,48 @@ def test_seg_point_labels_checked():
                                  point_labels=bad)
 
 
-def test_loss_gradients_match_finite_differences(rng):
-    z_o = Tensor(unit_rows(rng.normal(size=(4, 5))), requires_grad=True)
-    z_t = Tensor(unit_rows(rng.normal(size=(4, 5))), requires_grad=True)
-    cfg = LossConfig(tau=0.2)
-    loss = contrastive_loss_cls(z_o, z_t, cfg)
-    T.backward(loss)
-    grads = [z_o.grad.copy(), z_t.grad.copy()]
-    z_o.grad = z_t.grad = None
-    fd = finite_difference_grads(
-        lambda: contrastive_loss_cls(z_o, z_t, cfg).item(), [z_o, z_t])
-    assert max_rel_error(grads, fd) < 1e-4
-
-
-def test_seg_gradients_match_finite_differences(rng):
-    Z_o = Tensor(unit_rows(rng.normal(size=(2, 4, 3))), requires_grad=True)
-    Z_t = Tensor(unit_rows(rng.normal(size=(2, 4, 3))), requires_grad=True)
-    cfg = LossConfig(tau=0.3)
-    loss = contrastive_loss_seg(Z_o, Z_t, cfg)
-    T.backward(loss)
-    grads = [Z_o.grad.copy(), Z_t.grad.copy()]
-    Z_o.grad = Z_t.grad = None
-    fd = finite_difference_grads(
-        lambda: contrastive_loss_seg(Z_o, Z_t, cfg).item(), [Z_o, Z_t])
-    assert max_rel_error(grads, fd) < 1e-4
-
-
 def test_tau_must_be_positive():
     with pytest.raises(ValueError):
         LossConfig(tau=0.0)
 
 
-@pytest.mark.parametrize("symmetric, point_labels",
-                         [(False, None), (True, None), (True, CROP_MAP)],
-                         ids=["False", "True", "seg-crop-map"])
-def test_exclude_positive_gradients_match_finite_differences(rng, symmetric,
-                                                             point_labels):
-    shape = (5, 4) if point_labels is None else (*point_labels.shape, 4)
-    z_o = Tensor(unit_rows(rng.normal(size=shape)), requires_grad=True)
-    z_t = Tensor(unit_rows(rng.normal(size=shape)), requires_grad=True)
-    cfg = LossConfig(tau=0.2, exclude_positive=True, symmetric=symmetric)
+def _embedding_pair(rng, grouping, dtype=np.float64):
+    """Unit-row embeddings for a loss: cls [5, 4] pairs, or seg [2, 6, 4]."""
+    shape = (5, 4) if grouping == "cls" else (*CROP_MAP.shape, 4)
+    return (Tensor(unit_rows(rng.normal(size=shape)), dtype=dtype, requires_grad=True),
+            Tensor(unit_rows(rng.normal(size=shape)), dtype=dtype, requires_grad=True))
 
-    def loss():
-        if point_labels is None:
-            return contrastive_loss_cls(z_o, z_t, cfg)
-        return contrastive_loss_seg(z_o, z_t, cfg, point_labels=point_labels)
 
-    T.backward(loss())
+def _loss(grouping, z_o, z_t, cfg):
+    if grouping == "cls":
+        return contrastive_loss_cls(z_o, z_t, cfg)
+    return contrastive_loss_seg(z_o, z_t, cfg, point_labels=(
+        CROP_MAP if grouping == "seg-crop-map" else None))
+
+
+GROUPINGS = ["cls", "seg", "seg-crop-map"]
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+@pytest.mark.parametrize("exclude_positive", [False, True])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_loss_gradients_match_finite_differences(rng, grouping, symmetric,
+                                                 exclude_positive):
+    """float64 gradients of both embeddings against central differences, in
+    every loss setting. Under CROP_MAP some original points have no slot, so
+    their rows carry weight 0."""
+    z_o, z_t = _embedding_pair(rng, grouping)
+    cfg = LossConfig(tau=0.2, symmetric=symmetric, exclude_positive=exclude_positive)
+    T.backward(_loss(grouping, z_o, z_t, cfg))
     grads = [z_o.grad.copy(), z_t.grad.copy()]
-    z_o.grad = z_t.grad = None
-    fd = finite_difference_grads(lambda: loss().item(), [z_o, z_t])
-    assert max_rel_error(grads, fd) < 1e-4
+    fd = finite_difference_grads(lambda: _loss(grouping, z_o, z_t, cfg).item(),
+                                 [z_o, z_t], h=1e-5)
+    assert max_rel_error(grads, fd) < 1e-6
+
+
+@pytest.mark.parametrize("grouping", GROUPINGS)
+def test_each_loss_is_one_tape_node(rng, grouping):
+    z_o, z_t = _embedding_pair(rng, grouping, np.float32)
+    for cfg in (LossConfig(), LossConfig(symmetric=True, exclude_positive=True)):
+        loss = _loss(grouping, z_o, z_t, cfg)
+        assert loss._op == "info_nce" and loss._parents == (z_o, z_t)

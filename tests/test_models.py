@@ -9,6 +9,7 @@ import pytest
 from pointcl import evaluation, models, tensor as T
 from pointcl.models import (CheckpointError, ModelParams, encode, load_checkpoint,
                             project, save_checkpoint, segment_embed)
+from pointcl.training import TrainConfig
 
 from oracles import finite_difference_grads, max_rel_error
 
@@ -66,7 +67,7 @@ def test_project_eval_deterministic(model, rng):
 
 
 def test_project_hand_matmul():
-    m = ModelParams.create(np.random.default_rng(0), encoder_widths=[4],
+    m = ModelParams.create(np.random.default_rng(0), encoder_widths=[3, 4],
                            head_widths=[2])
     m.head.layers[0].w.data = np.array([[1, 0], [0, 1], [0, 0], [0, 0]],
                                        dtype=np.float32)
@@ -110,11 +111,10 @@ def test_segment_global_ablation(model, rng):
     assert np.allclose(Z1.data, Z2.data)
 
 
-@pytest.mark.parametrize("widths", [[8], [8, 16]])
+@pytest.mark.parametrize("widths", [[4, 8, 16], [8, 16]])
 def test_encode_pools_the_last_layer(rng, widths):
     """Global features are the max over points of the last layer, fused
-    with it into one node except in a one-layer encoder, whose layer output
-    is also the per-point feature."""
+    with it into one node; the per-point feature is the layer before it."""
     enc = models.EncoderParams.create(np.random.default_rng(0), widths)
     ref = copy.deepcopy(enc)
     pts = rng.normal(size=(2, 6, 3)).astype(np.float32)
@@ -125,16 +125,8 @@ def test_encode_pools_the_last_layer(rng, widths):
         h = T.shared_mlp(h, layer.w, layer.bn, 0.9, True)
         outs.append(h.data.reshape(2, 6, -1))
     assert np.array_equal(g.data, outs[-1].max(axis=1))
-    assert np.array_equal(pp.data, outs[-2 if len(widths) > 1 else -1])
-    if len(widths) > 1:
-        assert g._op == "shared_mlp_max_pool"
-    else:
-        assert g._op == "max_pool_points" and g._parents == (pp,)
-        T.backward(T.add(T.tsum(g), T.tsum(T.index(pp, (slice(None), 0)))))
-        want = np.zeros((2, 6, 8), dtype=np.float32)
-        np.put_along_axis(want, np.argmax(pp.data, axis=1)[:, None], 1.0, axis=1)
-        want[:, 0] += 1.0
-        assert np.array_equal(pp.grad, want)  # from the pool and from pp itself
+    assert np.array_equal(pp.data, outs[-2])
+    assert g._op == "shared_mlp_max_pool"
 
 
 @pytest.mark.parametrize("seg_widths", [[5, 3], [3]])
@@ -247,6 +239,7 @@ def _header(**fields):
     ([1, 2], "not a JSON object"),
     (_header(tensors="missing"), "no 'tensors'"),
     (_header(encoder_widths=[0]), "'encoder_widths' is [0]"),
+    (_header(encoder_widths=[8]), "'encoder_widths' is [8]"),
     (_header(encoder_widths=[]), "'encoder_widths'"),
     (_header(encoder_widths=8), "'encoder_widths'"),
     (_header(head_widths=[4, 1]), "'head_widths'"),
@@ -255,7 +248,7 @@ def _header(**fields):
     (_header(extra=[]), "'extra'"),
     (_header(tensors=-1), "'tensors'"),
     (_header(tensors=1.5), "'tensors'"),
-], ids=["empty", "list", "no-tensors", "zero-width", "no-widths", "int-widths",
+], ids=["empty", "list", "no-tensors", "zero-width", "one-width", "no-widths", "int-widths",
         "head-width-1", "str-seg-width", "dropout-1", "list-extra",
         "negative-tensors", "float-tensors"])
 def test_checkpoint_malformed_header(tmp_path, header, field):
@@ -301,7 +294,7 @@ def test_checkpoint_huge_widths_is_truncation_before_allocation(tmp_path):
     assert peak < 2 ** 21
 
 
-@pytest.mark.parametrize("widths", [[8, 16], [5]])
+@pytest.mark.parametrize("widths", [[8, 16], [5, 7, 3]])
 @pytest.mark.parametrize("with_seg", [False, True])
 def test_checkpoint_size_check_is_exact(tmp_path, widths, with_seg):
     """The bytes the header's widths imply are the bytes save_checkpoint
@@ -313,6 +306,17 @@ def test_checkpoint_size_check_is_exact(tmp_path, widths, with_seg):
     raw = p.read_bytes()
     (hlen,) = struct.unpack("<I", raw[6:10])
     assert models._model_nbytes(m.config) == len(raw) - 10 - hlen
+
+
+@pytest.mark.parametrize("widths", [[8], [8, 0]])
+def test_encoder_needs_two_widths(widths):
+    """An encoder of one layer has no per-point feature beside its pooled
+    last layer. create and TrainConfig reject it, naming the field, as
+    load_checkpoint does (test_checkpoint_malformed_header[one-width])."""
+    with pytest.raises(ValueError, match="encoder_widths"):
+        models.EncoderParams.create(np.random.default_rng(0), widths)
+    with pytest.raises(ValueError, match="encoder_widths"):
+        TrainConfig(encoder_widths=widths)
 
 
 def test_create_draws_one_glorot_matrix_per_layer():

@@ -1,5 +1,6 @@
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,7 +256,7 @@ def test_binary_bad_sample_names_file_and_sample(tmp_path, coords):
     a ParseError naming the path and the sample id."""
     coords = np.array(coords, dtype="<f4").reshape(-1, 3)
     path = tmp_path / "bad.pcds"
-    path.write_bytes(b"PCDS" + struct.pack("<HIHHH", 2, 2, 1, 0, 0)
+    path.write_bytes(b"PCDS" + struct.pack("<HIHHHH", 3, 2, 1, 0, 0, 0)
                      + struct.pack("<IHI", 7, 0, 1) + bytes(12)
                      + struct.pack("<IHI", 9, 0, len(coords)) + coords.tobytes())
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: sample 9: "):
@@ -286,11 +287,29 @@ def test_binary_round_trip_keeps_parts_map(tmp_path, seg_dataset):
 
 
 def test_binary_version_1_rejected(tmp_path, seg_dataset):
-    save_dataset(seg_dataset, tmp_path / "v2.pcds")
-    blob = (tmp_path / "v2.pcds").read_bytes()
+    save_dataset(seg_dataset, tmp_path / "v3.pcds")
+    blob = (tmp_path / "v3.pcds").read_bytes()
     (tmp_path / "v1.pcds").write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:])
     with pytest.raises(ParseError, match="unsupported version 1"):
         load_dataset(tmp_path / "v1.pcds")
+
+
+def test_binary_version_2_rejected(tmp_path, seg_dataset):
+    """Version 2 had no split: its bytes, the header without the split."""
+    save_dataset(seg_dataset, tmp_path / "v3.pcds")
+    blob = (tmp_path / "v3.pcds").read_bytes()
+    n = len(seg_dataset.split) + 2
+    (tmp_path / "v2.pcds").write_bytes(blob[:4] + struct.pack("<H", 2) + blob[6:14]
+                                       + blob[14 + n:])
+    with pytest.raises(ParseError, match="unsupported version 2"):
+        load_dataset(tmp_path / "v2.pcds")
+
+
+@pytest.mark.parametrize("split", ["train", "test", "", "välid"],
+                         ids=["train", "test", "empty", "non-ascii"])
+def test_binary_round_trip_keeps_split(tmp_path, small_dataset, split):
+    save_dataset(replace(small_dataset, split=split), tmp_path / "ds.pcds")
+    assert load_dataset(tmp_path / "ds.pcds").split == split
 
 
 def test_binary_parts_map_out_of_range(tmp_path, seg_dataset):

@@ -1,8 +1,10 @@
+import inspect
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
 
 from pointcl import models, tensor as T, training
 from pointcl.losses import LossConfig
@@ -10,7 +12,8 @@ from pointcl.tensor import Tensor
 from pointcl.training import TrainConfig, pretrain
 
 from oracles import (finite_difference_grads, max_rel_error, reference_accum,
-                     reference_cross_entropy, reference_encoder_layer)
+                     reference_cross_entropy, reference_encoder_layer,
+                     reference_shared_mlp_max_pool)
 
 
 def test_linear_identity_weights():
@@ -33,8 +36,6 @@ def test_linear_hand_product():
 
 
 def test_linear_shape_mismatch():
-    with pytest.raises(T.ShapeError):
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     w = Tensor(np.ones((3, 2)))
     with pytest.raises(T.ShapeError, match="linear_forward"):
         T.linear_forward(Tensor(np.ones((4, 3))), w, Tensor(np.ones(3)))  # bias width
@@ -103,51 +104,60 @@ def test_relu_tie_gradient_zero():
     assert x.grad[0] == 0.0
 
 
+def _max_pool(x):
+    """The max over the points of x [B, N, D] through shared_mlp_max_pool,
+    with an identity weight and, in eval mode, a batch norm whose inv is
+    exactly 1: the pool and a relu that leaves positive values as they are."""
+    B, N, D = x.shape
+    bn = T.BNState(D, dtype=x.dtype)
+    bn.running_var[:] = 1.0 - T._BN_EPS
+    return T.shared_mlp_max_pool(T.reshape(x, (B * N, D)), Tensor(np.eye(D, dtype=x.dtype)),
+                                 bn, 0.9, False, N)
+
+
 def test_max_pool_values():
     x = Tensor([[[1.0, 5.0], [3.0, 2.0]]])
-    assert np.allclose(T.max_pool_points(x).data, [[3.0, 5.0]])
+    assert np.array_equal(_max_pool(x).data, [[3.0, 5.0]])
 
 
 def test_max_pool_single_point():
     x = Tensor(np.arange(4, dtype=np.float32).reshape(1, 1, 4))
-    assert np.allclose(T.max_pool_points(x).data, [[0, 1, 2, 3]])
+    assert np.array_equal(_max_pool(x).data, [[0, 1, 2, 3]])
 
 
 def test_max_pool_permutation_invariant(rng):
     x = rng.normal(size=(2, 9, 5)).astype(np.float32)
     perm = rng.permutation(9)
-    a = T.max_pool_points(Tensor(x)).data
-    b = T.max_pool_points(Tensor(x[:, perm])).data
+    a = _max_pool(Tensor(x)).data
+    b = _max_pool(Tensor(x[:, perm])).data
     assert (a == b).all()
 
 
 def test_max_pool_empty_cloud():
-    with pytest.raises(T.ShapeError):
-        T.max_pool_points(Tensor(np.zeros((1, 0, 3))))
+    with pytest.raises(T.ShapeError, match="N = 0"):
+        _max_pool(Tensor(np.zeros((1, 0, 3))))
 
 
 def test_max_pool_tie_routes_first():
     x = Tensor(np.array([[[2.0], [2.0]]]), requires_grad=True)
-    T.backward(T.tsum(T.max_pool_points(x)))
-    assert np.allclose(x.grad[0, :, 0], [1.0, 0.0])
+    T.backward(T.tsum(_max_pool(x)))
+    assert np.array_equal(x.grad[0, :, 0], [1.0, 0.0])
 
 
 def test_max_pools_route_ties_and_nan_columns_alike():
-    """Both pools send a column's gradient to its first point at the max,
+    """The pool sends a column's gradient to its first point at the max,
     and a NaN column's to point 0. Cloud 0 ties in both columns; cloud 1 has
-    two NaN points, so both its columns are NaN."""
+    two NaN points, so both its columns are NaN.
+
+    In eval mode with an identity weight and batch norm, the x gradient is a
+    times the pooled one at the routed point. A NaN column's pooled gradient
+    is 0 (relu mask), so only its dgamma, 0 times xhat at the routed point,
+    shows the route: 0 at point 0, NaN at a NaN point."""
     nan = np.nan
     clouds = np.array([[[1.0, 0.5], [3.0, 1.0], [3.0, 2.0], [0.0, 2.0]],
                        [[1.0, 1.0], [nan, nan], [2.0, 2.0], [nan, nan]]])
     routed = np.zeros((2, 4, 2))
     routed[0, 1, 0] = routed[0, 2, 1] = routed[1, 0, 0] = routed[1, 0, 1] = 1.0
-    x = Tensor(clouds, dtype=np.float64, requires_grad=True)
-    T.backward(T.tsum(T.max_pool_points(x)))
-    np.testing.assert_array_equal(x.grad, routed)
-    # Fused, in eval mode with an identity weight and batch norm: the x
-    # gradient is a times the pooled one at the routed point. A NaN column's
-    # pooled gradient is 0 (relu mask), so only its dgamma, 0 times xhat at
-    # the routed point, shows the route: 0 at point 0, NaN at a NaN point.
     x = Tensor(clouds.reshape(8, 2), dtype=np.float64, requires_grad=True)
     bn = T.BNState(2, dtype=np.float64)
     T.backward(T.tsum(T.shared_mlp_max_pool(x, Tensor(np.eye(2)), bn, 0.9, False, 4)))
@@ -159,9 +169,9 @@ def test_max_pools_route_ties_and_nan_columns_alike():
 
 
 def test_max_pool_gradient_goes_to_argmax_on_finite_ties():
-    r = np.random.default_rng(0).integers(0, 3, size=(4, 6, 5)).astype(float)
+    r = np.random.default_rng(0).integers(1, 4, size=(4, 6, 5)).astype(float)
     x = Tensor(r, requires_grad=True)
-    T.backward(T.tsum(T.max_pool_points(x)))
+    T.backward(T.tsum(_max_pool(x)))
     want = np.zeros_like(r)
     np.put_along_axis(want, r.argmax(axis=1)[:, None], 1.0, axis=1)
     assert np.array_equal(x.grad, want)
@@ -347,18 +357,20 @@ def test_linear_cross_entropy_checks_like_softmax_cross_entropy():
 
 @pytest.mark.parametrize("frozen", ["a", "b"])
 def test_matmul_frozen_operand(rng, frozen):
-    """The frozen side gets no gradient; the other side's equals the
-    two-sided product's bit for bit."""
+    """In linear_forward's product x @ w, the frozen side (a = x, b = w)
+    gets no gradient; the other side's equals the two-sided product's bit
+    for bit."""
     def operands(a_grad, b_grad):
         r = np.random.default_rng(3)
         return (Tensor(r.normal(size=(6, 4)), requires_grad=a_grad),
                 Tensor(r.normal(size=(4, 5)), requires_grad=b_grad))
 
     weights = Tensor(rng.normal(size=(6, 5)))
+    bias = Tensor(np.zeros(5))
     a2, b2 = operands(True, True)
-    T.backward(T.tsum(T.mul(T.matmul(a2, b2), weights)))
+    T.backward(T.tsum(T.mul(T.linear_forward(a2, b2, bias), weights)))
     a, b = operands(frozen != "a", frozen != "b")
-    T.backward(T.tsum(T.mul(T.matmul(a, b), weights)))
+    T.backward(T.tsum(T.mul(T.linear_forward(a, b, bias), weights)))
     frozen_t, live, live2 = (a, b, b2) if frozen == "a" else (b, a, a2)
     assert frozen_t.grad is None
     assert np.array_equal(live.grad, live2.grad)
@@ -413,9 +425,8 @@ def test_composed_net_matches_finite_differences(rng):
     params = [w1, state.gamma, state.beta, w2, b2]
 
     def forward():
-        h = T.shared_mlp(Tensor(x.reshape(12, 3), dtype=np.float64), w1, state,
-                         0.9, training=True)
-        pooled = T.max_pool_points(T.reshape(h, (2, 6, 5)))
+        pooled = T.shared_mlp_max_pool(Tensor(x.reshape(12, 3), dtype=np.float64), w1,
+                                       state, 0.9, True, 6)
         logits = T.linear_forward(pooled, w2, b2)
         return T.softmax_cross_entropy(logits, labels)
 
@@ -465,56 +476,7 @@ def test_forward_backward_deterministic(rng):
     assert (run() == run()).all()
 
 
-@settings(deadline=None, max_examples=25)
-@given(st.integers(min_value=0, max_value=10_000))
-@example(seed=8607)
-def test_matmul_grad_property(seed):
-    rng = np.random.default_rng(seed)
-    a = Tensor(rng.normal(size=(2, 3)), dtype=np.float64, requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 2)), dtype=np.float64, requires_grad=True)
-    # A pre-activation within the finite-difference step of the relu kink
-    # makes the numeric gradient straddle it (seed 8607 has one at -1.5e-4).
-    assume(np.abs(a.data @ b.data).min() > 1e-3)
-
-    def forward():
-        return T.tsum(T.relu(T.matmul(a, b))).item()
-
-    loss = T.tsum(T.relu(T.matmul(a, b)))
-    T.backward(loss)
-    grads = [a.grad.copy(), b.grad.copy()]
-    a.grad = b.grad = None
-    fd = finite_difference_grads(forward, [a, b])
-    assert max_rel_error(grads, fd) < 1e-4
-
-
-def test_batched_matmul_transpose_finite_differences(rng):
-    """a[B,N,d] @ transpose(b[B,M,d]) -> [B,N,M], one product per batch entry."""
-    a = Tensor(rng.normal(size=(3, 4, 2)), dtype=np.float64, requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 5, 2)), dtype=np.float64, requires_grad=True)
-    weights = Tensor(rng.normal(size=(3, 4, 5)), dtype=np.float64)
-
-    def forward():
-        return T.tsum(T.relu(T.mul(T.matmul(a, T.transpose(b)), weights)))
-
-    out = T.matmul(a, T.transpose(b)).data
-    assert np.allclose(out, [x @ y.T for x, y in zip(a.data, b.data)], atol=1e-12)
-    T.backward(forward())
-    grads = [a.grad.copy(), b.grad.copy()]
-    a.grad = b.grad = None
-    fd = finite_difference_grads(lambda: forward().item(), [a, b], h=1e-5)
-    assert max_rel_error(grads, fd) < 1e-6
-
-
-def test_batched_matmul_shape_errors():
-    with pytest.raises(T.ShapeError):
-        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
-    with pytest.raises(T.ShapeError):
-        T.matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((4, 5))))
-    with pytest.raises(T.ShapeError):
-        T.transpose(Tensor(np.ones(3)))
-
-
-@pytest.mark.parametrize("key", [1, slice(1, 3), (np.array([0, 2, 2]), np.array([1, 0, 0]))])
+@pytest.mark.parametrize("key", [1, slice(1, 3), (2, slice(0, 3, 2))])
 def test_index_gradient_finite_differences(key):
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
@@ -531,36 +493,11 @@ def test_index_gradient_finite_differences(key):
     assert max_rel_error([grad], fd) < 1e-6
 
 
-def test_logsumexp_values_and_gradient():
-    rng = np.random.default_rng(1)
-    x = Tensor(5.0 * rng.normal(size=(4, 6)), requires_grad=True)
-    assert np.allclose(T.logsumexp(x).data, np.log(np.exp(x.data).sum(axis=-1)))
-    assert np.isclose(T.logsumexp(Tensor([[1000.0, 1000.0]])).data[0], 1000.0 + np.log(2))
-    w = Tensor(rng.normal(size=4))
-
-    def f():
-        return T.tsum(T.mul(T.logsumexp(x), w))
-
-    T.backward(f())
-    grad = x.grad.copy()
-    x.grad = None
-    fd = finite_difference_grads(lambda: f().item(), [x])
-    assert max_rel_error([grad], fd) < 1e-6
-
-
-def test_logsumexp_3d_finite_differences(rng):
-    x = Tensor(2.0 * rng.normal(size=(2, 3, 7)), dtype=np.float64, requires_grad=True)
-    w = Tensor(rng.normal(size=(2, 3)), dtype=np.float64)
-    assert np.allclose(T.logsumexp(x).data, np.log(np.exp(x.data).sum(axis=-1)))
-
-    def f():
-        return T.tsum(T.mul(T.logsumexp(x), w))
-
-    T.backward(f())
-    grad = x.grad.copy()
-    x.grad = None
-    fd = finite_difference_grads(lambda: f().item(), [x])
-    assert max_rel_error([grad], fd) < 1e-6
+@pytest.mark.parametrize("key", [np.array([0, 2]), [0, 2], (slice(None), np.array([1, 1])),
+                                 np.array([True, False, True])])
+def test_index_rejects_index_arrays(key):
+    with pytest.raises(T.ShapeError, match="not ints and slices"):
+        T.index(Tensor(np.ones((3, 4)), requires_grad=True), key)
 
 
 def _shared_mlp_inputs(rng, dtype, rows=12, din=4, dout=5):
@@ -628,14 +565,14 @@ def test_shared_mlp_shape_errors():
 
 
 def test_max_pool_forward_is_np_max_without_argmax(rng, monkeypatch):
-    x = np.maximum(rng.normal(size=(3, 7, 5)), 0)  # relu zeros tie
+    x = np.maximum(rng.normal(size=(3, 7, 5)), 0) + 1.0  # relu's zeros tie, at 1
     t = Tensor(x, requires_grad=True)
 
     def no_argmax(*args, **kwargs):
         raise AssertionError("forward pass called argmax")
 
     monkeypatch.setattr(np, "argmax", no_argmax)
-    out = T.max_pool_points(t)
+    out = _max_pool(t)
     assert (out.data == np.max(x, axis=1)).all()
     monkeypatch.undo()
     T.backward(T.tsum(out))
@@ -648,11 +585,14 @@ def test_max_pool_forward_is_np_max_without_argmax(rng, monkeypatch):
 
 
 def test_shared_gradient_is_not_aliased():
-    a = Tensor(np.ones(3), requires_grad=True)
-    b = Tensor(np.ones(3), requires_grad=True)
-    T.backward(T.tsum(T.add(T.add(a, b), a)))
-    assert (a.grad == 2.0).all()
-    assert (b.grad == 1.0).all()
+    """One leaf read through two views: the second gradient adds out of
+    place, so the first view's stored gradient keeps its value."""
+    x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    u, v = T.reshape(x, (3, 1)), T.reshape(x, (3, 1))
+    T.backward(T.tsum(T.mul(u, v)))
+    assert np.array_equal(x.grad, [2.0, 4.0, 6.0])
+    assert np.array_equal(u.grad, [[1.0], [2.0], [3.0]])
+    assert np.array_equal(v.grad, [[1.0], [2.0], [3.0]])
 
 
 def _tape(loss):
@@ -736,11 +676,6 @@ def _copy_layer(x, w, bn):
     return x2, w2, bn2
 
 
-def _unfused_pool(x, w, bn, momentum, training, n_points):
-    out = T.shared_mlp(x, w, bn, momentum, training)
-    return T.max_pool_points(T.reshape(out, (x.shape[0] // n_points, n_points, w.shape[1])))
-
-
 def _mix_gamma_signs(bn):
     """Negate gamma in every third channel and zero it in channel 1. Its
     beta < 0 keeps channel 1 dead: at gamma = 0 a live channel's pool has a
@@ -773,8 +708,8 @@ def test_shared_mlp_max_pool_finite_differences(rng, training):
 @pytest.mark.parametrize("training", [True, False])
 def test_shared_mlp_max_pool_equals_unfused_chain_float32(rng, training):
     """Values, BN running statistics and gradients of the fused node against
-    shared_mlp -> reshape -> max_pool_points on the same float32 inputs,
-    also with negative and zero gamma channels."""
+    the dense reference (the affine and relu over every point, then the max)
+    on the same float32 inputs, also with negative and zero gamma channels."""
     B, N = 8, 32
     for mixed in (False, True):
         x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=B * N, din=16, dout=32)
@@ -784,7 +719,7 @@ def test_shared_mlp_max_pool_equals_unfused_chain_float32(rng, training):
         x2, w2, bn2 = _copy_layer(x, w, bn)
 
         out = T.shared_mlp_max_pool(x, w, bn, 0.8, training, N)
-        want = _unfused_pool(x2, w2, bn2, 0.8, training, N)
+        want = reference_shared_mlp_max_pool(x2, w2, bn2, 0.8, training, N)
         assert np.array_equal(out.data, want.data)
         assert np.array_equal(bn.running_mean, bn2.running_mean)
         assert np.array_equal(bn.running_var, bn2.running_var)
@@ -848,7 +783,7 @@ def test_shared_mlp_max_pool_ties_route_to_first_point(rng, training):
         x.data = np.repeat(x.data[::N], N, axis=0)
         x2, w2, bn2 = _copy_layer(x, w, bn)
         T.backward(T.tsum(T.shared_mlp_max_pool(x, w, bn, 0.9, training, N)))
-        T.backward(T.tsum(_unfused_pool(x2, w2, bn2, 0.9, training, N)))
+        T.backward(T.tsum(reference_shared_mlp_max_pool(x2, w2, bn2, 0.9, training, N)))
         np.testing.assert_allclose(x.grad, x2.grad, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(w.grad, w2.grad, rtol=1e-12, atol=1e-12)
         first, rest = x.grad.reshape(B, N, 3)[:, 0], x.grad.reshape(B, N, 3)[:, 1:]
@@ -941,3 +876,14 @@ def test_linear_points_global_shape_errors():
     for args in bad:
         with pytest.raises(T.ShapeError, match="linear_points_global"):
             T.linear_points_global(*args)
+
+
+def test_every_tape_op_has_a_caller_in_src():
+    """Each op in tensor.__all__ is called as T.<op>(...) from another module
+    of the package. mul, scale and tsum stay for the tests' weighted scalar
+    losses, and backward is the engine's entry point."""
+    src = "".join(p.read_text() for p in Path(T.__file__).parent.glob("*.py")
+                  if p.name != "tensor.py")
+    ops = [n for n in T.__all__ if inspect.isfunction(getattr(T, n))
+           and n not in ("mul", "scale", "tsum", "backward")]
+    assert [n for n in ops if not re.search(rf"\bT\.{n}\(", src)] == []
