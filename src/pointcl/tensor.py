@@ -224,53 +224,66 @@ class BNState:
 _BN_EPS = 1e-5
 
 
-def _bn_center(name, x, w, bn, momentum, training):
-    """x @ w centred in place, and inv = 1 / sqrt(var + eps): the batch-norm
-    statistics of both encoder-layer ops.
-
-    Training mode centres by the batch mean, takes the variance from the
-    centred array and moves the running statistics toward the batch ones:
-    running <- momentum * running + (1 - momentum) * batch. Eval mode
-    centres by the running mean and takes the running variance.
-    """
+def _check_layer(name, x, w, bn, training):
     if (x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]
             or bn.dim != w.shape[1]):
         raise ShapeError(f"{name}: shapes {x.shape} x {w.shape} and batch "
                          f"norm of width {bn.dim} do not conform")
     if training and x.shape[0] < 2:
         raise ShapeError(f"{name}: batch of {x.shape[0]} too small for training mode")
+
+
+def _bn_center(x, w, bn, momentum):
+    """Training mode's batch-norm statistics of both encoder-layer ops: x @ w
+    centred in place by the batch mean, and inv = 1 / sqrt(var + eps), the
+    variance taken from the centred array. Moves the running statistics
+    toward the batch ones: running <- momentum * running + (1 - momentum) * batch.
+    """
     t = x.data @ w.data
-    if training:
-        m = t.mean(axis=0)
-        t -= m
-        v = np.einsum("ij,ij->j", t, t) / t.shape[0]  # from the centred t
-        mom = float(momentum)
-        bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(t.dtype)
-        bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(t.dtype)
-    else:
-        t -= bn.running_mean
-        v = bn.running_var
+    m = t.mean(axis=0)
+    t -= m
+    v = np.einsum("ij,ij->j", t, t) / t.shape[0]  # from the centred t
+    mom = float(momentum)
+    bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(t.dtype)
+    bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(t.dtype)
     return t, 1.0 / np.sqrt(v + _BN_EPS)
+
+
+def _bn_fold(bn):
+    """Eval mode's batch norm as the affine t * a + c of t = x @ w: inv =
+    1 / sqrt(running_var + eps), a = gamma * inv, c = beta - running_mean * a."""
+    inv = 1.0 / np.sqrt(bn.running_var + _BN_EPS)
+    a = bn.gamma.data * inv
+    return inv, a, bn.beta.data - bn.running_mean * a
 
 
 def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                training: bool) -> Tensor:
     """One shared-MLP layer, relu(batch_norm(x @ w)), as one tape node.
 
-    No bias: batch norm subtracts the mean, which would cancel it. The
-    pre-activation is normalized in place and kept as xhat; the backward
-    derives the relu mask from the output.
+    No bias: batch norm subtracts the mean, which would cancel it. Training
+    mode normalizes the pre-activation in place and keeps it as xhat. Eval
+    mode folds batch norm into the weight, relu(x @ (w * a) + c), built in
+    place in the one [R, D] array it keeps; its backward rebuilds xhat for
+    dgamma alone. The backward derives the relu mask from the output.
     """
-    xhat, inv = _bn_center("shared_mlp", x, w, bn, momentum, training)
-    xhat *= inv
-    out_data = xhat * bn.gamma.data
-    out_data += bn.beta.data
+    _check_layer("shared_mlp", x, w, bn, training)
+    if training:
+        xhat, inv = _bn_center(x, w, bn, momentum)
+        xhat *= inv
+        out_data = xhat * bn.gamma.data
+        out_data += bn.beta.data
+        a = bn.gamma.data * inv
+    else:
+        inv, a, c = _bn_fold(bn)
+        out_data, rm = x.data @ (w.data * a), bn.running_mean
+        out_data += c
     np.maximum(out_data, 0, out=out_data)
-    a = bn.gamma.data * inv
 
     def bw(g):
         gh = g * (out_data > 0)
-        dgamma = np.einsum("ij,ij->j", gh, xhat)
+        xh = xhat if training else (x.data @ w.data - rm) * inv
+        dgamma = np.einsum("ij,ij->j", gh, xh)
         dbeta = gh.sum(axis=0)
         if training:
             B = gh.shape[0]
@@ -292,35 +305,45 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     as one tape node, x[B*N, Din] -> [B, D]: the encoder's last layer and its
     pool. An empty cloud (N = 0) has no max and raises.
 
-    It pools before the affine: the max over the points of the centred
-    pre-activation t (the min where gamma < 0), then *inv, *gamma, +beta and
-    the relu on those B*D entries alone, in shared_mlp's order. Each step is
-    monotone, so the values are shared_mlp's pooled bit for bit, and t is
-    the only [B*N, D] array. The backward routes each pooled gradient to the
-    first point at that max (min) of t. The pre-activation gradient is the
-    batch-norm term -a * (t * inv * dgamma + dbeta) / R (none in eval mode)
-    plus a times the pooled gradient at the routed points.
+    It pools before the affine; t is the only [B*N, D] array. Training mode
+    pools the centred pre-activation t (the min where gamma < 0), then applies
+    *inv, *gamma, +beta and the relu to the B*D pooled entries in shared_mlp's
+    order: each step is monotone, so the values are shared_mlp's pooled bit
+    for bit. Eval mode pools the folded t = x @ (w * a), whose max is the min
+    of x @ w where a < 0, and returns relu(max + c): shared_mlp's pooled
+    values up to rounding. The backward routes each pooled gradient to the
+    first point at that max (min) of t; where gamma = 0 the folded column is
+    constant and point 0 takes it, a valid subgradient at that kink. The
+    pre-activation gradient is the batch-norm term -a * (xhat * dgamma +
+    dbeta) / R (none in eval mode) plus a times the pooled gradient at the
+    routed points.
     """
     n_points = int(n_points)
     if x.data.ndim != 2 or n_points < 1 or x.shape[0] % n_points:
         raise ShapeError(f"shared_mlp_max_pool: {x.shape} is not [B*N, D] "
                          f"rows for N = {n_points} points")
-    t, inv = _bn_center("shared_mlp_max_pool", x, w, bn, momentum, training)
+    _check_layer("shared_mlp_max_pool", x, w, bn, training)
+    if training:
+        t, inv = _bn_center(x, w, bn, momentum)
+        a = bn.gamma.data * inv
+    else:
+        inv, a, c = _bn_fold(bn)
+        t, rm = x.data @ (w.data * a), bn.running_mean
     R, D = t.shape
     t3 = t.reshape(R // n_points, n_points, D)
-    neg = bn.gamma.data < 0
+    neg = bn.gamma.data < 0 if training else None  # the folded t carries a's sign
     tp = t3.max(axis=1)
-    if neg.any():
+    if training and neg.any():
         tp[:, neg] = t3[:, :, neg].min(axis=1)
-    pooled = np.maximum(tp * inv * bn.gamma.data + bn.beta.data, 0)
-    a = bn.gamma.data * inv
+    pooled = np.maximum(tp * inv * bn.gamma.data + bn.beta.data if training else tp + c, 0)
 
     def bw(g):
         B = g.shape[0]
         first = _first_at_max(t3, tp, neg)
         at = ((first + n_points * np.arange(B)[:, None]) * D + np.arange(D)).ravel()
         gp = g * (pooled > 0)
-        dgamma = np.einsum("ij,ij->j", gp, t.reshape(-1)[at].reshape(B, D) * inv)
+        tc = t if training else x.data @ w.data - rm  # the centred pre-activation
+        dgamma = np.einsum("ij,ij->j", gp, tc.reshape(-1)[at].reshape(B, D) * inv)
         dbeta = gp.sum(axis=0)
         if training:
             gh = t * inv  # xhat, as shared_mlp forms it
@@ -400,22 +423,27 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
                    "softmax_cross_entropy")
 
 
+_LOGIT_BLOCK = 2048  # rows per logit product; OpenBLAS runs w.T @ x.T ~2x slower
+
+
 def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, labels) -> Tensor:
     """softmax_cross_entropy(linear_forward(x, w, b), labels) as one tape
     node: the linear probe's loss.
 
-    The logits are formed class-major, as one [K, R] array, so each per-row
-    max, sum and label read runs over the long axis. That array becomes the
-    softmax in place and then (P - Y) / R, the logits' gradient. The forward
-    also takes each trained parent's gradient from it (so a probe on frozen
-    x never forms the [R, D] one) and keeps those alone; the backward
-    scales them by g.
+    The logits are one class-major [K, R] array, filled block by block from
+    row-major products, so each per-row max, sum and label read runs over the
+    long axis. It becomes the softmax in place and then (P - Y) / R, the
+    logits' gradient. The forward also takes each trained parent's gradient
+    from it (so a probe on frozen x never forms the [R, D] one) and keeps
+    those alone; the backward scales them by g.
     """
     _check_affine("linear_cross_entropy", x, w, b)
     R, K = x.shape[0], w.shape[1]
     labels = _checked_labels("linear_cross_entropy", labels, R, K)
     at = labels * R + np.arange(R)  # flat [K, R] positions of the label entries
-    e = w.data.T @ x.data.T
+    e = np.empty((K, R), dtype=np.result_type(x.data, w.data))
+    for r in range(0, R, _LOGIT_BLOCK):
+        e[:, r:r + _LOGIT_BLOCK] = (x.data[r:r + _LOGIT_BLOCK] @ w.data).T
     e += b.data[:, None]
     e -= e.max(axis=0)
     picked = e.reshape(-1)[at]

@@ -685,6 +685,26 @@ def _mix_gamma_signs(bn):
     bn.beta.data[1] = -0.5
 
 
+@pytest.mark.parametrize("pooled", [False, True], ids=["shared_mlp", "shared_mlp_max_pool"])
+def test_eval_mode_fold_matches_unfolded_float64(rng, pooled):
+    """Eval mode folds batch norm into the weight. Its values, with negative
+    and zero gamma channels, equal the unfolded
+    relu((x @ w - running_mean) * inv * gamma + beta), which for the pooled
+    op is taken over every point and then maxed."""
+    B, N = 8, 32
+    x, w, bn = _shared_mlp_inputs(rng, np.float64, rows=B * N, din=16, dout=32)
+    _mix_gamma_signs(bn)
+    inv = 1.0 / np.sqrt(bn.running_var + T._BN_EPS)
+    want = np.maximum((x.data @ w.data - bn.running_mean) * inv * bn.gamma.data
+                      + bn.beta.data, 0)
+    if pooled:
+        out = T.shared_mlp_max_pool(x, w, bn, 0.9, False, N)
+        want = want.reshape(B, N, -1).max(axis=1)
+    else:
+        out = T.shared_mlp(x, w, bn, 0.9, False)
+    np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
 @pytest.mark.parametrize("training", [True, False])
 def test_shared_mlp_max_pool_finite_differences(rng, training):
     """With gamma in [0.5, 1.5], then with negative and zero gamma channels,
@@ -720,7 +740,11 @@ def test_shared_mlp_max_pool_equals_unfused_chain_float32(rng, training):
 
         out = T.shared_mlp_max_pool(x, w, bn, 0.8, training, N)
         want = reference_shared_mlp_max_pool(x2, w2, bn2, 0.8, training, N)
-        assert np.array_equal(out.data, want.data)
+        if training:
+            assert np.array_equal(out.data, want.data)
+        else:  # eval mode folds batch norm into the weight: one more rounding
+            np.testing.assert_allclose(out.data, want.data, rtol=1e-5,
+                                       atol=1e-5 * np.abs(want.data).max())
         assert np.array_equal(bn.running_mean, bn2.running_mean)
         assert np.array_equal(bn.running_var, bn2.running_var)
         T.backward(T.tsum(T.mul(out, Tensor(r))))
@@ -748,6 +772,23 @@ def test_shared_mlp_max_pool_keeps_one_layer_array(rng, training):
         tracemalloc.stop()
     assert out._backward is not None
     assert kept <= 1.25 * B * N * D * 4, kept / (B * N * D * 4)
+
+
+def test_shared_mlp_eval_keeps_one_layer_array(rng):
+    """Eval mode builds relu(x @ (w * a) + c) in one [R, D] array and keeps
+    nothing else that size: at most 1.25 x R*D*itemsize bytes after the
+    forward. Keeping xhat beside the output holds over 2x."""
+    R, D = 512, 256
+    x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=R, din=16, dout=D)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.shared_mlp(x, w, bn, 0.9, False)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out._backward is not None
+    assert kept <= 1.25 * R * D * 4, kept / (R * D * 4)
 
 
 def test_first_at_max_takes_the_min_where_neg():
