@@ -194,17 +194,14 @@ def linear_points_global(p: Tensor, g: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (p, g, w, b), bw, "linear_points_global")
 
 
-def _first_at_max(x, m, neg=None):
-    """[B, D] index of the first point at the max m [B, D] of x [B, N, D] (at
-    the min in the channels of the [D] mask neg): the largest weight N - n
-    among the points not below m (not above), a few times cheaper than an
-    argmax over the strided point axis. A NaN m gives point 0."""
+def _first_at_max(x, m):
+    """[B, D] index of the first point at the max m [B, D] of x [B, N, D]:
+    the largest weight N - n among the points at m, a few times cheaper than
+    an argmax over the strided point axis. A NaN m, which no point is at,
+    gives N mod N = point 0."""
     n = x.shape[1]
     rev = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))
-    off = x < m[:, None, :]
-    if neg is not None and neg.any():
-        off[:, :, neg] = x[:, :, neg] > m[:, None, neg]
-    return n - (~off * rev[:, None]).max(axis=1)
+    return (n - ((x >= m[:, None, :]) * rev[:, None]).max(axis=1)) % n
 
 
 class BNState:
@@ -222,6 +219,7 @@ class BNState:
 
 
 _BN_EPS = 1e-5
+_POOL_BLOCK = 1 << 19  # product entries per block of clouds: 2 MB in float32
 
 
 def _check_layer(name, x, w, bn, training):
@@ -233,68 +231,75 @@ def _check_layer(name, x, w, bn, training):
         raise ShapeError(f"{name}: batch of {x.shape[0]} too small for training mode")
 
 
-def _bn_center(x, w, bn, momentum):
-    """Training mode's batch-norm statistics of both encoder-layer ops: x @ w
-    centred in place by the batch mean, and inv = 1 / sqrt(var + eps), the
-    variance taken from the centred array. Moves the running statistics
-    toward the batch ones: running <- momentum * running + (1 - momentum) * batch.
+def _bn_affine(x, w, bn, momentum, training):
+    """Batch norm of t = x @ w as the affine xs @ (w * a) + c of xs = x - x0,
+    without forming t: inv = 1 / sqrt(var + eps), a = gamma * inv and
+    c = beta - (mean - x0 @ w) * a. Returns xs, a, c and the backward's
+    (inv, mean - x0 @ w, x0, C @ w).
+
+    Eval mode reads the running statistics and takes x0 = 0. Training mode
+    takes x0 = xm, x's column mean, so the batch mean m = xm @ w leaves c,
+    and the variance v = colsum(w * (C @ w)) from x's centred Gram matrix
+    C = xs^T xs / R, clamped at 0 against rounding. Centring first keeps both
+    accurate when x's mean dwarfs its spread. It moves the running
+    statistics: running <- momentum * running + (1 - momentum) * batch.
     """
-    t = x.data @ w.data
-    m = t.mean(axis=0)
-    t -= m
-    v = np.einsum("ij,ij->j", t, t) / t.shape[0]  # from the centred t
+    if not training:
+        inv = 1.0 / np.sqrt(bn.running_var + _BN_EPS)
+        a = bn.gamma.data * inv
+        return x, a, bn.beta.data - bn.running_mean * a, (inv, bn.running_mean, 0.0, None)
+    xm = x.mean(axis=0)
+    xs = x - xm
+    cw = (xs.T @ xs / len(xs)) @ w
+    m, v = xm @ w, np.maximum(np.einsum("ij,ij->j", w, cw), 0)
     mom = float(momentum)
-    bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(t.dtype)
-    bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(t.dtype)
-    return t, 1.0 / np.sqrt(v + _BN_EPS)
+    bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(m.dtype)
+    bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(m.dtype)
+    inv = 1.0 / np.sqrt(v + _BN_EPS)
+    return xs, bn.gamma.data * inv, bn.beta.data, (inv, 0.0, xm, cw)
 
 
-def _bn_fold(bn):
-    """Eval mode's batch norm as the affine t * a + c of t = x @ w: inv =
-    1 / sqrt(running_var + eps), a = gamma * inv, c = beta - running_mean * a."""
-    inv = 1.0 / np.sqrt(bn.running_var + _BN_EPS)
-    a = bn.gamma.data * inv
-    return inv, a, bn.beta.data - bn.running_mean * a
+def _layer_backward(x, xs, w, bn, a, stats, xg, dbeta, dx):
+    """Both encoder-layer ops' gradients from gh, the gradient at the batch
+    norm's output, given as xg = xs^T gh, dbeta = colsum(gh) and dx = gh @
+    (w * a)^T (None when x takes no gradient): dgamma = inv * (colsum(w *
+    xg) - (mean - x0 @ w) * dbeta) and dw = a * xg. Training mode adds the
+    batch statistics' terms, from [Din, D] matrices: dw -= (a * dgamma *
+    inv) * (C @ w), dx -= xs @ (w * (inv * a * dgamma / R)) @ w^T + w @
+    (a * dbeta / R)."""
+    inv, m0, _, cw = stats
+    dgamma = inv * (np.einsum("ij,ij->j", w.data, xg) - m0 * dbeta)
+    dw = a * xg
+    if cw is not None:
+        dw -= (a * dgamma * inv) * cw
+        if dx is not None:
+            dx -= xs @ ((w.data * (inv * a * dgamma / len(xs))) @ w.data.T)
+            dx -= w.data @ (a * dbeta / len(xs))
+    for p, d in ((bn.gamma, dgamma), (bn.beta, dbeta), (w, dw), (x, dx)):
+        _accum(p, d)  # dx is None only where x takes no gradient
 
 
 def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                training: bool) -> Tensor:
     """One shared-MLP layer, relu(batch_norm(x @ w)), as one tape node.
 
-    No bias: batch norm subtracts the mean, which would cancel it. Training
-    mode normalizes the pre-activation in place and keeps it as xhat. Eval
-    mode folds batch norm into the weight, relu(x @ (w * a) + c), built in
-    place in the one [R, D] array it keeps; its backward rebuilds xhat for
-    dgamma alone. The backward derives the relu mask from the output.
+    No bias: batch norm subtracts the mean, which would cancel it. Both modes
+    fold batch norm into the weight, relu(xs @ (w * a) + c) (see _bn_affine),
+    built in place in the one [R, D] array the node keeps. The backward
+    derives the relu mask from the output.
     """
     _check_layer("shared_mlp", x, w, bn, training)
-    if training:
-        xhat, inv = _bn_center(x, w, bn, momentum)
-        xhat *= inv
-        out_data = xhat * bn.gamma.data
-        out_data += bn.beta.data
-        a = bn.gamma.data * inv
-    else:
-        inv, a, c = _bn_fold(bn)
-        out_data, rm = x.data @ (w.data * a), bn.running_mean
-        out_data += c
+    xs, a, c, stats = _bn_affine(x.data, w.data, bn, momentum, training)
+    wa = w.data * a
+    out_data = xs @ wa
+    out_data += c
     np.maximum(out_data, 0, out=out_data)
 
     def bw(g):
         gh = g * (out_data > 0)
-        xh = xhat if training else (x.data @ w.data - rm) * inv
-        dgamma = np.einsum("ij,ij->j", gh, xh)
-        dbeta = gh.sum(axis=0)
-        if training:
-            B = gh.shape[0]
-            gh -= xhat * (dgamma / B)
-            gh -= dbeta / B
-        gh *= a
-        _accum(bn.gamma, dgamma)
-        _accum(bn.beta, dbeta)
-        _accum(w, x.data.T @ gh)
-        if x.requires_grad:
-            _accum(x, gh @ w.data.T)
+        dx = gh @ wa.T if x.requires_grad else None
+        xs = x.data - stats[2]  # formed again rather than kept beside the output
+        _layer_backward(x, xs, w, bn, a, stats, xs.T @ gh, gh.sum(axis=0), dx)
 
     return _result(out_data, (x, w, bn.gamma, bn.beta), bw, "shared_mlp")
 
@@ -305,58 +310,53 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     as one tape node, x[B*N, Din] -> [B, D]: the encoder's last layer and its
     pool. An empty cloud (N = 0) has no max and raises.
 
-    It pools before the affine; t is the only [B*N, D] array. Training mode
-    pools the centred pre-activation t (the min where gamma < 0), then applies
-    *inv, *gamma, +beta and the relu to the B*D pooled entries in shared_mlp's
-    order: each step is monotone, so the values are shared_mlp's pooled bit
-    for bit. Eval mode pools the folded t = x @ (w * a), whose max is the min
-    of x @ w where a < 0, and returns relu(max + c): shared_mlp's pooled
-    values up to rounding. The backward routes each pooled gradient to the
-    first point at that max (min) of t; where gamma = 0 the folded column is
-    constant and point 0 takes it, a valid subgradient at that kink. The
-    pre-activation gradient is the batch-norm term -a * (xhat * dgamma +
-    dbeta) / R (none in eval mode) plus a times the pooled gradient at the
-    routed points.
+    It pools before the affine, relu(max_n(xs @ (w * a)) + c), whose max is
+    the min of x @ w where a < 0: shared_mlp's pooled values up to rounding.
+    Training mode runs in blocks of clouds of about _POOL_BLOCK product
+    entries, so it forms no [B*N, D] array, and keeps xs and the row of x
+    at each max, the first point at it. Eval mode forms the product in one
+    block and does not search; its backward finds the rows again. Where
+    gamma = 0 the folded column is constant and point 0 takes its gradient,
+    a valid subgradient at that kink. The backward gathers the winners' rows
+    of xs for xs^T gh and takes x's gradient over zero-filled blocks of gh.
     """
     n_points = int(n_points)
     if x.data.ndim != 2 or n_points < 1 or x.shape[0] % n_points:
         raise ShapeError(f"shared_mlp_max_pool: {x.shape} is not [B*N, D] "
                          f"rows for N = {n_points} points")
     _check_layer("shared_mlp_max_pool", x, w, bn, training)
-    if training:
-        t, inv = _bn_center(x, w, bn, momentum)
-        a = bn.gamma.data * inv
-    else:
-        inv, a, c = _bn_fold(bn)
-        t, rm = x.data @ (w.data * a), bn.running_mean
-    R, D = t.shape
-    t3 = t.reshape(R // n_points, n_points, D)
-    neg = bn.gamma.data < 0 if training else None  # the folded t carries a's sign
-    tp = t3.max(axis=1)
-    if training and neg.any():
-        tp[:, neg] = t3[:, :, neg].min(axis=1)
-    pooled = np.maximum(tp * inv * bn.gamma.data + bn.beta.data if training else tp + c, 0)
+    xs, a, c, stats = _bn_affine(x.data, w.data, bn, momentum, training)
+    wa = w.data * a
+    B, D = x.shape[0] // n_points, wa.shape[1]
+    k = max(1, _POOL_BLOCK // (n_points * D)) if training else max(B, 1)
+    blocks = [(slice(s, s + k), slice(s * n_points, (s + k) * n_points)) for s in range(0, B, k)]
+
+    def pool(search):
+        """The [B, D] max over the points of xs @ wa and, if search, the
+        rows of xs at the first point at each max."""
+        tp, rows = np.empty((B, D), dtype=wa.dtype), np.empty((B, D), dtype=np.intp)
+        for cb, rb in blocks:
+            t3 = (xs[rb] @ wa).reshape(-1, n_points, D)
+            tp[cb] = t3.max(axis=1)
+            if search:
+                rows[cb] = _first_at_max(t3, tp[cb]) + n_points * np.arange(B)[cb, None]
+        return tp, rows if search else None
+
+    tp, rows = pool(training)
+    pooled = np.maximum(tp + c, 0)
 
     def bw(g):
-        B = g.shape[0]
-        first = _first_at_max(t3, tp, neg)
-        at = ((first + n_points * np.arange(B)[:, None]) * D + np.arange(D)).ravel()
+        at = rows if training else pool(True)[1]
         gp = g * (pooled > 0)
-        tc = t if training else x.data @ w.data - rm  # the centred pre-activation
-        dgamma = np.einsum("ij,ij->j", gp, tc.reshape(-1)[at].reshape(B, D) * inv)
-        dbeta = gp.sum(axis=0)
-        if training:
-            gh = t * inv  # xhat, as shared_mlp forms it
-            gh *= -a * dgamma / R
-            gh -= a * dbeta / R
-        else:
-            gh = np.zeros_like(t)
-        gh.reshape(-1)[at] += (gp * a).ravel()  # at: flat [R, D] positions, unique
-        _accum(bn.gamma, dgamma)
-        _accum(bn.beta, dbeta)
-        _accum(w, x.data.T @ gh)
+        dx = None
         if x.requires_grad:
-            _accum(x, gh @ w.data.T)
+            dx = np.empty((x.shape[0], wa.shape[0]), dtype=gp.dtype)
+            for cb, rb in blocks:
+                gh = np.zeros((len(gp[cb]) * n_points, D), dtype=gp.dtype)
+                np.put(gh, (at[cb] - rb.start) * D + np.arange(D), gp[cb])
+                dx[rb] = gh @ wa.T
+        xg = sum(np.einsum("bdi,bd->id", xs[at[cb]], gp[cb]) for cb, _ in blocks)
+        _layer_backward(x, xs, w, bn, a, stats, xg, gp.sum(axis=0), dx)
 
     return _result(pooled, (x, w, bn.gamma, bn.beta), bw, "shared_mlp_max_pool")
 
