@@ -10,17 +10,20 @@ from pointcl import tensor as T
 from pointcl.tensor import Tensor
 
 # A tiny shared-MLP block: x @ w -> batch norm -> relu -> max pool over
-# points, one tape node (the encoder's last layer), then a softmax loss.
+# points, one tape node (the encoder's last layer), then an affine
+# classifier and its softmax cross-entropy, one tape node too.
 rng = np.random.default_rng(0)
 w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64, requires_grad=True)
 bn = T.BNState(4, dtype=np.float64)  # learned gamma and beta, running stats
 points = rng.normal(size=(2, 5, 3))  # 2 clouds, 5 points each
+v = Tensor(rng.normal(size=(4, 4)), dtype=np.float64, requires_grad=True)
+c = Tensor(np.zeros(4), dtype=np.float64, requires_grad=True)
 
 
 def forward():
     x = Tensor(points.reshape(10, 3), dtype=np.float64)
     pooled = T.shared_mlp_max_pool(x, w, bn, momentum=0.9, training=True, n_points=5)
-    return T.softmax_cross_entropy(pooled, [1, 3])
+    return T.linear_cross_entropy(pooled, v, c, [1, 3])
 
 
 loss = forward()

@@ -212,6 +212,7 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
     """Train encoder and head (its unnormalized output is the logits), then
     classify test_ds."""
     params = sup.params()
+    *hidden, last = sup.head.layers
     opt = AdamState(params)
     bs = 2 * cfg.pairs_per_batch
     labels_all = np.array([p.class_label for p in train_ds.samples])
@@ -219,8 +220,8 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
         idx = rng.choice(len(train_ds), size=min(bs, len(train_ds)), replace=False)
         batch, _ = sample_stack([train_ds[int(i)] for i in idx], cfg.points_per_cloud, rng)
         g, _ = models.encode(batch, sup.encoder, training=True)
-        logits = models.project(g, sup.head, True, rng, normalize=False)
-        T.backward(T.softmax_cross_entropy(logits, labels_all[idx]))
+        h = models._hidden(g, hidden, sup.head.dropout_rate, rng)
+        T.backward(T.linear_cross_entropy(h, last.w, last.b, labels_all[idx]))
         adam_step(params, opt, cfg.lr_init)
     logits, _, gts = _features(sup, test_ds, cfg.points_per_cloud, rng,
                                lambda g, pp: models.project(g, sup.head, False,

@@ -202,18 +202,15 @@ def encode(points: np.ndarray, enc: EncoderParams, training: bool,
     return global_feat, T.reshape(h, (B, N, enc.d_mid))
 
 
-def _dense(h: Tensor, layers, dropout_rate=0.0, rng=None):
-    """Affine layers with ReLU between them, each ReLU followed by dropout
-    when dropout_rate > 0; the last layer stays linear."""
-    last = len(layers) - 1
-    for i, layer in enumerate(layers):
-        h = T.linear_forward(h, layer.w, layer.b)
-        if i != last:
-            h = T.relu(h)
-            if dropout_rate > 0:
-                if rng is None:
-                    raise ValueError("training-mode projection needs an rng for dropout")
-                h = T.dropout(h, dropout_rate, True, rng)
+def _hidden(h: Tensor, layers, dropout_rate=0.0, rng=None):
+    """A dense stack's hidden layers: affine, ReLU, then dropout when
+    dropout_rate > 0. The stack's last layer is a linear_forward after them."""
+    for layer in layers:
+        h = T.relu(T.linear_forward(h, layer.w, layer.b))
+        if dropout_rate > 0:
+            if rng is None:
+                raise ValueError("training-mode projection needs an rng for dropout")
+            h = T.dropout(h, dropout_rate, True, rng)
     return h
 
 
@@ -221,7 +218,9 @@ def project(global_feat: Tensor, head: HeadParams, training: bool,
             rng: np.random.Generator | None = None, normalize: bool = True):
     """Projection head: FC stack with ReLU + dropout between layers, linear
     output, then (by default) unit-norm rows."""
-    h = _dense(global_feat, head.layers, head.dropout_rate if training else 0.0, rng)
+    *hidden, last = head.layers
+    h = _hidden(global_feat, hidden, head.dropout_rate if training else 0.0, rng)
+    h = T.linear_forward(h, last.w, last.b)
     if normalize:
         h = T.l2_normalize_rows(h)
     return h
@@ -235,8 +234,8 @@ def segment_embed(per_point: Tensor, global_feat: Tensor, seg: SegBranchParams,
     B, N, _ = per_point.shape
     first, *rest = seg.layers
     h = T.linear_points_global(per_point, global_feat, first.w, first.b)
-    if rest:
-        h = _dense(T.relu(h), rest)
+    for layer in rest:
+        h = T.linear_forward(T.relu(h), layer.w, layer.b)
     h = T.reshape(h, (B, N, seg.widths[-1]))
     if normalize:
         h = T.l2_normalize_rows(h)

@@ -21,7 +21,6 @@ __all__ = [
     "shared_mlp",
     "shared_mlp_max_pool",
     "dropout",
-    "softmax_cross_entropy",
     "linear_cross_entropy",
     "l2_normalize_rows",
     "info_nce",
@@ -387,48 +386,13 @@ def _row_max(x):
     return np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)
 
 
-def _checked_labels(name, labels, B, K):
-    """labels as an int64 [B] array of class ids below K, for B > 0 logit rows."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if B == 0:
-        raise ShapeError(f"{name}: empty batch, logits {(B, K)}")
-    if labels.shape != (B,):
-        raise ShapeError(f"{name}: {B} rows but {labels.shape} labels")
-    if labels.min() < 0 or labels.max() >= K:
-        raise IndexError(f"label out of range [0, {K})")
-    return labels
-
-
-def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean over rows of -log softmax(logits)[label], row-max stabilized."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"softmax_cross_entropy: expected [B,K], got {logits.shape}")
-    B, K = logits.shape
-    labels = _checked_labels("softmax_cross_entropy", labels, B, K)
-    rows = np.arange(B)
-    # One working array: shifted logits, then their exponents in place.
-    e = logits.data - _row_max(logits.data)[:, None]
-    picked = e[rows, labels]
-    np.exp(e, out=e)
-    s = e @ np.ones(K, dtype=e.dtype)
-    out_data = np.mean(np.log(s) - picked)
-
-    def bw(g):
-        gl = e / s[:, None]
-        gl[rows, labels] -= 1.0
-        gl *= g / B
-        _accum(logits, gl)
-
-    return _result(np.asarray(out_data, dtype=logits.dtype), (logits,), bw,
-                   "softmax_cross_entropy")
-
-
 _LOGIT_BLOCK = 2048  # rows per logit product; OpenBLAS runs w.T @ x.T ~2x slower
 
 
 def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, labels) -> Tensor:
-    """softmax_cross_entropy(linear_forward(x, w, b), labels) as one tape
-    node: the linear probe's loss.
+    """Mean over rows of -log softmax(x @ w + b)[label], row-max stabilized,
+    as one tape node: the loss of the linear probe and of supervised
+    finetuning.
 
     The logits are one class-major [K, R] array, filled block by block from
     row-major products, so each per-row max, sum and label read runs over the
@@ -439,7 +403,13 @@ def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, labels) -> Tensor:
     """
     _check_affine("linear_cross_entropy", x, w, b)
     R, K = x.shape[0], w.shape[1]
-    labels = _checked_labels("linear_cross_entropy", labels, R, K)
+    labels = np.asarray(labels, dtype=np.int64)
+    if R == 0:
+        raise ShapeError(f"linear_cross_entropy: empty batch, logits {(R, K)}")
+    if labels.shape != (R,):
+        raise ShapeError(f"linear_cross_entropy: {R} rows but {labels.shape} labels")
+    if labels.min() < 0 or labels.max() >= K:
+        raise IndexError(f"label out of range [0, {K})")
     at = labels * R + np.arange(R)  # flat [K, R] positions of the label entries
     e = np.empty((K, R), dtype=np.result_type(x.data, w.data))
     for r in range(0, R, _LOGIT_BLOCK):

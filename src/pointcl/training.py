@@ -66,11 +66,13 @@ class TrainConfig:
             raise ValueError(f"points_per_cloud must be >= 1, got {self.points_per_cloud}")
         # the rules a checkpoint header's fields must meet, so pretrain
         # never writes a checkpoint that load_checkpoint rejects
-        if not models._HEADER_FIELDS["dropout_rate"](self.dropout_rate):
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate!r}")
-        if not models._HEADER_FIELDS["encoder_widths"](list(self.encoder_widths)):
-            raise ValueError("encoder_widths must be two or more widths >= 1, "
-                             f"got {self.encoder_widths!r}")
+        for name, rule in (("dropout_rate", "in [0, 1)"),
+                           ("encoder_widths", "two or more widths >= 1"),
+                           ("head_widths", "widths >= 1, the last >= 2"),
+                           ("seg_widths", "None or widths >= 1")):
+            v = getattr(self, name)
+            if not models._HEADER_FIELDS[name](list(v) if isinstance(v, tuple) else v):
+                raise ValueError(f"{name} must be {rule}, got {v!r}")
 
     def transform_spec(self) -> TransformSpec:
         return parse_transform(self.transform)

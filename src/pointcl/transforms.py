@@ -171,8 +171,9 @@ def parse_transform(text: str) -> TransformSpec:
                 cur = []
             else:
                 cur.append(ch)
-        if cur:
-            parts.append("".join(cur))
+        parts.append("".join(cur))
+        if not all(t.strip() for t in parts):
+            raise ValueError(f"cannot parse transform spec {text!r}: empty compose child")
         return TransformSpec(kind="compose",
                              children=[parse_transform(t) for t in parts])
     toks = s.split(":")

@@ -136,14 +136,19 @@ def test_bad_transform_exit_2(tmp_path, data_files):
 
 
 def test_invalid_train_config_exit_2_writes_no_checkpoint(tmp_path, data_files, capsys):
-    """A dropout rate load_checkpoint would reject fails before any step."""
+    """A dropout rate or widths that load_checkpoint would reject fail before
+    any step, in a message that names the field."""
     train, _ = data_files
-    out = tmp_path / "o"
-    rc = run(["pretrain", "--data", str(train), "--out", str(out),
-              "--dropout", "1.5", "--epochs", "0"])
-    assert rc == 2
-    assert "dropout_rate must be in [0, 1), got 1.5" in capsys.readouterr().err
-    assert not list(out.glob("*.pclm"))
+    for command, flag, value, message in [
+            ("pretrain", "--dropout", "1.5", "dropout_rate must be in [0, 1), got 1.5"),
+            ("pretrain", "--head-widths", "0,32", "head_widths must be"),
+            ("segment", "--seg-widths", "0,4", "seg_widths must be")]:
+        out = tmp_path / flag
+        rc = run([command, "--data", str(train), "--out", str(out), flag, value,
+                  "--epochs", "1", "--pairs", "4", "--points", "32"])
+        assert rc == 2, flag
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("*.pclm"))
 
 
 def test_missing_data_runtime_failure(tmp_path):

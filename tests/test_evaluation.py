@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 from dataclasses import replace
 
@@ -12,10 +13,12 @@ from pointcl.evaluation import (Metrics, ablate_transforms,
                                 segmentation_metrics, shape_miou,
                                 supervised_baseline_eval)
 from pointcl.pointcloud import (SyntheticSpec, generate_synthetic_dataset,
-                                load_dataset, sample_points, save_dataset)
+                                load_dataset, sample_points, sample_stack,
+                                save_dataset)
 from pointcl.training import TrainConfig, pretrain
 
-from oracles import brute_force_iou, reference_probe_fit, reference_sample_stack
+from oracles import (brute_force_iou, reference_cross_entropy, reference_probe_fit,
+                     reference_sample_stack)
 
 
 def tiny_cfg(**kw):
@@ -54,8 +57,8 @@ def test_fit_probe_matches_float64_adam(rng):
 
 def test_fit_probe_allocates_under_two_logit_arrays(rng):
     """The probe's epoch keeps one class-major [K, R] array: the traced peak
-    of a fit stays within two float32 [R, K] arrays. The two-op path of
-    linear_forward and softmax_cross_entropy peaks at six."""
+    of a fit stays within two float32 [R, K] arrays. A path that forms the
+    row-major logits and their gradient as separate arrays peaks at six."""
     R, K = 20000, 9
     feats = rng.normal(size=(R, 32)).astype(np.float32)
     labels = rng.integers(0, K, size=R)
@@ -142,6 +145,58 @@ def test_finetune_zero_epochs_chance(tmp_path, small_dataset):
                                small_dataset, small_dataset, cfg,
                                finetune_epochs=0)
     assert 0.0 <= m.overall_accuracy <= 0.6  # untrained head, near chance
+
+
+def test_finetune_step_matches_reference_cross_entropy(small_dataset, monkeypatch):
+    """One supervised step of a float64 model with dropout 0.5: its loss and
+    parameter gradients equal the float64 oracle's cross-entropy of
+    project()'s training-mode logits, chained back through the model. Those
+    logits equal a plain numpy forward with the same dropout masks."""
+    cfg = tiny_cfg(dropout_rate=0.5)
+    sup = models.ModelParams.create(np.random.default_rng(3), encoder_widths=[8, 16],
+                                    head_widths=[8, 6, 4], dropout_rate=0.5,
+                                    dtype=np.float64)
+    params = sup.params()
+    seen = {}
+
+    class FirstStep(Exception):
+        pass
+
+    def stop(ps, opt, lr):
+        seen["grads"] = [p.grad.copy() for p in ps]
+        raise FirstStep
+
+    ce = T.linear_cross_entropy
+    monkeypatch.setattr(T, "linear_cross_entropy",
+                        lambda *a: seen.setdefault("loss", ce(*a)))
+    monkeypatch.setattr(evaluation, "adam_step", stop)
+    with pytest.raises(FirstStep):
+        evaluation._supervised_fit_eval(sup, small_dataset, small_dataset, cfg, 1,
+                                        np.random.default_rng(5), tags={})
+
+    # Replay the step's draws: the batch, its points, then the dropout masks.
+    rng = np.random.default_rng(5)
+    idx = rng.choice(len(small_dataset), size=2 * cfg.pairs_per_batch, replace=False)
+    clouds = [small_dataset[int(i)] for i in idx]
+    batch, _ = sample_stack(clouds, cfg.points_per_cloud, rng)
+    mask_rng = copy.deepcopy(rng)
+    for p in params:
+        p.grad = None
+    g, _ = models.encode(batch, sup.encoder, training=True)
+    logits = models.project(g, sup.head, True, rng, normalize=False)
+    loss, dlogits = reference_cross_entropy(logits.data, [c.class_label for c in clouds])
+    T.backward(T.tsum(T.mul(logits, T.Tensor(dlogits))))
+    assert np.isclose(seen["loss"].item(), loss, rtol=1e-12)
+    for got, p in zip(seen["grads"], params):
+        np.testing.assert_allclose(got, p.grad, rtol=1e-9, atol=1e-12)
+
+    *hidden, last = sup.head.layers
+    h = g.data
+    for layer in hidden:
+        keep = T.dropout(T.Tensor(np.ones((len(h), layer.w.shape[1]))), 0.5, True,
+                         mask_rng).data  # 0 or 1 / (1 - rate)
+        h = np.maximum(h @ layer.w.data + layer.b.data, 0) * keep
+    np.testing.assert_allclose(logits.data, h @ last.w.data + last.b.data, rtol=1e-12)
 
 
 def test_supervised_baseline_runs(small_dataset):

@@ -154,8 +154,7 @@ def test_probe_zero_weights_uniform(rng):
     probe = evaluation.fit_probe(feats, labels, 4, epochs=0)
     assert isinstance(probe, models.DenseLayer)
     assert probe.w.shape == (8, 4) and not probe.w.data.any() and not probe.b.data.any()
-    logits = T.linear_forward(T.Tensor(feats), probe.w, probe.b)
-    loss = T.softmax_cross_entropy(logits, labels)
+    loss = T.linear_cross_entropy(T.Tensor(feats), probe.w, probe.b, labels)
     assert abs(loss.item() - np.log(4)) < 1e-6
 
 

@@ -217,38 +217,46 @@ def test_batch_norm_eval_uses_running_stats():
     assert np.allclose(out.data, [[1.0]], atol=1e-3)
 
 
+def _logit_ce(logits, labels):
+    """linear_cross_entropy of raw logits: an identity weight and a zero bias
+    leave the logits, and the logits' gradient, exact."""
+    K = logits.shape[1]
+    return T.linear_cross_entropy(logits, Tensor(np.eye(K), dtype=logits.dtype),
+                                  Tensor(np.zeros(K), dtype=logits.dtype), labels)
+
+
 def test_softmax_ce_uniform():
     logits = Tensor(np.zeros((3, 16)))
-    loss = T.softmax_cross_entropy(logits, [0, 5, 15])
+    loss = _logit_ce(logits, [0, 5, 15])
     assert abs(loss.item() - np.log(16)) < 1e-6
 
 
 def test_softmax_ce_saturated():
     logits = np.zeros((1, 4))
     logits[0, 2] = 1000.0
-    assert T.softmax_cross_entropy(Tensor(logits), [2]).item() < 1e-6
+    assert _logit_ce(Tensor(logits), [2]).item() < 1e-6
 
 
 def test_softmax_ce_hand_value():
-    loss = T.softmax_cross_entropy(Tensor([[1.0, 0.0]]), [0])
+    loss = _logit_ce(Tensor([[1.0, 0.0]]), [0])
     assert abs(loss.item() - np.log(1 + np.exp(-1))) < 1e-6
 
 
 def test_softmax_ce_label_out_of_range():
     with pytest.raises(IndexError):
-        T.softmax_cross_entropy(Tensor(np.zeros((1, 3))), [3])
+        _logit_ce(Tensor(np.zeros((1, 3))), [3])
 
 
 def test_softmax_ce_nonnegative(rng):
     for _ in range(20):
         logits = Tensor(rng.normal(size=(4, 6)))
         labels = rng.integers(0, 6, size=4)
-        assert T.softmax_cross_entropy(logits, labels).item() >= 0.0
+        assert _logit_ce(logits, labels).item() >= 0.0
 
 
 def test_softmax_ce_empty_batch_names_shape():
     with pytest.raises(T.ShapeError, match=r"\(0, 3\)"):
-        T.softmax_cross_entropy(Tensor(np.zeros((0, 3))), [])
+        _logit_ce(Tensor(np.zeros((0, 3))), [])
 
 
 @pytest.mark.parametrize("K", [2, 8, 128])
@@ -257,7 +265,7 @@ def test_softmax_ce_finite_differences(rng, K):
     labels = rng.integers(0, K, size=5)
 
     def f():
-        return T.softmax_cross_entropy(logits, labels)
+        return _logit_ce(logits, labels)
 
     T.backward(f())
     grad = logits.grad.copy()
@@ -277,7 +285,7 @@ def test_softmax_ce_float32_matches_reference(rng):
     data[3, :4] = 1e4    # a four-way tie at the top
     labels = np.array([3, 0, 2, 1, 8, 4])
     logits = Tensor(data.astype(np.float32), requires_grad=True)
-    loss = T.softmax_cross_entropy(logits, labels)
+    loss = _logit_ce(logits, labels)
     ref_loss, ref_grad = reference_cross_entropy(logits.data, labels)
     assert loss.dtype == np.float32
     assert np.isclose(loss.item(), ref_loss, rtol=1e-6, atol=1e-3)
@@ -308,8 +316,9 @@ def test_linear_cross_entropy_finite_differences(rng, frozen_x):
 
 
 def test_linear_cross_entropy_float32_matches_two_ops(rng):
-    """Loss and gradients equal linear_forward -> softmax_cross_entropy's,
-    on float32 logits with a saturated row."""
+    """Loss and gradients equal the float64 oracle's on linear_forward's
+    logits, with the chain rule through the affine layer, on float32 logits
+    with a saturated row."""
     x, w, b = _linear_inputs(rng, np.float32, rows=300, din=16, dout=9)
     x.data[0] *= 1e3
     labels = rng.integers(0, 9, size=300)
@@ -317,15 +326,12 @@ def test_linear_cross_entropy_float32_matches_two_ops(rng):
     assert loss._op == "linear_cross_entropy" and loss._parents == (x, w, b)
     assert loss.dtype == np.float32
     T.backward(loss)
-    got = [p.grad for p in (x, w, b)]
-    for p in (x, w, b):
-        p.grad = None
-    ref = T.softmax_cross_entropy(T.linear_forward(x, w, b), labels)
-    T.backward(ref)
-    assert np.isclose(loss.item(), ref.item(), rtol=1e-6)
-    for g, p in zip(got, (x, w, b)):
-        assert g.dtype == np.float32 and g.shape == p.shape
-        np.testing.assert_allclose(g, p.grad, rtol=1e-4, atol=1e-6)
+    x64, w64 = x.data.astype(np.float64), w.data.astype(np.float64)
+    ref_loss, gl = reference_cross_entropy(x64 @ w64 + b.data, labels)
+    assert np.isclose(loss.item(), ref_loss, rtol=1e-6)
+    for p, ref in zip((x, w, b), (gl @ w64.T, x64.T @ gl, gl.sum(axis=0))):
+        assert p.grad.dtype == np.float32 and p.grad.shape == p.shape
+        np.testing.assert_allclose(p.grad, ref, rtol=1e-4, atol=1e-6)
 
 
 def test_linear_cross_entropy_second_backward_doubles(rng):
@@ -341,8 +347,10 @@ def test_linear_cross_entropy_second_backward_doubles(rng):
 
 
 def test_linear_cross_entropy_checks_like_softmax_cross_entropy():
+    """Raw logits (through _logit_ce) and an affine layer's input fail the
+    same checks with the same messages."""
     w, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros(3))
-    for op in (lambda x, y: T.softmax_cross_entropy(T.linear_forward(x, w, b), y),
+    for op in (lambda x, y: _logit_ce(T.linear_forward(x, w, b), y),
                lambda x, y: T.linear_cross_entropy(x, w, b, y)):
         with pytest.raises(T.ShapeError, match=r"empty batch, logits \(0, 3\)"):
             op(Tensor(np.zeros((0, 4))), [])
@@ -427,8 +435,7 @@ def test_composed_net_matches_finite_differences(rng):
     def forward():
         pooled = T.shared_mlp_max_pool(Tensor(x.reshape(12, 3), dtype=np.float64), w1,
                                        state, 0.9, True, 6)
-        logits = T.linear_forward(pooled, w2, b2)
-        return T.softmax_cross_entropy(logits, labels)
+        return T.linear_cross_entropy(pooled, w2, b2, labels)
 
     loss = forward()
     T.backward(loss)

@@ -149,10 +149,11 @@ def test_parse_format_round_trip():
 
 
 def test_parse_rejects_garbage():
-    """An unknown kind, a fourth rotate token or an angle that is not a
-    number is an error that quotes the spec, not a dropped token or a bare
-    float error."""
-    for text in ("spin:z:10", "rotate:y:180:99", "rotate:y:90deg"):
+    """An unknown kind, a fourth rotate token, an angle that is not a number
+    or an empty compose child is an error that quotes the spec, not a
+    dropped token or a bare float error."""
+    for text in ("spin:z:10", "rotate:y:180:99", "rotate:y:90deg",
+                 "compose(rotate:y:180,)", "compose(rotate:y:180,,jitter)"):
         with pytest.raises(ValueError, match=re.escape(repr(text))):
             parse_transform(text)
 
