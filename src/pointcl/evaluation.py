@@ -130,9 +130,11 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
 
 
 def fit_probe(train_feats, train_labels, num_classes, epochs=PROBE_EPOCHS,
-              lr=0.001) -> DenseLayer:
+              lr=0.001) -> tuple[DenseLayer, float, float]:
     """Full-batch Adam fit of a single affine classifier on cached features,
-    from zero weights."""
+    from zero weights. Returns (probe, loss, accuracy): the last epoch's mean
+    cross-entropy, taken before its Adam step, and the returned probe's
+    accuracy on the training features; both are nan after zero epochs."""
     dtype = train_feats.dtype
     probe = DenseLayer(
         w=T.Tensor(np.zeros((train_feats.shape[1], num_classes), dtype=dtype),
@@ -140,10 +142,15 @@ def fit_probe(train_feats, train_labels, num_classes, epochs=PROBE_EPOCHS,
         b=T.Tensor(np.zeros(num_classes, dtype=dtype), requires_grad=True))
     opt = AdamState(probe.params())
     x = T.Tensor(train_feats, dtype=dtype)
+    loss = None
     for _ in range(epochs):
-        T.backward(T.linear_cross_entropy(x, probe.w, probe.b, train_labels))
+        loss = T.linear_cross_entropy(x, probe.w, probe.b, train_labels)
+        T.backward(loss)
         adam_step(probe.params(), opt, lr)
-    return probe
+    if loss is None:
+        return probe, float("nan"), float("nan")
+    hits = probe_predict(probe, train_feats) == np.asarray(train_labels)
+    return probe, loss.item(), float(hits.mean())
 
 
 def probe_predict(probe: DenseLayer, feats):
@@ -161,9 +168,10 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
             f"class-count mismatch: {train_ds.num_classes} vs {test_ds.num_classes}")
     tr_f, tr_y = extract_features(model, train_ds, points_per_cloud, seed, source)
     te_f, te_y = extract_features(model, test_ds, points_per_cloud, seed + 1, source)
-    probe = fit_probe(tr_f, tr_y, train_ds.num_classes, epochs=probe_epochs)
+    probe, loss, acc = fit_probe(tr_f, tr_y, train_ds.num_classes, epochs=probe_epochs)
     pred = probe_predict(probe, te_f)
-    t = {"protocol": "linear_probe", "features": source}
+    t = {"protocol": "linear_probe", "features": source,
+         "probe_train_loss": loss, "probe_train_accuracy": acc}
     t.update(tags or {})
     m = classification_metrics(pred, te_y, test_ds.num_classes, tags=t)
     return m, pred, te_y
@@ -317,15 +325,16 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
         raise ValueError("model has no segmentation branch")
     tr_f, tr_y, _ = extract_point_features(model, train_ds, points_per_cloud, seed)
     te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
-    probe = fit_probe(tr_f.reshape(-1, tr_f.shape[-1]), tr_y.reshape(-1),
-                      train_ds.num_parts, epochs=probe_epochs)
+    probe, loss, acc = fit_probe(tr_f.reshape(-1, tr_f.shape[-1]), tr_y.reshape(-1),
+                                 train_ds.num_parts, epochs=probe_epochs)
     # One predict per cloud: BLAS rounds a [S*N, D] product differently for
     # many feature and part counts, and that can move a tied argmax.
     preds = [probe_predict(probe, f) for f in te_f]
     ppc = test_ds.parts_per_class or {
         c: list(range(test_ds.num_parts)) for c in set(te_c)}
     return segmentation_metrics(preds, te_y, te_c.tolist(), ppc,
-                                tags={"protocol": "segmentation", **(tags or {})})
+                                tags={"protocol": "segmentation", "probe_train_loss": loss,
+                                      "probe_train_accuracy": acc, **(tags or {})})
 
 
 # ---------------------------------------------------------------------------

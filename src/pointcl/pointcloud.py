@@ -69,13 +69,21 @@ class Dataset:
         return self.samples[i]
 
 
+def _normalize_stack(pts: np.ndarray) -> np.ndarray:
+    """Center each cloud of a float32 [S, N, 3] stack at its centroid and
+    scale it so its farthest point has norm 1, in place; a cloud whose
+    points all coincide stays at the origin. The farthest norm is the root
+    of the largest (x² + y²) + z², the sum np.linalg.norm takes over a row.
+    Working in place keeps the stack the only large allocation."""
+    pts -= pts.mean(axis=1, keepdims=True)
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    r = np.sqrt((x * x + y * y + z * z).max(axis=1))[:, None, None]
+    return np.divide(pts, r, out=pts, where=r > 0)
+
+
 def normalize_unit_sphere(p: PointCloud) -> PointCloud:
     """Center at the centroid and scale so the farthest point has norm 1."""
-    pts = p.points - p.points.mean(axis=0, keepdims=True)
-    r = np.linalg.norm(pts, axis=1).max()
-    if r > 0:
-        pts = pts / r
-    return replace(p, points=pts.astype(np.float32))
+    return replace(p, points=_normalize_stack(p.points[None].copy())[0])
 
 
 def sample_stack(clouds, n_out: int, rng: np.random.Generator):
@@ -128,31 +136,24 @@ def _gen_cylinder(n, rng, half_height=1.0, radius=0.5):
     # ~80% lateral surface, ~20% caps
     on_cap = rng.random(n) < 0.2
     theta = rng.uniform(0, 2 * np.pi, size=n)
-    pts = np.empty((n, 3))
-    labels = np.empty(n, dtype=np.int64)
-    body = ~on_cap
-    pts[body, 0] = radius * np.cos(theta[body])
-    pts[body, 1] = radius * np.sin(theta[body])
-    pts[body, 2] = rng.uniform(-half_height, half_height, size=body.sum())
-    labels[body] = 0
-    r = radius * np.sqrt(rng.random(on_cap.sum()))
-    pts[on_cap, 0] = r * np.cos(theta[on_cap])
-    pts[on_cap, 1] = r * np.sin(theta[on_cap])
-    pts[on_cap, 2] = np.where(rng.random(on_cap.sum()) < 0.5, half_height, -half_height)
-    labels[on_cap] = 1
-    return pts, labels
+    caps = int(on_cap.sum())
+    rad = np.full(n, radius)
+    z = np.empty(n)
+    z[~on_cap] = rng.uniform(-half_height, half_height, size=n - caps)
+    rad[on_cap] = radius * np.sqrt(rng.random(caps))
+    z[on_cap] = np.where(rng.random(caps) < 0.5, half_height, -half_height)
+    pts = np.stack([rad * np.cos(theta), rad * np.sin(theta), z], axis=1)
+    return pts, on_cap.astype(np.int64)  # parts: 0 lateral surface, 1 caps
 
 
 def _gen_torus(n, rng, R=1.0, r=0.35):
     u = rng.uniform(0, 2 * np.pi, size=n)
     v = rng.uniform(0, 2 * np.pi, size=n)
-    pts = np.stack([
-        (R + r * np.cos(v)) * np.cos(u),
-        (R + r * np.cos(v)) * np.sin(u),
-        r * np.sin(v),
-    ], axis=1)
+    cos_v = np.cos(v)
+    ring = R + r * cos_v
+    pts = np.stack([ring * np.cos(u), ring * np.sin(u), r * np.sin(v)], axis=1)
     # parts: outer vs inner half of the tube
-    labels = (np.cos(v) < 0).astype(np.int64)
+    labels = (cos_v < 0).astype(np.int64)
     return pts, labels
 
 
@@ -188,7 +189,12 @@ class SyntheticSpec:
 
 
 def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
-    """Deterministic synthetic dataset of simple geometric classes."""
+    """Deterministic synthetic dataset of simple geometric classes.
+
+    The rng stream: one generator call per cloud, class by class, in sample
+    order. Everything after the draws (the float32 cast, the normalization,
+    the part-label offset) runs once per class on its stacked clouds and
+    takes no draws."""
     for name in spec.classes:
         if name not in SHAPE_CLASSES:
             raise ValueError(
@@ -197,11 +203,18 @@ def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) ->
     for ci, name in enumerate(spec.classes):
         gen, nparts = SHAPE_CLASSES[name]
         parts_per_class[ci] = list(range(part_offset, part_offset + nparts))
-        for _ in range(spec.per_class):
-            pts, labels = gen(spec.points_per_cloud, rng)
-            pc = PointCloud(points=pts, class_label=ci, id=len(samples),
-                            point_labels=labels + part_offset if spec.with_parts else None)
-            samples.append(normalize_unit_sphere(pc))
+        n, count = spec.points_per_cloud, spec.per_class
+        if count > 0:
+            if n < 1:
+                raise ValueError("point cloud must contain at least one point")
+            points = np.empty((count, n, 3), dtype=np.float32)
+            labels = np.empty((count, n), dtype=np.int64)
+            for i in range(count):
+                points[i], labels[i] = gen(n, rng)
+            labels += part_offset
+            for pts, lab in zip(_normalize_stack(points), labels):
+                samples.append(PointCloud(points=pts, class_label=ci, id=len(samples),
+                                          point_labels=lab if spec.with_parts else None))
         part_offset += nparts
     return Dataset(samples=samples, split=spec.split,
                    num_classes=len(spec.classes),

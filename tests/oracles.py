@@ -126,6 +126,84 @@ def reference_gen_cube(n, rng):
     return pts, axis.astype(np.int64)
 
 
+def _reference_gen_sphere(n, rng):
+    v = rng.normal(size=(n, 3))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v, (v[:, 2] < 0).astype(np.int64)
+
+
+def _reference_gen_cylinder(n, rng, half_height=1.0, radius=0.5):
+    on_cap = rng.random(n) < 0.2
+    theta = rng.uniform(0, 2 * np.pi, size=n)
+    pts = np.empty((n, 3))
+    labels = np.empty(n, dtype=np.int64)
+    body = ~on_cap
+    pts[body, 0] = radius * np.cos(theta[body])
+    pts[body, 1] = radius * np.sin(theta[body])
+    pts[body, 2] = rng.uniform(-half_height, half_height, size=body.sum())
+    labels[body] = 0
+    r = radius * np.sqrt(rng.random(on_cap.sum()))
+    pts[on_cap, 0] = r * np.cos(theta[on_cap])
+    pts[on_cap, 1] = r * np.sin(theta[on_cap])
+    pts[on_cap, 2] = np.where(rng.random(on_cap.sum()) < 0.5, half_height, -half_height)
+    labels[on_cap] = 1
+    return pts, labels
+
+
+def _reference_gen_torus(n, rng, R=1.0, r=0.35):
+    u = rng.uniform(0, 2 * np.pi, size=n)
+    v = rng.uniform(0, 2 * np.pi, size=n)
+    pts = np.stack([
+        (R + r * np.cos(v)) * np.cos(u),
+        (R + r * np.cos(v)) * np.sin(u),
+        r * np.sin(v),
+    ], axis=1)
+    return pts, (np.cos(v) < 0).astype(np.int64)
+
+
+def _reference_gen_plane_cross(n, rng):
+    which = rng.random(n) < 0.5
+    uv = rng.uniform(-1, 1, size=(n, 2))
+    pts = np.zeros((n, 3))
+    pts[which, 0] = uv[which, 0]
+    pts[which, 2] = uv[which, 1]
+    pts[~which, 1] = uv[~which, 0]
+    pts[~which, 2] = uv[~which, 1]
+    return pts, (~which).astype(np.int64)
+
+
+REFERENCE_SHAPES = {
+    "sphere": (_reference_gen_sphere, 2),
+    "cube": (reference_gen_cube, 3),
+    "cylinder": (_reference_gen_cylinder, 2),
+    "torus": (_reference_gen_torus, 2),
+    "plane-cross": (_reference_gen_plane_cross, 2),
+}
+
+
+def reference_synthetic_dataset(classes, per_class, points_per_cloud, with_parts, rng):
+    """pointcloud.generate_synthetic_dataset as first written: per cloud, the
+    shape's draws, a float32 PointCloud with offset part labels, then the
+    unit-sphere normalization of that one cloud. Returns the samples as
+    (points, class, point labels or None, id) tuples and the parts map or
+    None; the library must match their bytes and the rng state after."""
+    samples, parts_per_class, part_offset = [], {}, 0
+    for ci, name in enumerate(classes):
+        gen, nparts = REFERENCE_SHAPES[name]
+        parts_per_class[ci] = list(range(part_offset, part_offset + nparts))
+        for _ in range(per_class):
+            pts, labels = gen(points_per_cloud, rng)
+            pts = np.asarray(pts, dtype=np.float32)
+            pts = pts - pts.mean(axis=0, keepdims=True)
+            r = np.linalg.norm(pts, axis=1).max()
+            if r > 0:
+                pts = pts / r
+            samples.append((pts.astype(np.float32), ci,
+                            labels + part_offset if with_parts else None, len(samples)))
+        part_offset += nparts
+    return samples, parts_per_class if with_parts else None
+
+
 def brute_force_iou(pred, gt, part_ids):
     """Per-shape mean IoU by explicit set counting."""
     pred, gt = list(pred), list(gt)

@@ -40,7 +40,7 @@ def test_classification_metrics_exact():
 def test_probe_one_hot_features_perfect():
     feats = np.eye(4, dtype=np.float32)[np.tile(np.arange(4), 10)]
     labels = np.tile(np.arange(4), 10)
-    probe = evaluation.fit_probe(feats, labels, 4, epochs=200)
+    probe, _, _ = evaluation.fit_probe(feats, labels, 4, epochs=200)
     pred = evaluation.probe_predict(probe, feats)
     assert (pred == labels).all()
 
@@ -48,11 +48,56 @@ def test_probe_one_hot_features_perfect():
 def test_fit_probe_matches_float64_adam(rng):
     feats = rng.normal(size=(300, 6)).astype(np.float32)
     labels = rng.integers(0, 5, size=300)
-    probe = evaluation.fit_probe(feats, labels, 5, epochs=5, lr=0.01)
+    probe, _, _ = evaluation.fit_probe(feats, labels, 5, epochs=5, lr=0.01)
     w, b = reference_probe_fit(feats, labels, 5, epochs=5, lr=0.01)
     assert probe.w.dtype == np.float32
     assert np.allclose(probe.w.data, w, rtol=1e-5, atol=1e-6)
     assert np.allclose(probe.b.data, b, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("epochs", [1, 7])
+def test_fit_probe_reports_last_epoch_loss_and_accuracy(rng, epochs):
+    """The reported loss is the float64 cross-entropy at the weights the last
+    epoch started from (the probe one epoch shorter), and the accuracy is the
+    returned probe's on the training features."""
+    feats = rng.normal(size=(90, 6))
+    labels = rng.integers(0, 4, size=90)
+    probe, loss, acc = evaluation.fit_probe(feats, labels, 4, epochs=epochs, lr=0.05)
+    before, _, _ = evaluation.fit_probe(feats, labels, 4, epochs=epochs - 1, lr=0.05)
+    want, _ = reference_cross_entropy(feats @ before.w.data + before.b.data, labels)
+    assert abs(loss - want) <= 1e-12 * want
+    logits = feats @ probe.w.data + probe.b.data
+    assert acc == np.count_nonzero(logits.argmax(axis=1) == labels) / len(labels)
+
+
+def test_fit_probe_zero_epochs_reports_nan(rng):
+    _, loss, acc = evaluation.fit_probe(rng.normal(size=(5, 3)), [0, 1, 0, 1, 1], 2,
+                                        epochs=0)
+    assert np.isnan(loss) and np.isnan(acc)
+
+
+def test_probe_protocols_tag_fit_loss_and_accuracy(monkeypatch, seg_dataset):
+    """linear_probe_eval and segmentation_eval report the loss and accuracy
+    their fit_probe call returned."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    fits = []
+    fit = evaluation.fit_probe
+
+    def spy(*args, **kwargs):
+        fits.append(fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(evaluation, "fit_probe", spy)
+    m, _, _ = linear_probe_eval(model, seg_dataset, seg_dataset, points_per_cloud=32,
+                                probe_epochs=20)
+    m_seg = segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=32,
+                              probe_epochs=20)
+    for metrics, (_, loss, acc) in zip((m, m_seg), fits):
+        assert metrics.tags["probe_train_loss"] == loss
+        assert metrics.tags["probe_train_accuracy"] == acc
+        assert 0 < loss < np.log(seg_dataset.num_parts) and 0 <= acc <= 1
+    assert len(fits) == 2
 
 
 def test_fit_probe_allocates_under_two_logit_arrays(rng):

@@ -151,7 +151,7 @@ def test_segment_embed_finite_differences(rng, seg_widths):
 def test_probe_zero_weights_uniform(rng):
     feats = rng.normal(size=(5, 8)).astype(np.float32)
     labels = [0, 1, 2, 3, 0]
-    probe = evaluation.fit_probe(feats, labels, 4, epochs=0)
+    probe, _, _ = evaluation.fit_probe(feats, labels, 4, epochs=0)
     assert isinstance(probe, models.DenseLayer)
     assert probe.w.shape == (8, 4) and not probe.w.data.any() and not probe.b.data.any()
     loss = T.linear_cross_entropy(T.Tensor(feats), probe.w, probe.b, labels)
@@ -159,7 +159,7 @@ def test_probe_zero_weights_uniform(rng):
 
 
 def test_probe_identity_block():
-    probe = evaluation.fit_probe(np.zeros((1, 4), np.float32), [0], 4, epochs=0)
+    probe, _, _ = evaluation.fit_probe(np.zeros((1, 4), np.float32), [0], 4, epochs=0)
     probe.w.data = np.eye(4, dtype=np.float32)
     feats = np.eye(4, dtype=np.float32)[[2, 0, 3]]
     assert (evaluation.probe_predict(probe, feats) == [2, 0, 3]).all()

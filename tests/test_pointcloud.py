@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,8 @@ from pointcl.pointcloud import (PointCloud, SyntheticSpec, ParseError,
                                 normalize_unit_sphere, sample_points,
                                 sample_stack, save_dataset)
 
-from oracles import reference_gen_cube, reference_sample_stack
+from oracles import (reference_gen_cube, reference_sample_stack,
+                     reference_synthetic_dataset)
 
 
 def test_normalize_symmetric_pair():
@@ -141,6 +143,45 @@ def test_gen_cube_equals_per_point_loop(seed):
     want_pts, want_labels = reference_gen_cube(300, np.random.default_rng(seed))
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(labels, want_labels)
+
+
+@pytest.mark.parametrize("with_parts", [False, True], ids=["no-parts", "parts"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
+def test_synthetic_dataset_equals_per_cloud_reference(seed, with_parts):
+    """Stacked normalization gives the per-cloud construct-then-normalize
+    bytes, and leaves the rng where the per-cloud draws leave it, for every
+    class, across successive datasets drawn from one rng: one-point clouds
+    (the r = 0 branch) and zero clouds per class too."""
+    specs = [(list(pcm.SHAPE_CLASSES), 6, 64), (["torus", "cube", "cylinder", "sphere"], 30, 17),
+             (list(pcm.SHAPE_CLASSES), 3, 1), (list(pcm.SHAPE_CLASSES), 0, 32)]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for classes, per_class, points in specs:
+        ds = generate_synthetic_dataset(
+            SyntheticSpec(classes, per_class, points, with_parts=with_parts), rng)
+        want, want_parts = reference_synthetic_dataset(classes, per_class, points,
+                                                       with_parts, ref_rng)
+        assert len(ds) == len(want) == len(classes) * per_class
+        assert ds.parts_per_class == want_parts
+        assert ds.num_parts == (sum(pcm.SHAPE_CLASSES[c][1] for c in classes)
+                                if with_parts else 0)
+        for got, (pts, cls, labels, sid) in zip(ds.samples, want):
+            assert (got.points.dtype, got.points.shape) == (np.float32, pts.shape)
+            assert got.points.tobytes() == pts.tobytes()
+            assert (got.class_label, got.id) == (cls, sid)
+            if labels is None:
+                assert got.point_labels is None
+            else:
+                assert got.point_labels.dtype == np.int64
+                assert np.array_equal(got.point_labels, labels)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_synthetic_zero_points_raises_without_warning(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="point cloud must contain at least one point"):
+            generate_synthetic_dataset(SyntheticSpec(["sphere"], 2, 0), rng)
+        assert len(generate_synthetic_dataset(SyntheticSpec(["sphere"], 0, 0), rng)) == 0
 
 
 def test_synthetic_unknown_class(rng):

@@ -109,6 +109,79 @@ def test_pooled_layer_matches_dense_reference_float64(monkeypatch, small_dataset
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
+@pytest.mark.parametrize("objective, transform, pairs, epochs", [
+    ("cls", "rotate:y:180", 8, 1), ("seg", "smooth", 4, 2), ("cls", "crop", 8, 1),
+], ids=["cls", "seg-smooth", "cls-crop"])
+def test_pooled_calls_match_dense_reference_every_seed(monkeypatch, small_dataset,
+                                                       seg_dataset, objective, transform,
+                                                       pairs, epochs):
+    """Every shared_mlp_max_pool call of a 10-step float64 pretrain, over
+    model seeds 0-23, equals the dense reference run on the same inputs to
+    1e-12 relative to each array's largest entry: the pooled values, the
+    running statistics it leaves, and the gradients its backward adds to x,
+    w, gamma and beta from the same upstream gradient. Unlike the trajectory
+    test above, this does not depend on how rounding grows over the steps."""
+    ds = small_dataset if objective == "cls" else seg_dataset
+    cfg = tiny_cfg(pairs_per_batch=pairs, epochs=epochs, dropout_rate=0.5,
+                   encoder_widths=[32, 64, 128], transform=transform)
+    pooled = T.shared_mlp_max_pool
+    calls, worst = [], {}
+
+    def gap(name, got, want):
+        top = np.abs(want).max()
+        err = float(np.abs(got - want).max() / top) if top > 0 else float(np.abs(got).max())
+        worst[name] = max(worst.get(name, 0.0), err)
+
+    def checked(x, w, bn, momentum, training, n_points):
+        xr, wr = Tensor(x.data, requires_grad=x.requires_grad), Tensor(w.data, requires_grad=True)
+        bnr = copy.copy(bn)
+        bnr.gamma = Tensor(bn.gamma.data, requires_grad=True)
+        bnr.beta = Tensor(bn.beta.data, requires_grad=True)
+        bnr.running_mean, bnr.running_var = bn.running_mean.copy(), bn.running_var.copy()
+        out = pooled(x, w, bn, momentum, training, n_points)
+        ref = reference_shared_mlp_max_pool(xr, wr, bnr, momentum, training, n_points)
+        calls.append(training)
+        gap("values", out.data, ref.data)
+        gap("running_mean", bn.running_mean, bnr.running_mean)
+        gap("running_var", bn.running_var, bnr.running_var)
+        backward = out._backward
+
+        def both(g):
+            # Take this call's gradients alone, then add them to what the
+            # other consumers of x left, as _accum would have.
+            ts = (x, w, bn.gamma, bn.beta)
+            before = [t.grad for t in ts]
+            for t in ts:
+                t.grad = None
+            backward(g)
+            ref._backward(g)
+            for name, t, tr, b0 in zip(("dx", "dw", "dgamma", "dbeta"), ts,
+                                       (xr, wr, bnr.gamma, bnr.beta), before):
+                if t.requires_grad:
+                    gap(name, t.grad, tr.grad)
+                    got, t.grad = t.grad, b0
+                    T._accum(t, got)
+
+        out._backward = both
+        return out
+
+    monkeypatch.setattr(T, "shared_mlp_max_pool", checked)
+    parted = []
+    for seed in range(24):
+        calls.clear()
+        worst.clear()
+        model = models.ModelParams.create(
+            np.random.default_rng(seed), encoder_widths=cfg.encoder_widths,
+            head_widths=cfg.head_widths, seg_widths=cfg.seg_widths,
+            dropout_rate=cfg.dropout_rate, with_seg=objective == "seg", dtype=np.float64)
+        _, records = pretrain(ds, cfg, objective, model=model)
+        assert len(records) == 10 and calls == [True] * 10
+        assert set(worst) == {"values", "running_mean", "running_var",
+                              "dx", "dw", "dgamma", "dbeta"}
+        parted += [(seed, name, err) for name, err in worst.items() if err > 1e-12]
+    assert not parted, parted
+
+
 def test_lr_schedule_endpoints():
     cfg = tiny_cfg()
     assert lr_schedule(0, cfg, period=100) == 0.001
