@@ -145,8 +145,8 @@ def build_parser():
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset")
     g.add_argument("--classes", default="sphere,cube,cylinder,torus")
-    g.add_argument("--per-class", type=int, default=50)
-    g.add_argument("--points", type=int, default=128)
+    g.add_argument("--per-class", type=int, default=SyntheticSpec.per_class)
+    g.add_argument("--points", type=int, default=SyntheticSpec.points_per_cloud)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--with-parts", action="store_true")
     g.add_argument("--split", default="train")

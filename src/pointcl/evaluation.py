@@ -348,9 +348,10 @@ def ablate_transforms(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     transform_names = list(transform_names)
     if not transform_names:
         raise ValueError("transform list must be non-empty")
+    for name in transform_names:  # all of them before the first run
+        parse_transform(name)
     rows = []
     for name in transform_names:
-        parse_transform(name)  # validate before the run
         model, _ = pretrain(train_ds, replace(cfg, transform=name), objective="cls")
         m, _, _ = linear_probe_eval(model, train_ds, test_ds,
                                     points_per_cloud=cfg.points_per_cloud,

@@ -30,6 +30,7 @@ __all__ = [
     "segment_embed",
     "save_checkpoint",
     "load_checkpoint",
+    "check_model_config",
     "CheckpointError",
     "DESK_ENCODER_WIDTHS",
     "FULL_ENCODER_WIDTHS",
@@ -106,10 +107,7 @@ class EncoderParams(_LayerStack):
 
     @staticmethod
     def create(rng, widths=None, dtype=np.float32):
-        widths = list(widths or DESK_ENCODER_WIDTHS)
-        if not _HEADER_FIELDS["encoder_widths"](widths):
-            raise ValueError(f"encoder_widths must be two or more widths >= 1, got {widths}")
-        dims = [3] + widths
+        dims = [3] + list(widths or DESK_ENCODER_WIDTHS)
         layers = [EncoderLayer(_glorot(rng, a, b, dtype), BNState(b, dtype=dtype))
                   for a, b in zip(dims, dims[1:])]
         return EncoderParams(layers=layers)
@@ -130,10 +128,7 @@ class HeadParams(_LayerStack):
 
     @staticmethod
     def create(rng, d_in, widths=None, dropout_rate=DROPOUT_RATE, dtype=np.float32):
-        widths = list(widths or HEAD_WIDTHS)
-        if widths[-1] < 2:
-            raise ValueError(f"embedding dimension must be >= 2, got {widths[-1]}")
-        return HeadParams(layers=_dense_stack(rng, [d_in] + widths, dtype),
+        return HeadParams(layers=_dense_stack(rng, [d_in] + list(widths or HEAD_WIDTHS), dtype),
                           dropout_rate=dropout_rate)
 
 
@@ -157,6 +152,9 @@ class ModelParams:
     @staticmethod
     def create(rng, encoder_widths=None, head_widths=None, seg_widths=None,
                dropout_rate=DROPOUT_RATE, with_seg=False, dtype=np.float32):
+        check_model_config(encoder_widths=encoder_widths or DESK_ENCODER_WIDTHS,
+                           head_widths=head_widths or HEAD_WIDTHS,
+                           seg_widths=seg_widths or SEG_WIDTHS, dropout_rate=dropout_rate)
         enc = EncoderParams.create(rng, encoder_widths, dtype=dtype)
         head = HeadParams.create(rng, enc.d_global, head_widths,
                                  dropout_rate=dropout_rate, dtype=dtype)
@@ -261,17 +259,27 @@ def _is_widths(v):
     return isinstance(v, list) and v != [] and all(type(n) is int and n >= 1 for n in v)
 
 
-# What each header field must hold; the model is built from them. An encoder
-# has two or more layers: the last one pools (shared_mlp_max_pool), and the
-# one before it gives the per-point feature.
+# What each header field must hold, as (rule, check); the model is built from
+# them. An encoder has two or more layers: the last one pools
+# (shared_mlp_max_pool), and the one before it gives the per-point feature.
 _HEADER_FIELDS = {
-    "encoder_widths": lambda v: _is_widths(v) and len(v) >= 2,
-    "head_widths": lambda v: _is_widths(v) and v[-1] >= 2,
-    "seg_widths": lambda v: v is None or _is_widths(v),
-    "dropout_rate": lambda v: type(v) in (int, float) and 0 <= v < 1,
-    "extra": lambda v: isinstance(v, dict),
-    "tensors": lambda v: type(v) is int and v >= 0,
+    "encoder_widths": ("two or more widths >= 1", lambda v: _is_widths(v) and len(v) >= 2),
+    "head_widths": ("widths >= 1, the last >= 2", lambda v: _is_widths(v) and v[-1] >= 2),
+    "seg_widths": ("None or widths >= 1", lambda v: v is None or _is_widths(v)),
+    "dropout_rate": ("in [0, 1)", lambda v: type(v) in (int, float) and 0 <= v < 1),
+    "extra": ("a JSON object", lambda v: isinstance(v, dict)),
+    "tensors": ("a count >= 0", lambda v: type(v) is int and v >= 0),
 }
+
+
+def check_model_config(**fields):
+    """Raise ValueError for the first model-shape field that breaks its
+    checkpoint-header rule, so no model is built that load_checkpoint
+    would reject. A tuple of widths is checked as a list."""
+    for name, value in fields.items():
+        rule, ok = _HEADER_FIELDS[name]
+        if not ok(list(value) if isinstance(value, tuple) else value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def _model_tensors(model: ModelParams):
@@ -343,7 +351,7 @@ def load_checkpoint(path, dtype=np.float32):
         raise CheckpointError(f"{path}: bad header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: bad header: not a JSON object")
-    for key, ok in _HEADER_FIELDS.items():
+    for key, (_, ok) in _HEADER_FIELDS.items():
         if key not in header:
             raise CheckpointError(f"{path}: bad header: no {key!r}")
         if not ok(header[key]):

@@ -25,7 +25,8 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Malformed dataset file; message carries line number or byte offset."""
+    """Malformed dataset file; the message names the file and what in it is
+    at fault: a byte offset, a sample id or a header field."""
 
 
 @dataclass
@@ -187,6 +188,17 @@ class SyntheticSpec:
     with_parts: bool = False
     split: str = "train"
 
+    def __post_init__(self):
+        if not self.classes:
+            raise ValueError("classes must name at least one class")
+        for name in self.classes:
+            if name not in SHAPE_CLASSES:
+                raise ValueError(
+                    f"unknown class {name!r}; choose from {sorted(SHAPE_CLASSES)}")
+        for name in ("per_class", "points_per_cloud"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
     """Deterministic synthetic dataset of simple geometric classes.
@@ -195,26 +207,19 @@ def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) ->
     order. Everything after the draws (the float32 cast, the normalization,
     the part-label offset) runs once per class on its stacked clouds and
     takes no draws."""
-    for name in spec.classes:
-        if name not in SHAPE_CLASSES:
-            raise ValueError(
-                f"unknown class {name!r}; choose from {sorted(SHAPE_CLASSES)}")
     samples, parts_per_class, part_offset = [], {}, 0
+    n, count = spec.points_per_cloud, spec.per_class
     for ci, name in enumerate(spec.classes):
         gen, nparts = SHAPE_CLASSES[name]
         parts_per_class[ci] = list(range(part_offset, part_offset + nparts))
-        n, count = spec.points_per_cloud, spec.per_class
-        if count > 0:
-            if n < 1:
-                raise ValueError("point cloud must contain at least one point")
-            points = np.empty((count, n, 3), dtype=np.float32)
-            labels = np.empty((count, n), dtype=np.int64)
-            for i in range(count):
-                points[i], labels[i] = gen(n, rng)
-            labels += part_offset
-            for pts, lab in zip(_normalize_stack(points), labels):
-                samples.append(PointCloud(points=pts, class_label=ci, id=len(samples),
-                                          point_labels=lab if spec.with_parts else None))
+        points = np.empty((count, n, 3), dtype=np.float32)
+        labels = np.empty((count, n), dtype=np.int64)
+        for i in range(count):
+            points[i], labels[i] = gen(n, rng)
+        labels += part_offset
+        for pts, lab in zip(_normalize_stack(points), labels):
+            samples.append(PointCloud(points=pts, class_label=ci, id=len(samples),
+                                      point_labels=lab if spec.with_parts else None))
         part_offset += nparts
     return Dataset(samples=samples, split=spec.split,
                    num_classes=len(spec.classes),
@@ -237,11 +242,7 @@ _MAGIC = b"PCDS"
 _VERSION = 3
 
 
-def save_dataset(ds: Dataset, path, format="packed-binary") -> None:
-    if format == "xyz-text":
-        return save_dataset_xyz(ds, path)
-    if format != "packed-binary":
-        raise ValueError(f"unknown format {format!r}")
+def save_dataset(ds: Dataset, path) -> None:
     tmp = os.fspath(path) + ".tmp"  # a failed save keeps the file at path
     try:
         with open(tmp, "wb") as f:
@@ -276,13 +277,8 @@ def _read_exact(f, nbytes, what):
     return buf
 
 
-def load_dataset(path, format="packed-binary") -> Dataset:
-    """Read a dataset file. A packed-binary file holds its split; an
-    xyz-text one does not, and reads back as "train"."""
-    if format == "xyz-text":
-        return load_dataset_xyz(path)
-    if format != "packed-binary":
-        raise ValueError(f"unknown format {format!r}")
+def load_dataset(path) -> Dataset:
+    """Read a dataset file that save_dataset wrote."""
     with open(path, "rb") as f:
         magic = _read_exact(f, 4, "magic")
         if magic != _MAGIC:
@@ -334,62 +330,3 @@ def _read_parts_map(f, num_classes, num_parts):
                              f"out of range ({num_classes} classes, {num_parts} parts)")
         ppc[cls] = parts
     return ppc or None
-
-
-# ---------------------------------------------------------------------------
-# xyz-text: one point per line, blank line separates clouds, optional
-# header line "# class <k>".
-# ---------------------------------------------------------------------------
-
-def save_dataset_xyz(ds: Dataset, path) -> None:
-    with open(path, "w") as f:
-        for pc in ds.samples:
-            if pc.class_label is not None:
-                f.write(f"# class {pc.class_label}\n")
-            for x, y, z in pc.points:
-                f.write(f"{x:.6g} {y:.6g} {z:.6g}\n")
-            f.write("\n")
-
-
-def load_dataset_xyz(path, split="train") -> Dataset:
-    samples = []
-    cur: list = []
-    cur_class = None
-    max_class = -1
-    f32_max = float(np.finfo(np.float32).max)
-
-    def flush(sid):
-        nonlocal cur, cur_class
-        if cur:
-            samples.append(PointCloud(points=np.array(cur, dtype=np.float32),
-                                      class_label=cur_class, id=sid))
-        cur, cur_class = [], None
-
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            s = line.strip()
-            if not s:
-                flush(len(samples))
-                continue
-            if s.startswith("#"):
-                toks = s[1:].split()
-                if len(toks) == 2 and toks[0] == "class":
-                    try:
-                        cur_class = int(toks[1])
-                    except ValueError:
-                        raise ParseError(f"{path}: line {lineno}: bad class header {s!r}")
-                    max_class = max(max_class, cur_class)
-                continue
-            toks = s.split()
-            if len(toks) != 3:
-                raise ParseError(f"{path}: line {lineno}: expected 3 coordinates, "
-                                 f"got {len(toks)}")
-            try:
-                xyz = [float(t) for t in toks]
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-numeric coordinate in {s!r}")
-            if not all(abs(c) <= f32_max for c in xyz):  # a NaN fails too
-                raise ParseError(f"{path}: line {lineno}: non-finite float32 coordinate in {s!r}")
-            cur.append(xyz)
-    flush(len(samples))
-    return Dataset(samples=samples, split=split, num_classes=max_class + 1)

@@ -64,15 +64,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.points_per_cloud < 1:
             raise ValueError(f"points_per_cloud must be >= 1, got {self.points_per_cloud}")
-        # the rules a checkpoint header's fields must meet, so pretrain
-        # never writes a checkpoint that load_checkpoint rejects
-        for name, rule in (("dropout_rate", "in [0, 1)"),
-                           ("encoder_widths", "two or more widths >= 1"),
-                           ("head_widths", "widths >= 1, the last >= 2"),
-                           ("seg_widths", "None or widths >= 1")):
-            v = getattr(self, name)
-            if not models._HEADER_FIELDS[name](list(v) if isinstance(v, tuple) else v):
-                raise ValueError(f"{name} must be {rule}, got {v!r}")
+        # so pretrain never writes a checkpoint that load_checkpoint rejects
+        models.check_model_config(dropout_rate=self.dropout_rate,
+                                  encoder_widths=self.encoder_widths,
+                                  head_widths=self.head_widths,
+                                  seg_widths=self.seg_widths)
 
     def transform_spec(self) -> TransformSpec:
         return parse_transform(self.transform)

@@ -1,11 +1,11 @@
 """Contrastive transformations: rotate, cutout, crop, scale, jitter, smooth, compose.
 
 transform_stack transforms a [n, N, 3] stack of clouds in one pass and
-returns an [n, N] slot -> source map with it; apply_transform and
-apply_transform_with_map are its one-cloud case. Every transform preserves
-the point count. All but cutout/crop also keep index alignment (the map is
-the identity); cutout/crop move the survivors to the front and refill the
-rest from them, and the map says where each slot came from.
+returns an [n, N] slot -> source map with it; apply_transform is its
+one-cloud case. Every transform preserves the point count. All but
+cutout/crop also keep index alignment (the map is the identity); cutout/crop
+move the survivors to the front and refill the rest from them, and the map
+says where each slot came from.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "parse_transform",
     "format_transform",
     "apply_transform",
-    "apply_transform_with_map",
     "transform_stack",
     "rotation_matrix",
 ]
@@ -137,18 +136,12 @@ def _refill(points, keep, rng):
     return np.take_along_axis(points, idx[:, :, None], axis=1), idx
 
 
-def apply_transform_with_map(p: PointCloud, spec: TransformSpec,
-                             rng: np.random.Generator):
-    """Transform p; also return the slot -> source-slot correspondence map."""
-    pts, idx = transform_stack(p.points[None], spec, rng)
-    labels = p.point_labels[idx[0]] if p.point_labels is not None else None
-    return replace(p, points=pts[0], point_labels=labels), idx[0]
-
-
 def apply_transform(p: PointCloud, spec: TransformSpec,
                     rng: np.random.Generator) -> PointCloud:
-    out, _ = apply_transform_with_map(p, spec, rng)
-    return out
+    """transform_stack of one cloud; its point labels follow their points."""
+    pts, idx = transform_stack(p.points[None], spec, rng)
+    labels = p.point_labels[idx[0]] if p.point_labels is not None else None
+    return replace(p, points=pts[0], point_labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,15 @@ def test_gen_data_unknown_class(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flags", [["--per-class", "0"], ["--per-class", "-1"],
+                                   ["--points", "0"], ["--classes", ""]],
+                         ids=["zero-per-class", "negative-per-class", "zero-points",
+                              "no-classes"])
+def test_gen_data_empty_spec_exit_2_writes_no_file(tmp_path, flags):
+    assert run(["gen-data", *flags, "--out", str(tmp_path / "x.pcds")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_pretrain_and_probe(tmp_path, data_files):
     train, test = data_files
     out = tmp_path / "run"

@@ -409,6 +409,15 @@ def test_ablate_identity_pretrains_without_scaling(small_dataset, monkeypatch):
     assert [(s.kind, s.scale_range) for s in seen] == [("scale", (1.0, 1.0))]
 
 
+def test_ablate_checks_every_name_before_pretraining(small_dataset, monkeypatch):
+    """A bad name later in the list fails before the first, costly run."""
+    calls = []
+    monkeypatch.setattr(evaluation, "pretrain", lambda *a, **kw: calls.append(a))
+    with pytest.raises(ValueError, match="bogus"):
+        ablate_transforms(small_dataset, small_dataset, tiny_cfg(), ["rotate:y:180", "bogus"])
+    assert calls == []
+
+
 def test_ablate_empty_list_rejected(small_dataset):
     with pytest.raises(ValueError):
         ablate_transforms(small_dataset, small_dataset, tiny_cfg(), [])

@@ -313,9 +313,17 @@ def test_encoder_needs_two_widths(widths):
     last layer. create and TrainConfig reject it, naming the field, as
     load_checkpoint does (test_checkpoint_malformed_header[one-width])."""
     with pytest.raises(ValueError, match="encoder_widths"):
-        models.EncoderParams.create(np.random.default_rng(0), widths)
+        ModelParams.create(np.random.default_rng(0), encoder_widths=widths)
     with pytest.raises(ValueError, match="encoder_widths"):
         TrainConfig(encoder_widths=widths)
+
+
+@pytest.mark.parametrize("field,value", [("head_widths", [0, 4]), ("seg_widths", [0, 4]),
+                                         ("dropout_rate", 1.0)])
+def test_create_rejects_what_load_checkpoint_rejects(field, value):
+    """A model whose checkpoint would read back as a bad header is never built."""
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        ModelParams.create(np.random.default_rng(0), with_seg=True, **{field: value})
 
 
 def test_create_draws_one_glorot_matrix_per_layer():

@@ -151,9 +151,9 @@ def test_synthetic_dataset_equals_per_cloud_reference(seed, with_parts):
     """Stacked normalization gives the per-cloud construct-then-normalize
     bytes, and leaves the rng where the per-cloud draws leave it, for every
     class, across successive datasets drawn from one rng: one-point clouds
-    (the r = 0 branch) and zero clouds per class too."""
+    (the r = 0 branch) too."""
     specs = [(list(pcm.SHAPE_CLASSES), 6, 64), (["torus", "cube", "cylinder", "sphere"], 30, 17),
-             (list(pcm.SHAPE_CLASSES), 3, 1), (list(pcm.SHAPE_CLASSES), 0, 32)]
+             (list(pcm.SHAPE_CLASSES), 3, 1)]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for classes, per_class, points in specs:
         ds = generate_synthetic_dataset(
@@ -176,12 +176,16 @@ def test_synthetic_dataset_equals_per_cloud_reference(seed, with_parts):
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_synthetic_zero_points_raises_without_warning(rng):
+def test_synthetic_zero_points_raises_without_warning():
+    """An empty spec fails when it is made, before any draw."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="point cloud must contain at least one point"):
-            generate_synthetic_dataset(SyntheticSpec(["sphere"], 2, 0), rng)
-        assert len(generate_synthetic_dataset(SyntheticSpec(["sphere"], 0, 0), rng)) == 0
+        for args, message in [((["sphere"], 2, 0), "points_per_cloud must be >= 1, got 0"),
+                              ((["sphere"], 0, 2), "per_class must be >= 1, got 0"),
+                              ((["sphere"], -1, 2), "per_class must be >= 1, got -1"),
+                              (([], 2, 2), "classes must name at least one class")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SyntheticSpec(*args)
 
 
 def test_synthetic_unknown_class(rng):
@@ -257,39 +261,6 @@ def test_binary_bad_magic(tmp_path):
         load_dataset(tmp_path / "bad.pcds")
 
 
-def test_xyz_text_round_trip(tmp_path, small_dataset):
-    path = tmp_path / "ds.xyz"
-    save_dataset(small_dataset, path, format="xyz-text")
-    back = load_dataset(path, format="xyz-text")
-    assert len(back) == len(small_dataset)
-    for a, b in zip(small_dataset.samples, back.samples):
-        assert a.class_label == b.class_label
-        # 6 significant digits
-        assert np.allclose(a.points, b.points, rtol=1e-5, atol=1e-7)
-
-
-def test_xyz_single_line(tmp_path):
-    (tmp_path / "one.xyz").write_text("1.0 2.0 3.0\n")
-    ds = load_dataset(tmp_path / "one.xyz", format="xyz-text")
-    assert len(ds) == 1
-    assert np.allclose(ds.samples[0].points, [[1, 2, 3]])
-
-
-def test_xyz_malformed_line(tmp_path):
-    (tmp_path / "bad.xyz").write_text("1.0 2.0\n")
-    with pytest.raises(ParseError) as ei:
-        load_dataset(tmp_path / "bad.xyz", format="xyz-text")
-    assert "line 1" in str(ei.value)
-
-
-def test_xyz_malformed_line_names_file(tmp_path):
-    path = tmp_path / "two.xyz"
-    path.write_text("1.0 2.0 3.0\n4.0 5.0\n")
-    with pytest.raises(ParseError) as ei:
-        load_dataset(path, format="xyz-text")
-    assert str(ei.value) == f"{path}: line 2: expected 3 coordinates, got 2"
-
-
 @pytest.mark.parametrize("coords", [[[0.0, np.nan, 0.0]], [[np.inf, 0.0, 0.0]], []],
                          ids=["nan", "inf", "no-points"])
 def test_binary_bad_sample_names_file_and_sample(tmp_path, coords):
@@ -302,15 +273,6 @@ def test_binary_bad_sample_names_file_and_sample(tmp_path, coords):
                      + struct.pack("<IHI", 9, 0, len(coords)) + coords.tobytes())
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: sample 9: "):
         load_dataset(path)
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
-def test_xyz_non_finite_coordinate_names_line(tmp_path, value):
-    """1e39 is finite as a Python float but not as a float32 coordinate."""
-    path = tmp_path / "bad.xyz"
-    path.write_text(f"1.0 2.0 3.0\n\n0.0 {value} 0.0\n")
-    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: "):
-        load_dataset(path, format="xyz-text")
 
 
 def test_reload_preserves_order(tmp_path, small_dataset):

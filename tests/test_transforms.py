@@ -5,10 +5,8 @@ import pytest
 
 from oracles import reference_smooth
 from pointcl.pointcloud import PointCloud, normalize_unit_sphere
-from pointcl.transforms import (TransformSpec, apply_transform,
-                                apply_transform_with_map, format_transform,
-                                parse_transform, rotation_matrix,
-                                transform_stack)
+from pointcl.transforms import (TransformSpec, apply_transform, format_transform,
+                                parse_transform, rotation_matrix, transform_stack)
 
 
 def cloud(rng, n=32):
@@ -65,36 +63,38 @@ def test_all_transforms_preserve_count(rng):
 def test_index_map_identity_for_pointwise_transforms(rng):
     p = cloud(rng)
     for kind in ("rotate", "scale", "jitter", "smooth"):
-        _, idx = apply_transform_with_map(p, TransformSpec(kind=kind),
-                                          np.random.default_rng(2))
-        assert (idx == np.arange(p.n)).all(), kind
+        _, idx = transform_stack(p.points[None], TransformSpec(kind=kind),
+                                 np.random.default_rng(2))
+        assert (idx[0] == np.arange(p.n)).all(), kind
 
 
 def test_cutout_refill_map(rng):
     p = cloud(rng, n=128)
-    out, idx = apply_transform_with_map(p, TransformSpec(kind="cutout"),
-                                        np.random.default_rng(8))
-    assert out.n == p.n
+    out, idx = transform_stack(p.points[None], TransformSpec(kind="cutout"),
+                               np.random.default_rng(8))
+    out, idx = out[0], idx[0]
+    assert out.shape == p.points.shape
     # every output slot holds exactly its source point
-    assert np.allclose(out.points, p.points[idx])
+    assert np.allclose(out, p.points[idx])
     # something was actually cut
     assert len(set(idx.tolist())) < p.n
 
 
 def test_crop_keeps_fraction(rng):
     p = cloud(rng, n=200)
-    out, idx = apply_transform_with_map(p, TransformSpec(kind="crop", keep_fraction=0.7),
-                                        np.random.default_rng(8))
-    survivors = len(set(idx.tolist()))
+    _, idx = transform_stack(p.points[None], TransformSpec(kind="crop", keep_fraction=0.7),
+                             np.random.default_rng(8))
+    survivors = len(set(idx[0].tolist()))
     assert survivors >= int(0.7 * p.n) - 1
 
 
 def test_labels_carried_through_refill(rng):
     p = PointCloud(points=np.random.default_rng(0).normal(size=(64, 3)),
                    point_labels=np.arange(64))
-    out, idx = apply_transform_with_map(p, TransformSpec(kind="cutout"),
-                                        np.random.default_rng(3))
-    assert (out.point_labels == idx).all()
+    out = apply_transform(p, TransformSpec(kind="cutout"), np.random.default_rng(3))
+    _, idx = transform_stack(p.points[None], TransformSpec(kind="cutout"),
+                             np.random.default_rng(3))
+    assert (out.point_labels == idx[0]).all()
 
 
 def test_compose_single_equals_child(rng):
@@ -207,9 +207,10 @@ def test_stack_slots_hold_their_sources(text):
 def test_apply_transform_is_stack_of_one(text, rng):
     p = cloud(rng, n=64)
     spec = parse_transform(text)
-    one, one_idx = apply_transform_with_map(p, spec, np.random.default_rng(6))
+    p = PointCloud(points=p.points, point_labels=np.arange(p.n))
+    one = apply_transform(p, spec, np.random.default_rng(6))
     out, idx = transform_stack(p.points[None], spec, np.random.default_rng(6))
-    assert (one.points == out[0]).all() and (one_idx == idx[0]).all()
+    assert (one.points == out[0]).all() and (one.point_labels == idx[0]).all()
 
 
 @pytest.mark.parametrize("text", ALL_SPECS)
