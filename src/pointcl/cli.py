@@ -164,9 +164,10 @@ def build_parser():
         _add_common(sp)
         if name in ("pretrain", "segment"):
             sp.add_argument("--data", required=True, help="training dataset file")
+        if name in ("probe", "finetune", "segment"):
+            sp.add_argument("--train-data", required=name != "segment")
         if name in ("probe", "finetune", "segment", "ablate"):
-            sp.add_argument("--train-data", required=name in ("probe", "finetune"))
-            sp.add_argument("--test-data", required=name in ("probe", "finetune", "ablate"))
+            sp.add_argument("--test-data", required=name != "segment")
         if name in ("probe", "finetune", "export-features"):
             sp.add_argument("--checkpoint", required=True)
         if name == "export-features":
@@ -233,6 +234,9 @@ def cmd_finetune(args, cfg):
 
 
 def cmd_segment(args, cfg):
+    if args.train_data and not args.test_data:
+        raise ConfigError("--train-data is the segmentation probe's training set; "
+                          "it needs --test-data")
     ds = load_dataset(args.data)
     if args.test_data:  # checked before pretraining, which a bad set would waste
         train_ds = load_dataset(args.train_data) if args.train_data else ds

@@ -18,6 +18,7 @@ from .transforms import parse_transform
 __all__ = [
     "Metrics",
     "PROBE_EPOCHS",
+    "PROBE_LR",
     "FINETUNE_EPOCHS",
     "feature_sources",
     "extract_features",
@@ -34,6 +35,7 @@ __all__ = [
 ]
 
 PROBE_EPOCHS = 100     # full-batch Adam epochs of the linear probe
+PROBE_LR = 0.001       # the linear probe's Adam learning rate
 FINETUNE_EPOCHS = 20   # epochs of supervised finetuning
 
 # The single-transform sweep and the two-transform compositions.
@@ -57,7 +59,6 @@ class Metrics:
     mean_class_accuracy: float
     instance_miou: float | None = None
     class_miou: float | None = None
-    per_class: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
 
     def row(self):
@@ -74,15 +75,11 @@ def classification_metrics(pred, gt, num_classes, tags=None) -> Metrics:
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     overall = float((pred == gt).mean())
-    per_class = {}
-    for c in range(num_classes):
-        mask = gt == c
-        if mask.any():
-            per_class[c] = float((pred[mask] == c).mean())
-    accs = list(per_class.values())
+    accs = [float((pred[gt == c] == c).mean()) for c in range(num_classes)
+            if (gt == c).any()]
     return Metrics(overall_accuracy=overall,
                    mean_class_accuracy=float(np.mean(accs)) if accs else 0.0,
-                   per_class=per_class, tags=tags or {})
+                   tags=tags or {})
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +126,8 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
     return feats, labels
 
 
-def fit_probe(train_feats, train_labels, num_classes, epochs=PROBE_EPOCHS,
-              lr=0.001) -> tuple[DenseLayer, float, float]:
+def fit_probe(train_feats, train_labels, num_classes,
+              epochs=PROBE_EPOCHS) -> tuple[DenseLayer, float, float]:
     """Full-batch Adam fit of a single affine classifier on cached features,
     from zero weights. Returns (probe, loss, accuracy): the last epoch's mean
     cross-entropy, taken before its Adam step, and the returned probe's
@@ -146,7 +143,7 @@ def fit_probe(train_feats, train_labels, num_classes, epochs=PROBE_EPOCHS,
     for _ in range(epochs):
         loss = T.linear_cross_entropy(x, probe.w, probe.b, train_labels)
         T.backward(loss)
-        adam_step(probe.params(), opt, lr)
+        adam_step(probe.params(), opt, PROBE_LR)
     if loss is None:
         return probe, float("nan"), float("nan")
     hits = probe_predict(probe, train_feats) == np.asarray(train_labels)
@@ -190,7 +187,7 @@ def _classifier(rng, encoder_widths, head_widths, num_classes, dropout_rate):
 
 def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
                            cfg: TrainConfig, finetune_epochs: int = FINETUNE_EPOCHS,
-                           init_head: bool = False, seed: int = 0, tags=None):
+                           init_head: bool = False, seed: int = 0):
     """Initialize a supervised classifier's encoder (and optionally its MLP
     branch) from an unsupervised checkpoint, train it, report test metrics."""
     pretrained, _ = models.load_checkpoint(checkpoint_path)
@@ -201,19 +198,17 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
     if init_head:  # all head layers but the final class-count affine
         sup.head.layers[:-1] = pretrained.head.layers[:-1]
     return _supervised_fit_eval(sup, train_ds, test_ds, cfg, finetune_epochs,
-                                rng, tags={"protocol": "finetune",
-                                           "head_init": init_head, **(tags or {})})
+                                rng, tags={"protocol": "finetune", "head_init": init_head})
 
 
 def supervised_baseline_eval(train_ds, test_ds, cfg: TrainConfig,
-                             epochs: int = FINETUNE_EPOCHS, seed: int = 0, tags=None):
+                             epochs: int = FINETUNE_EPOCHS, seed: int = 0):
     """Same supervised pipeline from a random initialization."""
     rng = np.random.default_rng(seed)
     sup = _classifier(rng, cfg.encoder_widths, cfg.head_widths, train_ds.num_classes,
                       cfg.dropout_rate)
     return _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng,
-                                tags={"protocol": "supervised_random_init",
-                                      **(tags or {})})
+                                tags={"protocol": "supervised_random_init"})
 
 
 def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
@@ -291,9 +286,7 @@ def segmentation_metrics(preds, gts, classes, parts_per_class, tags=None) -> Met
     return Metrics(overall_accuracy=correct / total,
                    mean_class_accuracy=class_miou,
                    instance_miou=float(np.mean(shape_ious)),
-                   class_miou=class_miou,
-                   per_class={c: float(np.mean(v)) for c, v in per_class_ious.items()},
-                   tags=tags or {})
+                   class_miou=class_miou, tags=tags or {})
 
 
 def extract_point_features(model: ModelParams, ds: Dataset, points_per_cloud,
@@ -317,8 +310,7 @@ def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:
 
 def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
-                      probe_epochs: int = PROBE_EPOCHS, seed: int = 0,
-                      tags=None) -> Metrics:
+                      probe_epochs: int = PROBE_EPOCHS, seed: int = 0) -> Metrics:
     """Fit a per-point linear probe on frozen point embeddings; report mIoU."""
     check_segmentation_sets(train_ds, test_ds)
     if model.seg is None:
@@ -334,7 +326,7 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
         c: list(range(test_ds.num_parts)) for c in set(te_c)}
     return segmentation_metrics(preds, te_y, te_c.tolist(), ppc,
                                 tags={"protocol": "segmentation", "probe_train_loss": loss,
-                                      "probe_train_accuracy": acc, **(tags or {})})
+                                      "probe_train_accuracy": acc})
 
 
 # ---------------------------------------------------------------------------

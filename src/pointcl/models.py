@@ -105,17 +105,6 @@ class EncoderParams(_LayerStack):
     """Shared per-point MLP; the last width is the global feature size."""
     layers: list
 
-    @staticmethod
-    def create(rng, widths=None, dtype=np.float32):
-        dims = [3] + list(widths or DESK_ENCODER_WIDTHS)
-        layers = [EncoderLayer(_glorot(rng, a, b, dtype), BNState(b, dtype=dtype))
-                  for a, b in zip(dims, dims[1:])]
-        return EncoderParams(layers=layers)
-
-    @property
-    def d_global(self):
-        return self.widths[-1]
-
     @property
     def d_mid(self):
         return _d_mid(self.widths)
@@ -124,23 +113,13 @@ class EncoderParams(_LayerStack):
 @dataclass
 class HeadParams(_LayerStack):
     layers: list
-    dropout_rate: float = DROPOUT_RATE
-
-    @staticmethod
-    def create(rng, d_in, widths=None, dropout_rate=DROPOUT_RATE, dtype=np.float32):
-        return HeadParams(layers=_dense_stack(rng, [d_in] + list(widths or HEAD_WIDTHS), dtype),
-                          dropout_rate=dropout_rate)
+    dropout_rate: float
 
 
 @dataclass
 class SegBranchParams(_LayerStack):
     """Per-point MLP over [intermediate feature || broadcast global feature]."""
     layers: list
-
-    @staticmethod
-    def create(rng, d_mid, d_global, widths=None, dtype=np.float32):
-        widths = list(widths or SEG_WIDTHS)
-        return SegBranchParams(layers=_dense_stack(rng, [d_mid + d_global] + widths, dtype))
 
 
 @dataclass
@@ -150,18 +129,26 @@ class ModelParams:
     seg: SegBranchParams | None = None
 
     @staticmethod
-    def create(rng, encoder_widths=None, head_widths=None, seg_widths=None,
-               dropout_rate=DROPOUT_RATE, with_seg=False, dtype=np.float32):
-        check_model_config(encoder_widths=encoder_widths or DESK_ENCODER_WIDTHS,
-                           head_widths=head_widths or HEAD_WIDTHS,
-                           seg_widths=seg_widths or SEG_WIDTHS, dropout_rate=dropout_rate)
-        enc = EncoderParams.create(rng, encoder_widths, dtype=dtype)
-        head = HeadParams.create(rng, enc.d_global, head_widths,
-                                 dropout_rate=dropout_rate, dtype=dtype)
+    def create(rng, encoder_widths=DESK_ENCODER_WIDTHS, head_widths=HEAD_WIDTHS,
+               seg_widths=SEG_WIDTHS, dropout_rate=DROPOUT_RATE, with_seg=False,
+               dtype=np.float32):
+        """Glorot weights drawn from rng: the encoder's, the head's, then
+        (with_seg) the segmentation branch's, each in layer order."""
+        check_model_config(encoder_widths=encoder_widths, head_widths=head_widths,
+                           seg_widths=seg_widths, dropout_rate=dropout_rate)
+        if with_seg and seg_widths is None:
+            raise ValueError("seg_widths must be widths >= 1 for a segmentation "
+                             "branch, got None")
+        dims = [3] + list(encoder_widths)
+        enc = EncoderParams([EncoderLayer(_glorot(rng, a, b, dtype), BNState(b, dtype=dtype))
+                             for a, b in zip(dims, dims[1:])])
+        d_global = dims[-1]
+        head = HeadParams(_dense_stack(rng, [d_global] + list(head_widths), dtype),
+                          dropout_rate)
         seg = None
         if with_seg:
-            seg = SegBranchParams.create(rng, enc.d_mid, enc.d_global,
-                                         seg_widths, dtype=dtype)
+            seg = SegBranchParams(_dense_stack(rng, [enc.d_mid + d_global] + list(seg_widths),
+                                               dtype))
         return ModelParams(encoder=enc, head=head, seg=seg)
 
     @property
@@ -322,7 +309,7 @@ def save_checkpoint(model: ModelParams, path, extra: dict | None = None,
             os.remove(tmp)
 
 
-def load_checkpoint(path, dtype=np.float32):
+def load_checkpoint(path):
     """Rebuild ModelParams from a checkpoint; returns (model, extra_dict).
 
     Tensors saved after the model's come back as extra["tensors"].
@@ -361,8 +348,7 @@ def load_checkpoint(path, dtype=np.float32):
     if _model_nbytes(config) > len(buf) - pos:  # before allocating any of it
         raise CheckpointError(f"{path}: truncated at byte {len(buf)}")
     model = ModelParams.create(np.random.default_rng(0),  # values overwritten below
-                               with_seg=config["seg_widths"] is not None,
-                               dtype=dtype, **config)
+                               with_seg=config["seg_widths"] is not None, **config)
     arrays = []
     for expect in chain(_model_tensors(model), repeat(None, header["tensors"])):
         ndim = take(1)[0]
@@ -372,7 +358,7 @@ def load_checkpoint(path, dtype=np.float32):
         if expect is not None and arr.shape != expect.shape:
             raise CheckpointError(
                 f"{path}: shape mismatch {arr.shape} vs expected {expect.shape}")
-        arrays.append(arr.astype(dtype))
+        arrays.append(arr.astype(np.float32))
     if pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - pos} bytes after the last tensor")
     it = iter(arrays)

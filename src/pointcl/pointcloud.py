@@ -13,7 +13,6 @@ __all__ = [
     "PointCloud",
     "Dataset",
     "ParseError",
-    "normalize_unit_sphere",
     "sample_points",
     "sample_stack",
     "SyntheticSpec",
@@ -80,11 +79,6 @@ def _normalize_stack(pts: np.ndarray) -> np.ndarray:
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
     r = np.sqrt((x * x + y * y + z * z).max(axis=1))[:, None, None]
     return np.divide(pts, r, out=pts, where=r > 0)
-
-
-def normalize_unit_sphere(p: PointCloud) -> PointCloud:
-    """Center at the centroid and scale so the farthest point has norm 1."""
-    return replace(p, points=_normalize_stack(p.points[None].copy())[0])
 
 
 def sample_stack(clouds, n_out: int, rng: np.random.Generator):

@@ -438,10 +438,13 @@ def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, labels) -> Tensor:
                    "linear_cross_entropy")
 
 
-def l2_normalize_rows(x: Tensor, eps: float = 1e-12) -> Tensor:
+_NORM_EPS = 1e-12  # floor on a row norm, so a zero row stays zero
+
+
+def l2_normalize_rows(x: Tensor) -> Tensor:
     """Normalize the last axis of x to unit norm."""
     norms = np.sqrt((x.data ** 2).sum(axis=-1, keepdims=True))
-    norms = np.maximum(norms, eps)
+    norms = np.maximum(norms, _NORM_EPS)
     y = x.data / norms
 
     def bw(g):

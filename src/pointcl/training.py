@@ -189,11 +189,15 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
         raise ValueError(f"objective must be 'cls' or 'seg', got {objective!r}")
     steps_per_epoch = max(len(ds) // cfg.pairs_per_batch, 1)
     period = cfg.decay_period_steps or 20 * steps_per_epoch
+    total_steps = cfg.epochs * steps_per_epoch
     rng = np.random.default_rng(cfg.seed)
     start_step = 0
     records: list[LossRecord] = []
     if resume is not None:
         model, opt, rng, start_step = load_train_checkpoint(resume)
+        if start_step >= total_steps:  # before out_dir's files are rewritten
+            raise ValueError(f"{resume} is at step {start_step}, and the run "
+                             f"has {total_steps} steps: nothing to resume")
     else:
         if model is None:
             model = models.ModelParams.create(
@@ -203,7 +207,6 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
         opt = AdamState(model.params())
 
     spec = cfg.transform_spec()
-    total_steps = cfg.epochs * steps_per_epoch
     params = model.params()
     last_ckpt = None
     if out_dir:

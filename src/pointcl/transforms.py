@@ -11,6 +11,7 @@ says where each slot came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,14 +34,15 @@ class TransformSpec:
     kind: str
     axis: str = "y"                  # rotate
     angle_deg: float = 180.0         # rotate
-    radius: float = 0.2              # cutout ball radius (fraction of unit sphere)
-    keep_fraction: float = 0.7       # crop
-    scale_range: tuple = (0.8, 1.25)  # per-axis uniform scale
-    sigma: float = 0.01              # jitter
-    clip: float = 0.05               # jitter
-    k: int = 8                       # smooth: neighbors
-    lam: float = 0.5                 # smooth: blend weight
+    scale_range: tuple = (0.8, 1.25)  # per-axis uniform scale; identity is (1, 1)
     children: list = field(default_factory=list)  # compose
+    # No spec string sets these, so they are constants, not fields.
+    radius: ClassVar[float] = 0.2         # cutout ball radius (fraction of unit sphere)
+    keep_fraction: ClassVar[float] = 0.7  # crop
+    sigma: ClassVar[float] = 0.01         # jitter
+    clip: ClassVar[float] = 0.05          # jitter
+    k: ClassVar[int] = 8                  # smooth: neighbors
+    lam: ClassVar[float] = 0.5            # smooth: blend weight
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -50,10 +52,6 @@ class TransformSpec:
                 raise ValueError(f"rotate axis must be x, y or z, got {self.axis!r}")
             if not -360.0 < self.angle_deg < 360.0:
                 raise ValueError(f"rotate angle must be in (-360, 360), got {self.angle_deg}")
-        if self.kind == "cutout" and not 0.0 < self.radius <= 1.0:
-            raise ValueError(f"cutout radius must be in (0, 1], got {self.radius}")
-        if self.kind == "crop" and not 0.0 < self.keep_fraction <= 1.0:
-            raise ValueError(f"crop keep fraction must be in (0, 1], got {self.keep_fraction}")
         if self.kind == "compose" and not self.children:
             raise ValueError("compose requires a non-empty child list")
 

@@ -231,6 +231,30 @@ def test_ablate_suites_shape(tmp_path, data_files):
         assert len(rows) == expected_rows + 1
 
 
+def test_ablate_has_no_train_data_flag(tmp_path, data_files, capsys):
+    """ablate pretrains and probes on --data; a --train-data flag would be
+    read by nothing, so argparse rejects it."""
+    train, test = data_files
+    with pytest.raises(SystemExit) as info:
+        run(["ablate", "--data", str(train), "--train-data", str(train),
+             "--test-data", str(test), "--out", str(tmp_path / "abl")])
+    assert info.value.code == 2
+    assert "--train-data" in capsys.readouterr().err
+
+
+def test_segment_train_data_needs_test_data(tmp_path, capsys):
+    train = tmp_path / "seg.pcds"
+    run(["gen-data", "--classes", "cylinder,cube", "--per-class", "2",
+         "--points", "32", "--seed", "4", "--with-parts", "--out", str(train)])
+    rc = run(["segment", "--data", str(train), "--train-data", str(train),
+              "--out", str(tmp_path / "segrun"), "--pairs", "2", "--epochs", "1",
+              "--points", "32", "--encoder-widths", "8,16", "--head-widths", "8,4",
+              "--seg-widths", "8,4", "--dropout", "0"])
+    assert rc == 2
+    assert "needs --test-data" in capsys.readouterr().err
+    assert not list((tmp_path / "segrun").glob("*.pclm"))  # failed before pretraining
+
+
 def test_defaults_agree():
     """TrainConfig, the model constructors and the CLI name the same shape."""
     from pointcl import models

@@ -115,7 +115,7 @@ def test_segment_global_ablation(model, rng):
 def test_encode_pools_the_last_layer(rng, widths):
     """Global features are the max over points of the last layer, fused
     with it into one node; the per-point feature is the layer before it."""
-    enc = models.EncoderParams.create(np.random.default_rng(0), widths)
+    enc = ModelParams.create(np.random.default_rng(0), encoder_widths=widths).encoder
     ref = copy.deepcopy(enc)
     pts = rng.normal(size=(2, 6, 3)).astype(np.float32)
     g, pp = encode(pts, enc, training=True)
@@ -191,7 +191,8 @@ def test_checkpoint_round_trip(tmp_path, model, rng):
 def test_checkpoint_round_trip_after_encoder_swap(tmp_path, model, rng):
     """The header's widths are read off the layers, so a model whose encoder
     was replaced by one of other widths saves the widths it has."""
-    model.encoder = models.EncoderParams.create(np.random.default_rng(1), [5, 8, 16])
+    model.encoder = ModelParams.create(np.random.default_rng(1),
+                                       encoder_widths=[5, 8, 16]).encoder
     encode(rng.normal(size=(4, 8, 3)), model.encoder, training=True, bn_momentum=0.5)
     path = tmp_path / "m.pclm"
     save_checkpoint(model, path)
@@ -215,7 +216,7 @@ def test_checkpoint_bad_magic(tmp_path):
 def test_default_widths():
     m = ModelParams.create(np.random.default_rng(0))
     assert m.encoder.widths == models.DESK_ENCODER_WIDTHS
-    assert m.encoder.d_global == 128
+    assert m.head.layers[0].w.shape[0] == 128  # the head reads the global feature
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -324,6 +325,21 @@ def test_create_rejects_what_load_checkpoint_rejects(field, value):
     """A model whose checkpoint would read back as a bad header is never built."""
     with pytest.raises(ValueError, match=f"^{field} must be "):
         ModelParams.create(np.random.default_rng(0), with_seg=True, **{field: value})
+
+
+@pytest.mark.parametrize("empty", [[], ()], ids=["list", "tuple"])
+@pytest.mark.parametrize("field", ["encoder_widths", "head_widths", "seg_widths"])
+def test_create_rejects_empty_widths(field, empty):
+    """An empty stack is a bad width like any other, not a cue for the
+    default widths."""
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        ModelParams.create(np.random.default_rng(0), with_seg=True, **{field: empty})
+
+
+def test_create_seg_branch_needs_seg_widths():
+    with pytest.raises(ValueError, match="^seg_widths must be "):
+        ModelParams.create(np.random.default_rng(0), with_seg=True, seg_widths=None)
+    assert ModelParams.create(np.random.default_rng(0), seg_widths=None).seg is None
 
 
 def test_create_draws_one_glorot_matrix_per_layer():

@@ -286,6 +286,23 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path, small_dataset):
             == [r.loss for r in resumed_records])
 
 
+@pytest.mark.parametrize("resume_epochs", [1, 3])
+def test_resume_at_or_past_the_runs_end_writes_nothing(tmp_path, small_dataset,
+                                                       resume_epochs):
+    """Resuming a 12-step run's final checkpoint into a run of 4 or 12 steps
+    raises, naming both step counts, and leaves the checkpoint and the loss
+    curve byte for byte as they were."""
+    out = tmp_path / "run"
+    pretrain(small_dataset, tiny_cfg(pairs_per_batch=20, epochs=3), out_dir=str(out))
+    files = [out / "checkpoint_final.pclm", out / "loss_curve.csv"]
+    before = [f.read_bytes() for f in files]
+    with pytest.raises(ValueError, match=rf"at step 12, and the run has {4 * resume_epochs} "):
+        pretrain(small_dataset, tiny_cfg(pairs_per_batch=20, epochs=resume_epochs),
+                 out_dir=str(out), resume=str(files[0]))
+    assert [f.read_bytes() for f in files] == before
+    assert sorted(os.listdir(out)) == ["checkpoint_final.pclm", "loss_curve.csv"]
+
+
 def test_train_checkpoint_round_trip(tmp_path, small_dataset):
     cfg = tiny_cfg(epochs=1)
     model, _ = pretrain(small_dataset, cfg)
