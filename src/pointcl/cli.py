@@ -108,8 +108,13 @@ def resolve_config(args) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = parser(flag) if isinstance(flag, str) else flag
-    parse_transform(cfg["transform"])  # validate before any work
+    # validate every key before any work, whichever keys the command reads
+    parse_transform(cfg["transform"])
     evaluation.feature_sources(cfg["features"])
+    make_train_config(cfg)
+    for key in ("probe_epochs", "finetune_epochs"):
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
     return cfg
 
 

@@ -31,8 +31,8 @@ class LossConfig:
     exclude_positive: bool = False  # literal denominator variant, for study
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
+        if not 0.0 < self.tau < np.inf:  # an inf tau makes every logit 0
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
 
 
 def contrastive_loss_cls(z_orig: Tensor, z_trans: Tensor, cfg: LossConfig) -> Tensor:

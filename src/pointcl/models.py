@@ -20,9 +20,7 @@ from . import tensor as T
 from .tensor import Tensor, BNState
 
 __all__ = [
-    "EncoderParams",
-    "HeadParams",
-    "SegBranchParams",
+    "LayerStack",
     "DenseLayer",
     "ModelParams",
     "encode",
@@ -84,7 +82,20 @@ def _dense_stack(rng, dims, dtype):
             for a, b in zip(dims, dims[1:])]
 
 
-class _LayerStack:
+def _d_mid(encoder_widths):
+    """Width of the per-point feature kept for the segmentation branch: the
+    encoder's second-last layer."""
+    return encoder_widths[-2]
+
+
+@dataclass
+class LayerStack:
+    """One model part's layers in order: the encoder's EncoderLayers (its
+    last width is the global feature size), or the projection head's or
+    segmentation branch's DenseLayers. Only the head sets dropout_rate."""
+    layers: list
+    dropout_rate: float = 0.0
+
     def params(self):
         return [p for l in self.layers for p in l.params()]
 
@@ -94,39 +105,11 @@ class _LayerStack:
         return [l.w.shape[1] for l in self.layers]
 
 
-def _d_mid(encoder_widths):
-    """Width of the per-point feature kept for the segmentation branch: the
-    encoder's second-last layer."""
-    return encoder_widths[-2]
-
-
-@dataclass
-class EncoderParams(_LayerStack):
-    """Shared per-point MLP; the last width is the global feature size."""
-    layers: list
-
-    @property
-    def d_mid(self):
-        return _d_mid(self.widths)
-
-
-@dataclass
-class HeadParams(_LayerStack):
-    layers: list
-    dropout_rate: float
-
-
-@dataclass
-class SegBranchParams(_LayerStack):
-    """Per-point MLP over [intermediate feature || broadcast global feature]."""
-    layers: list
-
-
 @dataclass
 class ModelParams:
-    encoder: EncoderParams
-    head: HeadParams
-    seg: SegBranchParams | None = None
+    encoder: LayerStack
+    head: LayerStack
+    seg: LayerStack | None = None  # per-point MLP over [per-point || global feature]
 
     @staticmethod
     def create(rng, encoder_widths=DESK_ENCODER_WIDTHS, head_widths=HEAD_WIDTHS,
@@ -140,15 +123,11 @@ class ModelParams:
             raise ValueError("seg_widths must be widths >= 1 for a segmentation "
                              "branch, got None")
         dims = [3] + list(encoder_widths)
-        enc = EncoderParams([EncoderLayer(_glorot(rng, a, b, dtype), BNState(b, dtype=dtype))
-                             for a, b in zip(dims, dims[1:])])
-        d_global = dims[-1]
-        head = HeadParams(_dense_stack(rng, [d_global] + list(head_widths), dtype),
-                          dropout_rate)
-        seg = None
-        if with_seg:
-            seg = SegBranchParams(_dense_stack(rng, [enc.d_mid + d_global] + list(seg_widths),
-                                               dtype))
+        enc = LayerStack([EncoderLayer(_glorot(rng, a, b, dtype), BNState(b, dtype=dtype))
+                          for a, b in zip(dims, dims[1:])])
+        head = LayerStack(_dense_stack(rng, dims[-1:] + list(head_widths), dtype), dropout_rate)
+        seg = LayerStack(_dense_stack(rng, [_d_mid(encoder_widths) + dims[-1]] + list(seg_widths),
+                                      dtype)) if with_seg else None
         return ModelParams(encoder=enc, head=head, seg=seg)
 
     @property
@@ -169,7 +148,7 @@ class ModelParams:
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def encode(points: np.ndarray, enc: EncoderParams, training: bool,
+def encode(points: np.ndarray, enc: LayerStack, training: bool,
            bn_momentum: float = 0.9):
     """Run the shared per-point MLP and max pool.
 
@@ -184,7 +163,7 @@ def encode(points: np.ndarray, enc: EncoderParams, training: bool,
     for layer in body:
         h = T.shared_mlp(h, layer.w, layer.bn, bn_momentum, training)
     global_feat = T.shared_mlp_max_pool(h, last.w, last.bn, bn_momentum, training, N)
-    return global_feat, T.reshape(h, (B, N, enc.d_mid))
+    return global_feat, T.reshape(h, (B, N, h.shape[1]))
 
 
 def _hidden(h: Tensor, layers, dropout_rate=0.0, rng=None):
@@ -195,11 +174,11 @@ def _hidden(h: Tensor, layers, dropout_rate=0.0, rng=None):
         if dropout_rate > 0:
             if rng is None:
                 raise ValueError("training-mode projection needs an rng for dropout")
-            h = T.dropout(h, dropout_rate, True, rng)
+            h = T.dropout(h, dropout_rate, rng)
     return h
 
 
-def project(global_feat: Tensor, head: HeadParams, training: bool,
+def project(global_feat: Tensor, head: LayerStack, training: bool,
             rng: np.random.Generator | None = None, normalize: bool = True):
     """Projection head: FC stack with ReLU + dropout between layers, linear
     output, then (by default) unit-norm rows."""
@@ -211,7 +190,7 @@ def project(global_feat: Tensor, head: HeadParams, training: bool,
     return h
 
 
-def segment_embed(per_point: Tensor, global_feat: Tensor, seg: SegBranchParams,
+def segment_embed(per_point: Tensor, global_feat: Tensor, seg: LayerStack,
                   training: bool, normalize: bool = True):
     """Per-point embeddings [B, N, d_out] from the per-point features
     concatenated with their cloud's global feature (never formed); rows
@@ -231,11 +210,12 @@ def segment_embed(per_point: Tensor, global_feat: Tensor, seg: SegBranchParams,
 # Checkpoint format, version 3: magic "PCLM", version u16 LE, u32 JSON header
 # length, JSON header bytes, then tensors, each as ndim u8, dims u32..., f32
 # payload. The header holds the model config, the caller's "extra" dict and
-# the number of caller tensors; it holds no array. The tensors are the
-# trainables in declaration order, the running BN statistics (so round-trips
-# are bit-exact), then the caller's tensors (a training checkpoint's Adam
-# moments). A file is written beside its target and renamed into place, so a
-# failed save leaves the previous file whole.
+# the number of caller tensors; it holds no array. The tensors come in
+# _model_slots order: encoder (w, gamma, beta) per layer, head and seg branch
+# (w, b) per layer, each encoder layer's (running_mean, running_var) so
+# round-trips are bit-exact, then the caller's tensors (a training
+# checkpoint's Adam m and v). A file is written beside its target and
+# renamed into place, so a failed save leaves the previous file whole.
 # ---------------------------------------------------------------------------
 
 _CKPT_MAGIC = b"PCLM"
@@ -269,12 +249,14 @@ def check_model_config(**fields):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
-def _model_tensors(model: ModelParams):
-    """Trainables in declaration order, then BN running stats."""
-    arrs = [p.data for p in model.params()]
+def _model_slots(model: ModelParams):
+    """The model's tensors in file order, as (owner, attribute) pairs: the
+    trainables in declaration order, then each encoder layer's BN running
+    statistics."""
+    slots = [(p, "data") for p in model.params()]
     for layer in model.encoder.layers:
-        arrs += [layer.bn.running_mean, layer.bn.running_var]
-    return arrs
+        slots += [(layer.bn, "running_mean"), (layer.bn, "running_var")]
+    return slots
 
 
 def _model_nbytes(config):
@@ -299,7 +281,7 @@ def save_checkpoint(model: ModelParams, path, extra: dict | None = None,
     try:
         with open(tmp, "wb") as f:
             f.write(_CKPT_MAGIC + struct.pack("<HI", _CKPT_VERSION, len(blob)) + blob)
-            for arr in _model_tensors(model) + list(tensors):
+            for arr in [getattr(*slot) for slot in _model_slots(model)] + list(tensors):
                 a = np.ascontiguousarray(arr, dtype="<f4")
                 f.write(struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape))
                 f.write(a.tobytes())
@@ -349,26 +331,23 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: truncated at byte {len(buf)}")
     model = ModelParams.create(np.random.default_rng(0),  # values overwritten below
                                with_seg=config["seg_widths"] is not None, **config)
+    slots = _model_slots(model)
     arrays = []
-    for expect in chain(_model_tensors(model), repeat(None, header["tensors"])):
+    for slot in chain(slots, repeat(None, header["tensors"])):
         ndim = take(1)[0]
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
         payload = take(4 * int(np.prod(dims, dtype=np.int64)))
         arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
-        if expect is not None and arr.shape != expect.shape:
-            raise CheckpointError(
-                f"{path}: shape mismatch {arr.shape} vs expected {expect.shape}")
+        expect = getattr(*slot).shape if slot else arr.shape
+        if arr.shape != expect:
+            raise CheckpointError(f"{path}: shape mismatch {arr.shape} vs expected {expect}")
         arrays.append(arr.astype(np.float32))
     if pos != len(buf):
         raise CheckpointError(f"{path}: {len(buf) - pos} bytes after the last tensor")
-    it = iter(arrays)
-    for p in model.params():
-        p.data = next(it)
-    for layer in model.encoder.layers:
-        layer.bn.running_mean = next(it)
-        layer.bn.running_var = next(it)
+    for (owner, attr), arr in zip(slots, arrays):
+        setattr(owner, attr, arr)
     extra = header["extra"]
-    rest = list(it)
+    rest = arrays[len(slots):]
     if rest:
         extra["tensors"] = rest
     return model, extra

@@ -360,11 +360,12 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     return _result(pooled, (x, w, bn.gamma, bn.beta), bw, "shared_mlp_max_pool")
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability rate, scale survivors by 1/(1-rate)."""
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: zero with probability rate, scale survivors by
+    1/(1-rate). Eval mode passes rate 0, which returns x."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return x
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     factor = 1.0 / (1.0 - rate)

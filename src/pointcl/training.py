@@ -50,6 +50,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.pairs_per_batch < 2:
             raise ValueError("need at least 2 pairs per batch")
+        # a negative lr makes Adam climb the loss; lr_schedule's max() turns a nan into the floor
+        for name in ("lr_init", "lr_floor"):
+            lr = getattr(self, name)
+            if not 0.0 <= lr < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {lr}")
         if self.lr_floor > self.lr_init:
             raise ValueError("lr_floor must not exceed lr_init")
         if not 0.0 < self.lr_decay_gamma <= 1.0:
@@ -58,8 +63,7 @@ class TrainConfig:
             raise ValueError(f"bn_init must be in [0, 1], got {self.bn_init}")
         if not 0.5 <= self.bn_cap <= 1.0:
             raise ValueError("bn momentum cap must be in [0.5, 1]")
-        # a negative lr_init or lr_floor makes Adam climb the loss
-        for name in ("epochs", "decay_period_steps", "checkpoint_every", "lr_init", "lr_floor"):
+        for name in ("epochs", "decay_period_steps", "checkpoint_every"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.points_per_cloud < 1:

@@ -160,6 +160,27 @@ def test_invalid_train_config_exit_2_writes_no_checkpoint(tmp_path, data_files, 
         assert not list(out.glob("*.pclm"))
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("pretrain", "--lr-init", "nan"),
+    ("probe", "--probe-epochs", "-1"),
+    ("finetune", "--finetune-epochs", "-1")])
+def test_bad_rate_or_protocol_epochs_exit_2_writes_nothing(tmp_path, data_files, capsys,
+                                                           command, flag, value):
+    """Caught before any file is read: a nan lr trained at the floor, and
+    negative protocol epochs reported an untrained probe or classifier."""
+    train, test = data_files
+    ckpt = tmp_path / "run" / "checkpoint_final.pclm"
+    assert run(["pretrain", "--data", str(train), "--out", str(ckpt.parent), "--pairs", "4",
+                "--epochs", "1", "--points", "32", "--encoder-widths", "8,16"]) == 0
+    data = (["--data", str(train)] if command == "pretrain" else
+            ["--train-data", str(train), "--test-data", str(test), "--checkpoint", str(ckpt)])
+    out = tmp_path / "bad"
+    rc = run([command, *data, "--out", str(out), "--points", "32", flag, value])
+    assert rc == 2
+    assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
+    assert not list(out.glob("*.pclm")) and not list(out.glob("*_metrics.*"))
+
+
 def test_missing_data_runtime_failure(tmp_path):
     rc = run(["pretrain", "--data", str(tmp_path / "nope.pcds"),
               "--out", str(tmp_path / "o"), "--epochs", "1"])

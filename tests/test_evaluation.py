@@ -236,7 +236,7 @@ def test_finetune_step_matches_reference_cross_entropy(small_dataset, monkeypatc
     *hidden, last = sup.head.layers
     h = g.data
     for layer in hidden:
-        keep = T.dropout(T.Tensor(np.ones((len(h), layer.w.shape[1]))), 0.5, True,
+        keep = T.dropout(T.Tensor(np.ones((len(h), layer.w.shape[1]))), 0.5,
                          mask_rng).data  # 0 or 1 / (1 - rate)
         h = np.maximum(h @ layer.w.data + layer.b.data, 0) * keep
     np.testing.assert_allclose(logits.data, h @ last.w.data + last.b.data, rtol=1e-12)

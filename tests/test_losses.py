@@ -164,6 +164,13 @@ def test_tau_must_be_positive():
         LossConfig(tau=0.0)
 
 
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+def test_tau_must_be_finite(tau):
+    """An inf tau makes every logit 0: a constant ln(n) loss."""
+    with pytest.raises(ValueError, match="^tau must be finite and > 0"):
+        LossConfig(tau=tau)
+
+
 def _embedding_pair(rng, grouping, dtype=np.float64):
     """Unit-row embeddings for a loss: cls [5, 4] pairs, or seg [2, 6, 4]."""
     shape = (5, 4) if grouping == "cls" else (*CROP_MAP.shape, 4)

@@ -448,23 +448,18 @@ def test_composed_net_matches_finite_differences(rng):
 
 def test_dropout_rate_zero_is_identity(rng):
     x = Tensor(rng.normal(size=(4, 4)))
-    assert (T.dropout(x, 0.0, True, rng).data == x.data).all()
-
-
-def test_dropout_eval_is_identity(rng):
-    x = Tensor(rng.normal(size=(4, 4)))
-    assert (T.dropout(x, 0.9, False, rng).data == x.data).all()
+    assert (T.dropout(x, 0.0, rng).data == x.data).all()
 
 
 def test_dropout_rate_one_rejected(rng):
     with pytest.raises(ValueError):
-        T.dropout(Tensor(np.ones(3)), 1.0, True, rng)
+        T.dropout(Tensor(np.ones(3)), 1.0, rng)
 
 
 def test_dropout_empirical_zero_fraction():
     rng = np.random.default_rng(99)
     x = Tensor(np.ones(100_000))
-    out = T.dropout(x, 0.5, True, rng)
+    out = T.dropout(x, 0.5, rng)
     frac = (out.data == 0).mean()
     assert abs(frac - 0.5) < 0.01
     survivors = out.data[out.data != 0]
@@ -476,7 +471,7 @@ def test_forward_backward_deterministic(rng):
 
     def run():
         t = Tensor(x.copy(), requires_grad=True)
-        d = T.dropout(T.relu(t), 0.3, True, np.random.default_rng(5))
+        d = T.dropout(T.relu(t), 0.3, np.random.default_rng(5))
         T.backward(T.tsum(d))
         return t.grad.copy()
 

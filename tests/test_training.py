@@ -333,8 +333,9 @@ def test_config_validation():
 
 
 _TRAINS_WRONGLY = {  # field: (settings rejected, settings accepted at the range's ends)
-    "lr_init": ([dict(lr_init=-0.001, lr_floor=-0.01)], [dict(lr_init=0.0, lr_floor=0.0)]),
-    "lr_floor": ([dict(lr_floor=-1e-5)], [dict(lr_floor=0.0)]),
+    "lr_init": ([dict(lr_init=v, lr_floor=-0.01) for v in (-0.001, np.nan, np.inf)],
+                [dict(lr_init=0.0, lr_floor=0.0)]),
+    "lr_floor": ([dict(lr_floor=v) for v in (-1e-5, np.nan, np.inf)], [dict(lr_floor=0.0)]),
     "lr_decay_gamma": ([dict(lr_decay_gamma=v) for v in (2.0, 1.0001, 0.0, -0.5)],
                        [dict(lr_decay_gamma=1.0)]),
     "bn_init": ([dict(bn_init=v) for v in (3.0, 1.01, -0.1)],
@@ -344,8 +345,9 @@ _TRAINS_WRONGLY = {  # field: (settings rejected, settings accepted at the range
 
 @pytest.mark.parametrize("field", list(_TRAINS_WRONGLY))
 def test_config_rejects_settings_that_train_wrongly(field):
-    """A negative lr makes Adam climb the loss, a gamma above 1 grows the lr
-    and a bn_init outside [0, 1] gives a momentum outside [0, 1]."""
+    """A negative lr makes Adam climb the loss, a nan lr trains at the floor,
+    a gamma above 1 grows the lr and a bn_init outside [0, 1] gives a
+    momentum outside [0, 1]."""
     bad, good = _TRAINS_WRONGLY[field]
     for kw in bad:
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -564,3 +566,33 @@ def test_build_batch_equals_per_cloud_sampler(monkeypatch, seg_dataset, jitter):
     ref = build_batch(seg_dataset, cfg, ref_rng)
     assert [a.tobytes() for a in batch] == [a.tobytes() for a in ref]
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_train_checkpoint_tensor_order(tmp_path, seg_dataset):
+    """The file holds encoder (w, gamma, beta) per layer, head (w, b), seg
+    (w, b), each encoder layer's (running_mean, running_var), then Adam m and
+    v; read here without models.load_checkpoint, which shares the order."""
+    model, _ = pretrain(seg_dataset, tiny_cfg(epochs=1), objective="seg",
+                        out_dir=str(tmp_path))
+    data = (tmp_path / "checkpoint_final.pclm").read_bytes()
+    (hlen,) = struct.unpack("<I", data[6:10])
+    pos, arrays = 10 + hlen, []
+    while pos < len(data):
+        ndim = data[pos]
+        dims = struct.unpack(f"<{ndim}I", data[pos + 1:pos + 1 + 4 * ndim])
+        pos += 1 + 4 * ndim
+        n = int(np.prod(dims))
+        arrays.append(np.frombuffer(data, "<f4", n, pos).reshape(dims))
+        pos += 4 * n
+    enc = [(3, 8), (8,), (8,), (8, 16), (16,), (16,)]
+    dense = [(16, 8), (8,), (8, 4), (4,)] + [(24, 8), (8,), (8, 4), (4,)]
+    running = [(8,), (8,), (16,), (16,)]
+    assert [a.shape for a in arrays] == enc + dense + running + 2 * (enc + dense)
+    layers = model.encoder.layers
+    named = ([t.data for l in layers for t in (l.w, l.bn.gamma, l.bn.beta)]
+             + [t.data for l in model.head.layers + model.seg.layers for t in (l.w, l.b)]
+             + [a for l in layers for a in (l.bn.running_mean, l.bn.running_var)])
+    for got, want in zip(arrays, named):
+        np.testing.assert_array_equal(got, want)
+    m, v = arrays[len(named):len(named) + 14], arrays[len(named) + 14:]
+    assert min(a.min() for a in m) < 0 <= min(a.min() for a in v)
