@@ -4,7 +4,7 @@ A numpy-backed library: a minimal reverse-mode tensor engine, a point-set
 encoder with max pooling, rotation-generated contrastive pairs, cloud-level
 and point-wise contrastive losses, and the standard representation-quality
 evaluation protocols (frozen linear probe, finetune initialization,
-cross-dataset validation, part-segmentation mIoU).
+part-segmentation mIoU).
 """
 
 from . import evaluation, losses, models, pointcloud, tensor, training, transforms

@@ -1,6 +1,7 @@
 """Evaluation protocols: frozen linear probe, pretraining (finetune)
-evaluation, cross-dataset validation, part-segmentation metrics, and the
-transformation ablation harness."""
+evaluation, part-segmentation metrics, and the transformation ablation
+harness. Cross-dataset validation is pretraining on one set and probing
+on another."""
 
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ __all__ = [
     "fit_probe",
     "linear_probe_eval",
     "pretrain_finetune_eval",
-    "cross_validate",
     "segmentation_eval",
     "check_segmentation_sets",
     "shape_miou",
@@ -93,6 +93,8 @@ def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed, embed):
     """Sample every cloud of ds in order (seed: an int or a Generator), then
     embed(global, per_point) in eval mode over _EVAL_BATCH clouds at a time.
     Returns (features [S, ...], point labels [S, N] or None, class labels [S])."""
+    if len(ds) == 0:
+        raise ValueError(f"the {ds.split} set has no clouds")
     points, labels = sample_stack(ds.samples, points_per_cloud,
                                   np.random.default_rng(seed))
     out = []
@@ -132,6 +134,8 @@ def fit_probe(train_feats, train_labels, num_classes,
     from zero weights. Returns (probe, loss, accuracy): the last epoch's mean
     cross-entropy, taken before its Adam step, and the returned probe's
     accuracy on the training features; both are nan after zero epochs."""
+    if epochs < 0:
+        raise ValueError(f"probe epochs must be >= 0, got {epochs}")
     dtype = train_feats.dtype
     probe = DenseLayer(
         w=T.Tensor(np.zeros((train_feats.shape[1], num_classes), dtype=dtype),
@@ -178,13 +182,6 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
 # Pretraining (finetune) evaluation
 # ---------------------------------------------------------------------------
 
-def _classifier(rng, encoder_widths, head_widths, num_classes, dropout_rate):
-    """A supervised classifier: the head's last layer gives num_classes logits."""
-    return models.ModelParams.create(
-        rng, encoder_widths=encoder_widths,
-        head_widths=list(head_widths[:-1]) + [num_classes], dropout_rate=dropout_rate)
-
-
 def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
                            cfg: TrainConfig, finetune_epochs: int = FINETUNE_EPOCHS,
                            init_head: bool = False, seed: int = 0):
@@ -192,8 +189,11 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
     branch) from an unsupervised checkpoint, train it, report test metrics."""
     pretrained, _ = models.load_checkpoint(checkpoint_path)
     rng = np.random.default_rng(seed)
-    sup = _classifier(rng, pretrained.encoder.widths, pretrained.head.widths,
-                      train_ds.num_classes, cfg.dropout_rate)
+    # the head's last layer gives the class logits
+    sup = models.ModelParams.create(
+        rng, encoder_widths=pretrained.encoder.widths,
+        head_widths=pretrained.head.widths[:-1] + [train_ds.num_classes],
+        dropout_rate=cfg.dropout_rate)
     sup.encoder = pretrained.encoder  # weights and batch-norm statistics
     if init_head:  # all head layers but the final class-count affine
         sup.head.layers[:-1] = pretrained.head.layers[:-1]
@@ -201,19 +201,11 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
                                 rng, tags={"protocol": "finetune", "head_init": init_head})
 
 
-def supervised_baseline_eval(train_ds, test_ds, cfg: TrainConfig,
-                             epochs: int = FINETUNE_EPOCHS, seed: int = 0):
-    """Same supervised pipeline from a random initialization."""
-    rng = np.random.default_rng(seed)
-    sup = _classifier(rng, cfg.encoder_widths, cfg.head_widths, train_ds.num_classes,
-                      cfg.dropout_rate)
-    return _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng,
-                                tags={"protocol": "supervised_random_init"})
-
-
 def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
     """Train encoder and head (its unnormalized output is the logits), then
     classify test_ds."""
+    if epochs < 0:
+        raise ValueError(f"finetune epochs must be >= 0, got {epochs}")
     params = sup.params()
     *hidden, last = sup.head.layers
     opt = AdamState(params)
@@ -231,24 +223,6 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
                                                             normalize=False))
     return classification_metrics(logits.argmax(axis=1), gts, test_ds.num_classes,
                                   tags=tags)
-
-
-# ---------------------------------------------------------------------------
-# Cross-dataset validation
-# ---------------------------------------------------------------------------
-
-def cross_validate(unsup_ds: Dataset, probe_train: Dataset, probe_test: Dataset,
-                   cfg: TrainConfig, objective: str = "cls"):
-    """Pretrain on one dataset, probe on another; metrics carry both names."""
-    if len(probe_train) == 0:
-        raise ValueError("empty probe training set")
-    model, _ = pretrain(unsup_ds, cfg, objective=objective)
-    m, _, _ = linear_probe_eval(model, probe_train, probe_test,
-                                points_per_cloud=cfg.points_per_cloud,
-                                seed=cfg.seed,
-                                tags={"unsup_dataset": unsup_ds.split,
-                                      "probe_dataset": probe_test.split})
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +245,19 @@ def shape_miou(pred, gt, part_ids):
 
 
 def segmentation_metrics(preds, gts, classes, parts_per_class, tags=None) -> Metrics:
-    """Instance mIoU (mean over shapes) and class mIoU (mean over categories)
-    plus overall point accuracy."""
+    """Instance mIoU (mean over shapes) and class mIoU (mean over categories),
+    plus overall point accuracy and the mean per-part point accuracy (mAcc)
+    over all test points."""
     shape_ious = []
     per_class_ious: dict = {}
-    correct = total = 0
     for pred, gt, cls in zip(preds, gts, classes):
         iou = shape_miou(pred, gt, parts_per_class[cls])
         shape_ious.append(iou)
         per_class_ious.setdefault(cls, []).append(iou)
-        correct += int((np.asarray(pred) == np.asarray(gt)).sum())
-        total += len(gt)
+    labels = np.concatenate(gts)
+    points = classification_metrics(np.concatenate(preds), labels, int(labels.max()) + 1)
     class_miou = float(np.mean([np.mean(v) for v in per_class_ious.values()]))
-    return Metrics(overall_accuracy=correct / total,
-                   mean_class_accuracy=class_miou,
-                   instance_miou=float(np.mean(shape_ious)),
+    return replace(points, instance_miou=float(np.mean(shape_ious)),
                    class_miou=class_miou, tags=tags or {})
 
 

@@ -12,8 +12,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "ShapeError",
-    "mul",
-    "scale",
     "linear_forward",
     "relu",
     "reshape",
@@ -25,7 +23,6 @@ __all__ = [
     "l2_normalize_rows",
     "info_nce",
     "index",
-    "tsum",
     "backward",
     "BNState",
 ]
@@ -94,28 +91,6 @@ def _accum(t, g):
     g = np.asarray(g, dtype=t.data.dtype).view()
     g.flags.writeable = False
     t.grad = g
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    out_data = a.data * b.data
-
-    def bw(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _result(out_data, (a, b), bw, "mul")
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out_data = a.data * c
-
-    def bw(g):
-        _accum(a, g * c)
-
-    return _result(out_data, (a,), bw, "scale")
 
 
 def _check_affine(name, x, w, b):
@@ -538,15 +513,6 @@ def index(x: Tensor, key) -> Tensor:
         _accum(x, gx)
 
     return _result(out_data, (x,), bw, "slice")
-
-
-def tsum(x: Tensor) -> Tensor:
-    out_data = np.asarray(x.data.sum(), dtype=x.dtype)
-
-    def bw(g):
-        _accum(x, np.broadcast_to(g, x.shape))
-
-    return _result(out_data, (x,), bw, "sum")
 
 
 def backward(loss: Tensor) -> None:

@@ -20,7 +20,6 @@ from .pointcloud import PointCloud
 __all__ = [
     "TransformSpec",
     "parse_transform",
-    "format_transform",
     "apply_transform",
     "transform_stack",
     "rotation_matrix",
@@ -185,13 +184,3 @@ def parse_transform(text: str) -> TransformSpec:
         # convenience: a scale transform collapsed to factor 1
         return TransformSpec(kind="scale", scale_range=(1.0, 1.0))
     raise ValueError(f"cannot parse transform spec {text!r}")
-
-
-def format_transform(spec: TransformSpec) -> str:
-    if spec.kind == "compose":
-        return "compose(" + ",".join(format_transform(c) for c in spec.children) + ")"
-    if spec.kind == "rotate":
-        angle = spec.angle_deg
-        angle_s = f"{int(angle)}" if float(angle).is_integer() else f"{angle}"
-        return f"rotate:{spec.axis.lower()}:{angle_s}"
-    return spec.kind

@@ -4,11 +4,43 @@ These deliberately avoid the library's own code paths: plain-numpy brute
 force for the losses and IoU, and central finite differences for gradients.
 The reference_* ops keep an earlier form of a library op; the one that
 stands in for a tape op records itself through the tape's own helpers.
+So do mul, scale and tsum, the tape ops only the tests record: they turn
+an op's output into a weighted scalar loss.
 """
 
 import numpy as np
 
 from pointcl import tensor as T
+
+
+def mul(a, b):
+    """Elementwise a * b of two same-shape tensors."""
+    if a.shape != b.shape:
+        raise T.ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
+
+    def bw(g):
+        T._accum(a, g * b.data)
+        T._accum(b, g * a.data)
+
+    return T._result(a.data * b.data, (a, b), bw, "mul")
+
+
+def scale(a, c):
+    """a * c for a float c."""
+    c = float(c)
+
+    def bw(g):
+        T._accum(a, g * c)
+
+    return T._result(a.data * c, (a,), bw, "scale")
+
+
+def tsum(x):
+    """The sum of every entry of x, a scalar tensor."""
+    def bw(g):
+        T._accum(x, np.broadcast_to(g, x.shape))
+
+    return T._result(np.asarray(x.data.sum(), dtype=x.dtype), (x,), bw, "sum")
 
 
 def brute_force_infonce(z_orig, z_trans, tau, exclude_positive=False):

@@ -8,7 +8,7 @@ import pytest
 
 from pointcl import cli, evaluation, models
 from pointcl.cli import main
-from pointcl.pointcloud import load_dataset
+from pointcl.pointcloud import Dataset, load_dataset, save_dataset
 from pointcl.training import TrainConfig
 
 
@@ -179,6 +179,23 @@ def test_bad_rate_or_protocol_epochs_exit_2_writes_nothing(tmp_path, data_files,
     assert rc == 2
     assert f"{flag[2:].replace('-', '_')} must be" in capsys.readouterr().err
     assert not list(out.glob("*.pclm")) and not list(out.glob("*_metrics.*"))
+
+
+def test_probe_empty_train_set_exit_2_writes_no_report(tmp_path, data_files, capsys):
+    """An empty probe training file is a configuration error that names its
+    split, not a numpy concatenate failure."""
+    train, test = data_files
+    ckpt = tmp_path / "run" / "checkpoint_final.pclm"
+    assert run(["pretrain", "--data", str(train), "--out", str(ckpt.parent), "--pairs", "4",
+                "--epochs", "1", "--points", "32", "--encoder-widths", "8,16"]) == 0
+    empty = tmp_path / "empty.pcds"
+    save_dataset(Dataset([], num_classes=load_dataset(train).num_classes), empty)
+    out = tmp_path / "probe"
+    rc = run(["probe", "--train-data", str(empty), "--test-data", str(test),
+              "--checkpoint", str(ckpt), "--out", str(out), "--points", "32"])
+    assert rc == 2
+    assert "the train set has no clouds" in capsys.readouterr().err
+    assert not (out / "probe_metrics.csv").exists()
 
 
 def test_missing_data_runtime_failure(tmp_path):

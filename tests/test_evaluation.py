@@ -7,18 +7,16 @@ import pytest
 
 from pointcl import evaluation, models, tensor as T, training
 from pointcl.evaluation import (Metrics, ablate_transforms,
-                                classification_metrics, cross_validate,
-                                format_report, linear_probe_eval,
-                                pretrain_finetune_eval, segmentation_eval,
-                                segmentation_metrics, shape_miou,
-                                supervised_baseline_eval)
-from pointcl.pointcloud import (SyntheticSpec, generate_synthetic_dataset,
+                                classification_metrics, format_report,
+                                linear_probe_eval, pretrain_finetune_eval,
+                                segmentation_eval, segmentation_metrics, shape_miou)
+from pointcl.pointcloud import (Dataset, SyntheticSpec, generate_synthetic_dataset,
                                 load_dataset, sample_points, sample_stack,
                                 save_dataset)
 from pointcl.training import TrainConfig, pretrain
 
-from oracles import (brute_force_iou, reference_cross_entropy, reference_probe_fit,
-                     reference_sample_stack)
+from oracles import (brute_force_iou, mul, reference_cross_entropy, reference_probe_fit,
+                     reference_sample_stack, tsum)
 
 
 def tiny_cfg(**kw):
@@ -228,7 +226,7 @@ def test_finetune_step_matches_reference_cross_entropy(small_dataset, monkeypatc
     g, _ = models.encode(batch, sup.encoder, training=True)
     logits = models.project(g, sup.head, True, rng, normalize=False)
     loss, dlogits = reference_cross_entropy(logits.data, [c.class_label for c in clouds])
-    T.backward(T.tsum(T.mul(logits, T.Tensor(dlogits))))
+    T.backward(tsum(mul(logits, T.Tensor(dlogits))))
     assert np.isclose(seen["loss"].item(), loss, rtol=1e-12)
     for got, p in zip(seen["grads"], params):
         np.testing.assert_allclose(got, p.grad, rtol=1e-9, atol=1e-12)
@@ -242,31 +240,33 @@ def test_finetune_step_matches_reference_cross_entropy(small_dataset, monkeypatc
     np.testing.assert_allclose(logits.data, h @ last.w.data + last.b.data, rtol=1e-12)
 
 
-def test_supervised_baseline_runs(small_dataset):
-    m = supervised_baseline_eval(small_dataset, small_dataset, tiny_cfg(),
-                                 epochs=1)
-    assert m.tags["protocol"] == "supervised_random_init"
+def test_linear_probe_eval_empty_set(small_dataset):
+    """An empty training or test set is an error that names its split."""
+    model = models.ModelParams.create(np.random.default_rng(0), encoder_widths=[8, 16],
+                                      head_widths=[8, 4])
+    empty = Dataset(samples=[], split="probe", num_classes=small_dataset.num_classes)
+    for train, test in ((empty, small_dataset), (small_dataset, empty)):
+        with pytest.raises(ValueError, match="the probe set has no clouds"):
+            linear_probe_eval(model, train, test, points_per_cloud=32, probe_epochs=5)
 
 
-def test_cross_validate_tags(small_dataset):
-    cfg = tiny_cfg(epochs=1)
-    m = cross_validate(small_dataset, small_dataset, small_dataset, cfg)
-    assert "unsup_dataset" in m.tags and "probe_dataset" in m.tags
-
-
-def test_cross_validate_tags_a_test_file_as_test(tmp_path, small_dataset):
-    """The probe set's split comes from its file, as gen-data --split wrote it."""
-    save_dataset(replace(small_dataset, split="test"), tmp_path / "test.pcds")
-    m = cross_validate(small_dataset, small_dataset, load_dataset(tmp_path / "test.pcds"),
-                       tiny_cfg(epochs=1))
-    assert m.tags["unsup_dataset"] == "train" and m.tags["probe_dataset"] == "test"
-
-
-def test_cross_validate_empty_probe_set(small_dataset):
-    from pointcl.pointcloud import Dataset
-    empty = Dataset(samples=[], num_classes=4)
-    with pytest.raises(ValueError):
-        cross_validate(small_dataset, empty, empty, tiny_cfg(epochs=1))
+@pytest.mark.parametrize("protocol", ["probe", "segmentation", "finetune"])
+def test_protocols_reject_negative_epochs(tmp_path, seg_dataset, protocol):
+    """A negative epoch count is an error that names it, not an untrained
+    probe or classifier reported as a result."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    models.save_checkpoint(model, tmp_path / "model.pclm")
+    with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
+        if protocol == "probe":
+            linear_probe_eval(model, seg_dataset, seg_dataset, points_per_cloud=32,
+                              probe_epochs=-3)
+        elif protocol == "segmentation":
+            segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=32,
+                              probe_epochs=-3)
+        else:
+            pretrain_finetune_eval(tmp_path / "model.pclm", seg_dataset, seg_dataset,
+                                   tiny_cfg(), finetune_epochs=-3)
 
 
 def test_shape_miou_perfect():
@@ -300,7 +300,10 @@ def test_segmentation_metrics_aggregation():
     expected_0 = 7 / 12
     expected_1 = (3 / 4 + 0.0) / 2
     assert abs(m.instance_miou - (expected_0 + expected_1) / 2) < 1e-12
+    assert abs(m.class_miou - (expected_0 + expected_1) / 2) < 1e-12  # 0.479
     assert m.overall_accuracy == 6 / 8
+    # mAcc: each part's point accuracy over all shapes, then their mean
+    assert abs(m.mean_class_accuracy - (1 + 2 / 3 + 1 + 0) / 4) < 1e-12
 
 
 def test_segmentation_eval_runs(seg_dataset):
@@ -335,11 +338,13 @@ def test_point_features_batched_match_per_cloud_loop():
 
 
 @pytest.mark.parametrize("protocol", ["probe", "segmentation", "supervised"])
-def test_evaluation_equals_per_cloud_sampler(monkeypatch, seg_dataset, protocol):
+def test_evaluation_equals_per_cloud_sampler(tmp_path, monkeypatch, seg_dataset, protocol):
     """Each protocol gives the metrics (and probe predictions) it gave when
-    every cloud was resampled on its own and stacked."""
+    every cloud was resampled on its own and stacked. The supervised case
+    finetunes from a checkpoint of the model."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    models.save_checkpoint(model, tmp_path / "model.pclm")
 
     def run():
         if protocol == "probe":
@@ -349,8 +354,8 @@ def test_evaluation_equals_per_cloud_sampler(monkeypatch, seg_dataset, protocol)
         if protocol == "segmentation":
             return segmentation_eval(model, seg_dataset, seg_dataset,
                                      points_per_cloud=32, probe_epochs=20, seed=2)
-        return supervised_baseline_eval(seg_dataset, seg_dataset, tiny_cfg(), epochs=2,
-                                        seed=3)
+        return pretrain_finetune_eval(tmp_path / "model.pclm", seg_dataset, seg_dataset,
+                                      tiny_cfg(), finetune_epochs=2, seed=3)
 
     stacked = run()
     monkeypatch.setattr(evaluation, "sample_stack", reference_sample_stack)

@@ -11,7 +11,7 @@ from pointcl.models import (CheckpointError, ModelParams, encode, load_checkpoin
                             project, save_checkpoint, segment_embed)
 from pointcl.training import TrainConfig
 
-from oracles import finite_difference_grads, max_rel_error
+from oracles import finite_difference_grads, max_rel_error, mul, tsum
 
 
 @pytest.fixture
@@ -140,7 +140,7 @@ def test_segment_embed_finite_differences(rng, seg_widths):
     params = [pp, g] + m.seg.params()
 
     def forward():
-        return T.tsum(T.mul(segment_embed(pp, g, m.seg, training=True), r))
+        return tsum(mul(segment_embed(pp, g, m.seg, training=True), r))
 
     T.backward(forward())
     grads = [p.grad.copy() for p in params]

@@ -1,7 +1,4 @@
-import inspect
-import re
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +8,9 @@ from pointcl.losses import LossConfig
 from pointcl.tensor import Tensor
 from pointcl.training import TrainConfig, pretrain
 
-from oracles import (finite_difference_grads, max_rel_error, reference_accum,
+from oracles import (finite_difference_grads, max_rel_error, mul, reference_accum,
                      reference_cross_entropy, reference_encoder_layer,
-                     reference_shared_mlp_max_pool)
+                     reference_shared_mlp_max_pool, scale, tsum)
 
 
 def test_linear_identity_weights():
@@ -57,7 +54,7 @@ def test_linear_finite_differences(rng, frozen_x):
     params = [w, b] if frozen_x else [x, w, b]
 
     def forward():
-        return T.tsum(T.mul(T.linear_forward(x, w, b), r))
+        return tsum(mul(T.linear_forward(x, w, b), r))
 
     T.backward(forward())
     assert (x.grad is None) == frozen_x
@@ -72,7 +69,7 @@ def test_linear_float32_equals_numpy(rng):
     out = T.linear_forward(x, w, b)
     assert out.dtype == np.float32
     assert np.array_equal(out.data, x.data @ w.data + b.data)
-    T.backward(T.tsum(T.mul(out, Tensor(r))))
+    T.backward(tsum(mul(out, Tensor(r))))
     assert np.array_equal(x.grad, r @ w.data.T)
     assert np.array_equal(w.grad, x.data.T @ r)
     assert np.array_equal(b.grad, np.ones(64, np.float32) @ r)
@@ -94,13 +91,13 @@ def test_relu_values():
 
 def test_relu_gradient():
     x = Tensor([-1.0, 2.0], requires_grad=True)
-    T.backward(T.tsum(T.relu(x)))
+    T.backward(tsum(T.relu(x)))
     assert np.allclose(x.grad, [0.0, 1.0])
 
 
 def test_relu_tie_gradient_zero():
     x = Tensor([0.0], requires_grad=True)
-    T.backward(T.tsum(T.relu(x)))
+    T.backward(tsum(T.relu(x)))
     assert x.grad[0] == 0.0
 
 
@@ -140,7 +137,7 @@ def test_max_pool_empty_cloud():
 
 def test_max_pool_tie_routes_first():
     x = Tensor(np.array([[[2.0], [2.0]]]), requires_grad=True)
-    T.backward(T.tsum(_max_pool(x)))
+    T.backward(tsum(_max_pool(x)))
     assert np.array_equal(x.grad[0, :, 0], [1.0, 0.0])
 
 
@@ -160,7 +157,7 @@ def test_max_pools_route_ties_and_nan_columns_alike():
     routed[0, 1, 0] = routed[0, 2, 1] = routed[1, 0, 0] = routed[1, 0, 1] = 1.0
     x = Tensor(clouds.reshape(8, 2), dtype=np.float64, requires_grad=True)
     bn = T.BNState(2, dtype=np.float64)
-    T.backward(T.tsum(T.shared_mlp_max_pool(x, Tensor(np.eye(2)), bn, 0.9, False, 4)))
+    T.backward(tsum(T.shared_mlp_max_pool(x, Tensor(np.eye(2)), bn, 0.9, False, 4)))
     a = 1.0 / np.sqrt(1.0 + T._BN_EPS)
     want = a * routed
     want[1] = 0.0  # cloud 1's pooled gradient is masked out
@@ -171,7 +168,7 @@ def test_max_pools_route_ties_and_nan_columns_alike():
 def test_max_pool_gradient_goes_to_argmax_on_finite_ties():
     r = np.random.default_rng(0).integers(1, 4, size=(4, 6, 5)).astype(float)
     x = Tensor(r, requires_grad=True)
-    T.backward(T.tsum(_max_pool(x)))
+    T.backward(tsum(_max_pool(x)))
     want = np.zeros_like(r)
     np.put_along_axis(want, r.argmax(axis=1)[:, None], 1.0, axis=1)
     assert np.array_equal(x.grad, want)
@@ -306,7 +303,7 @@ def test_linear_cross_entropy_finite_differences(rng, frozen_x):
     params = [w, b] if frozen_x else [x, w, b]
 
     def forward():
-        return T.scale(T.linear_cross_entropy(x, w, b, labels), 2.5)
+        return scale(T.linear_cross_entropy(x, w, b, labels), 2.5)
 
     T.backward(forward())
     assert (x.grad is None) == frozen_x
@@ -376,9 +373,9 @@ def test_matmul_frozen_operand(rng, frozen):
     weights = Tensor(rng.normal(size=(6, 5)))
     bias = Tensor(np.zeros(5))
     a2, b2 = operands(True, True)
-    T.backward(T.tsum(T.mul(T.linear_forward(a2, b2, bias), weights)))
+    T.backward(tsum(mul(T.linear_forward(a2, b2, bias), weights)))
     a, b = operands(frozen != "a", frozen != "b")
-    T.backward(T.tsum(T.mul(T.linear_forward(a, b, bias), weights)))
+    T.backward(tsum(mul(T.linear_forward(a, b, bias), weights)))
     frozen_t, live, live2 = (a, b, b2) if frozen == "a" else (b, a, a2)
     assert frozen_t.grad is None
     assert np.array_equal(live.grad, live2.grad)
@@ -386,13 +383,13 @@ def test_matmul_frozen_operand(rng, frozen):
 
 def test_backward_sum_all_ones():
     x = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
-    T.backward(T.tsum(x))
+    T.backward(tsum(x))
     assert (x.grad == 1.0).all()
 
 
 def test_backward_square():
     x = Tensor([1.0, 2.0], requires_grad=True)
-    T.backward(T.tsum(T.mul(x, x)))
+    T.backward(tsum(mul(x, x)))
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
@@ -404,9 +401,9 @@ def test_second_backward_doubles_leaf_gradient(depth):
     x = Tensor(np.array([-1.0, 0.5, 2.0]), dtype=np.float64, requires_grad=True)
     chain = [T.relu(x)]
     if depth == 3:
-        chain.append(T.scale(chain[-1], 3.0))
-        chain.append(T.mul(chain[-1], Tensor(np.array([0.5, -2.0, 1.5]))))
-    loss = T.tsum(chain[-1])
+        chain.append(scale(chain[-1], 3.0))
+        chain.append(mul(chain[-1], Tensor(np.array([0.5, -2.0, 1.5]))))
+    loss = tsum(chain[-1])
     T.backward(loss)
     first = x.grad.copy()
     inner = [t.grad.copy() for t in chain]
@@ -472,7 +469,7 @@ def test_forward_backward_deterministic(rng):
     def run():
         t = Tensor(x.copy(), requires_grad=True)
         d = T.dropout(T.relu(t), 0.3, np.random.default_rng(5))
-        T.backward(T.tsum(d))
+        T.backward(tsum(d))
         return t.grad.copy()
 
     assert (run() == run()).all()
@@ -486,7 +483,7 @@ def test_index_gradient_finite_differences(key):
     w = Tensor(rng.normal(size=x.data[key].shape))
 
     def f():
-        return T.tsum(T.mul(T.index(x, key), w))
+        return tsum(mul(T.index(x, key), w))
 
     T.backward(f())
     grad = x.grad.copy()
@@ -520,7 +517,7 @@ def test_shared_mlp_matches_finite_differences(rng, training):
     params = [x, w, bn.gamma, bn.beta]
 
     def forward():
-        return T.tsum(T.mul(T.shared_mlp(x, w, bn, 0.9, training), r))
+        return tsum(mul(T.shared_mlp(x, w, bn, 0.9, training), r))
 
     T.backward(forward())
     grads = [p.grad.copy() for p in params]
@@ -541,7 +538,7 @@ def test_shared_mlp_equals_unfused_chain_float32(rng, training):
 
     out = T.shared_mlp(x, w, bn, 0.8, training)
     assert out._op == "shared_mlp" and out._parents == (x, w, bn.gamma, bn.beta)
-    T.backward(T.tsum(T.mul(out, Tensor(r))))
+    T.backward(tsum(mul(out, Tensor(r))))
     np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
     np.testing.assert_allclose(bn.running_mean, want_mean, rtol=1e-6, atol=1e-6)
     np.testing.assert_allclose(bn.running_var, want_var, rtol=1e-5)
@@ -577,7 +574,7 @@ def test_max_pool_forward_is_np_max_without_argmax(rng, monkeypatch):
     out = _max_pool(t)
     assert (out.data == np.max(x, axis=1)).all()
     monkeypatch.undo()
-    T.backward(T.tsum(out))
+    T.backward(tsum(out))
     want = np.zeros_like(x)
     idx = np.argmax(x, axis=1)
     for bi in range(3):
@@ -591,7 +588,7 @@ def test_shared_gradient_is_not_aliased():
     place, so the first view's stored gradient keeps its value."""
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     u, v = T.reshape(x, (3, 1)), T.reshape(x, (3, 1))
-    T.backward(T.tsum(T.mul(u, v)))
+    T.backward(tsum(mul(u, v)))
     assert np.array_equal(x.grad, [2.0, 4.0, 6.0])
     assert np.array_equal(u.grad, [[1.0], [2.0], [3.0]])
     assert np.array_equal(v.grad, [[1.0], [2.0], [3.0]])
@@ -629,7 +626,7 @@ def test_stored_gradients_are_read_only(objective):
 def test_first_gradient_is_not_copied():
     x = Tensor(np.arange(6.0), requires_grad=True)
     y = T.reshape(x, (2, 3))
-    T.backward(T.tsum(T.scale(y, 3.0)))
+    T.backward(tsum(scale(y, 3.0)))
     assert np.shares_memory(x.grad, y.grad)
     assert (x.grad == 3.0).all()
 
@@ -643,7 +640,7 @@ def test_backward_writing_its_incoming_gradient_raises():
 
     doubled = T._result(x.data * 2, (x,), bw, "double_in_place")
     with pytest.raises(ValueError, match="read-only"):
-        T.backward(T.tsum(T.scale(doubled, 1.0)))
+        T.backward(tsum(scale(doubled, 1.0)))
 
 
 @pytest.mark.parametrize("objective, transform, loss, pairs, epochs", [
@@ -719,7 +716,7 @@ def test_shared_mlp_max_pool_finite_differences(rng, training):
         params = [x, w, bn.gamma, bn.beta]
 
         def forward():
-            return T.tsum(T.mul(T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4), r))
+            return tsum(mul(T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4), r))
 
         T.backward(forward())
         grads = [p.grad.copy() for p in params]
@@ -747,8 +744,8 @@ def test_shared_mlp_max_pool_equals_unfused_chain_float32(rng, training):
         for got, ref in ((out.data, want.data), (bn.running_mean, bn2.running_mean),
                          (bn.running_var, bn2.running_var)):
             np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
-        T.backward(T.tsum(T.mul(out, Tensor(r))))
-        T.backward(T.tsum(T.mul(want, Tensor(r))))
+        T.backward(tsum(mul(out, Tensor(r))))
+        T.backward(tsum(mul(want, Tensor(r))))
         for name, p, q in zip(("x", "w", "gamma", "beta"), (x, w, bn.gamma, bn.beta),
                               (x2, w2, bn2.gamma, bn2.beta)):
             np.testing.assert_allclose(p.grad, q.grad, rtol=1e-4,
@@ -839,7 +836,7 @@ def test_training_mode_on_shifted_input_matches_reference(rng, pooled):
     _, want_grads, _, want_var = reference_encoder_layer(*args, gout)
 
     out = _layer(pooled, x, w, bn, 0.8, True, N)
-    T.backward(T.tsum(T.mul(out, Tensor(r))))
+    T.backward(tsum(mul(out, Tensor(r))))
     np.testing.assert_allclose(out.data, want, rtol=1e-4, atol=1e-4 * np.abs(want).max())
     np.testing.assert_allclose(bn.running_var, want_var, rtol=1e-4)
     for name, p in zip(("x", "w", "gamma", "beta"), (x, w, bn.gamma, bn.beta)):
@@ -858,7 +855,7 @@ def test_shared_mlp_max_pool_blocks_match_one_block(rng, monkeypatch, clouds):
         monkeypatch.setattr(T, "_POOL_BLOCK", block)
         x, w, bn = _shared_mlp_inputs(np.random.default_rng(3), np.float64, rows=B * N, dout=D)
         out = T.shared_mlp_max_pool(x, w, bn, 0.9, True, N)
-        T.backward(T.tsum(T.mul(out, r)))
+        T.backward(tsum(mul(out, r)))
         results.append([out.data, bn.running_mean, bn.running_var, x.grad, w.grad,
                         bn.gamma.grad, bn.beta.grad])
     for got, want in zip(*results):
@@ -876,7 +873,7 @@ def test_training_mode_zero_variance_column_stays_finite(rng, pooled):
     w.data[:, 0] = 0
     w.data[0, 0] = 1.3
     out = _layer(pooled, x, w, bn, 0.0, True, 4)
-    T.backward(T.tsum(T.mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32)))))
+    T.backward(tsum(mul(out, Tensor(rng.normal(size=out.shape).astype(np.float32)))))
     assert np.isfinite(out.data).all() and (bn.running_var >= 0).all()
     for p in (x, w, bn.gamma, bn.beta):
         assert np.isfinite(p.grad).all()
@@ -912,8 +909,8 @@ def test_shared_mlp_max_pool_ties_route_to_first_point(rng, training):
         bn.gamma.data = np.array(gamma)
         x.data = np.repeat(x.data[::N], N, axis=0)
         x2, w2, bn2 = _copy_layer(x, w, bn)
-        T.backward(T.tsum(T.shared_mlp_max_pool(x, w, bn, 0.9, training, N)))
-        T.backward(T.tsum(reference_shared_mlp_max_pool(x2, w2, bn2, 0.9, training, N)))
+        T.backward(tsum(T.shared_mlp_max_pool(x, w, bn, 0.9, training, N)))
+        T.backward(tsum(reference_shared_mlp_max_pool(x2, w2, bn2, 0.9, training, N)))
         np.testing.assert_allclose(x.grad, x2.grad, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(w.grad, w2.grad, rtol=1e-12, atol=1e-12)
         first, rest = x.grad.reshape(B, N, 3)[:, 0], x.grad.reshape(B, N, 3)[:, 1:]
@@ -929,7 +926,7 @@ def test_shared_mlp_max_pool_dead_channel_gets_no_gradient(rng, training):
     r = Tensor(rng.normal(size=(3, 4)))
     out = T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4)
     assert (out.data[:, 2] == 0).all()
-    T.backward(T.tsum(T.mul(out, r)))
+    T.backward(tsum(mul(out, r)))
     assert bn.gamma.grad[2] == 0 and bn.beta.grad[2] == 0
     assert (w.grad[:, 2] == 0).all()
     assert (bn.beta.grad[[0, 1, 3]] != 0).any()
@@ -945,7 +942,7 @@ def test_shared_mlp_max_pool_forward_calls_no_argmax(rng, monkeypatch):
         monkeypatch.setattr(np, "argmax", no_argmax)
         out = T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4)
         monkeypatch.undo()
-        T.backward(T.tsum(out))
+        T.backward(tsum(out))
 
 
 def test_shared_mlp_max_pool_is_one_tape_node(rng):
@@ -990,7 +987,7 @@ def test_linear_points_global_equals_concatenated_float64(rng):
     out = T.linear_points_global(p, g, w, b)
     assert out._op == "linear_points_global" and out._parents == (p, g, w, b)
     np.testing.assert_allclose(out.data, cat @ w.data + b.data, rtol=1e-12, atol=1e-12)
-    T.backward(T.tsum(T.mul(out, Tensor(r))))
+    T.backward(tsum(mul(out, Tensor(r))))
     dcat = (r @ w.data.T).reshape(B, N, -1)
     for got, want in ((p.grad, dcat[..., :dp]), (g.grad, dcat[..., dp:].sum(axis=1)),
                       (w.grad, cat.T @ r), (b.grad, r.sum(axis=0))):
@@ -1006,14 +1003,3 @@ def test_linear_points_global_shape_errors():
     for args in bad:
         with pytest.raises(T.ShapeError, match="linear_points_global"):
             T.linear_points_global(*args)
-
-
-def test_every_tape_op_has_a_caller_in_src():
-    """Each op in tensor.__all__ is called as T.<op>(...) from another module
-    of the package. mul, scale and tsum stay for the tests' weighted scalar
-    losses, and backward is the engine's entry point."""
-    src = "".join(p.read_text() for p in Path(T.__file__).parent.glob("*.py")
-                  if p.name != "tensor.py")
-    ops = [n for n in T.__all__ if inspect.isfunction(getattr(T, n))
-           and n not in ("mul", "scale", "tsum", "backward")]
-    assert [n for n in ops if not re.search(rf"\bT\.{n}\(", src)] == []
