@@ -13,7 +13,7 @@ import numpy as np
 from . import models, tensor as T
 from .models import DenseLayer, ModelParams
 from .pointcloud import Dataset, sample_stack
-from .training import AdamState, TrainConfig, adam_step, pretrain
+from .training import AdamState, TrainConfig, _pin_heap, adam_step, pretrain
 from .transforms import parse_transform
 
 __all__ = [
@@ -89,19 +89,33 @@ def classification_metrics(pred, gt, num_classes, tags=None) -> Metrics:
 _EVAL_BATCH = 32  # clouds per models.encode call when extracting features
 
 
+def _check_epochs(kind, epochs):
+    if epochs < 0:
+        raise ValueError(f"{kind} epochs must be >= 0, got {epochs}")
+
+
+def _check_nonempty(*sets: Dataset):
+    for ds in sets:
+        if len(ds) == 0:
+            raise ValueError(f"the {ds.split} set has no clouds")
+
+
 def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed, embed):
     """Sample every cloud of ds in order (seed: an int or a Generator), then
-    embed(global, per_point) in eval mode over _EVAL_BATCH clouds at a time.
+    embed(global, per_point) in eval mode over _EVAL_BATCH clouds at a time,
+    each batch written into one features array.
     Returns (features [S, ...], point labels [S, N] or None, class labels [S])."""
-    if len(ds) == 0:
-        raise ValueError(f"the {ds.split} set has no clouds")
+    _check_nonempty(ds)
     points, labels = sample_stack(ds.samples, points_per_cloud,
                                   np.random.default_rng(seed))
-    out = []
+    feats = None
     for i in range(0, len(points), _EVAL_BATCH):
         g, pp = models.encode(points[i:i + _EVAL_BATCH], model.encoder, training=False)
-        out.append(embed(g, pp).data)
-    return np.concatenate(out), labels, np.array([p.class_label for p in ds.samples])
+        f = embed(g, pp).data
+        if feats is None:
+            feats = np.empty((len(points),) + f.shape[1:], dtype=f.dtype)
+        feats[i:i + len(f)] = f
+    return feats, labels, np.array([p.class_label for p in ds.samples])
 
 
 def feature_sources(name: str) -> list:
@@ -134,8 +148,7 @@ def fit_probe(train_feats, train_labels, num_classes,
     from zero weights. Returns (probe, loss, accuracy): the last epoch's mean
     cross-entropy, taken before its Adam step, and the returned probe's
     accuracy on the training features; both are nan after zero epochs."""
-    if epochs < 0:
-        raise ValueError(f"probe epochs must be >= 0, got {epochs}")
+    _check_epochs("probe", epochs)
     dtype = train_feats.dtype
     probe = DenseLayer(
         w=T.Tensor(np.zeros((train_feats.shape[1], num_classes), dtype=dtype),
@@ -164,6 +177,8 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       source: str = "encoder", probe_epochs: int = PROBE_EPOCHS,
                       seed: int = 0, tags=None):
     """Frozen-feature linear classification evaluation."""
+    _check_epochs("probe", probe_epochs)
+    _check_nonempty(train_ds, test_ds)
     if train_ds.num_classes != test_ds.num_classes:
         raise ValueError(
             f"class-count mismatch: {train_ds.num_classes} vs {test_ds.num_classes}")
@@ -187,6 +202,7 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
                            init_head: bool = False, seed: int = 0):
     """Initialize a supervised classifier's encoder (and optionally its MLP
     branch) from an unsupervised checkpoint, train it, report test metrics."""
+    _check_epochs("finetune", finetune_epochs)
     pretrained, _ = models.load_checkpoint(checkpoint_path)
     rng = np.random.default_rng(seed)
     # the head's last layer gives the class logits
@@ -204,8 +220,7 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
 def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
     """Train encoder and head (its unnormalized output is the logits), then
     classify test_ds."""
-    if epochs < 0:
-        raise ValueError(f"finetune epochs must be >= 0, got {epochs}")
+    _pin_heap()
     params = sup.params()
     *hidden, last = sup.head.layers
     opt = AdamState(params)
@@ -217,6 +232,7 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
         g, _ = models.encode(batch, sup.encoder, training=True)
         h = models._hidden(g, hidden, sup.head.dropout_rate, rng)
         T.backward(T.linear_cross_entropy(h, last.w, last.b, labels_all[idx]))
+        del g, h  # frees the step's tape before the update and the next batch
         adam_step(params, opt, cfg.lr_init)
     logits, _, gts = _features(sup, test_ds, cfg.points_per_cloud, rng,
                                lambda g, pp: models.project(g, sup.head, False,
@@ -270,7 +286,9 @@ def extract_point_features(model: ModelParams, ds: Dataset, points_per_cloud,
 
 
 def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:
-    """Raise ValueError unless both sets have point labels over as many parts."""
+    """Raise ValueError unless both sets have clouds, all with point labels
+    over as many parts."""
+    _check_nonempty(train_ds, test_ds)
     for role, ds in (("training", train_ds), ("test", test_ds)):
         if ds.num_parts == 0 or any(p.point_labels is None for p in ds.samples):
             raise ValueError(
@@ -284,6 +302,7 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
                       probe_epochs: int = PROBE_EPOCHS, seed: int = 0) -> Metrics:
     """Fit a per-point linear probe on frozen point embeddings; report mIoU."""
+    _check_epochs("probe", probe_epochs)
     check_segmentation_sets(train_ds, test_ds)
     if model.seg is None:
         raise ValueError("model has no segmentation branch")

@@ -9,6 +9,7 @@ a small fully connected MLP whose output feeds the contrastive losses only.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -284,7 +285,7 @@ def save_checkpoint(model: ModelParams, path, extra: dict | None = None,
             for arr in [getattr(*slot) for slot in _model_slots(model)] + list(tensors):
                 a = np.ascontiguousarray(arr, dtype="<f4")
                 f.write(struct.pack(f"<B{a.ndim}I", a.ndim, *a.shape))
-                f.write(a.tobytes())
+                f.write(a.data)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -294,60 +295,71 @@ def save_checkpoint(model: ModelParams, path, extra: dict | None = None,
 def load_checkpoint(path):
     """Rebuild ModelParams from a checkpoint; returns (model, extra_dict).
 
-    Tensors saved after the model's come back as extra["tensors"].
+    Tensors saved after the model's come back as extra["tensors"]. Each
+    tensor is read straight into its own array, after its size is checked
+    against the file's, so the file is never held whole.
     """
     with open(path, "rb") as f:
-        buf = f.read()
-    pos = 0
+        size = os.fstat(f.fileno()).st_size
+        pos = 0
 
-    def take(n):
-        nonlocal pos
-        if pos + n > len(buf):
-            raise CheckpointError(f"{path}: truncated at byte {len(buf)}")
-        pos += n
-        return buf[pos - n:pos]
+        def need(n):
+            nonlocal pos
+            if pos + n > size:
+                raise CheckpointError(f"{path}: truncated at byte {size}")
+            pos += n
 
-    if take(4) != _CKPT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic")
-    version, hlen = struct.unpack("<HI", take(6))
-    if version != _CKPT_VERSION:
-        raise CheckpointError(
-            f"{path}: unsupported version {version} (expected {_CKPT_VERSION})")
-    blob = take(hlen)
-    try:
-        header = json.loads(blob)
-    except ValueError as e:
-        raise CheckpointError(f"{path}: bad header: {e}") from e
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: bad header: not a JSON object")
-    for key, (_, ok) in _HEADER_FIELDS.items():
-        if key not in header:
-            raise CheckpointError(f"{path}: bad header: no {key!r}")
-        if not ok(header[key]):
-            raise CheckpointError(f"{path}: bad header: {key!r} is {header[key]!r}")
-    config = {k: header[k] for k in ("encoder_widths", "head_widths", "seg_widths",
-                                     "dropout_rate")}
-    if _model_nbytes(config) > len(buf) - pos:  # before allocating any of it
-        raise CheckpointError(f"{path}: truncated at byte {len(buf)}")
-    model = ModelParams.create(np.random.default_rng(0),  # values overwritten below
-                               with_seg=config["seg_widths"] is not None, **config)
-    slots = _model_slots(model)
-    arrays = []
-    for slot in chain(slots, repeat(None, header["tensors"])):
-        ndim = take(1)[0]
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        payload = take(4 * int(np.prod(dims, dtype=np.int64)))
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
-        expect = getattr(*slot).shape if slot else arr.shape
-        if arr.shape != expect:
-            raise CheckpointError(f"{path}: shape mismatch {arr.shape} vs expected {expect}")
-        arrays.append(arr.astype(np.float32))
-    if pos != len(buf):
-        raise CheckpointError(f"{path}: {len(buf) - pos} bytes after the last tensor")
-    for (owner, attr), arr in zip(slots, arrays):
-        setattr(owner, attr, arr)
+        def take(n):
+            need(n)
+            out = f.read(n)
+            if len(out) != n:  # the file shrank after fstat
+                raise CheckpointError(f"{path}: truncated at byte {size}")
+            return out
+
+        if take(4) != _CKPT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic")
+        version, hlen = struct.unpack("<HI", take(6))
+        if version != _CKPT_VERSION:
+            raise CheckpointError(
+                f"{path}: unsupported version {version} (expected {_CKPT_VERSION})")
+        blob = take(hlen)
+        try:
+            header = json.loads(blob)
+        except ValueError as e:
+            raise CheckpointError(f"{path}: bad header: {e}") from e
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: bad header: not a JSON object")
+        for key, (_, ok) in _HEADER_FIELDS.items():
+            if key not in header:
+                raise CheckpointError(f"{path}: bad header: no {key!r}")
+            if not ok(header[key]):
+                raise CheckpointError(f"{path}: bad header: {key!r} is {header[key]!r}")
+        config = {k: header[k] for k in ("encoder_widths", "head_widths", "seg_widths",
+                                         "dropout_rate")}
+        if _model_nbytes(config) > size - pos:  # before allocating any of it
+            raise CheckpointError(f"{path}: truncated at byte {size}")
+        model = ModelParams.create(np.random.default_rng(0),  # values overwritten below
+                                   with_seg=config["seg_widths"] is not None, **config)
+        slots = _model_slots(model)
+        rest = []
+        for slot in chain(slots, repeat(None, header["tensors"])):
+            ndim = take(1)[0]
+            dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            need(4 * math.prod(dims))
+            expect = getattr(*slot).shape if slot else dims
+            if dims != expect:
+                raise CheckpointError(f"{path}: shape mismatch {dims} vs expected {expect}")
+            arr = np.empty(dims, dtype="<f4")
+            if f.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated at byte {size}")
+            arr = arr.astype(np.float32, copy=False)
+            if slot:  # the model is discarded if a later check fails
+                setattr(*slot, arr)
+            else:
+                rest.append(arr)
+        if pos != size:
+            raise CheckpointError(f"{path}: {size - pos} bytes after the last tensor")
     extra = header["extra"]
-    rest = arrays[len(slots):]
     if rest:
         extra["tensors"] = rest
     return model, extra

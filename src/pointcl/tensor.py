@@ -286,13 +286,13 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
 
     It pools before the affine, relu(max_n(xs @ (w * a)) + c), whose max is
     the min of x @ w where a < 0: shared_mlp's pooled values up to rounding.
-    Training mode runs in blocks of clouds of about _POOL_BLOCK product
-    entries, so it forms no [B*N, D] array, and keeps xs and the row of x
-    at each max, the first point at it. Eval mode forms the product in one
-    block and does not search; its backward finds the rows again. Where
-    gamma = 0 the folded column is constant and point 0 takes its gradient,
-    a valid subgradient at that kink. The backward gathers the winners' rows
-    of xs for xs^T gh and takes x's gradient over zero-filled blocks of gh.
+    Both modes run in blocks of clouds of about _POOL_BLOCK product
+    entries, so neither forms a [B*N, D] array. Training mode keeps xs and
+    the row of x at each max, the first point at it. Eval mode does not
+    search; its backward finds the rows again. Where gamma = 0 the folded
+    column is constant and point 0 takes its gradient, a valid subgradient
+    at that kink. The backward gathers the winners' rows of xs for xs^T gh
+    and takes x's gradient over zero-filled blocks of gh.
     """
     n_points = int(n_points)
     if x.data.ndim != 2 or n_points < 1 or x.shape[0] % n_points:
@@ -302,7 +302,7 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     xs, a, c, stats = _bn_affine(x.data, w.data, bn, momentum, training)
     wa = w.data * a
     B, D = x.shape[0] // n_points, wa.shape[1]
-    k = max(1, _POOL_BLOCK // (n_points * D)) if training else max(B, 1)
+    k = max(1, _POOL_BLOCK // (n_points * D))
     blocks = [(slice(s, s + k), slice(s * n_points, (s + k) * n_points)) for s in range(0, B, k)]
 
     def pool(search):

@@ -250,13 +250,34 @@ def test_linear_probe_eval_empty_set(small_dataset):
             linear_probe_eval(model, train, test, points_per_cloud=32, probe_epochs=5)
 
 
+@pytest.mark.parametrize("protocol", ["probe", "segmentation"])
+@pytest.mark.parametrize("empty_first", [True, False], ids=["train", "test"])
+def test_protocols_report_a_bare_empty_set(seg_dataset, protocol, empty_first):
+    """A bare Dataset([]) has no clouds, classes or parts; it is reported as
+    empty, not as a class-count mismatch or a set without point labels."""
+    model = models.ModelParams.create(np.random.default_rng(0), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    sets = (Dataset([]), seg_dataset) if empty_first else (seg_dataset, Dataset([]))
+    run = linear_probe_eval if protocol == "probe" else segmentation_eval
+    with pytest.raises(ValueError, match="^the train set has no clouds$"):
+        run(model, *sets, points_per_cloud=32, probe_epochs=5)
+
+
 @pytest.mark.parametrize("protocol", ["probe", "segmentation", "finetune"])
-def test_protocols_reject_negative_epochs(tmp_path, seg_dataset, protocol):
+def test_protocols_reject_negative_epochs(tmp_path, monkeypatch, seg_dataset, protocol):
     """A negative epoch count is an error that names it, not an untrained
-    probe or classifier reported as a result."""
+    probe or classifier reported as a result. It is raised before any
+    checkpoint is read or any cloud sampled or encoded."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
     models.save_checkpoint(model, tmp_path / "model.pclm")
+
+    def called(*args, **kwargs):
+        raise AssertionError("called before the epoch check")
+
+    for module, name in ((models, "encode"), (models, "load_checkpoint"),
+                         (evaluation, "sample_stack")):
+        monkeypatch.setattr(module, name, called)
     with pytest.raises(ValueError, match="epochs must be >= 0, got -3"):
         if protocol == "probe":
             linear_probe_eval(model, seg_dataset, seg_dataset, points_per_cloud=32,

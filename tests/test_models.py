@@ -9,7 +9,7 @@ import pytest
 from pointcl import evaluation, models, tensor as T
 from pointcl.models import (CheckpointError, ModelParams, encode, load_checkpoint,
                             project, save_checkpoint, segment_embed)
-from pointcl.training import TrainConfig
+from pointcl.training import AdamState, TrainConfig, save_train_checkpoint
 
 from oracles import finite_difference_grads, max_rel_error, mul, tsum
 
@@ -292,6 +292,27 @@ def test_checkpoint_huge_widths_is_truncation_before_allocation(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 21
+
+
+def test_load_checkpoint_peaks_near_the_file_size(tmp_path):
+    """A full-preset training checkpoint is read tensor by tensor into the
+    arrays it returns: the traced peak of the load stays within 1.25x the
+    file's size. Reading the whole file, then copying each tensor out of it,
+    peaks at about 2.5x."""
+    model = ModelParams.create(np.random.default_rng(0),
+                               encoder_widths=models.FULL_ENCODER_WIDTHS,
+                               head_widths=[512, 256])
+    path = tmp_path / "train.pclm"
+    save_train_checkpoint(model, AdamState(model.params()), np.random.default_rng(1), 0, path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loaded, extra = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(extra["tensors"]) == 2 * len(model.params())
+    assert peak <= 1.25 * path.stat().st_size, peak / path.stat().st_size
 
 
 @pytest.mark.parametrize("widths", [[8, 16], [5, 7, 3]])

@@ -788,6 +788,36 @@ def test_shared_mlp_eval_keeps_one_layer_array(rng):
     assert kept <= 1.25 * R * D * 4, kept / (R * D * 4)
 
 
+def test_eval_pool_peaks_near_one_block(rng):
+    """Eval mode pools in blocks of clouds as training mode does: the traced
+    peak of a [32*128, 128] -> 1024 call stays within three blocks of the
+    product (one block's product is formed while the last one's is still
+    bound), where the whole-batch [4096, 1024] product alone is 16.8 MB."""
+    B, N, D = 32, 128, 1024
+    x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=B * N, din=128, dout=D)
+    x.requires_grad = False
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T.shared_mlp_max_pool(x, w, bn, 0.9, False, N)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * T._POOL_BLOCK * 4, peak / (T._POOL_BLOCK * 4)
+
+
+def test_eval_pool_blocks_equal_one_block(rng, monkeypatch):
+    """Pooled in 4 blocks of 3, 3, 3 and 1 clouds, eval mode's values equal
+    those of the whole batch in one block, bit for bit."""
+    B, N, D = 10, 16, 64
+    x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=B * N, din=32, dout=D)
+    monkeypatch.setattr(T, "_POOL_BLOCK", 3 * N * D)
+    blocked = T.shared_mlp_max_pool(x, w, bn, 0.9, False, N).data
+    monkeypatch.setattr(T, "_POOL_BLOCK", B * N * D)
+    whole = T.shared_mlp_max_pool(x, w, bn, 0.9, False, N).data
+    assert np.array_equal(blocked, whole)
+
+
 def _layer(pooled, x, w, bn, momentum, training, n_points):
     if pooled:
         return T.shared_mlp_max_pool(x, w, bn, momentum, training, n_points)

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -596,3 +597,65 @@ def test_train_checkpoint_tensor_order(tmp_path, seg_dataset):
         np.testing.assert_array_equal(got, want)
     m, v = arrays[len(named):len(named) + 14], arrays[len(named) + 14:]
     assert min(a.min() for a in m) < 0 <= min(a.min() for a in v)
+
+
+@pytest.mark.parametrize("objective", ["cls", "seg"])
+def test_pretrain_frees_each_steps_tape_before_the_next_batch(monkeypatch, small_dataset,
+                                                              seg_dataset, objective):
+    """No activation or interior gradient of a step outlives it: when
+    build_batch starts the next step, every interior node's data and grad
+    from the last backward is gone."""
+    refs, live = [], []
+    backward, build_batch = T.backward, training.build_batch
+
+    def tracked_backward(loss):
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        backward(loss)
+        refs.extend(weakref.ref(a) for n in nodes.values() if n._backward is not None
+                    for a in (n.data, n.grad) if a is not None)
+
+    def checked_build_batch(*args, **kwargs):
+        live.append(sum(r() is not None for r in refs))
+        refs.clear()
+        return build_batch(*args, **kwargs)
+
+    monkeypatch.setattr(T, "backward", tracked_backward)
+    monkeypatch.setattr(training, "build_batch", checked_build_batch)
+    ds = small_dataset if objective == "cls" else seg_dataset
+    _, recs = pretrain(ds, tiny_cfg(epochs=1), objective)
+    assert len(live) == len(recs) >= 3 and refs
+    assert live == [0] * len(recs)
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+        self.mallopt = lambda param, value: self.calls.append((param, value)) or 1
+
+
+@pytest.mark.parametrize("var", [None, "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"])
+def test_pin_heap_sets_both_thresholds_unless_the_environment_does(monkeypatch, var):
+    """_pin_heap sets glibc's trim and mmap thresholds, and leaves them to
+    glibc where either of its environment variables is set."""
+    libc = _FakeLibc()
+    monkeypatch.setattr(training, "_libc", lambda: libc)
+    for name in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"):
+        monkeypatch.delenv(name, raising=False)
+    if var:
+        monkeypatch.setenv(var, "1048576")
+    training._pin_heap()
+    assert libc.calls == ([] if var else [(-1, training._TRIM_THRESHOLD),
+                                          (-3, training._MMAP_THRESHOLD)])
+
+
+@pytest.mark.parametrize("libc", [None, object()], ids=["no-libc", "no-mallopt"])
+def test_pin_heap_skips_a_libc_without_mallopt(monkeypatch, libc):
+    monkeypatch.setattr(training, "_libc", lambda: libc)
+    for name in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"):
+        monkeypatch.delenv(name, raising=False)
+    training._pin_heap()
