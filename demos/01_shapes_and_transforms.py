@@ -7,7 +7,7 @@ Run:  python3 demos/01_shapes_and_transforms.py
 import numpy as np
 
 from pointcl.pointcloud import SyntheticSpec, generate_synthetic_dataset
-from pointcl.transforms import apply_transform, parse_transform
+from pointcl.transforms import parse_transform, transform_stack
 
 rng = np.random.default_rng(0)
 
@@ -28,9 +28,10 @@ print("\ntransform            mean displacement   rigid?")
 for name in ["rotate:y:180", "rotate:x:90", "cutout", "crop",
              "scale", "jitter", "smooth"]:
     spec = parse_transform(name)
-    out = apply_transform(cloud, spec, np.random.default_rng(1))
-    disp = np.linalg.norm(out.points - cloud.points, axis=1).mean()
+    stack, _ = transform_stack(cloud.points[None], spec, np.random.default_rng(1))
+    out = stack[0]
+    disp = np.linalg.norm(out - cloud.points, axis=1).mean()
     d_in = np.linalg.norm(cloud.points[:, None] - cloud.points[None], axis=2)
-    d_out = np.linalg.norm(out.points[:, None] - out.points[None], axis=2)
+    d_out = np.linalg.norm(out[:, None] - out[None], axis=2)
     rigid = np.abs(d_in - d_out).max() < 1e-6
     print(f"{name:<20} {disp:>12.4f}        {rigid}")

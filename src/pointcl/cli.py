@@ -22,7 +22,6 @@ from .losses import LossConfig
 from .pointcloud import (ParseError, SyntheticSpec, generate_synthetic_dataset,
                          load_dataset, save_dataset)
 from .training import TrainConfig, pretrain
-from .transforms import parse_transform
 
 
 class ConfigError(ValueError):
@@ -69,7 +68,7 @@ _TRAIN_KEYS = {
 
 _TRAIN_DEFAULTS = TrainConfig()
 
-# key -> (parser, default); the single source of truth for RunConfig keys.
+# key -> (parser, default); the single source of truth for the CLI's keys.
 _SCHEMA = {
     **{key: (parser, attrgetter(name)(_TRAIN_DEFAULTS))
        for key, (parser, name) in _TRAIN_KEYS.items()},
@@ -109,7 +108,6 @@ def resolve_config(args) -> dict:
         if flag is not None:
             cfg[key] = parser(flag) if isinstance(flag, str) else flag
     # validate every key before any work, whichever keys the command reads
-    parse_transform(cfg["transform"])
     evaluation.feature_sources(cfg["features"])
     make_train_config(cfg)
     for key in ("probe_epochs", "finetune_epochs"):
@@ -262,7 +260,8 @@ def cmd_ablate(args, cfg):
     tc = make_train_config(cfg)
     suite = (evaluation.TABLE4_SUITE if args.suite == "table4"
              else evaluation.TABLE5_SUITE)
-    rows = evaluation.ablate_transforms(train_ds, test_ds, tc, suite)
+    rows = evaluation.ablate_transforms(train_ds, test_ds, tc, suite,
+                                        probe_epochs=cfg["probe_epochs"])
     _emit_report(rows, args.out, f"ablation_{args.suite}")
 
 

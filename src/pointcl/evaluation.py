@@ -14,7 +14,6 @@ from . import models, tensor as T
 from .models import DenseLayer, ModelParams
 from .pointcloud import Dataset, sample_stack
 from .training import AdamState, TrainConfig, _pin_heap, adam_step, pretrain
-from .transforms import parse_transform
 
 __all__ = [
     "Metrics",
@@ -175,7 +174,7 @@ def probe_predict(probe: DenseLayer, feats):
 def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
                       source: str = "encoder", probe_epochs: int = PROBE_EPOCHS,
-                      seed: int = 0, tags=None):
+                      seed: int = 0):
     """Frozen-feature linear classification evaluation."""
     _check_epochs("probe", probe_epochs)
     _check_nonempty(train_ds, test_ds)
@@ -188,7 +187,6 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
     pred = probe_predict(probe, te_f)
     t = {"protocol": "linear_probe", "features": source,
          "probe_train_loss": loss, "probe_train_accuracy": acc}
-    t.update(tags or {})
     m = classification_metrics(pred, te_y, test_ds.num_classes, tags=t)
     return m, pred, te_y
 
@@ -325,21 +323,21 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
 # ---------------------------------------------------------------------------
 
 def ablate_transforms(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
-                      transform_names) -> list:
+                      transform_names, *, probe_epochs: int = PROBE_EPOCHS) -> list:
     """Pretrain + probe once per transform with a fixed seed; rows sorted by
     overall accuracy, descending."""
-    transform_names = list(transform_names)
-    if not transform_names:
+    _check_epochs("probe", probe_epochs)
+    # every config, and so every transform, is checked before the first run
+    configs = [replace(cfg, transform=name) for name in transform_names]
+    if not configs:
         raise ValueError("transform list must be non-empty")
-    for name in transform_names:  # all of them before the first run
-        parse_transform(name)
     rows = []
-    for name in transform_names:
-        model, _ = pretrain(train_ds, replace(cfg, transform=name), objective="cls")
+    for run_cfg in configs:
+        model, _ = pretrain(train_ds, run_cfg, objective="cls")
         m, _, _ = linear_probe_eval(model, train_ds, test_ds,
                                     points_per_cloud=cfg.points_per_cloud,
-                                    seed=cfg.seed)
-        rows.append({"transform": name,
+                                    probe_epochs=probe_epochs, seed=cfg.seed)
+        rows.append({"transform": run_cfg.transform,
                      "mean_class_accuracy": m.mean_class_accuracy,
                      "overall_accuracy": m.overall_accuracy})
     rows.sort(key=lambda r: -r["overall_accuracy"])

@@ -168,14 +168,10 @@ def encode(points: np.ndarray, enc: LayerStack, training: bool,
 
 
 def _hidden(h: Tensor, layers, dropout_rate=0.0, rng=None):
-    """A dense stack's hidden layers: affine, ReLU, then dropout when
-    dropout_rate > 0. The stack's last layer is a linear_forward after them."""
+    """A dense stack's hidden layers: affine, ReLU, then dropout at
+    dropout_rate. The stack's last layer is a linear_forward after them."""
     for layer in layers:
-        h = T.relu(T.linear_forward(h, layer.w, layer.b))
-        if dropout_rate > 0:
-            if rng is None:
-                raise ValueError("training-mode projection needs an rng for dropout")
-            h = T.dropout(h, dropout_rate, rng)
+        h = T.dropout(T.relu(T.linear_forward(h, layer.w, layer.b)), dropout_rate, rng)
     return h
 
 

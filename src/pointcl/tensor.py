@@ -314,6 +314,7 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
             tp[cb] = t3.max(axis=1)
             if search:
                 rows[cb] = _first_at_max(t3, tp[cb]) + n_points * np.arange(B)[cb, None]
+            del t3  # so the next block's product is not formed beside this one
         return tp, rows if search else None
 
     tp, rows = pool(training)
@@ -329,19 +330,22 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                 gh = np.zeros((len(gp[cb]) * n_points, D), dtype=gp.dtype)
                 np.put(gh, (at[cb] - rb.start) * D + np.arange(D), gp[cb])
                 dx[rb] = gh @ wa.T
+                del gh  # as in pool: one block of gh at a time
         xg = sum(np.einsum("bdi,bd->id", xs[at[cb]], gp[cb]) for cb, _ in blocks)
         _layer_backward(x, xs, w, bn, a, stats, xg, gp.sum(axis=0), dx)
 
     return _result(pooled, (x, w, bn.gamma, bn.beta), bw, "shared_mlp_max_pool")
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: zero with probability rate, scale survivors by
-    1/(1-rate). Eval mode passes rate 0, which returns x."""
+    1/(1-rate). Rate 0, as in eval mode, returns x and needs no rng."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return x
+    if rng is None:
+        raise ValueError(f"dropout at rate {rate} needs an rng for its mask")
     keep = (rng.random(x.shape) >= rate).astype(x.dtype)
     factor = 1.0 / (1.0 - rate)
     out_data = x.data * keep * factor

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)  # so transform_spec always matches transform
 class TrainConfig:
     pairs_per_batch: int = 16
     epochs: int = 30
@@ -47,8 +47,11 @@ class TrainConfig:
     seg_widths: list = field(default_factory=lambda: list(models.SEG_WIDTHS))
     dropout_rate: float = models.DROPOUT_RATE
     checkpoint_every: int = 0        # steps; 0 = final checkpoint only
+    # parsed from transform when the config is built; not a setting
+    transform_spec: TransformSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "transform_spec", parse_transform(self.transform))
         if self.pairs_per_batch < 2:
             raise ValueError("need at least 2 pairs per batch")
         # a negative lr makes Adam climb the loss; lr_schedule's max() turns a nan into the floor
@@ -74,9 +77,6 @@ class TrainConfig:
                                   encoder_widths=self.encoder_widths,
                                   head_widths=self.head_widths,
                                   seg_widths=self.seg_widths)
-
-    def transform_spec(self) -> TransformSpec:
-        return parse_transform(self.transform)
 
 
 # glibc mallopt parameters, and the values _pin_heap gives them. A
@@ -163,8 +163,7 @@ def bn_schedule(step: int, cfg: TrainConfig, period: int) -> float:
     return min(cfg.bn_cap, 1.0 - cfg.bn_init * 0.5 ** k)
 
 
-def build_batch(ds: Dataset, cfg: TrainConfig, rng: np.random.Generator,
-                spec: TransformSpec | None = None):
+def build_batch(ds: Dataset, cfg: TrainConfig, rng: np.random.Generator):
     """Select n distinct samples, fix the point count and pair each with its
     transformed version. Returns (orig [n,N,3], trans [n,N,3])."""
     n = cfg.pairs_per_batch
@@ -172,7 +171,7 @@ def build_batch(ds: Dataset, cfg: TrainConfig, rng: np.random.Generator,
         raise ValueError(f"dataset of {len(ds)} samples < batch of {n} pairs")
     idx = rng.choice(len(ds), size=n, replace=False)
     orig, _ = sample_stack([ds[int(i)] for i in idx], cfg.points_per_cloud, rng)
-    trans, _ = transform_stack(orig, spec or cfg.transform_spec(), rng)
+    trans, _ = transform_stack(orig, cfg.transform_spec, rng)
     if cfg.jitter_augment:
         jitter = TransformSpec(kind="jitter")
         orig, _ = transform_stack(orig, jitter, rng)
@@ -248,7 +247,6 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
                 dropout_rate=cfg.dropout_rate, with_seg=(objective == "seg"))
         opt = AdamState(model.params())
 
-    spec = cfg.transform_spec()
     params = model.params()
     last_ckpt = None
     if out_dir:
@@ -258,7 +256,7 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
             epoch = step // steps_per_epoch
             lr = lr_schedule(step, cfg, period)
             bn_m = bn_schedule(step, cfg, period)
-            orig, trans = build_batch(ds, cfg, rng, spec)
+            orig, trans = build_batch(ds, cfg, rng)
             loss = _forward_loss(model, orig, trans, cfg, rng, objective,
                                  training=True, bn_momentum=bn_m)
             loss_val = loss.item()

@@ -332,7 +332,8 @@ _KEY_TARGETS = {
     "seg_widths": ("6,3", "seg_widths"),
     "dropout": ("0.25", "dropout_rate"),
     "probe_epochs": ("7", [("probe", "linear_probe_eval", "probe_epochs"),
-                           ("segment", "segmentation_eval", "probe_epochs")]),
+                           ("segment", "segmentation_eval", "probe_epochs"),
+                           ("ablate", "ablate_transforms", "probe_epochs")]),
     "finetune_epochs": ("3", [("finetune", "pretrain_finetune_eval", "finetune_epochs")]),
     "features": ("head", [("probe", "linear_probe_eval", "source"),
                           ("export-features", "extract_features", "source")]),
@@ -342,6 +343,7 @@ _COMMAND_ARGS = {
     "probe": ["--train-data", "a", "--test-data", "b", "--checkpoint", "c"],
     "finetune": ["--train-data", "a", "--test-data", "b", "--checkpoint", "c"],
     "segment": ["--data", "a", "--test-data", "b"],
+    "ablate": ["--data", "a", "--test-data", "b"],
     "export-features": ["--data", "a", "--checkpoint", "c"],
 }
 

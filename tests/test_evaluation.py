@@ -421,7 +421,7 @@ def test_ablate_identity_pretrains_without_scaling(small_dataset, monkeypatch):
     seen = []
 
     def spy(ds, cfg, **kw):
-        seen.append(cfg.transform_spec())
+        seen.append(cfg.transform_spec)
         return pretrain(ds, cfg, **kw)
 
     monkeypatch.setattr(evaluation, "pretrain", spy)

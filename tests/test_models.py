@@ -83,6 +83,18 @@ def test_project_unnormalized_switch(model, rng):
     assert not np.allclose(np.linalg.norm(z.data, axis=1), 1.0, atol=1e-3)
 
 
+def test_project_training_dropout_needs_an_rng(model, rng):
+    """Training-mode dropout draws its masks from rng: without one it raises,
+    naming the rng. At rate 0 it draws nothing and needs none."""
+    g = T.Tensor(rng.normal(size=(2, 16)).astype(np.float32))
+    assert model.head.dropout_rate > 0
+    with pytest.raises(ValueError, match="needs an rng"):
+        project(g, model.head, training=True, rng=None)
+    model.head.dropout_rate = 0.0
+    z = project(g, model.head, training=True, rng=None)
+    assert (z.data == project(g, model.head, training=False).data).all()
+
+
 def test_segment_rows_unit_norm(model, rng):
     g, pp = encode(rng.normal(size=(2, 8, 3)), model.encoder, training=False)
     Z = segment_embed(pp, g, model.seg, training=False)

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import weakref
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pointcl.tensor import Tensor
 from pointcl.training import (AdamState, TrainConfig, adam_step, bn_schedule,
                               build_batch, load_train_checkpoint, lr_schedule,
                               pretrain, save_train_checkpoint)
+from pointcl.transforms import parse_transform
 
 from oracles import (finite_difference_grads, max_rel_error, reference_adam_step,
                      reference_sample_stack, reference_shared_mlp_max_pool)
@@ -331,6 +333,23 @@ def test_config_validation():
                          ("dropout_rate", 1)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
+
+
+def test_config_parses_its_transform_when_built():
+    """A bad transform fails when the config is built, not when pretrain
+    starts. The parsed spec follows transform through replace and is not a
+    setting: no keyword, repr or equality reads it, and a built config's
+    transform cannot be reassigned past it."""
+    with pytest.raises(ValueError, match="'spin:z:10'"):
+        TrainConfig(transform="spin:z:10")
+    cfg = TrainConfig(transform="rotate:x:90")
+    assert cfg.transform_spec == parse_transform("rotate:x:90")
+    assert replace(cfg, transform="cutout").transform_spec == parse_transform("cutout")
+    assert "transform_spec" not in repr(cfg)
+    with pytest.raises(TypeError):
+        TrainConfig(transform_spec=parse_transform("cutout"))
+    with pytest.raises(FrozenInstanceError):
+        cfg.transform = "cutout"
 
 
 _TRAINS_WRONGLY = {  # field: (settings rejected, settings accepted at the range's ends)
