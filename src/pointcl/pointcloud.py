@@ -103,66 +103,77 @@ def sample_points(p: PointCloud, n_out: int, rng: np.random.Generator) -> PointC
 
 
 # ---------------------------------------------------------------------------
-# Synthetic shapes.  Each generator returns (points, part_labels); clouds are
+# Synthetic shapes.  Each generator builds a whole class: gen(count, n, rng)
+# returns float64 points [count, n, 3] and int64 part labels [count, n]. The
+# rng sees each cloud's draws in sample order, as count one-cloud calls
+# would; the arithmetic runs once on the stacked draws. Clouds are
 # normalized afterwards so classes stay distinguishable by gross geometry.
 # ---------------------------------------------------------------------------
 
-def _gen_sphere(n, rng):
-    v = rng.normal(size=(n, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+def _draw_per_cloud(count, draw):
+    """draw()'s arrays for count clouds, one call per cloud, each stacked on
+    a leading cloud axis."""
+    return [np.stack(a) for a in zip(*(draw() for _ in range(count)))]
+
+
+def _gen_sphere(count, n, rng):
+    v = rng.normal(size=(count, n, 3))  # filled in order: each cloud's draws
+    v /= np.linalg.norm(v, axis=2, keepdims=True)
     # parts: northern vs southern hemisphere
-    labels = (v[:, 2] < 0).astype(np.int64)
-    return v, labels
+    return v, (v[..., 2] < 0).astype(np.int64)
 
 
-def _gen_cube(n, rng):
-    face = rng.integers(0, 6, size=n)
-    uv = rng.uniform(-1, 1, size=(n, 2))
-    pts = np.empty((n, 3))
+def _gen_cube(count, n, rng):
+    face, uv = _draw_per_cloud(count, lambda: (rng.integers(0, 6, size=n),
+                                               rng.uniform(-1, 1, size=(n, 2))))
     axis = face // 2
-    rows = np.arange(n)
-    pts[rows, axis] = np.where(face % 2 == 0, 1.0, -1.0)
-    pts[rows[:, None], np.array([[1, 2], [0, 2], [0, 1]])[axis]] = uv  # the other two axes
-    labels = axis.astype(np.int64)  # parts: one per axis pair of faces
-    return pts, labels
+    side = np.where(face & 1, -1.0, 1.0)  # even faces on the + side
+    a, b = uv[..., 0], uv[..., 1]  # on the other two axes, in order
+    pts = np.stack([np.where(axis == 0, side, a),
+                    np.where(axis == 0, a, np.where(axis == 1, side, b)),
+                    np.where(axis == 2, side, b)], axis=2)
+    return pts, axis  # parts: one per axis pair of faces
 
 
-def _gen_cylinder(n, rng, half_height=1.0, radius=0.5):
+def _gen_cylinder(count, n, rng, half_height=1.0, radius=0.5):
     # ~80% lateral surface, ~20% caps
-    on_cap = rng.random(n) < 0.2
-    theta = rng.uniform(0, 2 * np.pi, size=n)
-    caps = int(on_cap.sum())
-    rad = np.full(n, radius)
-    z = np.empty(n)
-    z[~on_cap] = rng.uniform(-half_height, half_height, size=n - caps)
-    rad[on_cap] = radius * np.sqrt(rng.random(caps))
-    z[on_cap] = np.where(rng.random(caps) < 0.5, half_height, -half_height)
-    pts = np.stack([rad * np.cos(theta), rad * np.sin(theta), z], axis=1)
+    on_cap = np.empty((count, n), dtype=bool)
+    theta = np.empty((count, n))
+    z_side, r_cap, z_cap = [], [], []
+    for i in range(count):  # the later draws' sizes depend on the cloud's cap count
+        on_cap[i] = rng.random(n) < 0.2
+        theta[i] = rng.uniform(0, 2 * np.pi, size=n)
+        caps = int(on_cap[i].sum())
+        z_side.append(rng.uniform(-half_height, half_height, size=n - caps))
+        r_cap.append(rng.random(caps))
+        z_cap.append(rng.random(caps))
+    # a mask over [count, n] fills cloud by cloud in point order
+    rad = np.full((count, n), radius)
+    z = np.empty((count, n))
+    z[~on_cap] = np.concatenate(z_side)
+    rad[on_cap] = radius * np.sqrt(np.concatenate(r_cap))
+    z[on_cap] = np.where(np.concatenate(z_cap) < 0.5, half_height, -half_height)
+    pts = np.stack([rad * np.cos(theta), rad * np.sin(theta), z], axis=2)
     return pts, on_cap.astype(np.int64)  # parts: 0 lateral surface, 1 caps
 
 
-def _gen_torus(n, rng, R=1.0, r=0.35):
-    u = rng.uniform(0, 2 * np.pi, size=n)
-    v = rng.uniform(0, 2 * np.pi, size=n)
+def _gen_torus(count, n, rng, R=1.0, r=0.35):
+    uv = rng.uniform(0, 2 * np.pi, size=(count, 2, n))  # each cloud's u, then its v
+    u, v = uv[:, 0], uv[:, 1]
     cos_v = np.cos(v)
     ring = R + r * cos_v
-    pts = np.stack([ring * np.cos(u), ring * np.sin(u), r * np.sin(v)], axis=1)
+    pts = np.stack([ring * np.cos(u), ring * np.sin(u), r * np.sin(v)], axis=2)
     # parts: outer vs inner half of the tube
-    labels = (cos_v < 0).astype(np.int64)
-    return pts, labels
+    return pts, (cos_v < 0).astype(np.int64)
 
 
-def _gen_plane_cross(n, rng):
+def _gen_plane_cross(count, n, rng):
     # two orthogonal unit squares intersecting along the z axis
-    which = rng.random(n) < 0.5
-    uv = rng.uniform(-1, 1, size=(n, 2))
-    pts = np.zeros((n, 3))
-    pts[which, 0] = uv[which, 0]
-    pts[which, 2] = uv[which, 1]
-    pts[~which, 1] = uv[~which, 0]
-    pts[~which, 2] = uv[~which, 1]
-    labels = (~which).astype(np.int64)
-    return pts, labels
+    draw, uv = _draw_per_cloud(count, lambda: (rng.random(n), rng.uniform(-1, 1, size=(n, 2))))
+    which = draw < 0.5
+    pts = np.stack([np.where(which, uv[..., 0], 0.0), np.where(which, 0.0, uv[..., 0]),
+                    uv[..., 1]], axis=2)
+    return pts, (~which).astype(np.int64)
 
 
 SHAPE_CLASSES = {
@@ -197,21 +208,19 @@ class SyntheticSpec:
 def generate_synthetic_dataset(spec: SyntheticSpec, rng: np.random.Generator) -> Dataset:
     """Deterministic synthetic dataset of simple geometric classes.
 
-    The rng stream: one generator call per cloud, class by class, in sample
-    order. Everything after the draws (the float32 cast, the normalization,
-    the part-label offset) runs once per class on its stacked clouds and
-    takes no draws."""
+    The rng stream: each cloud's draws, class by class, in sample order,
+    from one generator call per class. Everything after the draws (the
+    shape arithmetic, the float32 cast, the normalization, the part-label
+    offset) runs once per class on its stacked clouds and takes no draws."""
     samples, parts_per_class, part_offset = [], {}, 0
     n, count = spec.points_per_cloud, spec.per_class
     for ci, name in enumerate(spec.classes):
         gen, nparts = SHAPE_CLASSES[name]
         parts_per_class[ci] = list(range(part_offset, part_offset + nparts))
-        points = np.empty((count, n, 3), dtype=np.float32)
-        labels = np.empty((count, n), dtype=np.int64)
-        for i in range(count):
-            points[i], labels[i] = gen(n, rng)
+        points, labels = gen(count, n, rng)
+        points = _normalize_stack(points.astype(np.float32))  # drops the float64 stack
         labels += part_offset
-        for pts, lab in zip(_normalize_stack(points), labels):
+        for pts, lab in zip(points, labels):
             samples.append(PointCloud(points=pts, class_label=ci, id=len(samples),
                                       point_labels=lab if spec.with_parts else None))
         part_offset += nparts
@@ -236,7 +245,29 @@ _MAGIC = b"PCDS"
 _VERSION = 3
 
 
+def _check_samples(ds: Dataset) -> None:
+    """Raise ValueError, naming the sample id and the field, for a sample
+    that the format cannot hold or that load_dataset would reject."""
+    classes = ds.num_classes or 1 << 16  # no class count: any u16 class
+    for pc in ds.samples:
+        cls = pc.class_label if pc.class_label is not None else 0
+        if not 0 <= pc.id < 1 << 32:
+            raise ValueError(f"sample {pc.id}: id {pc.id} out of range [0, {1 << 32})")
+        if not 0 <= cls < classes:
+            raise ValueError(f"sample {pc.id}: class {cls} out of range [0, {classes})")
+        if ds.num_parts > 0:
+            if pc.point_labels is None:
+                raise ValueError(f"sample {pc.id}: num_parts > 0 but no point labels")
+            lo, hi = pc.point_labels.min(), pc.point_labels.max()
+            if lo < 0 or hi >= ds.num_parts:
+                raise ValueError(f"sample {pc.id}: point label {lo if lo < 0 else hi} "
+                                 f"out of range [0, {ds.num_parts})")
+
+
 def save_dataset(ds: Dataset, path) -> None:
+    """Write ds in the PCDS format; every sample is checked before the file
+    is opened."""
+    _check_samples(ds)
     tmp = os.fspath(path) + ".tmp"  # a failed save keeps the file at path
     try:
         with open(tmp, "wb") as f:
@@ -254,8 +285,6 @@ def save_dataset(ds: Dataset, path) -> None:
                 f.write(struct.pack("<IHI", pc.id, cls, pc.n))
                 f.write(np.ascontiguousarray(pc.points, dtype="<f4").tobytes())
                 if ds.num_parts > 0:
-                    if pc.point_labels is None:
-                        raise ValueError(f"sample {pc.id}: num_parts > 0 but no point labels")
                     f.write(pc.point_labels.astype("<u2").tobytes())
         os.replace(tmp, path)
     finally:

@@ -11,7 +11,7 @@ from pointcl.pointcloud import (PointCloud, SyntheticSpec, ParseError,
                                 generate_synthetic_dataset, load_dataset,
                                 sample_points, sample_stack, save_dataset)
 
-from oracles import (reference_gen_cube, reference_sample_stack,
+from oracles import (REFERENCE_SHAPES, reference_gen_cube, reference_sample_stack,
                      reference_synthetic_dataset)
 
 
@@ -119,8 +119,8 @@ def test_point_labels_length_checked():
 
 
 def test_synthetic_sphere_unit_norms(rng):
-    pts, _ = pcm._gen_sphere(200, rng)
-    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-3)
+    pts, _ = pcm._gen_sphere(4, 200, rng)
+    assert np.allclose(np.linalg.norm(pts, axis=2), 1.0, atol=1e-3)
 
 
 def test_synthetic_counts_balanced(rng):
@@ -132,7 +132,7 @@ def test_synthetic_counts_balanced(rng):
 
 
 def test_synthetic_cylinder_cap_labels(rng):
-    pts, labels = pcm._gen_cylinder(500, rng, half_height=1.0, radius=0.5)
+    pts, labels = pcm._gen_cylinder(4, 500, rng, half_height=1.0, radius=0.5)
     caps = pts[labels == 1]
     assert caps.shape[0] > 0
     assert np.allclose(np.abs(caps[:, 2]), 1.0, atol=1e-6)
@@ -140,10 +140,38 @@ def test_synthetic_cylinder_cap_labels(rng):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_gen_cube_equals_per_point_loop(seed):
-    pts, labels = pcm._gen_cube(300, np.random.default_rng(seed))
-    want_pts, want_labels = reference_gen_cube(300, np.random.default_rng(seed))
+    pts, labels = pcm._gen_cube(3, 300, np.random.default_rng(seed))
+    ref_rng = np.random.default_rng(seed)
+    want_pts, want_labels = map(np.stack, zip(*(reference_gen_cube(300, ref_rng)
+                                                for _ in range(3))))
     assert np.array_equal(pts, want_pts)
     assert np.array_equal(labels, want_labels)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("name", list(pcm.SHAPE_CLASSES))
+def test_class_builder_equals_reference_loop(name, count, n):
+    """A class builder gives the bytes of count one-cloud reference calls
+    stacked, and leaves the rng where they leave it, over several seeds.
+    At n = 1 and 2 the cylinder's five clouds include ones with no caps and
+    ones with all caps."""
+    gen, nparts = pcm.SHAPE_CLASSES[name]
+    ref_gen, ref_nparts = REFERENCE_SHAPES[name]
+    assert nparts == ref_nparts
+    cap_counts = set()
+    for seed in range(8):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts, labels = gen(count, n, rng)
+        want_pts, want_labels = map(np.stack, zip(*(ref_gen(n, ref_rng) for _ in range(count))))
+        assert (pts.dtype, pts.shape) == (np.float64, (count, n, 3))
+        assert (labels.dtype, labels.shape) == (np.int64, (count, n))
+        assert pts.tobytes() == want_pts.tobytes()
+        assert np.array_equal(labels, want_labels)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        cap_counts.update(labels.sum(axis=1).tolist())
+    if name == "cylinder" and count == 5 and n < 17:
+        assert {0, n} <= cap_counts
 
 
 @pytest.mark.parametrize("with_parts", [False, True], ids=["no-parts", "parts"])
@@ -254,6 +282,27 @@ def test_failed_save_keeps_previous_file(tmp_path, seg_dataset):
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.pcds"]
     assert len(load_dataset(path)) == len(seg_dataset)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"label": 99}, "sample 0: point label 99 out of range"),
+    ({"label": -1}, "sample 0: point label -1 out of range"),
+    ({"class_label": 7}, "sample 0: class 7 out of range"),
+    ({"class_label": -1}, "sample 0: class -1 out of range"),
+    ({"id": -2}, "sample -2: id -2 out of range"),
+], ids=["label-too-large", "label-negative", "class-too-large", "class-negative",
+        "id-negative"])
+def test_save_rejects_what_load_would(tmp_path, seg_dataset, change, message):
+    """A sample that the file cannot hold, or that load_dataset would reject,
+    fails the save before the file is opened: no file, no .tmp."""
+    change, first = dict(change), seg_dataset[0]
+    labels = first.point_labels.copy()
+    labels[3] = change.pop("label", labels[3])
+    bad = replace(seg_dataset, samples=[replace(first, point_labels=labels, **change)]
+                  + seg_dataset.samples[1:])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_dataset(bad, tmp_path / "ds.pcds")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_binary_bad_magic(tmp_path):
