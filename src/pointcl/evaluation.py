@@ -100,13 +100,25 @@ def _check_nonempty(*sets: Dataset):
 
 
 def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed, embed):
-    """Sample every cloud of ds in order (seed: an int or a Generator), then
-    embed(global, per_point) in eval mode over _EVAL_BATCH clouds at a time,
-    each batch written into one features array.
-    Returns (features [S, ...], point labels [S, N] or None, class labels [S])."""
+    """Stack the clouds of ds in order, then embed(global, per_point) in eval
+    mode over _EVAL_BATCH clouds at a time, each batch written into one
+    features array.
+
+    When every cloud has exactly points_per_cloud points, the stored clouds
+    are stacked as they are and no rng is drawn: the encoder max-pools over
+    points, so a permutation of a cloud gives the same global feature.
+    Otherwise every cloud is resampled by sample_stack under
+    default_rng(seed) (seed: an int or a Generator).
+    Returns (features [S, ...], point labels [S, N] or None unless every
+    cloud has them, class labels [S])."""
     _check_nonempty(ds)
-    points, labels = sample_stack(ds.samples, points_per_cloud,
-                                  np.random.default_rng(seed))
+    if all(p.n == points_per_cloud for p in ds.samples):
+        points = np.stack([p.points for p in ds.samples])
+        labels = (np.stack([p.point_labels for p in ds.samples])
+                  if all(p.point_labels is not None for p in ds.samples) else None)
+    else:
+        points, labels = sample_stack(ds.samples, points_per_cloud,
+                                      np.random.default_rng(seed))
     feats = None
     for i in range(0, len(points), _EVAL_BATCH):
         g, pp = models.encode(points[i:i + _EVAL_BATCH], model.encoder, training=False)
@@ -130,7 +142,9 @@ def feature_sources(name: str) -> list:
 def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
                      seed: int = 0, source: str = "encoder"):
     """Eval-mode features for every sample from one feature source (see
-    feature_sources). Returns (features [S, D], labels [S])."""
+    feature_sources). Clouds are read as stored when every one has
+    points_per_cloud points; otherwise seed seeds the resampling of all of
+    them. Returns (features [S, D], labels [S])."""
     if feature_sources(source) != [source]:
         raise ValueError(f"extract_features takes one feature source, got {source!r}")
 
@@ -175,7 +189,10 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
                       source: str = "encoder", probe_epochs: int = PROBE_EPOCHS,
                       seed: int = 0):
-    """Frozen-feature linear classification evaluation."""
+    """Frozen-feature linear classification evaluation. A set whose clouds
+    all have points_per_cloud points is read as stored; otherwise every
+    cloud of the train set is resampled under seed and of the test set
+    under seed + 1."""
     _check_epochs("probe", probe_epochs)
     _check_nonempty(train_ds, test_ds)
     if train_ds.num_classes != test_ds.num_classes:
@@ -278,7 +295,9 @@ def segmentation_metrics(preds, gts, classes, parts_per_class, tags=None) -> Met
 def extract_point_features(model: ModelParams, ds: Dataset, points_per_cloud,
                            seed=0):
     """Eval-mode per-point embeddings [S, N, D], point labels [S, N] (None
-    unless every sample has them) and class labels [S]."""
+    unless every sample has them) and class labels [S]. Clouds are read as
+    stored, in their stored point order, when every one has points_per_cloud
+    points; otherwise seed seeds the resampling of all of them."""
     return _features(model, ds, points_per_cloud, seed,
                      lambda g, pp: models.segment_embed(pp, g, model.seg, training=False))
 
@@ -299,7 +318,10 @@ def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:
 def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
                       probe_epochs: int = PROBE_EPOCHS, seed: int = 0) -> Metrics:
-    """Fit a per-point linear probe on frozen point embeddings; report mIoU."""
+    """Fit a per-point linear probe on frozen point embeddings; report mIoU.
+    A set whose clouds all have points_per_cloud points is read as stored;
+    otherwise every cloud of the train set is resampled under seed and of
+    the test set under seed + 1."""
     _check_epochs("probe", probe_epochs)
     check_segmentation_sets(train_ds, test_ds)
     if model.seg is None:

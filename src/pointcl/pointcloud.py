@@ -245,23 +245,36 @@ _MAGIC = b"PCDS"
 _VERSION = 3
 
 
+def _check_range(what, value, top):
+    if not 0 <= value < top:
+        raise ValueError(f"{what} {value} out of range [0, {top})")
+
+
 def _check_samples(ds: Dataset) -> None:
-    """Raise ValueError, naming the sample id and the field, for a sample
-    that the format cannot hold or that load_dataset would reject."""
+    """Raise ValueError, naming the field (and the sample id or the parts-map
+    class), for a header field, parts-map entry or sample that the format
+    cannot hold or that load_dataset would reject."""
+    _check_range("sample count", len(ds.samples), 1 << 32)
+    _check_range("num_classes", ds.num_classes, 1 << 16)
+    _check_range("num_parts", ds.num_parts, 1 << 16)
+    _check_range("split name bytes", len(ds.split.encode()), 1 << 16)
     classes = ds.num_classes or 1 << 16  # no class count: any u16 class
+    ppc = ds.parts_per_class or {}
+    _check_range("parts map: class count", len(ppc), 1 << 16)
+    for cls, parts in ppc.items():
+        _check_range("parts map: class", cls, classes)
+        _check_range(f"parts map: class {cls}: part count", len(parts), 1 << 16)
+        for part in parts:
+            _check_range(f"parts map: class {cls}: part", part, ds.num_parts)
     for pc in ds.samples:
-        cls = pc.class_label if pc.class_label is not None else 0
-        if not 0 <= pc.id < 1 << 32:
-            raise ValueError(f"sample {pc.id}: id {pc.id} out of range [0, {1 << 32})")
-        if not 0 <= cls < classes:
-            raise ValueError(f"sample {pc.id}: class {cls} out of range [0, {classes})")
+        _check_range(f"sample {pc.id}: id", pc.id, 1 << 32)
+        _check_range(f"sample {pc.id}: class",
+                     pc.class_label if pc.class_label is not None else 0, classes)
         if ds.num_parts > 0:
             if pc.point_labels is None:
                 raise ValueError(f"sample {pc.id}: num_parts > 0 but no point labels")
             lo, hi = pc.point_labels.min(), pc.point_labels.max()
-            if lo < 0 or hi >= ds.num_parts:
-                raise ValueError(f"sample {pc.id}: point label {lo if lo < 0 else hi} "
-                                 f"out of range [0, {ds.num_parts})")
+            _check_range(f"sample {pc.id}: point label", lo if lo < 0 else hi, ds.num_parts)
 
 
 def save_dataset(ds: Dataset, path) -> None:

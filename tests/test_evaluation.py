@@ -383,6 +383,97 @@ def test_evaluation_equals_per_cloud_sampler(tmp_path, monkeypatch, seg_dataset,
     assert run() == stacked
 
 
+def _eval_batches(model, points, embed):
+    """embed(global, per_point) of an eval-mode encode over each
+    _EVAL_BATCH chunk of points, concatenated: the sampled path's encode."""
+    out = []
+    for i in range(0, len(points), evaluation._EVAL_BATCH):
+        g, pp = models.encode(points[i:i + evaluation._EVAL_BATCH], model.encoder,
+                              training=False)
+        out.append(embed(g, pp).data)
+    return np.concatenate(out)
+
+
+def test_protocols_read_equal_size_clouds_as_stored(monkeypatch, seg_dataset):
+    """Every cloud has points_per_cloud points: no protocol resamples."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+
+    def called(*args, **kwargs):
+        raise AssertionError("sample_stack called on a set of equal-size clouds")
+
+    monkeypatch.setattr(evaluation, "sample_stack", called)
+    assert {p.n for p in seg_dataset.samples} == {64}
+    linear_probe_eval(model, seg_dataset, seg_dataset, points_per_cloud=64, probe_epochs=5,
+                      source="head")
+    segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=64, probe_epochs=5)
+    feats, labels = evaluation.extract_features(model, seg_dataset, 64, seed=3)
+    assert feats.shape == (len(seg_dataset), 16)
+    assert labels.tolist() == [p.class_label for p in seg_dataset.samples]
+
+
+@pytest.mark.parametrize("widths", [[32, 64, 128], [64, 64, 64, 128, 1024]],
+                         ids=["desk", "full"])
+def test_stored_clouds_give_the_sampled_features(widths):
+    """40 clouds of 64 points, one full encode batch and one partial. The
+    encoder max-pools over points, so the stored clouds give the encoder
+    and head features of the resampled (permuted) clouds bit for bit. The
+    per-point embeddings follow the stored point order: each cloud's equals
+    a one-cloud encode of the stored cloud, within the float32 rounding
+    that BLAS gives a different row count."""
+    spec = SyntheticSpec(classes=["cylinder", "cube"], per_class=20, points_per_cloud=64,
+                         with_parts=True)
+    ds = generate_synthetic_dataset(spec, np.random.default_rng(4))
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=widths,
+                                      head_widths=[32, 16], seg_widths=[16, 8],
+                                      with_seg=True)
+    sampled, _ = reference_sample_stack(ds.samples, 64, np.random.default_rng(9))
+    for source in ("encoder", "head"):
+        feats, labels = evaluation.extract_features(model, ds, 64, seed=9, source=source)
+        want = _eval_batches(model, sampled, lambda g, pp: (
+            models.project(g, model.head, training=False) if source == "head" else g))
+        assert feats.dtype == want.dtype == np.float32
+        assert np.array_equal(feats, want)
+        assert labels.tolist() == [p.class_label for p in ds.samples]
+    feats, labels, classes = evaluation.extract_point_features(model, ds, 64, seed=9)
+    assert labels.dtype == np.int64
+    assert np.array_equal(labels, np.stack([p.point_labels for p in ds.samples]))
+    assert classes.tolist() == [p.class_label for p in ds.samples]
+    for p, f in zip(ds.samples, feats):
+        g, pp = models.encode(p.points[None], model.encoder, training=False)
+        z = models.segment_embed(pp, g, model.seg, training=False).data[0]
+        assert np.allclose(f, z, rtol=0, atol=1e-6)
+
+
+def test_one_cloud_of_another_size_resamples_the_set(monkeypatch, seg_dataset):
+    """One 50-point cloud among 64-point ones, evaluated at 64 points: one
+    sample_stack call over every cloud under default_rng(seed), and the
+    features of per-cloud resampling, bit for bit."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    odd = seg_dataset[3]
+    ds = replace(seg_dataset, samples=seg_dataset.samples[:3] + [
+        replace(odd, points=odd.points[:50], point_labels=odd.point_labels[:50])]
+        + seg_dataset.samples[4:])
+    calls = []
+
+    def spy(clouds, n_out, rng):
+        calls.append((len(clouds), n_out, rng.bit_generator.state))
+        return sample_stack(clouds, n_out, rng)
+
+    monkeypatch.setattr(evaluation, "sample_stack", spy)
+    start = np.random.default_rng(11).bit_generator.state
+    points, labels = reference_sample_stack(ds.samples, 64, np.random.default_rng(11))
+    feats, _ = evaluation.extract_features(model, ds, 64, seed=11)
+    assert calls == [(len(ds), 64, start)]
+    assert np.array_equal(feats, _eval_batches(model, points, lambda g, pp: g))
+    point_feats, point_labels, _ = evaluation.extract_point_features(model, ds, 64, seed=11)
+    assert len(calls) == 2
+    assert np.array_equal(point_labels, labels)
+    assert np.array_equal(point_feats, _eval_batches(
+        model, points, lambda g, pp: models.segment_embed(pp, g, model.seg, training=False)))
+
+
 def test_segmentation_eval_needs_labels(small_dataset, seg_dataset):
     model, _ = pretrain(seg_dataset, tiny_cfg(epochs=1, pairs_per_batch=2),
                         objective="seg")

@@ -366,9 +366,37 @@ def test_binary_round_trip_keeps_split(tmp_path, small_dataset, split):
 
 
 def test_binary_parts_map_out_of_range(tmp_path, seg_dataset):
-    ds = pcm.Dataset(samples=seg_dataset.samples, num_classes=seg_dataset.num_classes,
-                     num_parts=seg_dataset.num_parts,
-                     parts_per_class={0: [0, seg_dataset.num_parts]})
-    save_dataset(ds, tmp_path / "bad.pcds")
+    """A file whose parts map names a part >= num_parts; save_dataset will
+    not write one, so class 0's second part is patched in the bytes."""
+    save_dataset(seg_dataset, tmp_path / "ds.pcds")
+    blob = bytearray((tmp_path / "ds.pcds").read_bytes())
+    assert seg_dataset.parts_per_class[0] == [0, 1]
+    # magic, version, header, split, map class count, class 0 and its part count, part 0
+    at = 4 + 2 + 8 + 2 + len(seg_dataset.split.encode()) + 2 + 4 + 2
+    blob[at:at + 2] = struct.pack("<H", seg_dataset.num_parts)
+    (tmp_path / "bad.pcds").write_bytes(bytes(blob))
     with pytest.raises(ParseError, match="parts map"):
         load_dataset(tmp_path / "bad.pcds")
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"parts_per_class": {0: [0, 5]}}, "parts map: class 0: part 5 out of range [0, 2)"),
+    ({"parts_per_class": {3: [0, 1]}}, "parts map: class 3 out of range [0, 1)"),
+    ({"parts_per_class": {0: [-1, 1]}}, "parts map: class 0: part -1 out of range [0, 2)"),
+    ({"num_classes": 70000}, "num_classes 70000 out of range [0, 65536)"),
+    ({"num_parts": 1 << 16}, "num_parts 65536 out of range [0, 65536)"),
+], ids=["part-too-large", "class-too-large", "part-negative", "num-classes-u16",
+        "num-parts-u16"])
+def test_save_rejects_a_header_or_parts_map_it_cannot_write(tmp_path, seg_dataset,
+                                                            change, message):
+    """One class of valid clouds (parts 0 and 1) with one bad header field
+    or parts-map entry: the save raises before the file is opened and
+    leaves no file and no .tmp. Unchanged, the same set saves and loads."""
+    good = pcm.Dataset(samples=seg_dataset.samples[:10], num_classes=1, num_parts=2,
+                       parts_per_class={0: [0, 1]})
+    assert {p.class_label for p in good.samples} == {0}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_dataset(replace(good, **change), tmp_path / "ds.pcds")
+    assert list(tmp_path.iterdir()) == []
+    save_dataset(good, tmp_path / "ds.pcds")
+    assert load_dataset(tmp_path / "ds.pcds").parts_per_class == {0: [0, 1]}
