@@ -99,32 +99,34 @@ def _check_nonempty(*sets: Dataset):
             raise ValueError(f"the {ds.split} set has no clouds")
 
 
-def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed, embed):
-    """Stack the clouds of ds in order, then embed(global, per_point) in eval
-    mode over _EVAL_BATCH clouds at a time, each batch written into one
-    features array.
+def _check_classes(*sets: Dataset):
+    """Raise ValueError unless each set has clouds over at least the 2
+    classes a classifier needs."""
+    _check_nonempty(*sets)
+    for ds in sets:
+        if ds.num_classes < 2:
+            raise ValueError(f"the {ds.split} set has a class count of {ds.num_classes}; "
+                             "classifying needs at least 2")
 
-    When every cloud has exactly points_per_cloud points, the stored clouds
-    are stacked as they are and no rng is drawn: the encoder max-pools over
-    points, so a permutation of a cloud gives the same global feature.
-    Otherwise every cloud is resampled by sample_stack under
-    default_rng(seed) (seed: an int or a Generator).
-    Returns (features [S, ...], point labels [S, N] or None unless every
-    cloud has them, class labels [S])."""
+
+def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed, embed):
+    """Stack the clouds of ds by sample_stack under default_rng(seed) (seed:
+    an int or a Generator), then embed(global, per_point) in eval mode over
+    _EVAL_BATCH clouds at a time, each batch written into one features array.
+    The last batch is filled up with the set's first clouds and only its own
+    rows are kept: every encode call has one shape, so a cloud's features do
+    not depend on the size of its set (BLAS rounds a product by its row
+    count). Returns (features [S, ...], point labels [S, N] or None unless
+    every cloud has them, class labels [S])."""
     _check_nonempty(ds)
-    if all(p.n == points_per_cloud for p in ds.samples):
-        points = np.stack([p.points for p in ds.samples])
-        labels = (np.stack([p.point_labels for p in ds.samples])
-                  if all(p.point_labels is not None for p in ds.samples) else None)
-    else:
-        points, labels = sample_stack(ds.samples, points_per_cloud,
-                                      np.random.default_rng(seed))
-    feats = None
-    for i in range(0, len(points), _EVAL_BATCH):
-        g, pp = models.encode(points[i:i + _EVAL_BATCH], model.encoder, training=False)
-        f = embed(g, pp).data
+    points, labels = sample_stack(ds.samples, points_per_cloud, np.random.default_rng(seed))
+    S, feats = len(points), None
+    for i in range(0, S, _EVAL_BATCH):
+        batch = points[np.arange(i, i + _EVAL_BATCH) % S]
+        g, pp = models.encode(batch, model.encoder, training=False)
+        f = embed(g, pp).data[:S - i]
         if feats is None:
-            feats = np.empty((len(points),) + f.shape[1:], dtype=f.dtype)
+            feats = np.empty((S,) + f.shape[1:], dtype=f.dtype)
         feats[i:i + len(f)] = f
     return feats, labels, np.array([p.class_label for p in ds.samples])
 
@@ -142,9 +144,8 @@ def feature_sources(name: str) -> list:
 def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
                      seed: int = 0, source: str = "encoder"):
     """Eval-mode features for every sample from one feature source (see
-    feature_sources). Clouds are read as stored when every one has
-    points_per_cloud points; otherwise seed seeds the resampling of all of
-    them. Returns (features [S, D], labels [S])."""
+    feature_sources), of the clouds sample_stack gives under seed. Returns
+    (features [S, D], labels [S])."""
     if feature_sources(source) != [source]:
         raise ValueError(f"extract_features takes one feature source, got {source!r}")
 
@@ -189,12 +190,11 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
                       source: str = "encoder", probe_epochs: int = PROBE_EPOCHS,
                       seed: int = 0):
-    """Frozen-feature linear classification evaluation. A set whose clouds
-    all have points_per_cloud points is read as stored; otherwise every
-    cloud of the train set is resampled under seed and of the test set
-    under seed + 1."""
+    """Frozen-feature linear classification evaluation. The train set's
+    clouds are sampled (see sample_stack) under seed, the test set's under
+    seed + 1."""
     _check_epochs("probe", probe_epochs)
-    _check_nonempty(train_ds, test_ds)
+    _check_classes(train_ds, test_ds)
     if train_ds.num_classes != test_ds.num_classes:
         raise ValueError(
             f"class-count mismatch: {train_ds.num_classes} vs {test_ds.num_classes}")
@@ -218,6 +218,7 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
     """Initialize a supervised classifier's encoder (and optionally its MLP
     branch) from an unsupervised checkpoint, train it, report test metrics."""
     _check_epochs("finetune", finetune_epochs)
+    _check_classes(train_ds, test_ds)
     pretrained, _ = models.load_checkpoint(checkpoint_path)
     rng = np.random.default_rng(seed)
     # the head's last layer gives the class logits
@@ -295,9 +296,8 @@ def segmentation_metrics(preds, gts, classes, parts_per_class, tags=None) -> Met
 def extract_point_features(model: ModelParams, ds: Dataset, points_per_cloud,
                            seed=0):
     """Eval-mode per-point embeddings [S, N, D], point labels [S, N] (None
-    unless every sample has them) and class labels [S]. Clouds are read as
-    stored, in their stored point order, when every one has points_per_cloud
-    points; otherwise seed seeds the resampling of all of them."""
+    unless every sample has them) and class labels [S], of the clouds
+    sample_stack gives under seed."""
     return _features(model, ds, points_per_cloud, seed,
                      lambda g, pp: models.segment_embed(pp, g, model.seg, training=False))
 
@@ -319,9 +319,8 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
                       probe_epochs: int = PROBE_EPOCHS, seed: int = 0) -> Metrics:
     """Fit a per-point linear probe on frozen point embeddings; report mIoU.
-    A set whose clouds all have points_per_cloud points is read as stored;
-    otherwise every cloud of the train set is resampled under seed and of
-    the test set under seed + 1."""
+    The train set's clouds are sampled (see sample_stack) under seed, the
+    test set's under seed + 1."""
     _check_epochs("probe", probe_epochs)
     check_segmentation_sets(train_ds, test_ds)
     if model.seg is None:
@@ -349,6 +348,7 @@ def ablate_transforms(train_ds: Dataset, test_ds: Dataset, cfg: TrainConfig,
     """Pretrain + probe once per transform with a fixed seed; rows sorted by
     overall accuracy, descending."""
     _check_epochs("probe", probe_epochs)
+    _check_classes(train_ds, test_ds)
     # every config, and so every transform, is checked before the first run
     configs = [replace(cfg, transform=name) for name in transform_names]
     if not configs:

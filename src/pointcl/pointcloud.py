@@ -82,14 +82,20 @@ def _normalize_stack(pts: np.ndarray) -> np.ndarray:
 
 
 def sample_stack(clouds, n_out: int, rng: np.random.Generator):
-    """Resample each cloud to n_out points, without replacement when possible:
-    one rng.choice per cloud, in order. Returns float32 points [S, n_out, 3]
-    and point labels [S, n_out], or None unless every cloud has labels."""
+    """Stack the clouds, in order, at n_out points each: the one sampling rule
+    of training, finetuning and evaluation. A cloud with exactly n_out points
+    is copied as stored and takes no draw; the encoder max-pools over points,
+    so their order carries nothing. Any other cloud is resampled by one
+    rng.choice, without replacement when it has more than n_out points. So
+    rng seeds only the resampling of clouds of other sizes. Returns float32
+    points [S, n_out, 3] and point labels [S, n_out], or None unless every
+    cloud has labels."""
     points = np.empty((len(clouds), n_out, 3), dtype=np.float32)
     labels = (np.empty((len(clouds), n_out), dtype=np.int64)
               if all(p.point_labels is not None for p in clouds) else None)
     for s, p in enumerate(clouds):
-        idx = rng.choice(p.n, size=n_out, replace=p.n < n_out)
+        idx = (slice(None) if p.n == n_out
+               else rng.choice(p.n, size=n_out, replace=p.n < n_out))
         points[s] = p.points[idx]
         if labels is not None:
             labels[s] = p.point_labels[idx]

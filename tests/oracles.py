@@ -357,13 +357,15 @@ def reference_adam_step(params, state, lr):
 
 
 def reference_sample_stack(clouds, n_out, rng):
-    """Per-cloud resampling as first written: one rng.choice per cloud in
-    order, a copy of the chosen points and labels, then np.stack. Returns
+    """The sampling rule as a per-cloud loop, in order: a cloud with n_out
+    points is a copy of its stored points and labels and takes no draw; any
+    other cloud is resampled by one rng.choice. Then np.stack. Returns
     (points [S, n_out, 3], labels [S, n_out] or None unless every cloud has
     labels); pointcloud.sample_stack must match its bytes and rng state."""
     points, labels = [], []
     for p in clouds:
-        idx = rng.choice(p.n, size=n_out, replace=p.n < n_out)
+        idx = (np.arange(n_out) if p.n == n_out
+               else rng.choice(p.n, size=n_out, replace=p.n < n_out))
         points.append(p.points[idx].copy())
         labels.append(None if p.point_labels is None else p.point_labels[idx])
     if any(lab is None for lab in labels):

@@ -45,3 +45,38 @@ def test_smoke_pairs_give_one_row_per_metric(tmp_path):
     assert set(out["trees"]) == {"parent", "change"}
     assert set(out["trees"]["parent"]) == {"commit", "dirty"}
     assert out["host"]["nproc"] >= 1 and out["host"]["env"]["MALLOC_TRIM_THRESHOLD_"]
+
+
+def test_failed_runs_read_no_stale_result(tmp_path):
+    """One tree's run.py prints a correct result line but exits 3; the
+    other's prints a JSON line that is no result object. Both trees hold a
+    stale result.json from an earlier run with equal quality figures.
+    Neither run is correct or has quality, the pair is not equal, and the
+    tool exits 1."""
+    tool = tmp_path / "tool"
+    (tool / "tools").mkdir(parents=True)
+    shutil.copy(REPO / "tools" / "bench.py", tool / "tools")
+    shutil.copy(REPO / "BENCHMARK.json", tool)
+    line = json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                       "metrics": {"run_s": {"value": 1.0}}})
+    seconds = json.loads((REPO / "BENCHMARK.json").read_text())["run_seconds"]
+    stubs = {"parent": f"print({line!r}); raise SystemExit(3)", "change": "print('[1]')"}
+    for side, body in stubs.items():
+        (tmp_path / side / "benchmarks").mkdir(parents=True)
+        (tmp_path / side / "benchmarks" / "run.py").write_text(body + "\n")
+        stale = tmp_path / side / "bench_out" / "desk-cls-probe" / f"seed3-s{seconds}-trace0"
+        stale.mkdir(parents=True)
+        (stale / "result.json").write_text(json.dumps({"quality": {"probe": 1.0}}))
+    proc = subprocess.run(
+        [sys.executable, str(tool / "tools" / "bench.py"), "--parent",
+         str(tmp_path / "parent"), "--change", str(tmp_path / "change"), "--pr", "0",
+         "--workloads", "desk-cls-probe", "--seeds", "3", "--pairs", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    out = json.loads((tool / "BENCH_0.json").read_text())
+    assert [(r["side"], r["exit_status"]) for r in out["runs"]] == [("parent", 3),
+                                                                     ("change", 0)]
+    for r in out["runs"]:
+        assert (r["correct"], r["quality"], r["metrics"]) == (False, None, {})
+    assert out["quality"][0]["equal_pairs"] == 0
+    assert out["rows"] == []

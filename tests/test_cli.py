@@ -198,6 +198,29 @@ def test_probe_empty_train_set_exit_2_writes_no_report(tmp_path, data_files, cap
     assert not (out / "probe_metrics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["probe", "finetune", "ablate"])
+def test_classifying_without_classes_exit_2_writes_no_report(tmp_path, data_files, capsys,
+                                                             command):
+    """A training file saved with num_classes 0 loads, but no classifier can
+    be fit on it: a configuration error naming the split, not a traceback."""
+    train, test = data_files
+    ckpt = tmp_path / "run" / "checkpoint_final.pclm"
+    assert run(["pretrain", "--data", str(train), "--out", str(ckpt.parent), "--pairs", "4",
+                "--epochs", "1", "--points", "32", "--encoder-widths", "8,16"]) == 0
+    classless = tmp_path / "classless.pcds"
+    ds = load_dataset(train)
+    ds.num_classes = 0
+    save_dataset(ds, classless)
+    data = (["--data", str(classless)] if command == "ablate" else
+            ["--train-data", str(classless), "--checkpoint", str(ckpt)])
+    out = tmp_path / command
+    rc = run([command, *data, "--test-data", str(test), "--out", str(out),
+              "--points", "32", "--pairs", "4", "--epochs", "1"])
+    assert rc == 2
+    assert "the train set has a class count of 0" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_missing_data_runtime_failure(tmp_path):
     rc = run(["pretrain", "--data", str(tmp_path / "nope.pcds"),
               "--out", str(tmp_path / "o"), "--epochs", "1"])

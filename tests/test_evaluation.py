@@ -290,6 +290,35 @@ def test_protocols_reject_negative_epochs(tmp_path, monkeypatch, seg_dataset, pr
                                    tiny_cfg(), finetune_epochs=-3)
 
 
+@pytest.mark.parametrize("protocol", ["probe", "finetune", "ablate"])
+@pytest.mark.parametrize("few", [0, 1])
+def test_classifying_protocols_need_two_classes(tmp_path, monkeypatch, small_dataset,
+                                                protocol, few):
+    """A set that declares fewer than 2 classes is an error that names its
+    split and count, raised before any checkpoint is read, cloud encoded or
+    model pretrained."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4])
+    models.save_checkpoint(model, tmp_path / "model.pclm")
+
+    def called(*args, **kwargs):
+        raise AssertionError("called before the class-count check")
+
+    for module, name in ((models, "encode"), (models, "load_checkpoint"),
+                         (evaluation, "pretrain")):
+        monkeypatch.setattr(module, name, called)
+    test = replace(small_dataset, split="test", num_classes=few)
+    with pytest.raises(ValueError, match=f"^the test set has a class count of {few};"):
+        if protocol == "probe":
+            linear_probe_eval(model, small_dataset, test, points_per_cloud=32,
+                              probe_epochs=5)
+        elif protocol == "finetune":
+            pretrain_finetune_eval(tmp_path / "model.pclm", small_dataset, test,
+                                   tiny_cfg(), finetune_epochs=1)
+        else:
+            ablate_transforms(small_dataset, test, tiny_cfg(), ["rotate:y:180"])
+
+
 def test_shape_miou_perfect():
     assert shape_miou([0, 1, 2], [0, 1, 2], [0, 1, 2]) == 1.0
 
@@ -385,29 +414,37 @@ def test_evaluation_equals_per_cloud_sampler(tmp_path, monkeypatch, seg_dataset,
 
 def _eval_batches(model, points, embed):
     """embed(global, per_point) of an eval-mode encode over each
-    _EVAL_BATCH chunk of points, concatenated: the sampled path's encode."""
-    out = []
-    for i in range(0, len(points), evaluation._EVAL_BATCH):
-        g, pp = models.encode(points[i:i + evaluation._EVAL_BATCH], model.encoder,
-                              training=False)
-        out.append(embed(g, pp).data)
+    _EVAL_BATCH chunk of points, the last filled up with the first clouds
+    and cut back to its own rows, concatenated: _features' encode."""
+    S, out = len(points), []
+    for i in range(0, S, evaluation._EVAL_BATCH):
+        g, pp = models.encode(points[np.arange(i, i + evaluation._EVAL_BATCH) % S],
+                              model.encoder, training=False)
+        out.append(embed(g, pp).data[:S - i])
     return np.concatenate(out)
 
 
 def test_protocols_read_equal_size_clouds_as_stored(monkeypatch, seg_dataset):
-    """Every cloud has points_per_cloud points: no protocol resamples."""
+    """Every cloud has points_per_cloud points: no protocol draws from the
+    rng it samples the clouds under."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    calls = []
 
-    def called(*args, **kwargs):
-        raise AssertionError("sample_stack called on a set of equal-size clouds")
+    def no_draw(clouds, n_out, rng):
+        before = rng.bit_generator.state
+        out = sample_stack(clouds, n_out, rng)
+        assert rng.bit_generator.state == before, "a draw on equal-size clouds"
+        calls.append(len(clouds))
+        return out
 
-    monkeypatch.setattr(evaluation, "sample_stack", called)
+    monkeypatch.setattr(evaluation, "sample_stack", no_draw)
     assert {p.n for p in seg_dataset.samples} == {64}
     linear_probe_eval(model, seg_dataset, seg_dataset, points_per_cloud=64, probe_epochs=5,
                       source="head")
     segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=64, probe_epochs=5)
     feats, labels = evaluation.extract_features(model, seg_dataset, 64, seed=3)
+    assert calls == [len(seg_dataset)] * 5
     assert feats.shape == (len(seg_dataset), 16)
     assert labels.tolist() == [p.class_label for p in seg_dataset.samples]
 
@@ -417,20 +454,21 @@ def test_protocols_read_equal_size_clouds_as_stored(monkeypatch, seg_dataset):
 def test_stored_clouds_give_the_sampled_features(widths):
     """40 clouds of 64 points, one full encode batch and one partial. The
     encoder max-pools over points, so the stored clouds give the encoder
-    and head features of the resampled (permuted) clouds bit for bit. The
-    per-point embeddings follow the stored point order: each cloud's equals
-    a one-cloud encode of the stored cloud, within the float32 rounding
-    that BLAS gives a different row count."""
+    and head features of the same clouds with their points permuted, bit
+    for bit. The per-point embeddings follow the stored point order: each
+    cloud's equals a one-cloud encode of the stored cloud, within the
+    float32 rounding that BLAS gives a different row count."""
     spec = SyntheticSpec(classes=["cylinder", "cube"], per_class=20, points_per_cloud=64,
                          with_parts=True)
     ds = generate_synthetic_dataset(spec, np.random.default_rng(4))
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=widths,
                                       head_widths=[32, 16], seg_widths=[16, 8],
                                       with_seg=True)
-    sampled, _ = reference_sample_stack(ds.samples, 64, np.random.default_rng(9))
+    perm = np.random.default_rng(9)
+    permuted = np.stack([p.points[perm.permutation(64)] for p in ds.samples])
     for source in ("encoder", "head"):
         feats, labels = evaluation.extract_features(model, ds, 64, seed=9, source=source)
-        want = _eval_batches(model, sampled, lambda g, pp: (
+        want = _eval_batches(model, permuted, lambda g, pp: (
             models.project(g, model.head, training=False) if source == "head" else g))
         assert feats.dtype == want.dtype == np.float32
         assert np.array_equal(feats, want)
@@ -445,33 +483,62 @@ def test_stored_clouds_give_the_sampled_features(widths):
         assert np.allclose(f, z, rtol=0, atol=1e-6)
 
 
-def test_one_cloud_of_another_size_resamples_the_set(monkeypatch, seg_dataset):
-    """One 50-point cloud among 64-point ones, evaluated at 64 points: one
-    sample_stack call over every cloud under default_rng(seed), and the
-    features of per-cloud resampling, bit for bit."""
+def test_one_cloud_of_another_size_resamples_only_that_cloud(seg_dataset):
+    """One 50-point cloud among 64-point ones, evaluated at 64 points: only
+    that cloud is resampled, by the draws default_rng(seed) gives it first.
+    The other clouds' features are those of the same set without it."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
     odd = seg_dataset[3]
-    ds = replace(seg_dataset, samples=seg_dataset.samples[:3] + [
-        replace(odd, points=odd.points[:50], point_labels=odd.point_labels[:50])]
-        + seg_dataset.samples[4:])
-    calls = []
+    odd = replace(odd, points=odd.points[:50], point_labels=odd.point_labels[:50])
+    rest = seg_dataset.samples[:3] + seg_dataset.samples[4:]
+    ds = replace(seg_dataset, samples=rest[:3] + [odd] + rest[3:])
+    without = replace(seg_dataset, samples=rest)
+    idx = np.random.default_rng(11).choice(50, size=64, replace=True)
 
-    def spy(clouds, n_out, rng):
-        calls.append((len(clouds), n_out, rng.bit_generator.state))
-        return sample_stack(clouds, n_out, rng)
+    def seg(g, pp):
+        return models.segment_embed(pp, g, model.seg, training=False)
 
-    monkeypatch.setattr(evaluation, "sample_stack", spy)
-    start = np.random.default_rng(11).bit_generator.state
-    points, labels = reference_sample_stack(ds.samples, 64, np.random.default_rng(11))
     feats, _ = evaluation.extract_features(model, ds, 64, seed=11)
-    assert calls == [(len(ds), 64, start)]
-    assert np.array_equal(feats, _eval_batches(model, points, lambda g, pp: g))
     point_feats, point_labels, _ = evaluation.extract_point_features(model, ds, 64, seed=11)
-    assert len(calls) == 2
-    assert np.array_equal(point_labels, labels)
-    assert np.array_equal(point_feats, _eval_batches(
-        model, points, lambda g, pp: models.segment_embed(pp, g, model.seg, training=False)))
+    points = np.stack([p.points for p in rest[:3]] + [odd.points[idx]]
+                      + [p.points for p in rest[3:]])
+    assert np.array_equal(feats, _eval_batches(model, points, lambda g, pp: g))
+    assert np.array_equal(point_feats, _eval_batches(model, points, seg))
+    assert np.array_equal(point_labels[3], odd.point_labels[idx])
+    others = [i for i in range(len(ds)) if i != 3]
+    want, _ = evaluation.extract_features(model, without, 64, seed=11)
+    assert np.array_equal(feats[others], want)
+    want, want_labels, _ = evaluation.extract_point_features(model, without, 64, seed=11)
+    assert np.array_equal(point_feats[others], want)
+    assert np.array_equal(point_labels[others], want_labels)
+
+
+@pytest.mark.parametrize("widths", [[32, 64, 128], [64, 64, 64, 128, 1024]],
+                         ids=["desk", "full"])
+def test_features_do_not_depend_on_the_set_size(widths):
+    """Cloud 32 alone in its encode call (a 33-cloud set), beside 7 others
+    (40) and beside 31 (64): the same encoder, head and per-point features.
+    A 3-cloud set gives the first 3 rows of a 35-cloud set."""
+    spec = SyntheticSpec(classes=["cylinder", "cube"], per_class=32, points_per_cloud=64,
+                         with_parts=True)
+    ds = generate_synthetic_dataset(spec, np.random.default_rng(4))
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=widths,
+                                      head_widths=[32, 16], seg_widths=[16, 8],
+                                      with_seg=True)
+
+    def features(size):
+        sub = replace(ds, samples=ds.samples[:size])
+        return [evaluation.extract_features(model, sub, 64, source=s)[0]
+                for s in ("encoder", "head")] + [
+                    evaluation.extract_point_features(model, sub, 64)[0]]
+
+    ref = features(33)
+    for size in (40, 64):
+        for got, want in zip(features(size), ref):
+            assert np.array_equal(got[32], want[32])
+    for got, want in zip(features(3), features(35)):
+        assert np.array_equal(got, want[:3])
 
 
 def test_segmentation_eval_needs_labels(small_dataset, seg_dataset):

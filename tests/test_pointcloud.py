@@ -82,8 +82,9 @@ def _clouds(labeled, sizes=(5, 40, 64, 17, 64)):
 @pytest.mark.parametrize("labeled", [True, False])
 @pytest.mark.parametrize("n_out", [4, 16, 64, 100])
 def test_sample_stack_matches_per_cloud_reference(labeled, n_out):
-    """Down-, up- and mixed resampling: the bytes of the per-cloud loop, and
-    the same rng state after it."""
+    """Down-, up- and mixed resampling, with the 64-point clouds copied
+    when n_out is 64: the bytes of the per-cloud loop, and the same rng
+    state after it."""
     clouds = _clouds(labeled)
     rng, ref_rng = np.random.default_rng(3), np.random.default_rng(3)
     points, labels = sample_stack(clouds, n_out, rng)
@@ -96,6 +97,21 @@ def test_sample_stack_matches_per_cloud_reference(labeled, n_out):
     else:
         assert labels is None and ref_labels is None
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_sample_stack_copies_clouds_of_n_out_points(labeled):
+    """Every cloud has n_out points: the stored bytes, in order, and no
+    draw, so the rng is where a fresh generator of its seed is."""
+    clouds = _clouds(labeled, sizes=(64, 64, 64))
+    rng = np.random.default_rng(3)
+    points, labels = sample_stack(clouds, 64, rng)
+    assert points.tobytes() == np.stack([p.points for p in clouds]).tobytes()
+    if labeled:
+        assert labels.tobytes() == np.stack([p.point_labels for p in clouds]).tobytes()
+    else:
+        assert labels is None
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
 
 
 def test_sample_stack_labels_need_every_cloud_labeled():

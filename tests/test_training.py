@@ -14,7 +14,7 @@ from pointcl.tensor import Tensor
 from pointcl.training import (AdamState, TrainConfig, adam_step, bn_schedule,
                               build_batch, load_train_checkpoint, lr_schedule,
                               pretrain, save_train_checkpoint)
-from pointcl.transforms import parse_transform
+from pointcl.transforms import parse_transform, transform_stack
 
 from oracles import (finite_difference_grads, max_rel_error, reference_adam_step,
                      reference_sample_stack, reference_shared_mlp_max_pool)
@@ -585,6 +585,21 @@ def test_build_batch_equals_per_cloud_sampler(monkeypatch, seg_dataset, jitter):
     monkeypatch.setattr(training, "sample_stack", reference_sample_stack)
     ref = build_batch(seg_dataset, cfg, ref_rng)
     assert [a.tobytes() for a in batch] == [a.tobytes() for a in ref]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_build_batch_reads_equal_size_clouds_as_stored(seg_dataset):
+    """Every cloud has points_per_cloud points: the original half is the
+    stored clouds at the drawn indices, and the rng ends where drawing only
+    the indices and the transform leaves it."""
+    cfg = tiny_cfg(points_per_cloud=64)
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    orig, trans = build_batch(seg_dataset, cfg, rng)
+    idx = ref_rng.choice(len(seg_dataset), size=cfg.pairs_per_batch, replace=False)
+    stored = np.stack([seg_dataset[int(i)].points for i in idx])
+    ref_trans, _ = transform_stack(stored, cfg.transform_spec, ref_rng)
+    assert orig.tobytes() == stored.tobytes()
+    assert trans.tobytes() == ref_trans.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 

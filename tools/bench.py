@@ -19,8 +19,9 @@ whether the parent's quartile spread alone exceeds that bound (the metric
 is then unresolved). Per workload and seed it counts the pairs whose
 quality figures are equal. It also records both trees' commits, every
 run's metrics, quality figures and correct/failed counts, and the host's
-CPU count and numpy and BLAS versions. The exit status is 0 when every run
-was correct.
+CPU count and numpy and BLAS versions. A run that exits non-zero, or whose
+last stdout line is not a result object, counts as failed, with no metrics
+and no quality. The exit status is 0 when every run was correct.
 """
 
 import argparse
@@ -34,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAP_ENV = {"MALLOC_TRIM_THRESHOLD_": "268435456", "MALLOC_MMAP_THRESHOLD_": "33554432"}
+RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}  # of run.py's last stdout line
 
 
 def git_state(tree: Path):
@@ -51,24 +53,32 @@ def git_state(tree: Path):
 
 def run_once(tree: Path, workload, seed, seconds, smoke):
     """One benchmark process; its result line plus the quality figures of
-    the result.json it wrote."""
+    the result.json it wrote. A run that exits non-zero, or whose last
+    stdout line is not a result object, is failed: correct False, with no
+    metrics and no quality. The run's result.json is deleted before it
+    starts, so an earlier run's file is never read as this one's."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
+    tag = f"seed{seed}-s{seconds}-trace0" + ("-smoke" if smoke else "")
+    result = tree / "bench_out" / workload / tag / "result.json"
+    result.unlink(missing_ok=True)
     proc = subprocess.run(cmd, cwd=tree, env={**os.environ, **HEAP_ENV},
                           capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         line = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        line = {"correct": False, "attempted": None, "failed": None, "metrics": {}}
-    tag = f"seed{seed}-s{seconds}-trace0" + ("-smoke" if smoke else "")
+        line = None
+    failed = {"exit_status": proc.returncode, "correct": False, "attempted": None,
+              "failed": None, "metrics": {}, "quality": None}
+    if proc.returncode != 0 or not (isinstance(line, dict) and RESULT_KEYS <= line.keys()):
+        return failed
     try:
-        quality = json.loads((tree / "bench_out" / workload / tag / "result.json")
-                             .read_text())["quality"]
+        quality = json.loads(result.read_text())["quality"]
     except (OSError, ValueError, KeyError):
         quality = None
-    return {"exit_status": proc.returncode, "correct": line["correct"],
-            "attempted": line["attempted"], "failed": line["failed"],
+    return {**failed, "correct": line["correct"], "attempted": line["attempted"],
+            "failed": line["failed"],
             "metrics": {k: v["value"] for k, v in line["metrics"].items()},
             "quality": quality}
 
