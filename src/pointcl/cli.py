@@ -230,8 +230,7 @@ def cmd_finetune(args, cfg):
     for init_head in ([False, True] if args.init_head else [False]):
         m = evaluation.pretrain_finetune_eval(
             args.checkpoint, train_ds, test_ds, tc,
-            finetune_epochs=cfg["finetune_epochs"], init_head=init_head,
-            seed=cfg["seed"])
+            finetune_epochs=cfg["finetune_epochs"], init_head=init_head)
         rows.append(m.row())
     _emit_report(rows, args.out, "finetune_metrics")
 

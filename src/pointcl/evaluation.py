@@ -99,25 +99,28 @@ def _check_nonempty(*sets: Dataset):
             raise ValueError(f"the {ds.split} set has no clouds")
 
 
-def _check_classes(*sets: Dataset):
-    """Raise ValueError unless each set has clouds over at least the 2
-    classes a classifier needs."""
-    _check_nonempty(*sets)
-    for ds in sets:
+def _check_classes(train_ds: Dataset, test_ds: Dataset):
+    """Raise ValueError unless both sets have clouds over the same class
+    count, of at least the 2 classes a classifier needs."""
+    _check_nonempty(train_ds, test_ds)
+    for ds in (train_ds, test_ds):
         if ds.num_classes < 2:
             raise ValueError(f"the {ds.split} set has a class count of {ds.num_classes}; "
                              "classifying needs at least 2")
+    if train_ds.num_classes != test_ds.num_classes:
+        raise ValueError(
+            f"class-count mismatch: {train_ds.num_classes} vs {test_ds.num_classes}")
 
 
-def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed, embed):
-    """Stack the clouds of ds by sample_stack under default_rng(seed) (seed:
-    an int or a Generator), then embed(global, per_point) in eval mode over
-    _EVAL_BATCH clouds at a time, each batch written into one features array.
-    The last batch is filled up with the set's first clouds and only its own
-    rows are kept: every encode call has one shape, so a cloud's features do
-    not depend on the size of its set (BLAS rounds a product by its row
-    count). Returns (features [S, ...], point labels [S, N] or None unless
-    every cloud has them, class labels [S])."""
+def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed: int, embed):
+    """Stack the clouds of ds by sample_stack under default_rng(seed), then
+    embed(global, per_point) in eval mode over _EVAL_BATCH clouds at a time,
+    each batch written into one features array. The last batch is filled up
+    with the set's first clouds and only its own rows are kept: every encode
+    call has one shape, so a cloud's features do not depend on the size of
+    its set (BLAS rounds a product by its row count). Returns (features
+    [S, ...], point labels [S, N] or None unless every cloud has them, class
+    labels [S])."""
     _check_nonempty(ds)
     points, labels = sample_stack(ds.samples, points_per_cloud, np.random.default_rng(seed))
     S, feats = len(points), None
@@ -195,9 +198,6 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
     seed + 1."""
     _check_epochs("probe", probe_epochs)
     _check_classes(train_ds, test_ds)
-    if train_ds.num_classes != test_ds.num_classes:
-        raise ValueError(
-            f"class-count mismatch: {train_ds.num_classes} vs {test_ds.num_classes}")
     tr_f, tr_y = extract_features(model, train_ds, points_per_cloud, seed, source)
     te_f, te_y = extract_features(model, test_ds, points_per_cloud, seed + 1, source)
     probe, loss, acc = fit_probe(tr_f, tr_y, train_ds.num_classes, epochs=probe_epochs)
@@ -214,13 +214,15 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
 
 def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
                            cfg: TrainConfig, finetune_epochs: int = FINETUNE_EPOCHS,
-                           init_head: bool = False, seed: int = 0):
+                           init_head: bool = False):
     """Initialize a supervised classifier's encoder (and optionally its MLP
-    branch) from an unsupervised checkpoint, train it, report test metrics."""
+    branch) from an unsupervised checkpoint, train it, report test metrics.
+    Training draws from cfg.seed; the test set's clouds are sampled (see
+    sample_stack) under cfg.seed + 1, as the probes sample theirs."""
     _check_epochs("finetune", finetune_epochs)
     _check_classes(train_ds, test_ds)
     pretrained, _ = models.load_checkpoint(checkpoint_path)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     # the head's last layer gives the class logits
     sup = models.ModelParams.create(
         rng, encoder_widths=pretrained.encoder.widths,
@@ -234,8 +236,8 @@ def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
 
 
 def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
-    """Train encoder and head (its unnormalized output is the logits), then
-    classify test_ds."""
+    """Train encoder and head (its unnormalized output is the logits) under
+    rng, then classify test_ds sampled under cfg.seed + 1."""
     _pin_heap()
     params = sup.params()
     *hidden, last = sup.head.layers
@@ -250,7 +252,7 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
         T.backward(T.linear_cross_entropy(h, last.w, last.b, labels_all[idx]))
         del g, h  # frees the step's tape before the update and the next batch
         adam_step(params, opt, cfg.lr_init)
-    logits, _, gts = _features(sup, test_ds, cfg.points_per_cloud, rng,
+    logits, _, gts = _features(sup, test_ds, cfg.points_per_cloud, cfg.seed + 1,
                                lambda g, pp: models.project(g, sup.head, False,
                                                             normalize=False))
     return classification_metrics(logits.argmax(axis=1), gts, test_ds.num_classes,

@@ -67,7 +67,7 @@ class TrainConfig:
             raise ValueError(f"bn_init must be in [0, 1], got {self.bn_init}")
         if not 0.5 <= self.bn_cap <= 1.0:
             raise ValueError("bn momentum cap must be in [0.5, 1]")
-        for name in ("epochs", "decay_period_steps", "checkpoint_every"):
+        for name in ("epochs", "decay_period_steps", "checkpoint_every", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.points_per_cloud < 1:

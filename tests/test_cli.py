@@ -163,11 +163,13 @@ def test_invalid_train_config_exit_2_writes_no_checkpoint(tmp_path, data_files, 
 @pytest.mark.parametrize("command, flag, value", [
     ("pretrain", "--lr-init", "nan"),
     ("probe", "--probe-epochs", "-1"),
-    ("finetune", "--finetune-epochs", "-1")])
+    ("finetune", "--finetune-epochs", "-1"),
+    ("probe", "--seed", "-1")])
 def test_bad_rate_or_protocol_epochs_exit_2_writes_nothing(tmp_path, data_files, capsys,
                                                            command, flag, value):
-    """Caught before any file is read: a nan lr trained at the floor, and
-    negative protocol epochs reported an untrained probe or classifier."""
+    """Caught before any file is read: a nan lr trained at the floor,
+    negative protocol epochs reported an untrained probe or classifier, and
+    a negative seed failed in numpy without naming its key."""
     train, test = data_files
     ckpt = tmp_path / "run" / "checkpoint_final.pclm"
     assert run(["pretrain", "--data", str(train), "--out", str(ckpt.parent), "--pairs", "4",

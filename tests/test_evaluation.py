@@ -161,10 +161,54 @@ def test_probe_head_source_tagged(small_dataset):
     assert m_head.tags["features"] == "head"
 
 
-def test_probe_class_count_mismatch(small_dataset, seg_dataset):
-    model, _ = pretrain(small_dataset, tiny_cfg(epochs=1))
-    with pytest.raises(ValueError):
-        linear_probe_eval(model, small_dataset, seg_dataset)
+@pytest.mark.parametrize("protocol", ["probe", "finetune", "ablate"])
+def test_probe_class_count_mismatch(tmp_path, monkeypatch, small_dataset, seg_dataset,
+                                    protocol):
+    """A 2-class training set and a 4-class test set are an error, raised
+    before any checkpoint is read or model pretrained: a classifier over 2
+    classes cannot be scored on 4."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4])
+
+    def called(*args, **kwargs):
+        raise AssertionError("called before the class-count check")
+
+    for module, name in ((models, "load_checkpoint"), (evaluation, "pretrain")):
+        monkeypatch.setattr(module, name, called)
+    assert (seg_dataset.num_classes, small_dataset.num_classes) == (2, 4)
+    with pytest.raises(ValueError, match="^class-count mismatch: 2 vs 4$"):
+        if protocol == "probe":
+            linear_probe_eval(model, seg_dataset, small_dataset, points_per_cloud=32,
+                              probe_epochs=5)
+        elif protocol == "finetune":
+            pretrain_finetune_eval(tmp_path / "model.pclm", seg_dataset, small_dataset,
+                                   tiny_cfg(), finetune_epochs=1)
+        else:
+            ablate_transforms(seg_dataset, small_dataset, tiny_cfg(), ["rotate:y:180"])
+
+
+def test_finetune_samples_its_test_set_at_seed_plus_one(tmp_path, monkeypatch, seg_dataset):
+    """The test set's clouds are sampled under default_rng(cfg.seed + 1), as
+    the probes sample theirs, not from the rng that finetuning trained with:
+    a test cloud of another size is resampled the same way whatever the
+    training drew."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4])
+    models.save_checkpoint(model, tmp_path / "model.pclm")
+    odd = sample_points(seg_dataset[0], 40, np.random.default_rng(0))
+    test = replace(seg_dataset, samples=[odd] + seg_dataset.samples[1:], split="test")
+    states = []
+
+    def spy(clouds, n_out, rng):
+        if clouds is test.samples:
+            states.append(rng.bit_generator.state)
+        return sample_stack(clouds, n_out, rng)
+
+    monkeypatch.setattr(evaluation, "sample_stack", spy)
+    cfg = tiny_cfg(seed=3, points_per_cloud=64)
+    pretrain_finetune_eval(tmp_path / "model.pclm", seg_dataset, test, cfg,
+                           finetune_epochs=2)
+    assert states == [np.random.default_rng(cfg.seed + 1).bit_generator.state]
 
 
 def test_finetune_head_init_pair(tmp_path, small_dataset):
@@ -405,7 +449,7 @@ def test_evaluation_equals_per_cloud_sampler(tmp_path, monkeypatch, seg_dataset,
             return segmentation_eval(model, seg_dataset, seg_dataset,
                                      points_per_cloud=32, probe_epochs=20, seed=2)
         return pretrain_finetune_eval(tmp_path / "model.pclm", seg_dataset, seg_dataset,
-                                      tiny_cfg(), finetune_epochs=2, seed=3)
+                                      tiny_cfg(seed=3), finetune_epochs=2)
 
     stacked = run()
     monkeypatch.setattr(evaluation, "sample_stack", reference_sample_stack)

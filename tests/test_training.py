@@ -330,7 +330,7 @@ def test_config_validation():
     # each of these used to fail late or write a checkpoint that cannot be loaded
     for field, value in [("epochs", -2), ("checkpoint_every", -1), ("decay_period_steps", -5),
                          ("points_per_cloud", 0), ("dropout_rate", 1.5), ("dropout_rate", -0.1),
-                         ("dropout_rate", 1)]:
+                         ("dropout_rate", 1), ("seed", -1)]:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             TrainConfig(**{field: value})
 
