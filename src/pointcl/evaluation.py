@@ -13,7 +13,7 @@ import numpy as np
 from . import models, tensor as T
 from .models import DenseLayer, ModelParams
 from .pointcloud import Dataset, sample_stack
-from .training import AdamState, TrainConfig, _pin_heap, adam_step, pretrain
+from .training import AdamState, TrainConfig, _adam_update, _pin_heap, adam_step, pretrain
 
 __all__ = [
     "Metrics",
@@ -159,29 +159,95 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
     return feats, labels
 
 
+_LOGIT_BLOCK = 2048  # rows per block of the probe's products; longer blocks ran slower
+
+
+class _ProbeLoss:
+    """The linear probe's mean softmax cross-entropy on fixed features x
+    [R, D], with the label terms formed once: the class counts n [K] and
+    class sums S = Y^T x [K, D], Y the one-hot labels. Every call fills the
+    same class-major [K, R] array, whose columns' max and sum run along the
+    long axis. A nan or inf feature raises ValueError before anything."""
+
+    def __init__(self, x, labels, num_classes):
+        self.x = x = np.asarray(x)
+        if x.ndim != 2:
+            raise T.ShapeError(f"fit_probe: features of shape {x.shape} are not [rows, D]")
+        R = len(x)
+        self.labels = T._check_labels("fit_probe", R, num_classes, labels)
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        if len(bad):
+            raise ValueError(f"the probe's features are not finite: {len(bad)} of {R} rows "
+                             f"hold a nan or inf, the first is row {bad[0]}")
+        self.e = np.zeros((num_classes, R), dtype=x.dtype)
+        self.e[self.labels, np.arange(R)] = 1  # Y^T
+        self.sums, self.counts = self._times_x(), self.e.sum(axis=1)
+
+    def _fill(self, w, b):
+        """e = (x @ w + b)^T, from row-major products over row blocks."""
+        for r in range(0, len(self.x), _LOGIT_BLOCK):
+            self.e[:, r:r + _LOGIT_BLOCK] = (self.x[r:r + _LOGIT_BLOCK] @ w).T
+        self.e += b[:, None]
+
+    def _times_x(self):
+        """e @ x [K, D], summed over row blocks."""
+        e, x, B = self.e, self.x, _LOGIT_BLOCK
+        out = e[:, :B] @ x[:B]
+        for r in range(B, len(x), B):
+            out += e[:, r:r + B] @ x[r:r + B]
+        return out
+
+    def grads(self, w, b, with_loss=False):
+        """(dw [D, K], db [K], loss) at (w, b), P the softmax:
+        dw = (P x - S)^T / R and db = (rowsum P - n) / R. The loss, None
+        unless with_loss, is mean(max + log sum) - (<S, w> + n.b) / R."""
+        R = len(self.x)
+        self._fill(w, b)
+        m, s = T._class_softmax(self.e)  # e is P / R
+        dw = self._times_x() - self.sums / R
+        db = self.e.sum(axis=1) - self.counts / R
+        loss = None
+        if with_loss:
+            loss = float(np.mean(m + np.log(s))
+                         - ((self.sums * w.T).sum() + self.counts @ b) / R)
+        return dw.T, db, loss
+
+    def accuracy(self, w, b):
+        """The share of rows whose first largest logit is their label's, by
+        blocks: argmax copies what it reads along axis 0."""
+        self._fill(w, b)
+        B = _LOGIT_BLOCK
+        hits = sum(np.count_nonzero(self.e[:, r:r + B].argmax(axis=0) == self.labels[r:r + B])
+                   for r in range(0, len(self.x), B))
+        return hits / len(self.x)
+
+
 def fit_probe(train_feats, train_labels, num_classes,
               epochs=PROBE_EPOCHS) -> tuple[DenseLayer, float, float]:
     """Full-batch Adam fit of a single affine classifier on cached features,
     from zero weights. Returns (probe, loss, accuracy): the last epoch's mean
     cross-entropy, taken before its Adam step, and the returned probe's
-    accuracy on the training features; both are nan after zero epochs."""
+    accuracy on the training features; both are nan after zero epochs.
+    Shapes, labels and features are checked once, before any epoch; a nan
+    or inf feature raises ValueError. The epochs take their gradients from
+    _ProbeLoss and record nothing on the tape."""
     _check_epochs("probe", epochs)
-    dtype = train_feats.dtype
+    objective = _ProbeLoss(train_feats, train_labels, num_classes)
+    x = objective.x
     probe = DenseLayer(
-        w=T.Tensor(np.zeros((train_feats.shape[1], num_classes), dtype=dtype),
-                   requires_grad=True),
-        b=T.Tensor(np.zeros(num_classes, dtype=dtype), requires_grad=True))
+        w=T.Tensor(np.zeros((x.shape[1], num_classes), dtype=x.dtype), requires_grad=True),
+        b=T.Tensor(np.zeros(num_classes, dtype=x.dtype), requires_grad=True))
+    w, b = probe.w, probe.b
     opt = AdamState(probe.params())
-    x = T.Tensor(train_feats, dtype=dtype)
     loss = None
-    for _ in range(epochs):
-        loss = T.linear_cross_entropy(x, probe.w, probe.b, train_labels)
-        T.backward(loss)
-        adam_step(probe.params(), opt, PROBE_LR)
+    for epoch in range(epochs):
+        dw, db, loss = objective.grads(w.data, b.data, with_loss=epoch == epochs - 1)
+        opt.step_count += 1
+        w.data = _adam_update(opt, 0, w.data, dw, PROBE_LR)
+        b.data = _adam_update(opt, 1, b.data, db, PROBE_LR)
     if loss is None:
         return probe, float("nan"), float("nan")
-    hits = probe_predict(probe, train_feats) == np.asarray(train_labels)
-    return probe, loss.item(), float(hits.mean())
+    return probe, loss, objective.accuracy(w.data, b.data)
 
 
 def probe_predict(probe: DenseLayer, feats):

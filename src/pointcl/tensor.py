@@ -356,53 +356,59 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return _result(out_data, (x,), bw, "dropout")
 
 
-_LOGIT_BLOCK = 2048  # rows per logit product; OpenBLAS runs w.T @ x.T ~2x slower
+def _check_labels(name, R, K, labels):
+    """labels as int64, after the checks every cross-entropy over R rows of K
+    logits makes."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if R == 0:
+        raise ShapeError(f"{name}: empty batch, logits {(R, K)}")
+    if labels.shape != (R,):
+        raise ShapeError(f"{name}: {R} rows but {labels.shape} labels")
+    if labels.min() < 0 or labels.max() >= K:
+        raise IndexError(f"label out of range [0, {K})")
+    return labels
+
+
+def _class_softmax(e):
+    """Class-major logits e [K, R] become softmax(e) / R in place, each
+    column's max subtracted before the exponent. Returns the column max and
+    the column sum of exp(e - max): the log-sum-exp is max + log(sum)."""
+    m = e.max(axis=0)
+    e -= m
+    np.exp(e, out=e)
+    s = e.sum(axis=0)
+    e /= s * e.shape[1]
+    return m, s
 
 
 def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, labels) -> Tensor:
     """Mean over rows of -log softmax(x @ w + b)[label], row-max stabilized,
-    as one tape node: the loss of the linear probe and of supervised
-    finetuning.
+    as one tape node: the loss of supervised finetuning.
 
-    The logits are one class-major [K, R] array, filled block by block from
-    row-major products, so each per-row max, sum and label read runs over the
-    long axis. It becomes the softmax in place and then (P - Y) / R, the
-    logits' gradient. The forward also takes each trained parent's gradient
-    from it (so a probe on frozen x never forms the [R, D] one) and keeps
-    those alone; the backward scales them by g.
+    The logits are one class-major [K, R] array, so each per-row max, sum
+    and label read runs over the long axis. It becomes the softmax in place
+    and then (P - Y) / R, the logits' gradient, which the backward scales
+    by g and multiplies into each trained parent's gradient.
     """
     _check_affine("linear_cross_entropy", x, w, b)
-    R, K = x.shape[0], w.shape[1]
-    labels = np.asarray(labels, dtype=np.int64)
-    if R == 0:
-        raise ShapeError(f"linear_cross_entropy: empty batch, logits {(R, K)}")
-    if labels.shape != (R,):
-        raise ShapeError(f"linear_cross_entropy: {R} rows but {labels.shape} labels")
-    if labels.min() < 0 or labels.max() >= K:
-        raise IndexError(f"label out of range [0, {K})")
+    R = x.shape[0]
+    labels = _check_labels("linear_cross_entropy", R, w.shape[1], labels)
     at = labels * R + np.arange(R)  # flat [K, R] positions of the label entries
-    e = np.empty((K, R), dtype=np.result_type(x.data, w.data))
-    for r in range(0, R, _LOGIT_BLOCK):
-        e[:, r:r + _LOGIT_BLOCK] = (x.data[r:r + _LOGIT_BLOCK] @ w.data).T
+    e = np.ascontiguousarray((x.data @ w.data).T)
     e += b.data[:, None]
-    e -= e.max(axis=0)
     picked = e.reshape(-1)[at]
-    np.exp(e, out=e)
-    s = e.sum(axis=0)
-    out_data = np.mean(np.log(s) - picked)
-    e /= s * R
+    m, s = _class_softmax(e)
+    out_data = np.mean(np.log(s) - (picked - m))
     e.reshape(-1)[at] -= 1.0 / R
-    grads = []  # (parent, its gradient at g = 1)
-    if x.requires_grad:
-        grads.append((x, e.T @ w.data.T))
-    if w.requires_grad:
-        grads.append((w, (e @ x.data).T))
-    if b.requires_grad:
-        grads.append((b, e.sum(axis=1)))
 
     def bw(g):
-        for p, d in grads:
-            _accum(p, g * d)
+        d = g * e
+        if x.requires_grad:
+            _accum(x, d.T @ w.data.T)
+        if w.requires_grad:
+            _accum(w, (d @ x.data).T)
+        if b.requires_grad:
+            _accum(b, d.sum(axis=1))
 
     return _result(np.asarray(out_data, dtype=x.dtype), (x, w, b), bw,
                    "linear_cross_entropy")

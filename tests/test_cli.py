@@ -223,6 +223,27 @@ def test_classifying_without_classes_exit_2_writes_no_report(tmp_path, data_file
     assert not list(out.glob("*.csv"))
 
 
+def test_probe_nan_checkpoint_exit_2_writes_no_report(tmp_path, data_files, capsys):
+    """An encoder with one nan weight gives nan features; the probe names
+    them before its first epoch (exit 2), not as a non-finite gradient in a
+    parameter of the probe."""
+    train, test = data_files
+    ckpt = tmp_path / "run" / "checkpoint_final.pclm"
+    assert run(["pretrain", "--data", str(train), "--out", str(ckpt.parent), "--pairs", "4",
+                "--epochs", "1", "--points", "32", "--encoder-widths", "8,16"]) == 0
+    model, _ = models.load_checkpoint(ckpt)
+    model.encoder.layers[0].w.data[0, 0] = np.nan
+    bad = tmp_path / "nan.pclm"
+    models.save_checkpoint(model, bad)
+    out = tmp_path / "probe"
+    rc = run(["probe", "--train-data", str(train), "--test-data", str(test),
+              "--checkpoint", str(bad), "--out", str(out), "--points", "32",
+              "--probe-epochs", "5"])
+    assert rc == 2
+    assert "the probe's features are not finite: 40 of 40 rows" in capsys.readouterr().err
+    assert not (out / "probe_metrics.csv").exists()
+
+
 def test_missing_data_runtime_failure(tmp_path):
     rc = run(["pretrain", "--data", str(tmp_path / "nope.pcds"),
               "--out", str(tmp_path / "o"), "--epochs", "1"])

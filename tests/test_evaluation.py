@@ -15,8 +15,9 @@ from pointcl.pointcloud import (Dataset, SyntheticSpec, generate_synthetic_datas
                                 save_dataset)
 from pointcl.training import TrainConfig, pretrain
 
-from oracles import (brute_force_iou, mul, reference_cross_entropy, reference_probe_fit,
-                     reference_sample_stack, tsum)
+from oracles import (brute_force_iou, finite_difference_grads, max_rel_error, mul,
+                     reference_cross_entropy, reference_probe_fit, reference_sample_stack,
+                     tsum)
 
 
 def tiny_cfg(**kw):
@@ -116,6 +117,40 @@ def test_fit_probe_allocates_under_two_logit_arrays(rng):
 def test_fit_probe_empty_features():
     with pytest.raises(T.ShapeError, match="empty batch"):
         evaluation.fit_probe(np.zeros((0, 4), np.float32), np.zeros(0, int), 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_probe_rejects_non_finite_features(rng, monkeypatch, bad):
+    """Features from a broken encoder are named, with their row count and
+    first row, before the first epoch: not reported as a non-finite
+    gradient in the probe's weight."""
+    feats = rng.normal(size=(40, 6)).astype(np.float32)
+    feats[[7, 20], 2] = bad
+    monkeypatch.setattr(evaluation, "_adam_update", None)  # an epoch would fail on it
+    with pytest.raises(ValueError, match=r"^the probe's features are not finite: 2 of 40 "
+                                         r"rows hold a nan or inf, the first is row 7$"):
+        evaluation.fit_probe(feats, rng.integers(0, 3, size=40), 3)
+
+
+def test_probe_loss_matches_float64_finite_differences(rng):
+    """The probe's per-epoch loss and gradients at random float64 weights,
+    on features with a saturated row and labels that leave class 4 without
+    rows, against the float64 cross-entropy and its central differences.
+    Adam's update cancels a constant factor in a gradient, so only this
+    check sees a gradient that misses its 1/R or its class-sum term."""
+    R, D, K = 30, 5, 5
+    x = rng.normal(size=(R, D))
+    x[3] *= 30.0  # its softmax is one-hot in float64
+    labels = rng.integers(0, K - 1, size=R)
+    w, b = T.Tensor(rng.normal(size=(D, K))), T.Tensor(rng.normal(size=K))
+
+    def reference():
+        return reference_cross_entropy(x @ w.data + b.data, labels)[0]
+
+    dw, db, loss = evaluation._ProbeLoss(x, labels, K).grads(w.data, b.data, with_loss=True)
+    assert abs(loss - reference()) <= 1e-12 * reference()
+    fd = finite_difference_grads(reference, [w, b], h=1e-6)
+    assert max_rel_error([dw, db], fd) < 1e-6
 
 
 def test_random_classifier_chance_level(rng):
