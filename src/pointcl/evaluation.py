@@ -175,8 +175,9 @@ class _ProbeLoss:
             raise T.ShapeError(f"fit_probe: features of shape {x.shape} are not [rows, D]")
         R = len(x)
         self.labels = T._check_labels("fit_probe", R, num_classes, labels)
-        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-        if len(bad):
+        # A nan reaches max and min too, and neither forms a [rows, D] mask.
+        if not (np.isfinite(x.max()) and np.isfinite(x.min())):
+            bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
             raise ValueError(f"the probe's features are not finite: {len(bad)} of {R} rows "
                              f"hold a nan or inf, the first is row {bad[0]}")
         self.e = np.zeros((num_classes, R), dtype=x.dtype)

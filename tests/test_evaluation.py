@@ -140,7 +140,7 @@ def test_probe_loss_matches_float64_finite_differences(rng):
     check sees a gradient that misses its 1/R or its class-sum term."""
     R, D, K = 30, 5, 5
     x = rng.normal(size=(R, D))
-    x[3] *= 30.0  # its softmax is one-hot in float64
+    x[3] *= 30.0  # saturated: its largest softmax entry rounds to 1.0 in float64
     labels = rng.integers(0, K - 1, size=R)
     w, b = T.Tensor(rng.normal(size=(D, K))), T.Tensor(rng.normal(size=K))
 
