@@ -226,10 +226,11 @@ def cmd_probe(args, cfg):
 def cmd_finetune(args, cfg):
     train_ds, test_ds = load_dataset(args.train_data), load_dataset(args.test_data)
     tc = make_train_config(cfg)
+    model, _ = models.load_checkpoint(args.checkpoint)
     rows = []
     for init_head in ([False, True] if args.init_head else [False]):
         m = evaluation.pretrain_finetune_eval(
-            args.checkpoint, train_ds, test_ds, tc,
+            model, train_ds, test_ds, tc,
             finetune_epochs=cfg["finetune_epochs"], init_head=init_head)
         rows.append(m.row())
     _emit_report(rows, args.out, "finetune_metrics")

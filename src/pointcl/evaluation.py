@@ -5,7 +5,10 @@ on another."""
 
 from __future__ import annotations
 
+import copy
 import csv
+import hashlib
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -112,26 +115,73 @@ def _check_classes(train_ds: Dataset, test_ds: Dataset):
             f"class-count mismatch: {train_ds.num_classes} vs {test_ds.num_classes}")
 
 
-def _features(model: ModelParams, ds: Dataset, points_per_cloud, seed: int, embed):
-    """Stack the clouds of ds by sample_stack under default_rng(seed), then
-    embed(global, per_point) in eval mode over _EVAL_BATCH clouds at a time,
-    each batch written into one features array. The last batch is filled up
-    with the set's first clouds and only its own rows are kept: every encode
-    call has one shape, so a cloud's features do not depend on the size of
-    its set (BLAS rounds a product by its row count). Returns (features
-    [S, ...], point labels [S, N] or None unless every cloud has them, class
-    labels [S])."""
+def _stack(ds: Dataset, points_per_cloud, seed: int):
+    """The clouds of ds by sample_stack under default_rng(seed): (points
+    [S, N, 3], point labels [S, N] or None unless every cloud has them)."""
     _check_nonempty(ds)
-    points, labels = sample_stack(ds.samples, points_per_cloud, np.random.default_rng(seed))
-    S, feats = len(points), None
+    return sample_stack(ds.samples, points_per_cloud, np.random.default_rng(seed))
+
+
+def _class_labels(ds: Dataset):
+    return np.array([p.class_label for p in ds.samples])
+
+
+def _in_batches(rows, fn):
+    """fn over _EVAL_BATCH rows at a time, each batch's result written into
+    one array. The last batch is filled up with the first rows and only its
+    own rows are kept: every call has one shape, so a row's result does not
+    depend on how many rows there are (BLAS rounds a product by its row
+    count)."""
+    S, out = len(rows), None
     for i in range(0, S, _EVAL_BATCH):
-        batch = points[np.arange(i, i + _EVAL_BATCH) % S]
-        g, pp = models.encode(batch, model.encoder, training=False)
-        f = embed(g, pp).data[:S - i]
-        if feats is None:
-            feats = np.empty((S,) + f.shape[1:], dtype=f.dtype)
-        feats[i:i + len(f)] = f
-    return feats, labels, np.array([p.class_label for p in ds.samples])
+        f = fn(rows[np.arange(i, i + _EVAL_BATCH) % S]).data[:S - i]
+        if out is None:
+            out = np.empty((S,) + f.shape[1:], dtype=f.dtype)
+        out[i:i + len(f)] = f
+    return out
+
+
+# id(encoder) -> {digest: global features}, for the encoder object's latest
+# sets, oldest first; an entry goes with its encoder (weakref.finalize).
+_MEMO: dict = {}
+_MEMO_SETS = 2  # a protocol asks for its train set, then its test set
+
+
+def _digest(points, enc):
+    """SHA-256 of the stack and of every array an eval-mode encode reads,
+    each with its dtype and shape, so an encoder trained or edited in place
+    gives another digest."""
+    arrays = [points]
+    for l in enc.layers:
+        arrays += [l.w.data, l.bn.gamma.data, l.bn.beta.data, l.bn.running_mean,
+                   l.bn.running_var]
+    h = hashlib.sha256()
+    for a in map(np.ascontiguousarray, arrays):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a)
+    return h.digest()
+
+
+def _global_features(model: ModelParams, ds: Dataset, points_per_cloud, seed: int):
+    """Eval-mode global features g [S, D_g], read-only, and class labels
+    [S] of ds's clouds under seed (see _stack), encoded in _in_batches. The
+    encoder object keeps g for its _MEMO_SETS latest sets, keyed by _digest,
+    so the feature sources of one set share one encode pass."""
+    points, _ = _stack(ds, points_per_cloud, seed)
+    enc = model.encoder
+    memo = _MEMO.get(id(enc))
+    if memo is None:
+        memo = _MEMO[id(enc)] = {}
+        weakref.finalize(enc, _MEMO.pop, id(enc), None)
+    key = _digest(points, enc)
+    g = memo.pop(key, None)
+    if g is None:
+        g = _in_batches(points, lambda b: models.encode(b, enc, training=False)[0])
+        g.flags.writeable = False
+    memo[key] = g
+    if len(memo) > _MEMO_SETS:
+        del memo[next(iter(memo))]
+    return g, _class_labels(ds)
 
 
 def feature_sources(name: str) -> list:
@@ -148,15 +198,15 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
                      seed: int = 0, source: str = "encoder"):
     """Eval-mode features for every sample from one feature source (see
     feature_sources), of the clouds sample_stack gives under seed. Returns
-    (features [S, D], labels [S])."""
+    (features [S, D], labels [S]). The encoder features are the read-only
+    array _global_features keeps; the head features project it over the
+    same filled batches."""
     if feature_sources(source) != [source]:
         raise ValueError(f"extract_features takes one feature source, got {source!r}")
-
-    def embed(g, pp):
-        return models.project(g, model.head, training=False) if source == "head" else g
-
-    feats, _, labels = _features(model, ds, points_per_cloud, seed, embed)
-    return feats, labels
+    g, labels = _global_features(model, ds, points_per_cloud, seed)
+    if source == "head":
+        g = _in_batches(g, lambda b: models.project(T.Tensor(b), model.head, training=False))
+    return g, labels
 
 
 _LOGIT_BLOCK = 2048  # rows per block of the probe's products; longer blocks ran slower
@@ -167,7 +217,8 @@ class _ProbeLoss:
     [R, D], with the label terms formed once: the class counts n [K] and
     class sums S = Y^T x [K, D], Y the one-hot labels. Every call fills the
     same class-major [K, R] array, whose columns' max and sum run along the
-    long axis. A nan or inf feature raises ValueError before anything."""
+    long axis. A nan or inf feature raises FloatingPointError before
+    anything."""
 
     def __init__(self, x, labels, num_classes):
         self.x = x = np.asarray(x)
@@ -178,8 +229,9 @@ class _ProbeLoss:
         # A nan reaches max and min too, and neither forms a [rows, D] mask.
         if not (np.isfinite(x.max()) and np.isfinite(x.min())):
             bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-            raise ValueError(f"the probe's features are not finite: {len(bad)} of {R} rows "
-                             f"hold a nan or inf, the first is row {bad[0]}")
+            raise FloatingPointError(
+                f"the probe's features are not finite: {len(bad)} of {R} rows "
+                f"hold a nan or inf, the first is row {bad[0]}")
         self.e = np.zeros((num_classes, R), dtype=x.dtype)
         self.e[self.labels, np.arange(R)] = 1  # Y^T
         self.sums, self.counts = self._times_x(), self.e.sum(axis=1)
@@ -230,8 +282,9 @@ def fit_probe(train_feats, train_labels, num_classes,
     cross-entropy, taken before its Adam step, and the returned probe's
     accuracy on the training features; both are nan after zero epochs.
     Shapes, labels and features are checked once, before any epoch; a nan
-    or inf feature raises ValueError. The epochs take their gradients from
-    _ProbeLoss and record nothing on the tape."""
+    or inf feature raises FloatingPointError, as a non-finite gradient
+    does. The epochs take their gradients from _ProbeLoss and record nothing
+    on the tape."""
     _check_epochs("probe", epochs)
     objective = _ProbeLoss(train_feats, train_labels, num_classes)
     x = objective.x
@@ -279,25 +332,25 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
 # Pretraining (finetune) evaluation
 # ---------------------------------------------------------------------------
 
-def pretrain_finetune_eval(checkpoint_path, train_ds: Dataset, test_ds: Dataset,
+def pretrain_finetune_eval(pretrained: ModelParams, train_ds: Dataset, test_ds: Dataset,
                            cfg: TrainConfig, finetune_epochs: int = FINETUNE_EPOCHS,
                            init_head: bool = False):
     """Initialize a supervised classifier's encoder (and optionally its MLP
-    branch) from an unsupervised checkpoint, train it, report test metrics.
-    Training draws from cfg.seed; the test set's clouds are sampled (see
-    sample_stack) under cfg.seed + 1, as the probes sample theirs."""
+    branch) from a copy of an unsupervised model, train it, report test
+    metrics; pretrained is left unchanged. Training draws from cfg.seed; the
+    test set's clouds are sampled (see sample_stack) under cfg.seed + 1, as
+    the probes sample theirs."""
     _check_epochs("finetune", finetune_epochs)
     _check_classes(train_ds, test_ds)
-    pretrained, _ = models.load_checkpoint(checkpoint_path)
     rng = np.random.default_rng(cfg.seed)
     # the head's last layer gives the class logits
     sup = models.ModelParams.create(
         rng, encoder_widths=pretrained.encoder.widths,
         head_widths=pretrained.head.widths[:-1] + [train_ds.num_classes],
         dropout_rate=cfg.dropout_rate)
-    sup.encoder = pretrained.encoder  # weights and batch-norm statistics
+    sup.encoder = copy.deepcopy(pretrained.encoder)  # weights and batch-norm statistics
     if init_head:  # all head layers but the final class-count affine
-        sup.head.layers[:-1] = pretrained.head.layers[:-1]
+        sup.head.layers[:-1] = copy.deepcopy(pretrained.head.layers[:-1])
     return _supervised_fit_eval(sup, train_ds, test_ds, cfg, finetune_epochs,
                                 rng, tags={"protocol": "finetune", "head_init": init_head})
 
@@ -319,9 +372,9 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
         T.backward(T.linear_cross_entropy(h, last.w, last.b, labels_all[idx]))
         del g, h  # frees the step's tape before the update and the next batch
         adam_step(params, opt, cfg.lr_init)
-    logits, _, gts = _features(sup, test_ds, cfg.points_per_cloud, cfg.seed + 1,
-                               lambda g, pp: models.project(g, sup.head, False,
-                                                            normalize=False))
+    g, gts = _global_features(sup, test_ds, cfg.points_per_cloud, cfg.seed + 1)
+    logits = _in_batches(g, lambda b: models.project(T.Tensor(b), sup.head, False,
+                                                     normalize=False))
     return classification_metrics(logits.argmax(axis=1), gts, test_ds.num_classes,
                                   tags=tags)
 
@@ -367,8 +420,13 @@ def extract_point_features(model: ModelParams, ds: Dataset, points_per_cloud,
     """Eval-mode per-point embeddings [S, N, D], point labels [S, N] (None
     unless every sample has them) and class labels [S], of the clouds
     sample_stack gives under seed."""
-    return _features(model, ds, points_per_cloud, seed,
-                     lambda g, pp: models.segment_embed(pp, g, model.seg, training=False))
+    points, labels = _stack(ds, points_per_cloud, seed)
+
+    def embed(batch):
+        g, pp = models.encode(batch, model.encoder, training=False)
+        return models.segment_embed(pp, g, model.seg, training=False)
+
+    return _in_batches(points, embed), labels, _class_labels(ds)
 
 
 def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:

@@ -223,10 +223,11 @@ def test_classifying_without_classes_exit_2_writes_no_report(tmp_path, data_file
     assert not list(out.glob("*.csv"))
 
 
-def test_probe_nan_checkpoint_exit_2_writes_no_report(tmp_path, data_files, capsys):
+def test_probe_nan_checkpoint_exit_1_writes_no_report(tmp_path, data_files, capsys):
     """An encoder with one nan weight gives nan features; the probe names
-    them before its first epoch (exit 2), not as a non-finite gradient in a
-    parameter of the probe."""
+    them before its first epoch, not as a non-finite gradient in a
+    parameter of the probe. The file is broken, not the configuration: a
+    runtime failure (exit 1) with a .failed marker."""
     train, test = data_files
     ckpt = tmp_path / "run" / "checkpoint_final.pclm"
     assert run(["pretrain", "--data", str(train), "--out", str(ckpt.parent), "--pairs", "4",
@@ -239,9 +240,69 @@ def test_probe_nan_checkpoint_exit_2_writes_no_report(tmp_path, data_files, caps
     rc = run(["probe", "--train-data", str(train), "--test-data", str(test),
               "--checkpoint", str(bad), "--out", str(out), "--points", "32",
               "--probe-epochs", "5"])
-    assert rc == 2
-    assert "the probe's features are not finite: 40 of 40 rows" in capsys.readouterr().err
+    assert rc == 1
+    assert ("runtime failure: the probe's features are not finite: 40 of 40 rows"
+            in capsys.readouterr().err)
+    assert (out / ".failed").read_text().startswith(
+        "FloatingPointError: the probe's features are not finite: ")
     assert not (out / "probe_metrics.csv").exists()
+
+
+@pytest.fixture
+def ci_files(tmp_path):
+    """The CI's sets, 24 training and 12 test clouds of 32 points, and a
+    checkpoint pretrained on the training set."""
+    train, test, run_dir = tmp_path / "train.pcds", tmp_path / "test.pcds", tmp_path / "run"
+    assert run(["gen-data", "--per-class", "6", "--points", "32", "--out", str(train)]) == 0
+    assert run(["gen-data", "--per-class", "3", "--points", "32", "--seed", "1",
+                "--split", "test", "--out", str(test)]) == 0
+    assert run(["pretrain", "--data", str(train), "--out", str(run_dir), "--pairs", "4",
+                "--epochs", "1", "--points", "32", "--encoder-widths", "8,16",
+                "--head-widths", "8,4"]) == 0
+    return train, test, run_dir / "checkpoint_final.pclm"
+
+
+def _count_calls(monkeypatch, module, name):
+    calls, fn = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_probe_both_sources_encode_each_set_once(tmp_path, ci_files, monkeypatch):
+    """probe --features both encodes the training set and the test set once
+    each, and export-features --features both its one set once: the head
+    source reads the encoder source's features."""
+    train, test, ckpt = ci_files
+    calls = _count_calls(monkeypatch, models, "encode")
+    assert run(["probe", "--train-data", str(train), "--test-data", str(test),
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "probe"),
+                "--points", "32", "--probe-epochs", "5", "--features", "both"]) == 0
+    assert len(calls) == 2
+    del calls[:]
+    assert run(["export-features", "--data", str(test), "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "features"), "--points", "32",
+                "--features", "both"]) == 0
+    assert len(calls) == 1
+    for source in ("encoder", "head"):
+        assert (tmp_path / "features" / f"features_{source}.csv").exists()
+
+
+def test_finetune_init_head_reads_the_checkpoint_once(tmp_path, ci_files, monkeypatch):
+    """finetune --init-head reports two rows from one read of the checkpoint."""
+    train, test, ckpt = ci_files
+    calls = _count_calls(monkeypatch, models, "load_checkpoint")
+    assert run(["finetune", "--train-data", str(train), "--test-data", str(test),
+                "--checkpoint", str(ckpt), "--out", str(tmp_path / "finetune"),
+                "--points", "32", "--pairs", "4", "--finetune-epochs", "1",
+                "--init-head"]) == 0
+    assert len(calls) == 1
+    rows = (tmp_path / "finetune" / "finetune_metrics.csv").read_text().splitlines()
+    assert len(rows) == 3
 
 
 def test_missing_data_runtime_failure(tmp_path):

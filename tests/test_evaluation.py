@@ -1,4 +1,5 @@
 import copy
+import gc
 import tracemalloc
 from dataclasses import replace
 
@@ -127,8 +128,9 @@ def test_fit_probe_rejects_non_finite_features(rng, monkeypatch, bad):
     feats = rng.normal(size=(40, 6)).astype(np.float32)
     feats[[7, 20], 2] = bad
     monkeypatch.setattr(evaluation, "_adam_update", None)  # an epoch would fail on it
-    with pytest.raises(ValueError, match=r"^the probe's features are not finite: 2 of 40 "
-                                         r"rows hold a nan or inf, the first is row 7$"):
+    with pytest.raises(FloatingPointError,
+                       match=r"^the probe's features are not finite: 2 of 40 "
+                             r"rows hold a nan or inf, the first is row 7$"):
         evaluation.fit_probe(feats, rng.integers(0, 3, size=40), 3)
 
 
@@ -197,8 +199,7 @@ def test_probe_head_source_tagged(small_dataset):
 
 
 @pytest.mark.parametrize("protocol", ["probe", "finetune", "ablate"])
-def test_probe_class_count_mismatch(tmp_path, monkeypatch, small_dataset, seg_dataset,
-                                    protocol):
+def test_probe_class_count_mismatch(monkeypatch, small_dataset, seg_dataset, protocol):
     """A 2-class training set and a 4-class test set are an error, raised
     before any checkpoint is read or model pretrained: a classifier over 2
     classes cannot be scored on 4."""
@@ -216,20 +217,19 @@ def test_probe_class_count_mismatch(tmp_path, monkeypatch, small_dataset, seg_da
             linear_probe_eval(model, seg_dataset, small_dataset, points_per_cloud=32,
                               probe_epochs=5)
         elif protocol == "finetune":
-            pretrain_finetune_eval(tmp_path / "model.pclm", seg_dataset, small_dataset,
-                                   tiny_cfg(), finetune_epochs=1)
+            pretrain_finetune_eval(model, seg_dataset, small_dataset, tiny_cfg(),
+                                   finetune_epochs=1)
         else:
             ablate_transforms(seg_dataset, small_dataset, tiny_cfg(), ["rotate:y:180"])
 
 
-def test_finetune_samples_its_test_set_at_seed_plus_one(tmp_path, monkeypatch, seg_dataset):
+def test_finetune_samples_its_test_set_at_seed_plus_one(monkeypatch, seg_dataset):
     """The test set's clouds are sampled under default_rng(cfg.seed + 1), as
     the probes sample theirs, not from the rng that finetuning trained with:
     a test cloud of another size is resampled the same way whatever the
     training drew."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4])
-    models.save_checkpoint(model, tmp_path / "model.pclm")
     odd = sample_points(seg_dataset[0], 40, np.random.default_rng(0))
     test = replace(seg_dataset, samples=[odd] + seg_dataset.samples[1:], split="test")
     states = []
@@ -241,29 +241,25 @@ def test_finetune_samples_its_test_set_at_seed_plus_one(tmp_path, monkeypatch, s
 
     monkeypatch.setattr(evaluation, "sample_stack", spy)
     cfg = tiny_cfg(seed=3, points_per_cloud=64)
-    pretrain_finetune_eval(tmp_path / "model.pclm", seg_dataset, test, cfg,
-                           finetune_epochs=2)
+    pretrain_finetune_eval(model, seg_dataset, test, cfg, finetune_epochs=2)
     assert states == [np.random.default_rng(cfg.seed + 1).bit_generator.state]
 
 
-def test_finetune_head_init_pair(tmp_path, small_dataset):
+def test_finetune_head_init_pair(small_dataset):
     cfg = tiny_cfg(epochs=1)
-    pretrain(small_dataset, cfg, out_dir=str(tmp_path))
-    ckpt = str(tmp_path / "checkpoint_final.pclm")
-    m_off = pretrain_finetune_eval(ckpt, small_dataset, small_dataset, cfg,
+    model, _ = pretrain(small_dataset, cfg)
+    m_off = pretrain_finetune_eval(model, small_dataset, small_dataset, cfg,
                                    finetune_epochs=1, init_head=False)
-    m_on = pretrain_finetune_eval(ckpt, small_dataset, small_dataset, cfg,
+    m_on = pretrain_finetune_eval(model, small_dataset, small_dataset, cfg,
                                   finetune_epochs=1, init_head=True)
     assert m_off.tags["head_init"] is False
     assert m_on.tags["head_init"] is True
 
 
-def test_finetune_zero_epochs_chance(tmp_path, small_dataset):
+def test_finetune_zero_epochs_chance(small_dataset):
     cfg = tiny_cfg(epochs=1)
-    pretrain(small_dataset, cfg, out_dir=str(tmp_path))
-    m = pretrain_finetune_eval(str(tmp_path / "checkpoint_final.pclm"),
-                               small_dataset, small_dataset, cfg,
-                               finetune_epochs=0)
+    model, _ = pretrain(small_dataset, cfg)
+    m = pretrain_finetune_eval(model, small_dataset, small_dataset, cfg, finetune_epochs=0)
     assert 0.0 <= m.overall_accuracy <= 0.6  # untrained head, near chance
 
 
@@ -343,13 +339,12 @@ def test_protocols_report_a_bare_empty_set(seg_dataset, protocol, empty_first):
 
 
 @pytest.mark.parametrize("protocol", ["probe", "segmentation", "finetune"])
-def test_protocols_reject_negative_epochs(tmp_path, monkeypatch, seg_dataset, protocol):
+def test_protocols_reject_negative_epochs(monkeypatch, seg_dataset, protocol):
     """A negative epoch count is an error that names it, not an untrained
     probe or classifier reported as a result. It is raised before any
     checkpoint is read or any cloud sampled or encoded."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
-    models.save_checkpoint(model, tmp_path / "model.pclm")
 
     def called(*args, **kwargs):
         raise AssertionError("called before the epoch check")
@@ -365,20 +360,18 @@ def test_protocols_reject_negative_epochs(tmp_path, monkeypatch, seg_dataset, pr
             segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=32,
                               probe_epochs=-3)
         else:
-            pretrain_finetune_eval(tmp_path / "model.pclm", seg_dataset, seg_dataset,
-                                   tiny_cfg(), finetune_epochs=-3)
+            pretrain_finetune_eval(model, seg_dataset, seg_dataset, tiny_cfg(),
+                                   finetune_epochs=-3)
 
 
 @pytest.mark.parametrize("protocol", ["probe", "finetune", "ablate"])
 @pytest.mark.parametrize("few", [0, 1])
-def test_classifying_protocols_need_two_classes(tmp_path, monkeypatch, small_dataset,
-                                                protocol, few):
+def test_classifying_protocols_need_two_classes(monkeypatch, small_dataset, protocol, few):
     """A set that declares fewer than 2 classes is an error that names its
     split and count, raised before any checkpoint is read, cloud encoded or
     model pretrained."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4])
-    models.save_checkpoint(model, tmp_path / "model.pclm")
 
     def called(*args, **kwargs):
         raise AssertionError("called before the class-count check")
@@ -392,8 +385,8 @@ def test_classifying_protocols_need_two_classes(tmp_path, monkeypatch, small_dat
             linear_probe_eval(model, small_dataset, test, points_per_cloud=32,
                               probe_epochs=5)
         elif protocol == "finetune":
-            pretrain_finetune_eval(tmp_path / "model.pclm", small_dataset, test,
-                                   tiny_cfg(), finetune_epochs=1)
+            pretrain_finetune_eval(model, small_dataset, test, tiny_cfg(),
+                                   finetune_epochs=1)
         else:
             ablate_transforms(small_dataset, test, tiny_cfg(), ["rotate:y:180"])
 
@@ -467,13 +460,12 @@ def test_point_features_batched_match_per_cloud_loop():
 
 
 @pytest.mark.parametrize("protocol", ["probe", "segmentation", "supervised"])
-def test_evaluation_equals_per_cloud_sampler(tmp_path, monkeypatch, seg_dataset, protocol):
+def test_evaluation_equals_per_cloud_sampler(monkeypatch, seg_dataset, protocol):
     """Each protocol gives the metrics (and probe predictions) it gave when
     every cloud was resampled on its own and stacked. The supervised case
-    finetunes from a checkpoint of the model."""
+    finetunes from the model."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
-    models.save_checkpoint(model, tmp_path / "model.pclm")
 
     def run():
         if protocol == "probe":
@@ -483,7 +475,7 @@ def test_evaluation_equals_per_cloud_sampler(tmp_path, monkeypatch, seg_dataset,
         if protocol == "segmentation":
             return segmentation_eval(model, seg_dataset, seg_dataset,
                                      points_per_cloud=32, probe_epochs=20, seed=2)
-        return pretrain_finetune_eval(tmp_path / "model.pclm", seg_dataset, seg_dataset,
+        return pretrain_finetune_eval(model, seg_dataset, seg_dataset,
                                       tiny_cfg(seed=3), finetune_epochs=2)
 
     stacked = run()
@@ -618,6 +610,124 @@ def test_features_do_not_depend_on_the_set_size(widths):
             assert np.array_equal(got[32], want[32])
     for got, want in zip(features(3), features(35)):
         assert np.array_equal(got, want[:3])
+
+
+def _count_encodes(monkeypatch):
+    """A list that grows by one per models.encode call from now on."""
+    calls, encode = [], models.encode
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[0]))
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(models, "encode", spy)
+    return calls
+
+
+def _forty_clouds():
+    spec = SyntheticSpec(classes=["cylinder", "cube"], per_class=20, points_per_cloud=64,
+                         with_parts=True)
+    return generate_synthetic_dataset(spec, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("widths", [[32, 64, 128], [64, 64, 64, 128, 1024]],
+                         ids=["desk", "full"])
+def test_feature_sources_share_one_encode_pass(monkeypatch, widths):
+    """The encoder and head features of one set come from one encode pass
+    (40 clouds: 2 calls), and equal a cold call's bit for bit; a cold call
+    is one on a copy of the model, which shares no stored features. The
+    encoder features are read-only."""
+    ds = _forty_clouds()
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=widths,
+                                      head_widths=[32, 16])
+    calls = _count_encodes(monkeypatch)
+    got = {s: evaluation.extract_features(model, ds, 64, seed=9, source=s)[0]
+           for s in ("encoder", "head")}
+    again, _ = evaluation.extract_features(model, ds, 64, seed=9)
+    assert calls == [evaluation._EVAL_BATCH] * 2
+    assert again is got["encoder"]
+    assert not again.flags.writeable
+    for source, feats in got.items():
+        cold, _ = evaluation.extract_features(copy.deepcopy(model), ds, 64, seed=9,
+                                              source=source)
+        assert feats.dtype == cold.dtype == np.float32
+        assert np.array_equal(feats, cold)
+
+
+@pytest.mark.parametrize("edit", ["running_var", "weight"])
+def test_an_encoder_edited_in_place_is_encoded_again(monkeypatch, edit):
+    """One running-variance entry or one weight set in place after a call:
+    the next call encodes again and gives a cold call's features."""
+    ds = _forty_clouds()
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[32, 64, 128],
+                                      head_widths=[32, 16])
+    before, _ = evaluation.extract_features(model, ds, 64, seed=9)
+    layer = model.encoder.layers[1]
+    if edit == "running_var":
+        layer.bn.running_var[3] = 4.0
+    else:
+        layer.w.data[2, 5] = 0.5
+    calls = _count_encodes(monkeypatch)
+    after, _ = evaluation.extract_features(model, ds, 64, seed=9)
+    assert len(calls) == 2
+    cold, _ = evaluation.extract_features(copy.deepcopy(model), ds, 64, seed=9)
+    assert np.array_equal(after, cold)
+    assert not np.array_equal(after, before)
+
+
+def test_stored_features_go_with_the_model(monkeypatch):
+    """An encoder keeps the features of its two latest sets only, and none
+    once the model is gone."""
+    ds = _forty_clouds()
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4])
+    key = id(model.encoder)
+    for seed in (1, 2, 3):
+        evaluation.extract_features(model, ds, 50, seed=seed)
+    assert len(evaluation._MEMO[key]) == 2
+    calls = _count_encodes(monkeypatch)
+    evaluation.extract_features(model, ds, 50, seed=3)
+    assert calls == []
+    evaluation.extract_features(model, ds, 50, seed=1)
+    assert len(calls) == 2
+    del model
+    gc.collect()
+    assert key not in evaluation._MEMO
+
+
+def test_point_features_never_read_the_stored_features(monkeypatch):
+    """extract_point_features encodes its set on every call and neither
+    reads nor fills what extract_features stores."""
+    ds = _forty_clouds()
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+
+    def called(*args, **kwargs):
+        raise AssertionError("the per-point path read the stored features")
+
+    calls = _count_encodes(monkeypatch)
+    for name in ("_global_features", "_digest"):
+        monkeypatch.setattr(evaluation, name, called)
+    first = evaluation.extract_point_features(model, ds, 64, seed=9)[0]
+    second = evaluation.extract_point_features(model, ds, 64, seed=9)[0]
+    assert len(calls) == 4
+    assert np.array_equal(first, second)
+    assert id(model.encoder) not in evaluation._MEMO
+
+
+def test_finetune_leaves_the_model_unchanged(small_dataset):
+    """Finetuning trains copies of the pretrained encoder and head layers:
+    the model passed in keeps every array, batch-norm statistics included."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4])
+    arrays = [p.data for p in model.params()] + [
+        a for l in model.encoder.layers for a in (l.bn.running_mean, l.bn.running_var)]
+    kept = [a.copy() for a in arrays]
+    pretrain_finetune_eval(model, small_dataset, small_dataset, tiny_cfg(),
+                           finetune_epochs=1, init_head=True)
+    after = [p.data for p in model.params()] + [
+        a for l in model.encoder.layers for a in (l.bn.running_mean, l.bn.running_var)]
+    assert all(np.array_equal(a, b) for a, b in zip(after, kept))
 
 
 def test_segmentation_eval_needs_labels(small_dataset, seg_dataset):
