@@ -211,6 +211,7 @@ def cmd_pretrain(args, cfg):
 
 def cmd_probe(args, cfg):
     train_ds, test_ds = load_dataset(args.train_data), load_dataset(args.test_data)
+    evaluation._check_classes(train_ds, test_ds)  # before the checkpoint is read
     model, _ = models.load_checkpoint(args.checkpoint)
     rows = []
     for source in evaluation.feature_sources(cfg["features"]):
@@ -225,6 +226,7 @@ def cmd_probe(args, cfg):
 
 def cmd_finetune(args, cfg):
     train_ds, test_ds = load_dataset(args.train_data), load_dataset(args.test_data)
+    evaluation._check_classes(train_ds, test_ds)  # before the checkpoint is read
     tc = make_train_config(cfg)
     model, _ = models.load_checkpoint(args.checkpoint)
     rows = []

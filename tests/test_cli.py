@@ -223,6 +223,28 @@ def test_classifying_without_classes_exit_2_writes_no_report(tmp_path, data_file
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("command", ["probe", "finetune"])
+def test_class_count_mismatch_exit_2_reads_no_checkpoint(tmp_path, data_files, capsys,
+                                                         monkeypatch, command):
+    """A 2-class test file against a 4-class training file is a configuration
+    error found before the checkpoint is read."""
+    train, _ = data_files
+    test = tmp_path / "test_2cls.pcds"
+    assert run(["gen-data", "--classes", "sphere,cube", "--per-class", "3", "--points", "32",
+                "--split", "test", "--out", str(test)]) == 0
+
+    def called(*args, **kwargs):
+        raise AssertionError("checkpoint read before the class-count check")
+
+    monkeypatch.setattr(models, "load_checkpoint", called)
+    out = tmp_path / command
+    rc = run([command, "--train-data", str(train), "--test-data", str(test),
+              "--checkpoint", str(tmp_path / "none.pclm"), "--out", str(out), "--points", "32"])
+    assert rc == 2
+    assert "class-count mismatch: 4 vs 2" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
 def test_probe_nan_checkpoint_exit_1_writes_no_report(tmp_path, data_files, capsys):
     """An encoder with one nan weight gives nan features; the probe names
     them before its first epoch, not as a non-finite gradient in a
@@ -481,6 +503,7 @@ def test_key_default_and_flag_reach_the_library(key, tmp_path, monkeypatch):
     monkeypatch.setattr(models, "load_checkpoint", lambda path: (None, {}))
     monkeypatch.setattr(cli, "pretrain", lambda *a, **k: (None, []))
     monkeypatch.setattr(evaluation, "check_segmentation_sets", lambda *a: None)
+    monkeypatch.setattr(evaluation, "_check_classes", lambda *a: None)
     for command, fn, keyword in target:
         assert default == inspect.signature(getattr(evaluation, fn)).parameters[keyword].default
         seen = {}
