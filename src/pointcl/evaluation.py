@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import hashlib
 import weakref
 from dataclasses import dataclass, field, replace
 
@@ -150,7 +149,10 @@ _MEMO_SETS = 2  # a protocol asks for its train set, then its test set
 def _digest(points, enc):
     """SHA-256 of the stack and of every array an eval-mode encode reads,
     each with its dtype and shape, so an encoder trained or edited in place
-    gives another digest."""
+    gives another digest. hashlib is imported here, so a process that never
+    digests does not load its crypto library."""
+    import hashlib
+
     arrays = [points]
     for l in enc.layers:
         arrays += [l.w.data, l.bn.gamma.data, l.bn.beta.data, l.bn.running_mean,
@@ -453,9 +455,10 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
     if model.seg is None:
         raise ValueError("model has no segmentation branch")
     tr_f, tr_y, _ = extract_point_features(model, train_ds, points_per_cloud, seed)
-    te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
     probe, loss, acc = fit_probe(tr_f.reshape(-1, tr_f.shape[-1]), tr_y.reshape(-1),
                                  train_ds.num_parts, epochs=probe_epochs)
+    del tr_f, tr_y  # the fit is done: they are not kept beside the test set's
+    te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
     # One predict per cloud: BLAS rounds a [S*N, D] product differently for
     # many feature and part counts, and that can move a tied argmax.
     preds = [probe_predict(probe, f) for f in te_f]

@@ -39,7 +39,8 @@ class Tensor:
     ------
     data : np.ndarray (row-major)
     requires_grad : bool
-    grad : same-shape read-only np.ndarray, maybe a view another grad shares
+    grad : same-shape read-only np.ndarray, maybe a view another grad shares;
+        None again on an interior node once backward has spent it
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -121,11 +122,13 @@ def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
+    """max(x, 0); the backward derives its mask from the output, so the node
+    keeps one array. max(x, 0) > 0 exactly where x > 0: subgradient 0 at the
+    tie x == 0 and at a NaN."""
     out_data = np.maximum(x.data, 0)
-    mask = x.data > 0  # subgradient 0 at the tie x == 0
 
     def bw(g):
-        _accum(x, g * mask)
+        _accum(x, g * (out_data > 0))
 
     return _result(out_data, (x,), bw, "relu")
 
@@ -519,8 +522,11 @@ def backward(loss: Tensor) -> None:
     """Populate .grad of every requires_grad tensor reachable from loss.
 
     loss must be a scalar. Walks the recorded graph in reverse topological
-    order; each node's local backward accumulates into its parents. Leaf
-    gradients add up over calls; intermediate ones are reset first.
+    order; each node's local backward accumulates into its parents. Leaves
+    keep their gradients, which add up over calls. An interior node's
+    gradient lives only until it is spent: it is None again once the node's
+    own backward has run. Interior gradients are also reset before the walk,
+    so a walk that raised part-way leaves none for the next call to add to.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -546,3 +552,4 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = None  # spent: its parents hold what they need

@@ -1,12 +1,22 @@
 """tools/bench.py, the paired-run tool, on two copies of this tree."""
 
+import importlib.util
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
+
+
+def _bench_module():
+    spec = importlib.util.spec_from_file_location("bench", REPO / "tools" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _copy_tree(dest):
@@ -80,3 +90,30 @@ def test_failed_runs_read_no_stale_result(tmp_path):
         assert (r["correct"], r["quality"], r["metrics"]) == (False, None, {})
     assert out["quality"][0]["equal_pairs"] == 0
     assert out["rows"] == []
+
+
+@pytest.mark.parametrize("better", ["lower", "higher"])
+@pytest.mark.parametrize("gaps, won, exceeds, claim_met", [
+    ([-10.0] * 10, 10, True, True),              # better in every pair, beyond the spread
+    ([-10.0] * 9 + [10.0], 9, True, True),       # 9 of 10 is enough
+    ([-10.0] * 8 + [10.0] * 2, 8, True, False),  # 8 of 10 is not
+    ([-0.5] * 10, 10, False, False),             # every pair, but within the spread
+    ([10.0] * 10, 0, True, False),               # as wide a gap, the wrong way
+], ids=["all-won", "nine-won", "eight-won", "within-spread", "worse"])
+def test_claim_needs_nine_in_ten_and_a_gap_beyond_the_spread(better, gaps, won, exceeds,
+                                                             claim_met):
+    """Synthetic pairs of one metric, no benchmark run: the parent reads
+    10..19 (quartiles 12.25 and 16.75, a spread of 4.5), and each change
+    run differs from its pair's parent by the given gap, negative meaning
+    better. The median gap is at least 8, or 0.5; the either-way
+    gap_exceeds_parent_spread reads true for a worsening too, claim_met
+    does not."""
+    bench = _bench_module()
+    sign = 1.0 if better == "lower" else -1.0
+    runs = [({"metrics": {"m": 10.0 + i}}, {"metrics": {"m": 10.0 + i + sign * gap}})
+            for i, gap in enumerate(gaps)]
+    row = bench.summarise(runs, {"name": "m", "unit": "s", "better": better, "bound": 0.25})
+    assert (row["parent_q1"], row["parent_q3"]) == (12.25, 16.75)
+    assert row["change_won"] == won
+    assert row["gap_exceeds_parent_spread"] is exceeds
+    assert row["claim_met"] is claim_met

@@ -1,6 +1,7 @@
 import copy
 import gc
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -713,6 +714,26 @@ def test_point_features_never_read_the_stored_features(monkeypatch):
     assert len(calls) == 4
     assert np.array_equal(first, second)
     assert id(model.encoder) not in evaluation._MEMO
+
+
+def test_segmentation_eval_frees_train_features_before_the_test_set(monkeypatch,
+                                                                   seg_dataset):
+    """segmentation_eval fits its probe on the train set's per-point
+    features, then drops them and their point labels: a weakref to each is
+    dead when the test set's extract_point_features call starts."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    extract, refs, alive = evaluation.extract_point_features, [], []
+
+    def tracked(*args, **kwargs):
+        alive.append([r() is not None for r in refs])
+        out = extract(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in out[:2])
+        return out
+
+    monkeypatch.setattr(evaluation, "extract_point_features", tracked)
+    segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=32, probe_epochs=5)
+    assert alive == [[], [False, False]]
 
 
 def test_finetune_leaves_the_model_unchanged(small_dataset):

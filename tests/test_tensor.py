@@ -393,24 +393,49 @@ def test_backward_square():
     assert np.allclose(x.grad, [2.0, 4.0])
 
 
+def _record_grads(monkeypatch):
+    """Every gradient _accum stores, in store order, as (tensor, stored
+    array): backward drops an interior gradient once it is spent, so a test
+    reads interior gradients here, captured while backward runs."""
+    stored, accum = [], T._accum
+
+    def recording(t, g):
+        accum(t, g)
+        if t.grad is not None:
+            stored.append((t, t.grad))
+
+    monkeypatch.setattr(T, "_accum", recording)
+    return stored
+
+
+def _last_grads(stored, tensors):
+    """Each tensor's last stored gradient, from _record_grads's list."""
+    last = {id(t): g for t, g in stored}
+    return [last[id(t)] for t in tensors]
+
+
 @pytest.mark.parametrize("depth", [1, 3])
-def test_second_backward_doubles_leaf_gradient(depth):
+def test_second_backward_doubles_leaf_gradient(monkeypatch, depth):
     """Leaf gradients add up over two calls on one graph; the intermediate
-    ones are reset first, so a chain of one or three nodes below the loss
-    adds the first call's gradient once, not again on the way down."""
+    ones start from nothing in each call, so a chain of one or three nodes
+    below the loss adds the first call's gradient once, not again on the
+    way down: each call stores the same gradient at every chain node."""
     x = Tensor(np.array([-1.0, 0.5, 2.0]), dtype=np.float64, requires_grad=True)
     chain = [T.relu(x)]
     if depth == 3:
         chain.append(scale(chain[-1], 3.0))
         chain.append(mul(chain[-1], Tensor(np.array([0.5, -2.0, 1.5]))))
     loss = tsum(chain[-1])
+    stored = _record_grads(monkeypatch)
     T.backward(loss)
     first = x.grad.copy()
-    inner = [t.grad.copy() for t in chain]
+    inner = _last_grads(stored, chain)
     assert first[0] == 0 and (first[1:] != 0).all()
+    del stored[:]
     T.backward(loss)
     assert np.array_equal(x.grad, 2 * first)
-    assert all(np.array_equal(t.grad, g) for t, g in zip(chain, inner))
+    assert all(np.array_equal(g, h) for g, h in zip(_last_grads(stored, chain), inner))
+    assert all(t.grad is None for t in chain)
 
 
 def test_backward_nonscalar_rejected():
@@ -583,15 +608,17 @@ def test_max_pool_forward_is_np_max_without_argmax(rng, monkeypatch):
     assert (t.grad == want).all()
 
 
-def test_shared_gradient_is_not_aliased():
+def test_shared_gradient_is_not_aliased(monkeypatch):
     """One leaf read through two views: the second gradient adds out of
     place, so the first view's stored gradient keeps its value."""
     x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
     u, v = T.reshape(x, (3, 1)), T.reshape(x, (3, 1))
+    stored = _record_grads(monkeypatch)
     T.backward(tsum(mul(u, v)))
+    gu, gv = _last_grads(stored, [u, v])
     assert np.array_equal(x.grad, [2.0, 4.0, 6.0])
-    assert np.array_equal(u.grad, [[1.0], [2.0], [3.0]])
-    assert np.array_equal(v.grad, [[1.0], [2.0], [3.0]])
+    assert np.array_equal(gu, [[1.0], [2.0], [3.0]])
+    assert np.array_equal(gv, [[1.0], [2.0], [3.0]])
 
 
 def _tape(loss):
@@ -605,8 +632,9 @@ def _tape(loss):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("objective", ["cls", "seg"])
-def test_stored_gradients_are_read_only(objective):
+def _small_step(objective):
+    """A model and the loss of one training step of objective on it, with
+    dropout and every loss option on."""
     rng = np.random.default_rng(5)
     cfg = TrainConfig(pairs_per_batch=3, points_per_cloud=6, encoder_widths=[6, 8, 10],
                       head_widths=[6, 4], seg_widths=[6, 4], dropout_rate=0.5,
@@ -615,20 +643,65 @@ def test_stored_gradients_are_read_only(objective):
                                       head_widths=cfg.head_widths,
                                       seg_widths=cfg.seg_widths, with_seg=True,
                                       dropout_rate=cfg.dropout_rate)
-    loss = training._forward_loss(model, rng.normal(size=(3, 6, 3)),
-                                  rng.normal(size=(3, 6, 3)), cfg, rng, objective)
+    return model, training._forward_loss(model, rng.normal(size=(3, 6, 3)),
+                                         rng.normal(size=(3, 6, 3)), cfg, rng, objective)
+
+
+@pytest.mark.parametrize("objective", ["cls", "seg"])
+def test_stored_gradients_are_read_only(monkeypatch, objective):
+    _, loss = _small_step(objective)
+    stored = _record_grads(monkeypatch)
     T.backward(loss)
-    stored = [t for t in _tape(loss) if t.grad is not None]
-    assert len(stored) > 20
-    assert [t._op for t in stored if t.grad.flags.writeable] == []
+    assert len({id(t) for t, _ in stored}) > 20
+    assert [t._op for t, g in stored if g.flags.writeable] == []
 
 
-def test_first_gradient_is_not_copied():
+@pytest.mark.parametrize("objective", ["cls", "seg"])
+def test_backward_keeps_leaf_gradients_only(objective):
+    """After backward every interior node's gradient is spent and dropped,
+    the loss's included, and every trainable leaf the step reaches holds
+    its gradient: the encoder's and the head's (cls) or the seg branch's."""
+    model, loss = _small_step(objective)
+    T.backward(loss)
+    tape = _tape(loss)
+    interior = [t for t in tape if t._backward is not None]
+    trained = model.encoder.params() + (model.head if objective == "cls" else model.seg).params()
+    assert len(interior) > 10 and loss in interior
+    assert [t._op for t in interior if t.grad is not None] == []
+    assert {id(t) for t in tape if t._backward is None and t.requires_grad} == {
+        id(p) for p in trained}
+    assert all(p.grad is not None for p in trained)
+
+
+def test_first_gradient_is_not_copied(monkeypatch):
     x = Tensor(np.arange(6.0), requires_grad=True)
     y = T.reshape(x, (2, 3))
+    stored = _record_grads(monkeypatch)
     T.backward(tsum(scale(y, 3.0)))
-    assert np.shares_memory(x.grad, y.grad)
+    assert np.shares_memory(x.grad, _last_grads(stored, [y])[0])
     assert (x.grad == 3.0).all()
+
+
+def test_walk_that_raised_leaves_no_stale_gradient():
+    """A backward that raised after it stored an interior gradient, before
+    that node ran, leaves the gradient behind; the next call resets it
+    before its walk, so the leaf gets one call's gradient, not two."""
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    y = T.reshape(x, (3, 1))
+    raises = [True]
+
+    def bw(g):
+        T._accum(y, g * 2)
+        if raises.pop():
+            raise RuntimeError("injected")
+
+    loss = tsum(T._result(y.data * 2, (y,), bw, "double_then_raise"))
+    with pytest.raises(RuntimeError, match="injected"):
+        T.backward(loss)
+    assert x.grad is None and y.grad is not None
+    raises.append(False)
+    T.backward(loss)
+    assert (x.grad == 2.0).all() and y.grad is None
 
 
 def test_backward_writing_its_incoming_gradient_raises():
@@ -805,6 +878,31 @@ def test_eval_pool_peaks_near_one_block(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * T._POOL_BLOCK * 4, peak / (T._POOL_BLOCK * 4)
+
+
+def test_seg_step_backward_drops_spent_gradients():
+    """One desk seg step (16 pairs of 128 points, encoder 32,64,128, seg
+    branch 64,32): backward drops each interior gradient once its node has
+    run, so its traced peak above the tape it starts from is 5.1 MiB.
+    Keeping every interior gradient until the tape was freed peaked at
+    8.6 MiB; the bound sits between the two."""
+    rng = np.random.default_rng(0)
+    cfg = TrainConfig(pairs_per_batch=16, points_per_cloud=128,
+                      encoder_widths=[32, 64, 128], dropout_rate=0.0, transform="smooth")
+    model = models.ModelParams.create(rng, encoder_widths=cfg.encoder_widths,
+                                      head_widths=cfg.head_widths,
+                                      seg_widths=cfg.seg_widths, with_seg=True)
+    orig = rng.normal(size=(16, 128, 3)).astype(np.float32)
+    trans = orig + np.float32(0.01) * rng.normal(size=orig.shape).astype(np.float32)
+    loss = training._forward_loss(model, orig, trans, cfg, rng, "seg")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.8 * 2**20, peak / 2**20
 
 
 def test_eval_pool_blocks_equal_one_block(rng, monkeypatch):

@@ -13,13 +13,15 @@ heap layout is fixed before numpy loads.
 The result goes to BENCH_<pr>.json beside this tool's BENCHMARK.json. Per
 workload, seed and end-to-end metric it holds both medians, the parent's
 quartiles, the pairs the change won (ties count for neither side), whether
-the median gap exceeds the parent's quartile spread, whether the change's
-median is worse than the parent's by more than the metric's bound, and
-whether the parent's quartile spread alone exceeds that bound (the metric
-is then unresolved). Per workload and seed it counts the pairs whose
-quality figures are equal. It also records both trees' commits, every
-run's metrics, quality figures and correct/failed counts, and the host's
-CPU count and numpy and BLAS versions. A run that exits non-zero, or whose
+the median gap in either direction exceeds the parent's quartile spread,
+whether a gain is claimed (claim_met: the change won at least 9 in 10 of
+the pairs and its median is better than the parent's by more than that
+spread), whether the change's median is worse than the parent's by more
+than the metric's bound, and whether the parent's quartile spread alone
+exceeds that bound (the metric is then unresolved). Per workload and seed
+it counts the pairs whose quality figures are equal. It also records both
+trees' commits, every run's metrics, quality figures and correct/failed
+counts, and the host's CPU count and numpy and BLAS versions. A run that exits non-zero, or whose
 last stdout line is not a result object, counts as failed, with no metrics
 and no quality. The exit status is 0 when every run was correct.
 """
@@ -102,13 +104,15 @@ def summarise(runs, metric):
     lower = metric["better"] == "lower"
     p_med, c_med = statistics.median(parent), statistics.median(change)
     q1, q3 = quartiles(parent)
-    worse_by = (c_med - p_med if lower else p_med - c_med) / abs(p_med) if p_med else 0.0
+    better_by = p_med - c_med if lower else c_med - p_med
+    worse_by = -better_by / abs(p_med) if p_med else 0.0
     spread = (q3 - q1) / abs(p_med) if p_med else 0.0
+    won = sum((c < p) if lower else (c > p) for p, c in pairs)
     return {"metric": metric["name"], "unit": metric["unit"], "better": metric["better"],
             "pairs": len(pairs), "parent_median": p_med, "change_median": c_med,
-            "parent_q1": q1, "parent_q3": q3,
-            "change_won": sum((c < p) if lower else (c > p) for p, c in pairs),
-            "gap_exceeds_parent_spread": abs(c_med - p_med) > q3 - q1,
+            "parent_q1": q1, "parent_q3": q3, "change_won": won,
+            "gap_exceeds_parent_spread": abs(better_by) > q3 - q1,
+            "claim_met": 10 * won >= 9 * len(pairs) and better_by > q3 - q1,
             "bound": metric["bound"], "worse_than_bound": worse_by > metric["bound"],
             "parent_spread_exceeds_bound": spread > metric["bound"]}
 
