@@ -110,9 +110,8 @@ def resolve_config(args) -> dict:
     # validate every key before any work, whichever keys the command reads
     evaluation.feature_sources(cfg["features"])
     make_train_config(cfg)
-    for key in ("probe_epochs", "finetune_epochs"):
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
+    for kind in ("probe", "finetune"):
+        evaluation._check_epochs(kind, cfg[f"{kind}_epochs"])
     return cfg
 
 

@@ -92,7 +92,7 @@ _EVAL_BATCH = 32  # clouds per models.encode call when extracting features
 
 def _check_epochs(kind, epochs):
     if epochs < 0:
-        raise ValueError(f"{kind} epochs must be >= 0, got {epochs}")
+        raise ValueError(f"{kind}_epochs must be >= 0, got {epochs}")
 
 
 def _check_nonempty(*sets: Dataset):
@@ -211,88 +211,31 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
     return g, labels
 
 
-_LOGIT_BLOCK = 2048  # rows per block of the probe's products; longer blocks ran slower
-
-
-class _ProbeLoss:
-    """The linear probe's mean softmax cross-entropy on fixed features x
-    [R, D], with the label terms formed once: the class counts n [K] and
-    class sums S = Y^T x [K, D], Y the one-hot labels. Every call fills the
-    same class-major [K, R] array, whose columns' max and sum run along the
-    long axis. A nan or inf feature raises FloatingPointError before
-    anything."""
-
-    def __init__(self, x, labels, num_classes):
-        self.x = x = np.asarray(x)
-        if x.ndim != 2:
-            raise T.ShapeError(f"fit_probe: features of shape {x.shape} are not [rows, D]")
-        R = len(x)
-        self.labels = T._check_labels("fit_probe", R, num_classes, labels)
-        # A nan reaches max and min too, and neither forms a [rows, D] mask.
-        if not (np.isfinite(x.max()) and np.isfinite(x.min())):
-            bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-            raise FloatingPointError(
-                f"the probe's features are not finite: {len(bad)} of {R} rows "
-                f"hold a nan or inf, the first is row {bad[0]}")
-        self.e = np.zeros((num_classes, R), dtype=x.dtype)
-        self.e[self.labels, np.arange(R)] = 1  # Y^T
-        self.sums, self.counts = self._times_x(), self.e.sum(axis=1)
-
-    def _fill(self, w, b):
-        """e = (x @ w + b)^T, from row-major products over row blocks."""
-        for r in range(0, len(self.x), _LOGIT_BLOCK):
-            self.e[:, r:r + _LOGIT_BLOCK] = (self.x[r:r + _LOGIT_BLOCK] @ w).T
-        self.e += b[:, None]
-
-    def _times_x(self):
-        """e @ x [K, D], summed over row blocks."""
-        e, x, B = self.e, self.x, _LOGIT_BLOCK
-        out = e[:, :B] @ x[:B]
-        for r in range(B, len(x), B):
-            out += e[:, r:r + B] @ x[r:r + B]
-        return out
-
-    def grads(self, w, b, with_loss=False):
-        """(dw [D, K], db [K], loss) at (w, b), P the softmax:
-        dw = (P x - S)^T / R and db = (rowsum P - n) / R. The loss, None
-        unless with_loss, is mean(max + log sum) - (<S, w> + n.b) / R."""
-        R = len(self.x)
-        self._fill(w, b)
-        m, s = T._class_softmax(self.e)  # e is P / R
-        dw = self._times_x() - self.sums / R
-        db = self.e.sum(axis=1) - self.counts / R
-        loss = None
-        if with_loss:
-            loss = float(np.mean(m + np.log(s))
-                         - ((self.sums * w.T).sum() + self.counts @ b) / R)
-        return dw.T, db, loss
-
-    def accuracy(self, w, b):
-        """The share of rows whose first largest logit is their label's, by
-        blocks: argmax copies what it reads along axis 0."""
-        self._fill(w, b)
-        B = _LOGIT_BLOCK
-        hits = sum(np.count_nonzero(self.e[:, r:r + B].argmax(axis=0) == self.labels[r:r + B])
-                   for r in range(0, len(self.x), B))
-        return hits / len(self.x)
-
-
 def fit_probe(train_feats, train_labels, num_classes,
               epochs=PROBE_EPOCHS) -> tuple[DenseLayer, float, float]:
     """Full-batch Adam fit of a single affine classifier on cached features,
     from zero weights. Returns (probe, loss, accuracy): the last epoch's mean
     cross-entropy, taken before its Adam step, and the returned probe's
     accuracy on the training features; both are nan after zero epochs.
-    Shapes, labels and features are checked once, before any epoch; a nan
+    Shapes, features and labels are checked once, before any epoch; a nan
     or inf feature raises FloatingPointError, as a non-finite gradient
-    does. The epochs take their gradients from _ProbeLoss and record nothing
-    on the tape."""
+    does. The epochs take their gradients from tensor._SoftmaxCE, the kernel
+    of linear_cross_entropy, and record nothing on the tape: the probe's
+    tensors take no gradient."""
     _check_epochs("probe", epochs)
-    objective = _ProbeLoss(train_feats, train_labels, num_classes)
-    x = objective.x
-    probe = DenseLayer(
-        w=T.Tensor(np.zeros((x.shape[1], num_classes), dtype=x.dtype), requires_grad=True),
-        b=T.Tensor(np.zeros(num_classes, dtype=x.dtype), requires_grad=True))
+    x = np.asarray(train_feats)
+    if x.ndim != 2:
+        raise T.ShapeError(f"fit_probe: features of shape {x.shape} are not [rows, D]")
+    # A nan reaches max and min too, and neither forms a [rows, D] mask. An
+    # empty x is left to the kernel's empty-batch error.
+    if len(x) and not (np.isfinite(x.max()) and np.isfinite(x.min())):
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        raise FloatingPointError(
+            f"the probe's features are not finite: {len(bad)} of {len(x)} rows "
+            f"hold a nan or inf, the first is row {bad[0]}")
+    objective = T._SoftmaxCE(x, train_labels, num_classes, "fit_probe")
+    probe = DenseLayer(w=T.Tensor(np.zeros((x.shape[1], num_classes), dtype=x.dtype)),
+                       b=T.Tensor(np.zeros(num_classes, dtype=x.dtype)))
     w, b = probe.w, probe.b
     opt = AdamState(probe.params())
     loss = None
@@ -307,8 +250,11 @@ def fit_probe(train_feats, train_labels, num_classes,
 
 
 def probe_predict(probe: DenseLayer, feats):
-    x = T.Tensor(feats, dtype=probe.w.dtype)
-    return T.linear_forward(x, probe.w, probe.b).data.argmax(axis=1)
+    """The probe's class for each row of feats, argmax(x @ w + b), formed
+    from the arrays: linear_forward's bits without its tape node."""
+    logits = np.asarray(feats, dtype=probe.w.dtype) @ probe.w.data
+    logits += probe.b.data
+    return logits.argmax(axis=1)
 
 
 def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
@@ -365,7 +311,7 @@ def _supervised_fit_eval(sup, train_ds, test_ds, cfg, epochs, rng, tags):
     *hidden, last = sup.head.layers
     opt = AdamState(params)
     bs = 2 * cfg.pairs_per_batch
-    labels_all = np.array([p.class_label for p in train_ds.samples])
+    labels_all = _class_labels(train_ds)
     for _ in range(epochs * max(len(train_ds) // bs, 1)):
         idx = rng.choice(len(train_ds), size=min(bs, len(train_ds)), replace=False)
         batch, _ = sample_stack([train_ds[int(i)] for i in idx], cfg.points_per_cloud, rng)

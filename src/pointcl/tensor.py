@@ -359,61 +359,94 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     return _result(out_data, (x,), bw, "dropout")
 
 
-def _check_labels(name, R, K, labels):
-    """labels as int64, after the checks every cross-entropy over R rows of K
-    logits makes."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if R == 0:
-        raise ShapeError(f"{name}: empty batch, logits {(R, K)}")
-    if labels.shape != (R,):
-        raise ShapeError(f"{name}: {R} rows but {labels.shape} labels")
-    if labels.min() < 0 or labels.max() >= K:
-        raise IndexError(f"label out of range [0, {K})")
-    return labels
+_LOGIT_BLOCK = 2048  # rows per block of _SoftmaxCE's products; longer blocks ran slower
 
 
-def _class_softmax(e):
-    """Class-major logits e [K, R] become softmax(e) / R in place, each
-    column's max subtracted before the exponent. Returns the column max and
-    the column sum of exp(e - max): the log-sum-exp is max + log(sum)."""
-    m = e.max(axis=0)
-    e -= m
-    np.exp(e, out=e)
-    s = e.sum(axis=0)
-    e /= s * e.shape[1]
-    return m, s
+class _SoftmaxCE:
+    """The mean softmax cross-entropy of x @ w + b on fixed rows x [R, D],
+    with the label terms formed once: the class counts n [K] and class sums
+    S = Y^T x [K, D], Y the one-hot labels. Every call fills the same
+    class-major [K, R] array e, whose columns' max and sum run along the
+    long axis. The linear probe's epochs and linear_cross_entropy run it;
+    name is the caller's, for the label errors."""
+
+    def __init__(self, x, labels, num_classes, name):
+        self.x = x
+        R, K = len(x), num_classes
+        self.labels = labels = np.asarray(labels, dtype=np.int64)
+        if R == 0:
+            raise ShapeError(f"{name}: empty batch, logits {(R, K)}")
+        if labels.shape != (R,):
+            raise ShapeError(f"{name}: {R} rows but {labels.shape} labels")
+        if labels.min() < 0 or labels.max() >= K:
+            raise IndexError(f"label out of range [0, {K})")
+        self.e = np.zeros((K, R), dtype=x.dtype)
+        self.e[labels, np.arange(R)] = 1  # Y^T
+        self.sums, self.counts = self._times_x(), self.e.sum(axis=1)
+
+    def _fill(self, w, b):
+        """e = (x @ w + b)^T, from row-major products over row blocks."""
+        for r in range(0, len(self.x), _LOGIT_BLOCK):
+            self.e[:, r:r + _LOGIT_BLOCK] = (self.x[r:r + _LOGIT_BLOCK] @ w).T
+        self.e += b[:, None]
+
+    def _times_x(self):
+        """e @ x [K, D], summed over row blocks."""
+        e, x, B = self.e, self.x, _LOGIT_BLOCK
+        out = e[:, :B] @ x[:B]
+        for r in range(B, len(x), B):
+            out += e[:, r:r + B] @ x[r:r + B]
+        return out
+
+    def grads(self, w, b, with_loss=False):
+        """(dw [D, K], db [K], loss) at (w, b), P the softmax, which e holds
+        as P / R afterwards: dw = (P x - S)^T / R and db = (rowsum P - n) / R.
+        The loss, None unless with_loss, is mean(max + log sum) - (<S, w> +
+        n.b) / R, each column's max subtracted before the exponent."""
+        e, R = self.e, len(self.x)
+        self._fill(w, b)
+        m = e.max(axis=0)
+        e -= m
+        np.exp(e, out=e)
+        s = e.sum(axis=0)
+        e /= s * R
+        dw = self._times_x() - self.sums / R
+        db = e.sum(axis=1) - self.counts / R
+        loss = None
+        if with_loss:
+            loss = float(np.mean(m + np.log(s))
+                         - ((self.sums * w.T).sum() + self.counts @ b) / R)
+        return dw.T, db, loss
+
+    def accuracy(self, w, b):
+        """The share of rows whose first largest logit is their label's, by
+        blocks: argmax copies what it reads along axis 0."""
+        self._fill(w, b)
+        B = _LOGIT_BLOCK
+        hits = sum(np.count_nonzero(self.e[:, r:r + B].argmax(axis=0) == self.labels[r:r + B])
+                   for r in range(0, len(self.x), B))
+        return hits / len(self.x)
 
 
 def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, labels) -> Tensor:
-    """Mean over rows of -log softmax(x @ w + b)[label], row-max stabilized,
-    as one tape node: the loss of supervised finetuning.
-
-    The logits are one class-major [K, R] array, so each per-row max, sum
-    and label read runs over the long axis. It becomes the softmax in place
-    and then (P - Y) / R, the logits' gradient, which the backward scales
-    by g and multiplies into each trained parent's gradient.
+    """Mean over rows of -log softmax(x @ w + b)[label] as one tape node, the
+    loss of supervised finetuning: one call of the probe's kernel
+    _SoftmaxCE. The forward forms the loss and w's and b's gradients, which
+    the backward scales by g; x's is g * ((P / R) @ w^T - w^T[labels] / R),
+    from the P / R the call leaves in the kernel's array.
     """
     _check_affine("linear_cross_entropy", x, w, b)
-    R = x.shape[0]
-    labels = _check_labels("linear_cross_entropy", R, w.shape[1], labels)
-    at = labels * R + np.arange(R)  # flat [K, R] positions of the label entries
-    e = np.ascontiguousarray((x.data @ w.data).T)
-    e += b.data[:, None]
-    picked = e.reshape(-1)[at]
-    m, s = _class_softmax(e)
-    out_data = np.mean(np.log(s) - (picked - m))
-    e.reshape(-1)[at] -= 1.0 / R
+    ce = _SoftmaxCE(x.data, labels, w.shape[1], "linear_cross_entropy")
+    dw, db, loss = ce.grads(w.data, b.data, with_loss=True)
 
     def bw(g):
-        d = g * e
         if x.requires_grad:
-            _accum(x, d.T @ w.data.T)
-        if w.requires_grad:
-            _accum(w, (d @ x.data).T)
-        if b.requires_grad:
-            _accum(b, d.sum(axis=1))
+            wt = w.data.T
+            _accum(x, g * (ce.e.T @ wt - wt[ce.labels] / len(ce.x)))
+        _accum(w, g * dw)
+        _accum(b, g * db)
 
-    return _result(np.asarray(out_data, dtype=x.dtype), (x, w, b), bw,
+    return _result(np.asarray(loss, dtype=x.dtype), (x, w, b), bw,
                    "linear_cross_entropy")
 
 

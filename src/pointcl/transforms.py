@@ -169,13 +169,14 @@ def parse_transform(text: str) -> TransformSpec:
     toks = s.split(":")
     kind = toks[0]
     if kind == "rotate" and len(toks) <= 3:  # a fourth token falls to the error below
-        axis = toks[1] if len(toks) > 1 else "y"
-        try:
-            angle = float(toks[2]) if len(toks) > 2 else 180.0
-        except ValueError:
-            raise ValueError(f"cannot parse transform spec {text!r}: angle "
-                             f"{toks[2]!r} is not a number") from None
-        return TransformSpec(kind="rotate", axis=axis, angle_deg=angle)
+        given = dict(zip(("axis", "angle_deg"), toks[1:]))  # the rest keep their defaults
+        if "angle_deg" in given:
+            try:
+                given["angle_deg"] = float(toks[2])
+            except ValueError:
+                raise ValueError(f"cannot parse transform spec {text!r}: angle "
+                                 f"{toks[2]!r} is not a number") from None
+        return TransformSpec(kind="rotate", **given)
     if kind in ("cutout", "crop", "scale", "jitter", "smooth"):
         if len(toks) > 1:
             raise ValueError(f"transform {kind!r} takes no parameters in spec strings")

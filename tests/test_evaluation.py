@@ -150,10 +150,27 @@ def test_probe_loss_matches_float64_finite_differences(rng):
     def reference():
         return reference_cross_entropy(x @ w.data + b.data, labels)[0]
 
-    dw, db, loss = evaluation._ProbeLoss(x, labels, K).grads(w.data, b.data, with_loss=True)
+    objective = T._SoftmaxCE(x, labels, K, "fit_probe")
+    dw, db, loss = objective.grads(w.data, b.data, with_loss=True)
     assert abs(loss - reference()) <= 1e-12 * reference()
     fd = finite_difference_grads(reference, [w, b], h=1e-6)
     assert max_rel_error([dw, db], fd) < 1e-6
+
+
+def test_probe_records_nothing_on_the_tape(rng, monkeypatch):
+    """The fit and the predict run with the tape's node maker raising: the
+    probe's tensors take no gradient, and probe_predict forms x @ w + b
+    from the arrays."""
+    feats = rng.normal(size=(40, 6)).astype(np.float32)
+
+    def recorded(*args):
+        raise AssertionError("a probe call recorded a tape node")
+
+    monkeypatch.setattr(T, "_result", recorded)
+    probe, _, _ = evaluation.fit_probe(feats, rng.integers(0, 3, size=40), 3, epochs=5)
+    assert not probe.w.requires_grad and not probe.b.requires_grad
+    want = (feats @ probe.w.data + probe.b.data).argmax(axis=1)
+    assert np.array_equal(evaluation.probe_predict(probe, feats), want)
 
 
 def test_random_classifier_chance_level(rng):

@@ -343,6 +343,21 @@ def test_linear_cross_entropy_second_backward_doubles(rng):
         assert np.array_equal(p.grad, 2 * g)
 
 
+def test_linear_cross_entropy_runs_the_probe_kernel(rng):
+    """The node is one call of the probe's kernel: on float32 inputs with a
+    saturated row, its loss and its w and b gradients are the bits of the
+    kernel's grads."""
+    x, w, b = _linear_inputs(rng, np.float32, rows=300, din=16, dout=9)
+    x.data[0] *= 1e3
+    labels = rng.integers(0, 9, size=300)
+    loss = T.linear_cross_entropy(x, w, b, labels)
+    T.backward(loss)
+    kernel = T._SoftmaxCE(x.data, labels, 9, "linear_cross_entropy")
+    dw, db, want = kernel.grads(w.data, b.data, with_loss=True)
+    assert np.array_equal(loss.data, np.float32(want))
+    assert np.array_equal(w.grad, dw) and np.array_equal(b.grad, db)
+
+
 def test_linear_cross_entropy_checks_like_softmax_cross_entropy():
     """Raw logits (through _logit_ce) and an affine layer's input fail the
     same checks with the same messages."""
