@@ -276,7 +276,9 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
         gh = g * (out_data > 0)
         dx = gh @ wa.T if x.requires_grad else None
         xs = x.data - stats[2]  # formed again rather than kept beside the output
-        _layer_backward(x, xs, w, bn, a, stats, xs.T @ gh, gh.sum(axis=0), dx)
+        xg, dbeta = xs.T @ gh, gh.sum(axis=0)
+        del gh  # spent before _layer_backward forms its [R, Din] correction
+        _layer_backward(x, xs, w, bn, a, stats, xg, dbeta, dx)
 
     return _result(out_data, (x, w, bn.gamma, bn.beta), bw, "shared_mlp")
 
@@ -290,12 +292,13 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     It pools before the affine, relu(max_n(xs @ (w * a)) + c), whose max is
     the min of x @ w where a < 0: shared_mlp's pooled values up to rounding.
     Both modes run in blocks of clouds of about _POOL_BLOCK product
-    entries, so neither forms a [B*N, D] array. Training mode keeps xs and
-    the row of x at each max, the first point at it. Eval mode does not
-    search; its backward finds the rows again. Where gamma = 0 the folded
-    column is constant and point 0 takes its gradient, a valid subgradient
-    at that kink. The backward gathers the winners' rows of xs for xs^T gh
-    and takes x's gradient over zero-filled blocks of gh.
+    entries, so neither forms a [B*N, D] array. Training mode keeps the row
+    of x at each max, the first point at it, and drops xs once the pool has
+    run. Eval mode does not search; its backward searches x again. Where
+    gamma = 0 the folded column is constant and point 0 takes its gradient,
+    a valid subgradient at that kink. The backward takes x's gradient over
+    zero-filled blocks of gh, then forms xs again and gathers the winners'
+    rows of it for xs^T gh.
     """
     n_points = int(n_points)
     if x.data.ndim != 2 or n_points < 1 or x.shape[0] % n_points:
@@ -308,23 +311,24 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     k = max(1, _POOL_BLOCK // (n_points * D))
     blocks = [(slice(s, s + k), slice(s * n_points, (s + k) * n_points)) for s in range(0, B, k)]
 
-    def pool(search):
-        """The [B, D] max over the points of xs @ wa and, if search, the
-        rows of xs at the first point at each max."""
+    def pool(src, search):
+        """The [B, D] max over the points of src @ wa and, if search, the
+        rows of src at the first point at each max."""
         tp, rows = np.empty((B, D), dtype=wa.dtype), np.empty((B, D), dtype=np.intp)
         for cb, rb in blocks:
-            t3 = (xs[rb] @ wa).reshape(-1, n_points, D)
+            t3 = (src[rb] @ wa).reshape(-1, n_points, D)
             tp[cb] = t3.max(axis=1)
             if search:
                 rows[cb] = _first_at_max(t3, tp[cb]) + n_points * np.arange(B)[cb, None]
             del t3  # so the next block's product is not formed beside this one
         return tp, rows if search else None
 
-    tp, rows = pool(training)
+    tp, rows = pool(xs, training)
+    del xs  # the backward forms it again, as shared_mlp's does
     pooled = np.maximum(tp + c, 0)
 
     def bw(g):
-        at = rows if training else pool(True)[1]
+        at = rows if training else pool(x.data, True)[1]
         gp = g * (pooled > 0)
         dx = None
         if x.requires_grad:
@@ -334,6 +338,7 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                 np.put(gh, (at[cb] - rb.start) * D + np.arange(D), gp[cb])
                 dx[rb] = gh @ wa.T
                 del gh  # as in pool: one block of gh at a time
+        xs = x.data - stats[2]  # formed only once the blocks of gh are gone
         xg = sum(np.einsum("bdi,bd->id", xs[at[cb]], gp[cb]) for cb, _ in blocks)
         _layer_backward(x, xs, w, bn, a, stats, xg, gp.sum(axis=0), dx)
 

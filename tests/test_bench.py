@@ -53,7 +53,9 @@ def test_smoke_pairs_give_one_row_per_metric(tmp_path):
     assert out["quality"] == [{"workload": "desk-cls-probe", "seed": 3, "pairs": 2,
                                "equal_pairs": 2}]
     assert set(out["trees"]) == {"parent", "change"}
-    assert set(out["trees"]["parent"]) == {"commit", "dirty"}
+    assert set(out["trees"]["parent"]) == {"path", "commit", "dirty"}
+    assert out["trees"]["change"]["path"] == str(change.resolve())
+    assert out["paths_equal_length"] is True
     assert out["host"]["nproc"] >= 1 and out["host"]["env"]["MALLOC_TRIM_THRESHOLD_"]
 
 
@@ -117,3 +119,40 @@ def test_claim_needs_nine_in_ten_and_a_gap_beyond_the_spread(better, gaps, won, 
     assert row["change_won"] == won
     assert row["gap_exceeds_parent_spread"] is exceeds
     assert row["claim_met"] is claim_met
+
+
+def test_paths_of_unequal_length_warn_and_are_recorded(tmp_path, monkeypatch, capsys):
+    """Trees at r38 and r38x, no benchmark run (run_once, git_state and host
+    are stubbed): the tool warns on stderr before the runs, records each
+    tree's resolved path, and writes paths_equal_length false. Trees at r38
+    and r39 write it true, with no warning."""
+    bench = _bench_module()
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"commit": None, "dirty": None})
+    monkeypatch.setattr(bench, "host", lambda: {})
+    runs = []
+
+    def run_once(tree, workload, seed, seconds, smoke):
+        runs.append(tree)
+        return {"exit_status": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"run_s": 1.0}, "quality": None}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    for parent, change, equal in (("r38", "r38x", False), ("r38", "r39", True)):
+        for name in (parent, change):
+            (tmp_path / name / "benchmarks").mkdir(parents=True, exist_ok=True)
+            (tmp_path / name / "benchmarks" / "run.py").touch()
+        runs.clear()
+        assert bench.main(["--parent", str(tmp_path / parent), "--change",
+                           str(tmp_path / change), "--pr", "0", "--workloads",
+                           "desk-cls-probe", "--seeds", "3", "--pairs", "1"]) == 0
+        err = capsys.readouterr().err
+        out = json.loads((tmp_path / "BENCH_0.json").read_text())
+        assert out["paths_equal_length"] is equal
+        assert out["trees"]["parent"]["path"] == str((tmp_path / parent).resolve())
+        assert out["trees"]["change"]["path"] == str((tmp_path / change).resolve())
+        assert ("paths differ in length" in err) is not equal
+        if not equal:
+            assert err.index("paths differ in length") < err.index("pair 0")
+        assert len(runs) == 2

@@ -920,6 +920,33 @@ def test_seg_step_backward_drops_spent_gradients():
     assert peak <= 6.8 * 2**20, peak / 2**20
 
 
+def test_full_cls_step_keeps_no_centred_pool_input():
+    """One full-preset cls step (16 pairs of 128 points, encoder
+    64,64,64,128,1024, head 512,256, dropout 0.7; the pooled layer runs 8
+    blocks of 4 clouds): the pooled layer forms its centred input xs again
+    in backward, after its blocks of gh are gone, and shared_mlp's backward
+    drops gh before its [R, Din] correction, so the forward-plus-backward
+    traced peak above the step's start is 16.8 MiB. Keeping xs on the tape
+    until backward peaked at 19.0 MiB; the bound sits between the two."""
+    rng = np.random.default_rng(0)
+    cfg = TrainConfig(pairs_per_batch=16, points_per_cloud=128,
+                      encoder_widths=list(models.FULL_ENCODER_WIDTHS), head_widths=[512, 256],
+                      dropout_rate=0.7, transform="rotate:y:180")
+    model = models.ModelParams.create(rng, encoder_widths=cfg.encoder_widths,
+                                      head_widths=cfg.head_widths,
+                                      dropout_rate=cfg.dropout_rate)
+    orig = rng.normal(size=(16, 128, 3)).astype(np.float32)
+    trans = orig + np.float32(0.01) * rng.normal(size=orig.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T.backward(training._forward_loss(model, orig, trans, cfg, rng, "cls"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17.9 * 2**20, peak / 2**20
+
+
 def test_eval_pool_blocks_equal_one_block(rng, monkeypatch):
     """Pooled in 4 blocks of 3, 3, 3 and 1 clouds, eval mode's values equal
     those of the whole batch in one block, bit for bit."""

@@ -20,10 +20,13 @@ spread), whether the change's median is worse than the parent's by more
 than the metric's bound, and whether the parent's quartile spread alone
 exceeds that bound (the metric is then unresolved). Per workload and seed
 it counts the pairs whose quality figures are equal. It also records both
-trees' commits, every run's metrics, quality figures and correct/failed
-counts, and the host's CPU count and numpy and BLAS versions. A run that exits non-zero, or whose
-last stdout line is not a result object, counts as failed, with no metrics
-and no quality. The exit status is 0 when every run was correct.
+trees' resolved paths and commits, whether the two paths have one length
+(the length alone moves peak_rss_mb by about 1 MB, so the tool warns
+before the runs when they differ), every run's metrics, quality figures
+and correct/failed counts, and the host's CPU count and numpy and BLAS
+versions. A run that exits non-zero, or whose last stdout line is not a
+result object, counts as failed, with no metrics and no quality. The exit
+status is 0 when every run was correct.
 """
 
 import argparse
@@ -51,6 +54,18 @@ def git_state(tree: Path):
     if commit is None:
         return {"commit": None, "dirty": None}
     return {"commit": commit, "dirty": bool(git("status", "--porcelain"))}
+
+
+def paths_equal_length(trees):
+    """Whether the trees' paths have one length; a warning on stderr when
+    they do not. Identical trees at paths that differ by one character read
+    peak_rss_mb about 1 MB apart, as the heap layout follows the path."""
+    if len({len(str(tree)) for tree in trees.values()}) == 1:
+        return True
+    print("warning: the trees' paths differ in length, which alone moves peak_rss_mb: "
+          + ", ".join(f"{side} {tree} ({len(str(tree))})" for side, tree in trees.items()),
+          file=sys.stderr)
+    return False
 
 
 def run_once(tree: Path, workload, seed, seconds, smoke):
@@ -149,6 +164,7 @@ def main(argv=None) -> int:
     for side, tree in trees.items():
         if not (tree / "benchmarks" / "run.py").is_file():
             ap.error(f"--{side} {tree} has no benchmarks/run.py")
+    equal_length = paths_equal_length(trees)
     seconds = spec["run_seconds"]
 
     runs, rows, quality = [], [], []
@@ -177,7 +193,9 @@ def main(argv=None) -> int:
 
     out = {"pr": args.pr, "seconds": seconds, "smoke": args.smoke, "seeds": seeds,
            "pairs": args.pairs, "workloads": workloads,
-           "trees": {side: git_state(tree) for side, tree in trees.items()},
+           "trees": {side: {"path": str(tree), **git_state(tree)}
+                     for side, tree in trees.items()},
+           "paths_equal_length": equal_length,
            "host": host(), "rows": rows, "quality": quality, "runs": runs}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
