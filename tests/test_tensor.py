@@ -947,6 +947,26 @@ def test_full_cls_step_keeps_no_centred_pool_input():
     assert peak <= 17.9 * 2**20, peak / 2**20
 
 
+def test_shared_mlp_backward_drops_gh_before_its_correction(rng):
+    """A training-mode [4096, 64] -> 128 layer: the backward drops gh, the
+    [R, D] gradient at the batch norm's output, once xs^T gh and colsum(gh)
+    are formed, so its traced peak above its start is 2.02 x R*D*itemsize
+    bytes. Keeping gh through _layer_backward's [R, Din] correction peaked
+    at 2.54; the bound sits between the two."""
+    R, D = 4096, 128
+    x, w, bn = _shared_mlp_inputs(rng, np.float32, rows=R, din=64, dout=D)
+    out = T.shared_mlp(x, w, bn, 0.9, True)
+    g = np.ones_like(out.data)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * R * D * 4, peak / (R * D * 4)
+
+
 def test_eval_pool_blocks_equal_one_block(rng, monkeypatch):
     """Pooled in 4 blocks of 3, 3, 3 and 1 clouds, eval mode's values equal
     those of the whole batch in one block, bit for bit."""
