@@ -15,7 +15,7 @@ import numpy as np
 from . import models, tensor as T
 from .models import DenseLayer, ModelParams
 from .pointcloud import Dataset, sample_stack
-from .training import AdamState, TrainConfig, _adam_update, _pin_heap, adam_step, pretrain
+from .training import AdamState, TrainConfig, _pin_heap, adam_step, pretrain
 
 __all__ = [
     "Metrics",
@@ -219,9 +219,10 @@ def fit_probe(train_feats, train_labels, num_classes,
     accuracy on the training features; both are nan after zero epochs.
     Shapes, features and labels are checked once, before any epoch; a nan
     or inf feature raises FloatingPointError, as a non-finite gradient
-    does. The epochs take their gradients from tensor._SoftmaxCE, the kernel
-    of linear_cross_entropy, and record nothing on the tape: the probe's
-    tensors take no gradient."""
+    does. w's rows, then b, are one [D + 1, K] Adam parameter whose grad
+    each epoch sets from tensor._SoftmaxCE, linear_cross_entropy's kernel,
+    recording nothing on the tape; the probe's w and b, tensors that take no
+    gradient, are views of the final array."""
     _check_epochs("probe", epochs)
     x = np.asarray(train_feats)
     if x.ndim != 2:
@@ -234,19 +235,17 @@ def fit_probe(train_feats, train_labels, num_classes,
             f"the probe's features are not finite: {len(bad)} of {len(x)} rows "
             f"hold a nan or inf, the first is row {bad[0]}")
     objective = T._SoftmaxCE(x, train_labels, num_classes, "fit_probe")
-    probe = DenseLayer(w=T.Tensor(np.zeros((x.shape[1], num_classes), dtype=x.dtype)),
-                       b=T.Tensor(np.zeros(num_classes, dtype=x.dtype)))
-    w, b = probe.w, probe.b
-    opt = AdamState(probe.params())
+    wb = T.Tensor(np.zeros((x.shape[1] + 1, num_classes), dtype=x.dtype))
+    opt = AdamState([wb])
     loss = None
     for epoch in range(epochs):
-        dw, db, loss = objective.grads(w.data, b.data, with_loss=epoch == epochs - 1)
-        opt.step_count += 1
-        w.data = _adam_update(opt, 0, w.data, dw, PROBE_LR)
-        b.data = _adam_update(opt, 1, b.data, db, PROBE_LR)
+        wb.grad, loss = objective.grads(wb.data[:-1], wb.data[-1],
+                                        with_loss=epoch == epochs - 1)
+        adam_step([wb], opt, PROBE_LR)
+    probe = DenseLayer(w=T.Tensor(wb.data[:-1]), b=T.Tensor(wb.data[-1]))
     if loss is None:
         return probe, float("nan"), float("nan")
-    return probe, loss, objective.accuracy(w.data, b.data)
+    return probe, loss, objective.accuracy(probe.w.data, probe.b.data)
 
 
 def probe_predict(probe: DenseLayer, feats):

@@ -272,6 +272,8 @@ def _model_nbytes(config):
 def save_checkpoint(model: ModelParams, path, extra: dict | None = None,
                     tensors=()) -> None:
     """Write the model, a JSON-able extra dict and further tensors to path."""
+    if extra and "tensors" in extra:  # load_checkpoint returns the tensors there
+        raise ValueError("a checkpoint's extra may not hold a 'tensors' key")
     header = dict(model.config, extra=extra or {}, tensors=len(tensors))
     blob = json.dumps(header).encode()
     tmp = os.fspath(path) + ".tmp"
@@ -330,6 +332,8 @@ def load_checkpoint(path):
                 raise CheckpointError(f"{path}: bad header: no {key!r}")
             if not ok(header[key]):
                 raise CheckpointError(f"{path}: bad header: {key!r} is {header[key]!r}")
+        if "tensors" in header["extra"]:
+            raise CheckpointError(f"{path}: bad header: 'extra' holds a 'tensors' key")
         config = {k: header[k] for k in ("encoder_widths", "head_widths", "seg_widths",
                                          "dropout_rate")}
         if _model_nbytes(config) > size - pos:  # before allocating any of it

@@ -82,9 +82,10 @@ def _result(data, parents, backward_fn, op):
 
 
 def _accum(t, g):
-    """The only writer of .grad: keeps the first g as given, even a view or an
-    array another parent holds too, and adds later ones out of place. Stored
-    grads are read-only, so a backward that writes into one raises."""
+    """The tape's only writer of .grad (fit_probe sets its parameter's grad
+    off the tape): keeps the first g as given, even a view or an array
+    another parent holds too, and adds later ones out of place. Stored grads
+    are read-only, so a backward that writes into one raises."""
     if not t.requires_grad:
         return
     if t.grad is not None:
@@ -404,10 +405,10 @@ class _SoftmaxCE:
         return out
 
     def grads(self, w, b, with_loss=False):
-        """(dw [D, K], db [K], loss) at (w, b), P the softmax, which e holds
-        as P / R afterwards: dw = (P x - S)^T / R and db = (rowsum P - n) / R.
-        The loss, None unless with_loss, is mean(max + log sum) - (<S, w> +
-        n.b) / R, each column's max subtracted before the exponent."""
+        """(g [D + 1, K], loss) at (w, b), P the softmax, which e holds as
+        P / R afterwards: w's gradient (P x - S)^T / R, then b's, (rowsum P
+        - n) / R. The loss, None unless with_loss, is mean(max + log sum) -
+        (<S, w> + n.b) / R, each column's max subtracted before the exponent."""
         e, R = self.e, len(self.x)
         self._fill(w, b)
         m = e.max(axis=0)
@@ -415,13 +416,13 @@ class _SoftmaxCE:
         np.exp(e, out=e)
         s = e.sum(axis=0)
         e /= s * R
-        dw = self._times_x() - self.sums / R
-        db = e.sum(axis=1) - self.counts / R
+        g = np.vstack([self._times_x().T, e.sum(axis=1)])
+        g -= np.vstack([self.sums.T, self.counts]) / R
         loss = None
         if with_loss:
             loss = float(np.mean(m + np.log(s))
                          - ((self.sums * w.T).sum() + self.counts @ b) / R)
-        return dw.T, db, loss
+        return g, loss
 
     def accuracy(self, w, b):
         """The share of rows whose first largest logit is their label's, by
@@ -442,14 +443,14 @@ def linear_cross_entropy(x: Tensor, w: Tensor, b: Tensor, labels) -> Tensor:
     """
     _check_affine("linear_cross_entropy", x, w, b)
     ce = _SoftmaxCE(x.data, labels, w.shape[1], "linear_cross_entropy")
-    dw, db, loss = ce.grads(w.data, b.data, with_loss=True)
+    dwb, loss = ce.grads(w.data, b.data, with_loss=True)
 
     def bw(g):
         if x.requires_grad:
             wt = w.data.T
             _accum(x, g * (ce.e.T @ wt - wt[ce.labels] / len(ce.x)))
-        _accum(w, g * dw)
-        _accum(b, g * db)
+        _accum(w, g * dwb[:-1])
+        _accum(b, g * dwb[-1])
 
     return _result(np.asarray(loss, dtype=x.dtype), (x, w, b), bw,
                    "linear_cross_entropy")

@@ -127,34 +127,29 @@ class AdamState:
 
 
 def adam_step(params, state: AdamState, lr: float) -> None:
-    """Bias-corrected Adam update; the moments are updated in place, each
-    parameter's data is rebound to a new array and grads are cleared."""
+    """Bias-corrected Adam, the one update of pretraining, finetuning and the
+    probe: the moments are updated in place, each parameter's data is rebound
+    to a new array and grads are cleared. A non-finite grad raises."""
     state.step_count += 1
+    t, b1, b2 = state.step_count, state.beta1, state.beta2
     for i, p in enumerate(params):
-        if p.grad is None:
+        g = p.grad
+        if g is None:
             continue
-        p.data = _adam_update(state, i, p.data, p.grad, lr)
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient in parameter {i} (shape {p.shape})")
+        # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and lr*mhat/(sqrt(vhat)+eps)
+        # with the moments updated in place, in that operation order: same bits.
+        m, v = state.m[i], state.v[i]
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        step = m / (1 - b1 ** t)
+        step *= lr
+        step /= np.sqrt(v / (1 - b2 ** t)) + state.eps
+        p.data = p.data - step
         p.grad = None
-
-
-def _adam_update(state: AdamState, i: int, data, g, lr: float):
-    """Parameter i's Adam update from gradient g at state's step count: its
-    moments are updated in place and the new data is returned."""
-    if not np.isfinite(g).all():
-        raise FloatingPointError(f"non-finite gradient in parameter {i} (shape {data.shape})")
-    t = state.step_count
-    b1, b2 = state.beta1, state.beta2
-    # m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and lr*mhat/(sqrt(vhat)+eps)
-    # with the moments updated in place, in that operation order: same bits.
-    m, v = state.m[i], state.v[i]
-    m *= b1
-    m += (1 - b1) * g
-    v *= b2
-    v += (1 - b2) * g * g
-    step = m / (1 - b1 ** t)
-    step *= lr
-    step /= np.sqrt(v / (1 - b2 ** t)) + state.eps
-    return data - step
 
 
 def lr_schedule(step: int, cfg: TrainConfig, period: int) -> float:

@@ -156,3 +156,43 @@ def test_paths_of_unequal_length_warn_and_are_recorded(tmp_path, monkeypatch, ca
         if not equal:
             assert err.index("paths differ in length") < err.index("pair 0")
         assert len(runs) == 2
+
+
+@pytest.mark.parametrize("change_run, claim_met, status", [
+    (lambda i: {}, True, 0),
+    (lambda i: {"correct": False, "failed": None, "metrics": {}} if i % 2 else {}, False, 1),
+    (lambda i: {"failed": 1}, False, 0),
+], ids=["clean", "half-the-runs-failed", "more-failed-operations"])
+def test_claim_needs_every_run_correct_and_no_more_failures(tmp_path, monkeypatch,
+                                                            change_run, claim_met, status):
+    """Ten pairs, no benchmark run (run_once, git_state and host are
+    stubbed): the change's run_s is 10 below its pair's parent in every
+    pair that has one. The claim is met when every run is correct and
+    fails no operation; not when the change's odd-numbered runs fail,
+    though it wins every pair left, nor when every change run is correct
+    but fails an operation the parent's did not."""
+    bench = _bench_module()
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"commit": None, "dirty": None})
+    monkeypatch.setattr(bench, "host", lambda: {})
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmarks").mkdir(parents=True)
+        (tmp_path / side / "benchmarks" / "run.py").touch()
+    calls = {"parent": 0, "change": 0}
+
+    def run_once(tree, workload, seed, seconds, smoke):
+        side, i = tree.name, calls[tree.name]
+        calls[side] += 1
+        run = {"exit_status": 0, "correct": True, "attempted": 1, "failed": 0,
+               "metrics": {"run_s": 10.0 + i - (10.0 if side == "change" else 0.0)},
+               "quality": None}
+        return {**run, **change_run(i)} if side == "change" else run
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["--parent", str(tmp_path / "parent"), "--change",
+                       str(tmp_path / "change"), "--pr", "0", "--workloads",
+                       "desk-cls-probe", "--seeds", "3", "--pairs", "10"]) == status
+    (row,) = json.loads((tmp_path / "BENCH_0.json").read_text())["rows"]
+    assert row["metric"] == "run_s" and row["change_won"] == row["pairs"]
+    assert row["claim_met"] is claim_met

@@ -18,8 +18,8 @@ from pointcl.pointcloud import (Dataset, SyntheticSpec, generate_synthetic_datas
 from pointcl.training import TrainConfig, pretrain
 
 from oracles import (brute_force_iou, finite_difference_grads, max_rel_error, mul,
-                     reference_cross_entropy, reference_probe_fit, reference_sample_stack,
-                     tsum)
+                     reference_adam_step, reference_cross_entropy, reference_probe_fit,
+                     reference_sample_stack, tsum)
 
 
 def tiny_cfg(**kw):
@@ -52,6 +52,29 @@ def test_fit_probe_matches_float64_adam(rng):
     assert probe.w.dtype == np.float32
     assert np.allclose(probe.w.data, w, rtol=1e-5, atol=1e-6)
     assert np.allclose(probe.b.data, b, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("R, D, K", [(40, 6, 3), (5000, 16, 9)])
+def test_fit_probe_steps_w_and_b_as_one_array_with_their_bits(rng, R, D, K):
+    """The probe's one [D + 1, K] Adam parameter gives the bits of stepping
+    w and b as two: its weights, bias, loss and accuracy are equal to a fit
+    that hands the kernel's w and b rows to the reference Adam update as
+    two parameters, at a row count below and one above the kernel's row
+    block."""
+    x = rng.normal(size=(R, D)).astype(np.float32)
+    labels = rng.integers(0, K, size=R)
+    probe, loss, acc = evaluation.fit_probe(x, labels, K)
+    kernel = T._SoftmaxCE(x, labels, K, "fit_probe")
+    w, b = T.Tensor(np.zeros((D, K), np.float32)), T.Tensor(np.zeros(K, np.float32))
+    opt = training.AdamState([w, b])
+    epochs = evaluation.PROBE_EPOCHS
+    for epoch in range(epochs):
+        g, want_loss = kernel.grads(w.data, b.data, with_loss=epoch == epochs - 1)
+        w.grad, b.grad = g[:-1], g[-1]
+        reference_adam_step([w, b], opt, evaluation.PROBE_LR)
+    assert np.array_equal(probe.w.data, w.data) and np.array_equal(probe.b.data, b.data)
+    assert loss == want_loss
+    assert acc == kernel.accuracy(w.data, b.data)
 
 
 @pytest.mark.parametrize("epochs", [1, 7])
@@ -128,7 +151,7 @@ def test_fit_probe_rejects_non_finite_features(rng, monkeypatch, bad):
     gradient in the probe's weight."""
     feats = rng.normal(size=(40, 6)).astype(np.float32)
     feats[[7, 20], 2] = bad
-    monkeypatch.setattr(evaluation, "_adam_update", None)  # an epoch would fail on it
+    monkeypatch.setattr(evaluation, "adam_step", None)  # an epoch would fail on it
     with pytest.raises(FloatingPointError,
                        match=r"^the probe's features are not finite: 2 of 40 "
                              r"rows hold a nan or inf, the first is row 7$"):
@@ -151,10 +174,10 @@ def test_probe_loss_matches_float64_finite_differences(rng):
         return reference_cross_entropy(x @ w.data + b.data, labels)[0]
 
     objective = T._SoftmaxCE(x, labels, K, "fit_probe")
-    dw, db, loss = objective.grads(w.data, b.data, with_loss=True)
+    g, loss = objective.grads(w.data, b.data, with_loss=True)
     assert abs(loss - reference()) <= 1e-12 * reference()
     fd = finite_difference_grads(reference, [w, b], h=1e-6)
-    assert max_rel_error([dw, db], fd) < 1e-6
+    assert max_rel_error([g[:-1], g[-1]], fd) < 1e-6
 
 
 def test_probe_records_nothing_on_the_tape(rng, monkeypatch):

@@ -476,6 +476,26 @@ def test_train_checkpoint_bad_step_names_the_field(tmp_path, train_ckpt, step):
         load_train_checkpoint(bad)
 
 
+def test_checkpoint_extra_may_not_hold_tensors(tmp_path, train_ckpt):
+    """load_checkpoint returns the caller's tensors as extra["tensors"], so
+    save_checkpoint refuses an extra with that key and writes no file, and
+    a header whose extra holds one raises CheckpointError naming the key in
+    both loaders, for a file without caller tensors and one with them."""
+    model, _ = models.load_checkpoint(train_ckpt)
+    refused = tmp_path / "refused.pclm"
+    with pytest.raises(ValueError, match="'tensors' key"):
+        models.save_checkpoint(model, refused, extra={"step": 3, "tensors": [1, 2]})
+    assert not refused.exists()
+    plain = tmp_path / "plain.pclm"
+    models.save_checkpoint(model, plain, extra={"step": 3})
+    for src in (plain, train_ckpt):
+        bad = _edit_extra(src, tmp_path / "bad.pclm", lambda e: e.update(tensors=[1, 2]))
+        for load in (models.load_checkpoint, load_train_checkpoint):
+            with pytest.raises(models.CheckpointError, match=re.escape(
+                    f"{bad}: bad header: 'extra' holds a 'tensors' key")):
+                load(bad)
+
+
 def test_train_checkpoint_with_adam_constants_still_loads(tmp_path, train_ckpt):
     """Files written when the header also stored beta1, beta2 and eps."""
     old = _edit_extra(train_ckpt, tmp_path / "old.pclm",

@@ -14,9 +14,10 @@ The result goes to BENCH_<pr>.json beside this tool's BENCHMARK.json. Per
 workload, seed and end-to-end metric it holds both medians, the parent's
 quartiles, the pairs the change won (ties count for neither side), whether
 the median gap in either direction exceeds the parent's quartile spread,
-whether a gain is claimed (claim_met: the change won at least 9 in 10 of
-the pairs and its median is better than the parent's by more than that
-spread), whether the change's median is worse than the parent's by more
+whether a gain is claimed (claim_met: every run of both trees was
+correct, the change's runs failed no more operations than the parent's,
+the change won at least 9 in 10 of the pairs and its median is better
+than the parent's by more than that spread), whether the change's median is worse than the parent's by more
 than the metric's bound, and whether the parent's quartile spread alone
 exceeds that bound (the metric is then unresolved). Per workload and seed
 it counts the pairs whose quality figures are equal. It also records both
@@ -132,6 +133,15 @@ def summarise(runs, metric):
             "parent_spread_exceeds_bound": spread > metric["bound"]}
 
 
+def runs_clean(paired):
+    """Whether every run of both trees was correct and the change's runs
+    failed no more operations in all than the parent's; a claim needs it,
+    as summarise reads only the pairs whose runs both gave the metric."""
+    if not all(p["correct"] and c["correct"] for p, c in paired):
+        return False
+    return sum(c["failed"] for _, c in paired) <= sum(p["failed"] for p, _ in paired)
+
+
 def host():
     import numpy as np
 
@@ -186,9 +196,11 @@ def main(argv=None) -> int:
                             "equal_pairs": sum(p["quality"] is not None
                                                and p["quality"] == c["quality"]
                                                for p, c in paired)})
+            clean = runs_clean(paired)
             for metric in spec["end_to_end"]:
                 row = summarise(paired, metric)
                 if row is not None:
+                    row["claim_met"] = row["claim_met"] and clean
                     rows.append({"workload": w, "seed": seed, **row})
 
     out = {"pr": args.pr, "seconds": seconds, "smoke": args.smoke, "seeds": seeds,
