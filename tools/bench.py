@@ -17,15 +17,15 @@ the median gap in either direction exceeds the parent's quartile spread,
 whether a gain is claimed (claim_met: every run of both trees was
 correct, the change's runs failed no more operations than the parent's,
 the change won at least 9 in 10 of the pairs and its median is better
-than the parent's by more than that spread), whether the change's median is worse than the parent's by more
-than the metric's bound, and whether the parent's quartile spread alone
-exceeds that bound (the metric is then unresolved). Per workload and seed
-it counts the pairs whose quality figures are equal. It also records both
-trees' resolved paths and commits, whether the two paths have one length
-(the length alone moves peak_rss_mb by about 1 MB, so the tool warns
-before the runs when they differ), every run's metrics, quality figures
-and correct/failed counts, and the host's CPU count and numpy and BLAS
-versions. A run that exits non-zero, or whose last stdout line is not a
+than the parent's by more than that spread), whether the change's median
+is worse than the parent's by more than the metric's bound, and whether
+the parent's quartile spread alone exceeds that bound (the metric is
+then unresolved). Per workload and seed it counts the pairs whose quality
+figures are equal. It also records both trees' resolved paths and
+commits, whether the two paths have one length (the length alone moves
+peak_rss_mb by about 1 MB, so the tool warns before the runs when they
+differ), every run's metrics, quality figures and correct/failed counts,
+and the host's CPU count and numpy and BLAS versions. A run that exits non-zero, or whose last stdout line is not a
 result object, counts as failed, with no metrics and no quality. The exit
 status is 0 when every run was correct.
 """
