@@ -222,9 +222,12 @@ def fit_probe(train_feats, train_labels, num_classes,
     does. w's rows, then b, are one [D + 1, K] Adam parameter whose grad
     each epoch sets from tensor._SoftmaxCE, linear_cross_entropy's kernel,
     recording nothing on the tape; the probe's w and b, tensors that take no
-    gradient, are views of the final array."""
+    gradient, are views of the final array. Features that are not float32
+    or float64 are cast to float32, as Tensor casts its data."""
     _check_epochs("probe", epochs)
     x = np.asarray(train_feats)
+    if x.dtype not in (np.float32, np.float64):  # as Tensor casts its data
+        x = x.astype(np.float32)
     if x.ndim != 2:
         raise T.ShapeError(f"fit_probe: features of shape {x.shape} are not [rows, D]")
     # A nan reaches max and min too, and neither forms a [rows, D] mask. An

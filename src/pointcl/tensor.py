@@ -213,14 +213,16 @@ def _bn_affine(x, w, bn, momentum, training):
     """Batch norm of t = x @ w as the affine xs @ (w * a) + c of xs = x - x0,
     without forming t: inv = 1 / sqrt(var + eps), a = gamma * inv and
     c = beta - (mean - x0 @ w) * a. Returns xs, a, c and the backward's
-    (inv, mean - x0 @ w, x0, C @ w).
+    (inv, mean - x0 @ w, x0, C).
 
     Eval mode reads the running statistics and takes x0 = 0. Training mode
     takes x0 = xm, x's column mean, so the batch mean m = xm @ w leaves c,
     and the variance v = colsum(w * (C @ w)) from x's centred Gram matrix
     C = xs^T xs / R, clamped at 0 against rounding. Centring first keeps both
-    accurate when x's mean dwarfs its spread. It moves the running
-    statistics: running <- momentum * running + (1 - momentum) * batch.
+    accurate when x's mean dwarfs its spread. The statistics keep the
+    [Din, Din] matrix C, not the [Din, D] product C @ w, which the backward
+    forms again. It moves the running statistics: running <- momentum *
+    running + (1 - momentum) * batch.
     """
     if not training:
         inv = 1.0 / np.sqrt(bn.running_var + _BN_EPS)
@@ -228,31 +230,37 @@ def _bn_affine(x, w, bn, momentum, training):
         return x, a, bn.beta.data - bn.running_mean * a, (inv, bn.running_mean, 0.0, None)
     xm = x.mean(axis=0)
     xs = x - xm
-    cw = (xs.T @ xs / len(xs)) @ w
-    m, v = xm @ w, np.maximum(np.einsum("ij,ij->j", w, cw), 0)
+    gram = xs.T @ xs / len(xs)
+    m, v = xm @ w, np.maximum(np.einsum("ij,ij->j", w, gram @ w), 0)
     mom = float(momentum)
     bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(m.dtype)
     bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(m.dtype)
     inv = 1.0 / np.sqrt(v + _BN_EPS)
-    return xs, bn.gamma.data * inv, bn.beta.data, (inv, 0.0, xm, cw)
+    return xs, bn.gamma.data * inv, bn.beta.data, (inv, 0.0, xm, gram)
 
 
-def _layer_backward(x, xs, w, bn, a, stats, xg, dbeta, dx):
+def _layer_backward(x, w, bn, a, stats, xg, dbeta, dx, blocks):
     """Both encoder-layer ops' gradients from gh, the gradient at the batch
     norm's output, given as xg = xs^T gh, dbeta = colsum(gh) and dx = gh @
     (w * a)^T (None when x takes no gradient): dgamma = inv * (colsum(w *
     xg) - (mean - x0 @ w) * dbeta) and dw = a * xg. Training mode adds the
     batch statistics' terms, from [Din, D] matrices: dw -= (a * dgamma *
     inv) * (C @ w), dx -= xs @ (w * (inv * a * dgamma / R)) @ w^T + w @
-    (a * dbeta / R)."""
-    inv, m0, _, cw = stats
+    (a * dbeta / R). The xs term runs over the row slices blocks, each
+    block's rows of xs = x - x0 formed on their own, so no [R, Din] centred
+    input or product is formed beside dx."""
+    inv, m0, x0, gram = stats
     dgamma = inv * (np.einsum("ij,ij->j", w.data, xg) - m0 * dbeta)
     dw = a * xg
-    if cw is not None:
-        dw -= (a * dgamma * inv) * cw
+    if gram is not None:
+        dw -= (a * dgamma * inv) * (gram @ w.data)
         if dx is not None:
-            dx -= xs @ ((w.data * (inv * a * dgamma / len(xs))) @ w.data.T)
-            dx -= w.data @ (a * dbeta / len(xs))
+            k = (w.data * (inv * a * dgamma / len(x.data))) @ w.data.T
+            for rb in blocks:
+                xs = x.data[rb] - x0
+                dx[rb] -= xs @ k
+                del xs  # one block of xs at a time
+            dx -= w.data @ (a * dbeta / len(x.data))
     for p, d in ((bn.gamma, dgamma), (bn.beta, dbeta), (w, dw), (x, dx)):
         _accum(p, d)  # dx is None only where x takes no gradient
 
@@ -264,7 +272,8 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     No bias: batch norm subtracts the mean, which would cancel it. Both modes
     fold batch norm into the weight, relu(xs @ (w * a) + c) (see _bn_affine),
     built in place in the one [R, D] array the node keeps. The backward
-    derives the relu mask from the output.
+    derives the relu mask from the output and drops g, which backward hands
+    it as the only reference, once gh is formed.
     """
     _check_layer("shared_mlp", x, w, bn, training)
     xs, a, c, stats = _bn_affine(x.data, w.data, bn, momentum, training)
@@ -275,11 +284,12 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
 
     def bw(g):
         gh = g * (out_data > 0)
+        del g  # the caller holds no other reference
         dx = gh @ wa.T if x.requires_grad else None
         xs = x.data - stats[2]  # formed again rather than kept beside the output
         xg, dbeta = xs.T @ gh, gh.sum(axis=0)
-        del gh  # spent before _layer_backward forms its [R, Din] correction
-        _layer_backward(x, xs, w, bn, a, stats, xg, dbeta, dx)
+        del gh, xs  # spent before _layer_backward forms its [R, Din] correction
+        _layer_backward(x, w, bn, a, stats, xg, dbeta, dx, (slice(None),))
 
     return _result(out_data, (x, w, bn.gamma, bn.beta), bw, "shared_mlp")
 
@@ -297,9 +307,11 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     of x at each max, the first point at it, and drops xs once the pool has
     run. Eval mode does not search; its backward searches x again. Where
     gamma = 0 the folded column is constant and point 0 takes its gradient,
-    a valid subgradient at that kink. The backward takes x's gradient over
-    zero-filled blocks of gh, then forms xs again and gathers the winners'
-    rows of it for xs^T gh.
+    a valid subgradient at that kink. The node keeps neither xs nor w * a:
+    the backward forms w * a again, takes x's gradient over zero-filled
+    blocks of gh, gathers the winners' rows of x and centres them in place
+    for xs^T gh, and hands _layer_backward the same blocks of clouds for its
+    correction, so xs is never formed whole.
     """
     n_points = int(n_points)
     if x.data.ndim != 2 or n_points < 1 or x.shape[0] % n_points:
@@ -307,12 +319,11 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                          f"rows for N = {n_points} points")
     _check_layer("shared_mlp_max_pool", x, w, bn, training)
     xs, a, c, stats = _bn_affine(x.data, w.data, bn, momentum, training)
-    wa = w.data * a
-    B, D = x.shape[0] // n_points, wa.shape[1]
+    B, D = x.shape[0] // n_points, w.shape[1]
     k = max(1, _POOL_BLOCK // (n_points * D))
     blocks = [(slice(s, s + k), slice(s * n_points, (s + k) * n_points)) for s in range(0, B, k)]
 
-    def pool(src, search):
+    def pool(src, wa, search):
         """The [B, D] max over the points of src @ wa and, if search, the
         rows of src at the first point at each max."""
         tp, rows = np.empty((B, D), dtype=wa.dtype), np.empty((B, D), dtype=np.intp)
@@ -324,12 +335,13 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
             del t3  # so the next block's product is not formed beside this one
         return tp, rows if search else None
 
-    tp, rows = pool(xs, training)
-    del xs  # the backward forms it again, as shared_mlp's does
+    tp, rows = pool(xs, w.data * a, training)
+    del xs  # the backward gathers the rows it needs from x
     pooled = np.maximum(tp + c, 0)
 
     def bw(g):
-        at = rows if training else pool(x.data, True)[1]
+        wa = w.data * a  # formed again rather than kept on the node
+        at = rows if training else pool(x.data, wa, True)[1]
         gp = g * (pooled > 0)
         dx = None
         if x.requires_grad:
@@ -339,9 +351,15 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                 np.put(gh, (at[cb] - rb.start) * D + np.arange(D), gp[cb])
                 dx[rb] = gh @ wa.T
                 del gh  # as in pool: one block of gh at a time
-        xs = x.data - stats[2]  # formed only once the blocks of gh are gone
-        xg = sum(np.einsum("bdi,bd->id", xs[at[cb]], gp[cb]) for cb, _ in blocks)
-        _layer_backward(x, xs, w, bn, a, stats, xg, gp.sum(axis=0), dx)
+        del wa  # gone before the winners' rows are gathered
+        xg = 0
+        for cb, _ in blocks:
+            xw = x.data[at[cb]]  # [clouds, D, Din]: the winners' rows of x
+            xw -= stats[2]
+            xg = xg + np.einsum("bdi,bd->id", xw, gp[cb])
+            del xw
+        _layer_backward(x, w, bn, a, stats, xg, gp.sum(axis=0), dx,
+                        [rb for _, rb in blocks])
 
     return _result(pooled, (x, w, bn.gamma, bn.beta), bw, "shared_mlp_max_pool")
 
@@ -557,15 +575,24 @@ def index(x: Tensor, key) -> Tensor:
     return _result(out_data, (x,), bw, "slice")
 
 
+def _spend(node):
+    """node.grad, cleared on the node, so the call it is handed to holds the
+    only reference and may drop it once spent."""
+    g, node.grad = node.grad, None
+    return g
+
+
 def backward(loss: Tensor) -> None:
     """Populate .grad of every requires_grad tensor reachable from loss.
 
     loss must be a scalar. Walks the recorded graph in reverse topological
     order; each node's local backward accumulates into its parents. Leaves
     keep their gradients, which add up over calls. An interior node's
-    gradient lives only until it is spent: it is None again once the node's
-    own backward has run. Interior gradients are also reset before the walk,
-    so a walk that raised part-way leaves none for the next call to add to.
+    gradient is handed to its own backward: .grad is None again before the
+    call, and no local here holds the array, so the call holds the only
+    reference and can drop it once spent. Interior gradients are also reset
+    before the walk, so a walk that raised part-way leaves none for the
+    next call to add to.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
@@ -590,5 +617,4 @@ def backward(loss: Tensor) -> None:
     loss.grad.flags.writeable = False
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-            node.grad = None  # spent: its parents hold what they need
+            node._backward(_spend(node))  # no local holds it while the call runs

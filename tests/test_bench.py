@@ -196,3 +196,47 @@ def test_claim_needs_every_run_correct_and_no_more_failures(tmp_path, monkeypatc
     (row,) = json.loads((tmp_path / "BENCH_0.json").read_text())["rows"]
     assert row["metric"] == "run_s" and row["change_won"] == row["pairs"]
     assert row["claim_met"] is claim_met
+
+
+def test_rows_are_printed_after_the_last_run(tmp_path, monkeypatch, capsys):
+    """Two seeds of three pairs, no benchmark run (run_once, git_state and
+    host are stubbed): after the last run's line, stderr holds one line per
+    workload, seed and metric, with both medians, the parent's quartiles,
+    the pairs won and the claim_met and worse_than_bound flags of the row
+    written to BENCH_<pr>.json."""
+    bench = _bench_module()
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"commit": None, "dirty": None})
+    monkeypatch.setattr(bench, "host", lambda: {})
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmarks").mkdir(parents=True)
+        (tmp_path / side / "benchmarks" / "run.py").touch()
+    calls = {"parent": 0, "change": 0}
+
+    def run_once(tree, workload, seed, seconds, smoke):
+        i = calls[tree.name] % 3
+        calls[tree.name] += 1
+        slower = tree.name == "change" and seed == 5
+        return {"exit_status": 0, "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"run_s": 10.0 + i + (10.0 if slower else 0.0),
+                            "peak_rss_mb": 90.0 + i - (5.0 if tree.name == "change" else 0.0)},
+                "quality": None}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["--parent", str(tmp_path / "parent"), "--change",
+                       str(tmp_path / "change"), "--pr", "0", "--workloads",
+                       "desk-cls-probe", "--seeds", "3,5", "--pairs", "3"]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    rows = json.loads((tmp_path / "BENCH_0.json").read_text())["rows"]
+    assert len(rows) == 4 and lines[-1].startswith("wrote ")
+    printed = lines[-1 - len(rows):-1]
+    assert "pair 2" in lines[-2 - len(rows)]
+    assert printed == [bench.row_line(row) for row in rows]
+    by_key = {(r["seed"], r["metric"]): line for r, line in zip(rows, printed)}
+    assert by_key[(3, "peak_rss_mb")] == (
+        "desk-cls-probe seed 3 peak_rss_mb: 91 -> 86 MB (parent q1-q3 90.5-91.5), "
+        "won 3/3, claim_met=True worse_than_bound=False")
+    assert by_key[(5, "run_s")] == (
+        "desk-cls-probe seed 5 run_s: 11 -> 21 s (parent q1-q3 10.5-11.5), "
+        "won 0/3, claim_met=False worse_than_bound=True")

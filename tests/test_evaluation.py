@@ -139,6 +139,22 @@ def test_fit_probe_allocates_under_two_logit_arrays(rng):
     assert peak <= 2 * R * K * 4, peak / (R * K * 4)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_, np.float16])
+def test_fit_probe_casts_other_features_to_float32(dtype):
+    """Features that are not float32 or float64 are cast to float32, as
+    Tensor casts its data: the probe's weights, bias, loss and accuracy are
+    the bits of a fit on the float32 cast."""
+    feats = np.eye(4, dtype=dtype)[[0, 1, 2, 3, 0]]
+    labels = [0, 1, 2, 3, 0]
+    probe, loss, acc = evaluation.fit_probe(feats, labels, 4, epochs=3)
+    want, want_loss, want_acc = evaluation.fit_probe(feats.astype(np.float32), labels, 4,
+                                                     epochs=3)
+    assert probe.w.dtype == np.float32
+    assert np.array_equal(probe.w.data, want.w.data)
+    assert np.array_equal(probe.b.data, want.b.data)
+    assert (loss, acc) == (want_loss, want_acc)
+
+
 def test_fit_probe_empty_features():
     with pytest.raises(T.ShapeError, match="empty batch"):
         evaluation.fit_probe(np.zeros((0, 4), np.float32), np.zeros(0, int), 3)

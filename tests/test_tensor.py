@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -451,6 +452,27 @@ def test_second_backward_doubles_leaf_gradient(monkeypatch, depth):
     assert np.array_equal(x.grad, 2 * first)
     assert all(np.array_equal(g, h) for g, h in zip(_last_grads(stored, chain), inner))
     assert all(t.grad is None for t in chain)
+
+
+def test_interior_node_is_handed_its_gradient(rng):
+    """backward clears an interior node's .grad before it calls the node's
+    backward and keeps the gradient in no local of its own: while the call
+    runs the node reads .grad None, and the call's argument is the only
+    reference to its gradient, so dropping it frees the array."""
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    seen = []
+
+    def bw(g):
+        seen.append(node.grad is None)
+        gone = weakref.ref(g)
+        del g
+        seen.append(gone() is None)
+        T._accum(x, np.full(x.shape, 2.0))
+
+    node = T._result(x.data * 2, (x,), bw, "double")
+    T.backward(tsum(node))
+    assert seen == [True, True]
+    assert node.grad is None and (x.grad == 2.0).all()
 
 
 def test_backward_nonscalar_rejected():
@@ -947,6 +969,35 @@ def test_full_cls_step_keeps_no_centred_pool_input():
     assert peak <= 17.9 * 2**20, peak / 2**20
 
 
+def test_full_cls_step_backward_hands_off_and_recomputes():
+    """The full-preset cls step of the test above: backward hands each
+    gradient to its node, shared_mlp's backward drops it once gh is formed,
+    batch norm keeps its [Din, Din] Gram matrix rather than C @ w, the
+    pooled node forms w * a again in backward, and it gathers the winners'
+    rows of x and runs its correction over its blocks of clouds instead of
+    forming its centred input whole, so the traced peak above the step's
+    start is 13.74 MiB, down from 16.77. Keeping C @ w on the node peaked at
+    14.19 MiB, keeping w * a at 14.24, and binding the gradient in
+    backward's loop at 15.03; the bound sits below all three."""
+    rng = np.random.default_rng(0)
+    cfg = TrainConfig(pairs_per_batch=16, points_per_cloud=128,
+                      encoder_widths=list(models.FULL_ENCODER_WIDTHS), head_widths=[512, 256],
+                      dropout_rate=0.7, transform="rotate:y:180")
+    model = models.ModelParams.create(rng, encoder_widths=cfg.encoder_widths,
+                                      head_widths=cfg.head_widths,
+                                      dropout_rate=cfg.dropout_rate)
+    orig = rng.normal(size=(16, 128, 3)).astype(np.float32)
+    trans = orig + np.float32(0.01) * rng.normal(size=orig.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T.backward(training._forward_loss(model, orig, trans, cfg, rng, "cls"))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.0 * 2**20, peak / 2**20
+
+
 def test_shared_mlp_backward_drops_gh_before_its_correction(rng):
     """A training-mode [4096, 64] -> 128 layer: the backward drops gh, the
     [R, D] gradient at the batch norm's output, once xs^T gh and colsum(gh)
@@ -977,6 +1028,34 @@ def test_eval_pool_blocks_equal_one_block(rng, monkeypatch):
     monkeypatch.setattr(T, "_POOL_BLOCK", B * N * D)
     whole = T.shared_mlp_max_pool(x, w, bn, 0.9, False, N).data
     assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("din, dout", [(128, 1024), (64, 128)], ids=["full", "desk"])
+def test_layer_backward_blocks_equal_one_block(rng, din, dout, dtype):
+    """_layer_backward's correction dx -= xs @ K, run over the 8 row blocks
+    of 4 clouds that the full preset's pooled layer forms from 32 clouds of
+    128 points, gives the bits of the whole-array xs @ K, at the full
+    [4096, 128] -> 1024 layer and at the desk [4096, 64] -> 128 one."""
+    B, N = 32, 128
+    assert max(1, T._POOL_BLOCK // (N * 1024)) == 4
+    x, w, bn = _shared_mlp_inputs(rng, dtype, rows=B * N, din=din, dout=dout)
+    xs, a, _, stats = T._bn_affine(x.data, w.data, bn, 0.9, True)
+    xg = rng.normal(size=(din, dout)).astype(dtype)
+    dbeta = rng.normal(size=dout).astype(dtype)
+    dx0 = rng.normal(size=(B * N, din)).astype(dtype)
+    grads = []
+    for blocks in ([slice(s, s + 4 * N) for s in range(0, B * N, 4 * N)], [slice(None)]):
+        x.grad = w.grad = bn.gamma.grad = bn.beta.grad = None
+        T._layer_backward(x, w, bn, a, stats, xg, dbeta, dx0.copy(), blocks)
+        grads.append([p.grad for p in (x, w, bn.gamma, bn.beta)])
+    inv, m0, _, gram = stats
+    dgamma = inv * (np.einsum("ij,ij->j", w.data, xg) - m0 * dbeta)
+    want = dx0 - xs @ ((w.data * (inv * a * dgamma / len(xs))) @ w.data.T)
+    want -= w.data @ (a * dbeta / len(xs))
+    assert np.array_equal(grads[0][0], want)
+    for blocked, whole in zip(*grads):
+        assert np.array_equal(blocked, whole)
 
 
 def _layer(pooled, x, w, bn, momentum, training, n_points):

@@ -25,9 +25,12 @@ figures are equal. It also records both trees' resolved paths and
 commits, whether the two paths have one length (the length alone moves
 peak_rss_mb by about 1 MB, so the tool warns before the runs when they
 differ), every run's metrics, quality figures and correct/failed counts,
-and the host's CPU count and numpy and BLAS versions. A run that exits non-zero, or whose last stdout line is not a
-result object, counts as failed, with no metrics and no quality. The exit
-status is 0 when every run was correct.
+and the host's CPU count and numpy and BLAS versions. After the last run
+it prints each row on stderr as one line: the medians, the parent's
+quartiles, the pairs won, claim_met and worse_than_bound. A run that
+exits non-zero, or whose last stdout line is not a result object, counts
+as failed, with no metrics and no quality. The exit status is 0 when
+every run was correct.
 """
 
 import argparse
@@ -133,6 +136,16 @@ def summarise(runs, metric):
             "parent_spread_exceeds_bound": spread > metric["bound"]}
 
 
+def row_line(row):
+    """One summary row as a line of text: the medians parent -> change, the
+    parent's quartiles, the pairs won and the two verdict flags."""
+    return (f"{row['workload']} seed {row['seed']} {row['metric']}: "
+            f"{row['parent_median']:.4g} -> {row['change_median']:.4g} {row['unit']} "
+            f"(parent q1-q3 {row['parent_q1']:.4g}-{row['parent_q3']:.4g}), "
+            f"won {row['change_won']}/{row['pairs']}, claim_met={row['claim_met']} "
+            f"worse_than_bound={row['worse_than_bound']}")
+
+
 def runs_clean(paired):
     """Whether every run of both trees was correct and the change's runs
     failed no more operations in all than the parent's; a claim needs it,
@@ -211,6 +224,8 @@ def main(argv=None) -> int:
            "host": host(), "rows": rows, "quality": quality, "runs": runs}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
+    for row in rows:
+        print(row_line(row), file=sys.stderr)
     print(f"wrote {path}", file=sys.stderr)
     return 0 if all(r["correct"] for r in runs) else 1
 
