@@ -198,6 +198,7 @@ class BNState:
 
 _BN_EPS = 1e-5
 _POOL_BLOCK = 1 << 19  # product entries per block of clouds: 2 MB in float32
+_GRAD_BLOCK = 1 << 17  # entries per block of shared_mlp's backward relu mask
 
 
 def _check_layer(name, x, w, bn, training):
@@ -253,7 +254,10 @@ def _layer_backward(x, w, bn, a, stats, xg, dbeta, dx, blocks):
     dgamma = inv * (np.einsum("ij,ij->j", w.data, xg) - m0 * dbeta)
     dw = a * xg
     if gram is not None:
-        dw -= (a * dgamma * inv) * (gram @ w.data)
+        cw = gram @ w.data  # scaled in place: one [Din, D] temporary, not two
+        cw *= a * dgamma * inv
+        dw -= cw
+        del cw
         if dx is not None:
             k = (w.data * (inv * a * dgamma / len(x.data))) @ w.data.T
             for rb in blocks:
@@ -272,8 +276,9 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     No bias: batch norm subtracts the mean, which would cancel it. Both modes
     fold batch norm into the weight, relu(xs @ (w * a) + c) (see _bn_affine),
     built in place in the one [R, D] array the node keeps. The backward
-    derives the relu mask from the output and drops g, which backward hands
-    it as the only reference, once gh is formed.
+    derives the relu mask from the output a block of rows at a time, so no
+    [R, D] mask is formed, and drops g, which backward hands it as the only
+    reference, once gh is formed.
     """
     _check_layer("shared_mlp", x, w, bn, training)
     xs, a, c, stats = _bn_affine(x.data, w.data, bn, momentum, training)
@@ -283,12 +288,16 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     np.maximum(out_data, 0, out=out_data)
 
     def bw(g):
-        gh = g * (out_data > 0)
+        gh = np.empty_like(g)  # a block of rows at a time: no [R, D] mask
+        step = max(1, _GRAD_BLOCK // g.shape[1])
+        for s in range(0, len(g), step):
+            np.multiply(g[s:s + step], out_data[s:s + step] > 0, out=gh[s:s + step])
         del g  # the caller holds no other reference
-        dx = gh @ wa.T if x.requires_grad else None
         xs = x.data - stats[2]  # formed again rather than kept beside the output
         xg, dbeta = xs.T @ gh, gh.sum(axis=0)
-        del gh, xs  # spent before _layer_backward forms its [R, Din] correction
+        del xs  # gone before dx is formed
+        dx = gh @ wa.T if x.requires_grad else None
+        del gh  # spent before _layer_backward forms its [R, Din] correction
         _layer_backward(x, w, bn, a, stats, xg, dbeta, dx, (slice(None),))
 
     return _result(out_data, (x, w, bn.gamma, bn.beta), bw, "shared_mlp")
@@ -309,7 +318,8 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     gamma = 0 the folded column is constant and point 0 takes its gradient,
     a valid subgradient at that kink. The node keeps neither xs nor w * a:
     the backward forms w * a again, takes x's gradient over zero-filled
-    blocks of gh, gathers the winners' rows of x and centres them in place
+    blocks of gh, each block's product written into its rows of dx, then
+    gathers the winners' rows of x and centres them in place
     for xs^T gh, and hands _layer_backward the same blocks of clouds for its
     correction, so xs is never formed whole.
     """
@@ -349,7 +359,7 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
             for cb, rb in blocks:
                 gh = np.zeros((len(gp[cb]) * n_points, D), dtype=gp.dtype)
                 np.put(gh, (at[cb] - rb.start) * D + np.arange(D), gp[cb])
-                dx[rb] = gh @ wa.T
+                np.matmul(gh, wa.T, out=dx[rb])
                 del gh  # as in pool: one block of gh at a time
         del wa  # gone before the winners' rows are gathered
         xg = 0

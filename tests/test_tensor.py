@@ -942,14 +942,10 @@ def test_seg_step_backward_drops_spent_gradients():
     assert peak <= 6.8 * 2**20, peak / 2**20
 
 
-def test_full_cls_step_keeps_no_centred_pool_input():
-    """One full-preset cls step (16 pairs of 128 points, encoder
-    64,64,64,128,1024, head 512,256, dropout 0.7; the pooled layer runs 8
-    blocks of 4 clouds): the pooled layer forms its centred input xs again
-    in backward, after its blocks of gh are gone, and shared_mlp's backward
-    drops gh before its [R, Din] correction, so the forward-plus-backward
-    traced peak above the step's start is 16.8 MiB. Keeping xs on the tape
-    until backward peaked at 19.0 MiB; the bound sits between the two."""
+def _full_cls_step_peak():
+    """The traced forward-plus-backward peak, above its start, of one
+    full-preset cls step: 16 pairs of 128 points, encoder
+    64,64,64,128,1024, head 512,256, dropout 0.7."""
     rng = np.random.default_rng(0)
     cfg = TrainConfig(pairs_per_batch=16, points_per_cloud=128,
                       encoder_widths=list(models.FULL_ENCODER_WIDTHS), head_widths=[512, 256],
@@ -966,36 +962,34 @@ def test_full_cls_step_keeps_no_centred_pool_input():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_full_cls_step_keeps_no_centred_pool_input():
+    """One full-preset cls step (16 pairs of 128 points, encoder
+    64,64,64,128,1024, head 512,256, dropout 0.7; the pooled layer runs 8
+    blocks of 4 clouds): the pooled layer keeps no centred input xs on the
+    tape, and shared_mlp's backward drops gh before its [R, Din] correction,
+    so the forward-plus-backward traced peak above the step's start was 16.8
+    MiB (13.74 MiB with the cuts of the next test). Keeping xs on the tape
+    until backward peaked at 19.0 MiB; the bound sits between the two."""
+    peak = _full_cls_step_peak()
     assert peak <= 17.9 * 2**20, peak / 2**20
 
 
 def test_full_cls_step_backward_hands_off_and_recomputes():
     """The full-preset cls step of the test above: backward hands each
-    gradient to its node, shared_mlp's backward drops it once gh is formed,
-    batch norm keeps its [Din, Din] Gram matrix rather than C @ w, the
-    pooled node forms w * a again in backward, and it gathers the winners'
-    rows of x and runs its correction over its blocks of clouds instead of
-    forming its centred input whole, so the traced peak above the step's
-    start is 13.74 MiB, down from 16.77. Keeping C @ w on the node peaked at
-    14.19 MiB, keeping w * a at 14.24, and binding the gradient in
-    backward's loop at 15.03; the bound sits below all three."""
-    rng = np.random.default_rng(0)
-    cfg = TrainConfig(pairs_per_batch=16, points_per_cloud=128,
-                      encoder_widths=list(models.FULL_ENCODER_WIDTHS), head_widths=[512, 256],
-                      dropout_rate=0.7, transform="rotate:y:180")
-    model = models.ModelParams.create(rng, encoder_widths=cfg.encoder_widths,
-                                      head_widths=cfg.head_widths,
-                                      dropout_rate=cfg.dropout_rate)
-    orig = rng.normal(size=(16, 128, 3)).astype(np.float32)
-    trans = orig + np.float32(0.01) * rng.normal(size=orig.shape).astype(np.float32)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        T.backward(training._forward_loss(model, orig, trans, cfg, rng, "cls"))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= 14.0 * 2**20, peak / 2**20
+    gradient to its node, shared_mlp's backward masks it a block of rows at
+    a time and drops it once gh is formed, batch norm keeps its [Din, Din]
+    Gram matrix rather than C @ w, and the pooled node forms w * a again in
+    backward, gathers the winners' rows of x rather than forming its
+    centred input whole and runs its correction over its blocks of clouds.
+    The traced peak above the step's start is 13.74 MiB, down from 16.77.
+    Keeping C @ w on the node peaked at 14.19 MiB, keeping w * a at 14.24,
+    and binding the gradient in backward's loop at 14.08; the bound sits
+    below all three."""
+    peak = _full_cls_step_peak()
+    assert peak <= 13.9 * 2**20, peak / 2**20
 
 
 def test_shared_mlp_backward_drops_gh_before_its_correction(rng):
@@ -1028,6 +1022,25 @@ def test_eval_pool_blocks_equal_one_block(rng, monkeypatch):
     monkeypatch.setattr(T, "_POOL_BLOCK", B * N * D)
     whole = T.shared_mlp_max_pool(x, w, bn, 0.9, False, N).data
     assert np.array_equal(blocked, whole)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shared_mlp_mask_blocks_equal_one_block(rng, monkeypatch, dtype):
+    """shared_mlp's backward masks g a block of about _GRAD_BLOCK entries at
+    a time: in blocks of 3 rows (53 of them, then 1 row) every gradient
+    equals, bit for bit, the one from gh masked whole."""
+    R, D = 160, 64
+    x, w, bn = _shared_mlp_inputs(rng, dtype, rows=R, din=32, dout=D)
+    r = Tensor(rng.normal(size=(R, D)), dtype=dtype)
+    grads = []
+    for block in (3 * D, R * D):
+        monkeypatch.setattr(T, "_GRAD_BLOCK", block)
+        for p in (x, w, bn.gamma, bn.beta):
+            p.grad = None
+        T.backward(tsum(mul(T.shared_mlp(x, w, bn, 0.9, True), r)))
+        grads.append([p.grad for p in (x, w, bn.gamma, bn.beta)])
+    for blocked, whole in zip(*grads):
+        assert np.array_equal(blocked, whole)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
