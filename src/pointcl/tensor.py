@@ -214,7 +214,7 @@ def _bn_affine(x, w, bn, momentum, training):
     """Batch norm of t = x @ w as the affine xs @ (w * a) + c of xs = x - x0,
     without forming t: inv = 1 / sqrt(var + eps), a = gamma * inv and
     c = beta - (mean - x0 @ w) * a. Returns xs, a, c and the backward's
-    (inv, mean - x0 @ w, x0, C).
+    (inv, x0, C), None in eval mode, which records no node.
 
     Eval mode reads the running statistics and takes x0 = 0. Training mode
     takes x0 = xm, x's column mean, so the batch mean m = xm @ w leaves c,
@@ -228,7 +228,7 @@ def _bn_affine(x, w, bn, momentum, training):
     if not training:
         inv = 1.0 / np.sqrt(bn.running_var + _BN_EPS)
         a = bn.gamma.data * inv
-        return x, a, bn.beta.data - bn.running_mean * a, (inv, bn.running_mean, 0.0, None)
+        return x, a, bn.beta.data - bn.running_mean * a, None
     xm = x.mean(axis=0)
     xs = x - xm
     gram = xs.T @ xs / len(xs)
@@ -237,41 +237,41 @@ def _bn_affine(x, w, bn, momentum, training):
     bn.running_mean = (mom * bn.running_mean + (1.0 - mom) * m).astype(m.dtype)
     bn.running_var = (mom * bn.running_var + (1.0 - mom) * v).astype(m.dtype)
     inv = 1.0 / np.sqrt(v + _BN_EPS)
-    return xs, bn.gamma.data * inv, bn.beta.data, (inv, 0.0, xm, gram)
+    return xs, bn.gamma.data * inv, bn.beta.data, (inv, xm, gram)
 
 
 def _layer_backward(x, w, bn, a, stats, xg, dbeta, dx, blocks):
-    """Both encoder-layer ops' gradients from gh, the gradient at the batch
-    norm's output, given as xg = xs^T gh, dbeta = colsum(gh) and dx = gh @
-    (w * a)^T (None when x takes no gradient): dgamma = inv * (colsum(w *
-    xg) - (mean - x0 @ w) * dbeta) and dw = a * xg. Training mode adds the
-    batch statistics' terms, from [Din, D] matrices: dw -= (a * dgamma *
-    inv) * (C @ w), dx -= xs @ (w * (inv * a * dgamma / R)) @ w^T + w @
-    (a * dbeta / R). The xs term runs over the row slices blocks, each
-    block's rows of xs = x - x0 formed on their own, so no [R, Din] centred
-    input or product is formed beside dx."""
-    inv, m0, x0, gram = stats
-    dgamma = inv * (np.einsum("ij,ij->j", w.data, xg) - m0 * dbeta)
+    """Both encoder-layer ops' training-mode gradients from gh, the gradient
+    at the batch norm's output, given as xg = xs^T gh, dbeta = colsum(gh)
+    and dx = gh @ (w * a)^T (None when x takes no gradient): dgamma = inv *
+    colsum(w * xg) and dw = a * xg, less the batch statistics' terms, from
+    [Din, D] matrices: dw -= (a * dgamma * inv) * (C @ w), dx -= xs @ (w *
+    (inv * a * dgamma / R)) @ w^T + w @ (a * dbeta / R). The xs term runs
+    over the row slices blocks, each block's rows of xs = x - x0 formed on
+    their own, so no [R, Din] centred input or product is formed beside
+    dx."""
+    inv, x0, gram = stats
+    dgamma = inv * np.einsum("ij,ij->j", w.data, xg)
     dw = a * xg
-    if gram is not None:
-        cw = gram @ w.data  # scaled in place: one [Din, D] temporary, not two
-        cw *= a * dgamma * inv
-        dw -= cw
-        del cw
-        if dx is not None:
-            k = (w.data * (inv * a * dgamma / len(x.data))) @ w.data.T
-            for rb in blocks:
-                xs = x.data[rb] - x0
-                dx[rb] -= xs @ k
-                del xs  # one block of xs at a time
-            dx -= w.data @ (a * dbeta / len(x.data))
+    cw = gram @ w.data  # scaled in place: one [Din, D] temporary, not two
+    cw *= a * dgamma * inv
+    dw -= cw
+    del cw
+    if dx is not None:
+        k = (w.data * (inv * a * dgamma / len(x.data))) @ w.data.T
+        for rb in blocks:
+            xs = x.data[rb] - x0
+            dx[rb] -= xs @ k
+            del xs  # one block of xs at a time
+        dx -= w.data @ (a * dbeta / len(x.data))
     for p, d in ((bn.gamma, dgamma), (bn.beta, dbeta), (w, dw), (x, dx)):
         _accum(p, d)  # dx is None only where x takes no gradient
 
 
 def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                training: bool) -> Tensor:
-    """One shared-MLP layer, relu(batch_norm(x @ w)), as one tape node.
+    """One shared-MLP layer, relu(batch_norm(x @ w)), as one tape node; eval
+    mode is inference and returns an untracked tensor of the same op name.
 
     No bias: batch norm subtracts the mean, which would cancel it. Both modes
     fold batch norm into the weight, relu(xs @ (w * a) + c) (see _bn_affine),
@@ -286,6 +286,8 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     out_data = xs @ wa
     out_data += c
     np.maximum(out_data, 0, out=out_data)
+    if not training:
+        return Tensor(out_data, _op="shared_mlp")
 
     def bw(g):
         gh = np.empty_like(g)  # a block of rows at a time: no [R, D] mask
@@ -293,7 +295,7 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
         for s in range(0, len(g), step):
             np.multiply(g[s:s + step], out_data[s:s + step] > 0, out=gh[s:s + step])
         del g  # the caller holds no other reference
-        xs = x.data - stats[2]  # formed again rather than kept beside the output
+        xs = x.data - stats[1]  # formed again rather than kept beside the output
         xg, dbeta = xs.T @ gh, gh.sum(axis=0)
         del xs  # gone before dx is formed
         dx = gh @ wa.T if x.requires_grad else None
@@ -306,21 +308,21 @@ def shared_mlp(x: Tensor, w: Tensor, bn: BNState, momentum: float,
 def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
                         training: bool, n_points: int) -> Tensor:
     """The max over the points of reshape(shared_mlp(x, w, bn, ...), (B, N, D))
-    as one tape node, x[B*N, Din] -> [B, D]: the encoder's last layer and its
-    pool. An empty cloud (N = 0) has no max and raises.
+    as one tape node (untracked in eval mode, as shared_mlp's), x[B*N, Din]
+    -> [B, D]: the encoder's last layer and its pool. An empty cloud (N = 0)
+    has no max and raises.
 
     It pools before the affine, relu(max_n(xs @ (w * a)) + c), whose max is
     the min of x @ w where a < 0: shared_mlp's pooled values up to rounding.
     Both modes run in blocks of clouds of about _POOL_BLOCK product
     entries, so neither forms a [B*N, D] array. Training mode keeps the row
     of x at each max, the first point at it, and drops xs once the pool has
-    run. Eval mode does not search; its backward searches x again. Where
-    gamma = 0 the folded column is constant and point 0 takes its gradient,
-    a valid subgradient at that kink. The node keeps neither xs nor w * a:
-    the backward forms w * a again, takes x's gradient over zero-filled
-    blocks of gh, each block's product written into its rows of dx, then
-    gathers the winners' rows of x and centres them in place
-    for xs^T gh, and hands _layer_backward the same blocks of clouds for its
+    run. Where gamma = 0 the folded column is constant and point 0 takes its
+    gradient, a valid subgradient at that kink. The node keeps neither xs
+    nor w * a: the backward forms w * a again, takes x's gradient over
+    zero-filled blocks of gh, each block's product written into its rows of
+    dx, then gathers the winners' rows of x and centres them in place for
+    xs^T gh, and hands _layer_backward the same blocks of clouds for its
     correction, so xs is never formed whole.
     """
     n_points = int(n_points)
@@ -332,40 +334,36 @@ def shared_mlp_max_pool(x: Tensor, w: Tensor, bn: BNState, momentum: float,
     B, D = x.shape[0] // n_points, w.shape[1]
     k = max(1, _POOL_BLOCK // (n_points * D))
     blocks = [(slice(s, s + k), slice(s * n_points, (s + k) * n_points)) for s in range(0, B, k)]
-
-    def pool(src, wa, search):
-        """The [B, D] max over the points of src @ wa and, if search, the
-        rows of src at the first point at each max."""
-        tp, rows = np.empty((B, D), dtype=wa.dtype), np.empty((B, D), dtype=np.intp)
-        for cb, rb in blocks:
-            t3 = (src[rb] @ wa).reshape(-1, n_points, D)
-            tp[cb] = t3.max(axis=1)
-            if search:
-                rows[cb] = _first_at_max(t3, tp[cb]) + n_points * np.arange(B)[cb, None]
-            del t3  # so the next block's product is not formed beside this one
-        return tp, rows if search else None
-
-    tp, rows = pool(xs, w.data * a, training)
-    del xs  # the backward gathers the rows it needs from x
+    wa = w.data * a
+    tp = np.empty((B, D), dtype=wa.dtype)
+    rows = np.empty((B, D), dtype=np.intp) if training else None
+    for cb, rb in blocks:
+        t3 = (xs[rb] @ wa).reshape(-1, n_points, D)
+        tp[cb] = t3.max(axis=1)
+        if training:
+            rows[cb] = _first_at_max(t3, tp[cb]) + n_points * np.arange(B)[cb, None]
+        del t3  # so the next block's product is not formed beside this one
+    del xs, wa  # the backward gathers the rows it needs from x
     pooled = np.maximum(tp + c, 0)
+    if not training:
+        return Tensor(pooled, _op="shared_mlp_max_pool")
 
     def bw(g):
         wa = w.data * a  # formed again rather than kept on the node
-        at = rows if training else pool(x.data, wa, True)[1]
         gp = g * (pooled > 0)
         dx = None
         if x.requires_grad:
             dx = np.empty((x.shape[0], wa.shape[0]), dtype=gp.dtype)
             for cb, rb in blocks:
                 gh = np.zeros((len(gp[cb]) * n_points, D), dtype=gp.dtype)
-                np.put(gh, (at[cb] - rb.start) * D + np.arange(D), gp[cb])
+                np.put(gh, (rows[cb] - rb.start) * D + np.arange(D), gp[cb])
                 np.matmul(gh, wa.T, out=dx[rb])
-                del gh  # as in pool: one block of gh at a time
+                del gh  # as in the forward: one block of gh at a time
         del wa  # gone before the winners' rows are gathered
         xg = 0
         for cb, _ in blocks:
-            xw = x.data[at[cb]]  # [clouds, D, Din]: the winners' rows of x
-            xw -= stats[2]
+            xw = x.data[rows[cb]]  # [clouds, D, Din]: the winners' rows of x
+            xw -= stats[1]
             xg = xg + np.einsum("bdi,bd->id", xw, gp[cb])
             del xw
         _layer_backward(x, w, bn, a, stats, xg, gp.sum(axis=0), dx,

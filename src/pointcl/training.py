@@ -196,18 +196,18 @@ def write_loss_curve(records, path):
                         f"{r.bn_momentum:.10g}", f"{r.loss:.10g}"])
 
 
-def _forward_loss(model, orig, trans, cfg, rng, objective, training=True,
-                  bn_momentum=0.9):
+def _forward_loss(model, orig, trans, cfg, rng, objective, bn_momentum=0.9):
+    """The training-mode contrastive loss of one batch of pairs."""
     n = orig.shape[0]
     both = np.concatenate([orig, trans], axis=0)
-    global_feat, per_point = models.encode(both, model.encoder, training,
+    global_feat, per_point = models.encode(both, model.encoder, True,
                                            bn_momentum=bn_momentum)
     if objective == "cls":
-        z = models.project(global_feat, model.head, training, rng,
+        z = models.project(global_feat, model.head, True, rng,
                            normalize=cfg.loss.normalize)
         loss_fn = contrastive_loss_cls
     elif objective == "seg":
-        z = models.segment_embed(per_point, global_feat, model.seg, training,
+        z = models.segment_embed(per_point, global_feat, model.seg, True,
                                  normalize=cfg.loss.normalize)
         loss_fn = contrastive_loss_seg
     else:
@@ -256,8 +256,7 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
             lr = lr_schedule(step, cfg, period)
             bn_m = bn_schedule(step, cfg, period)
             orig, trans = build_batch(ds, cfg, rng)
-            loss = _forward_loss(model, orig, trans, cfg, rng, objective,
-                                 training=True, bn_momentum=bn_m)
+            loss = _forward_loss(model, orig, trans, cfg, rng, objective, bn_momentum=bn_m)
             loss_val = loss.item()
             if not np.isfinite(loss_val):
                 raise FloatingPointError(

@@ -297,7 +297,7 @@ def reference_encoder_layer(x, w, gamma, beta, running_mean, running_var,
     Uses the textbook formulas (np.var, the three-term batch-norm backward)
     rather than the library's helpers. gout is the gradient at the output.
     Returns (out, grads dict for x, w, gamma, beta, new running mean,
-    new running var).
+    new running var); grads is None in eval mode, which is inference.
     """
     x, w, gamma, beta, gout = (np.asarray(a, dtype=np.float64)
                                for a in (x, w, gamma, beta, gout))
@@ -312,14 +312,12 @@ def reference_encoder_layer(x, w, gamma, beta, running_mean, running_var,
     xhat = (h - m) * inv
     y = xhat * gamma + beta
     out = np.maximum(y, 0.0)
+    if not training:
+        return out, None, running_mean, running_var
     gy = gout * (y > 0)
     gxhat = gy * gamma
-    if training:
-        B = h.shape[0]
-        gh = inv / B * (B * gxhat - gxhat.sum(axis=0)
-                        - xhat * (gxhat * xhat).sum(axis=0))
-    else:
-        gh = gxhat * inv
+    B = h.shape[0]
+    gh = inv / B * (B * gxhat - gxhat.sum(axis=0) - xhat * (gxhat * xhat).sum(axis=0))
     grads = {"x": gh @ w.T, "w": x.T @ gh,
              "gamma": (gy * xhat).sum(axis=0), "beta": gy.sum(axis=0)}
     return out, grads, running_mean, running_var
@@ -377,10 +375,11 @@ def reference_shared_mlp_max_pool(x, w, bn, momentum, training, n_points):
     """tensor.shared_mlp_max_pool as first written, dense: the batch-norm
     affine and relu over all B*N points, then a max over the points; the
     backward routes each pooled gradient to the first point at the max of
-    that output. The pool-before-affine op takes its statistics from x's
-    Gram matrix and folds the affine into the weight, so it matches this
-    up to rounding: within 1e-12 relative over the tests' fixed-seed
-    float64 pretraining run."""
+    that output; eval mode is inference, an untracked output. The
+    pool-before-affine op takes its statistics from x's Gram matrix and
+    folds the affine into the weight, so it matches this up to rounding:
+    within 1e-12 relative over the tests' fixed-seed float64 pretraining
+    run."""
     xhat = x.data @ w.data
     if training:
         m = xhat.mean(axis=0)
@@ -401,6 +400,8 @@ def reference_shared_mlp_max_pool(x, w, bn, momentum, training, n_points):
     R, D = out.shape
     out3 = out.reshape(R // n_points, n_points, D)
     pooled = out3.max(axis=1)
+    if not training:
+        return T.Tensor(pooled, _op="shared_mlp_max_pool")
 
     def bw(g):
         B = g.shape[0]
@@ -409,11 +410,8 @@ def reference_shared_mlp_max_pool(x, w, bn, momentum, training, n_points):
         gp = g * (pooled > 0)
         dgamma = np.einsum("ij,ij->j", gp, xhat.reshape(-1)[at].reshape(B, D))
         dbeta = gp.sum(axis=0)
-        if training:
-            gh = xhat * (-a * dgamma / R)
-            gh -= a * dbeta / R
-        else:
-            gh = np.zeros_like(xhat)
+        gh = xhat * (-a * dgamma / R)
+        gh -= a * dbeta / R
         gh.reshape(-1)[at] += (gp * a).ravel()
         T._accum(bn.gamma, dgamma)
         T._accum(bn.beta, dbeta)

@@ -64,10 +64,10 @@ def test_criterion_1_gradient_oracle():
         def forward():
             return _forward_loss(model, orig, trans, cfg,
                                  np.random.default_rng(7), objective,
-                                 training=True, bn_momentum=0.9).item()
+                                 bn_momentum=0.9).item()
 
         loss = _forward_loss(model, orig, trans, cfg, np.random.default_rng(7),
-                             objective, training=True, bn_momentum=0.9)
+                             objective, bn_momentum=0.9)
         T.backward(loss)
         params = [p for p in model.params() if p.grad is not None]
         grads = [p.grad.copy() for p in params]

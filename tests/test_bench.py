@@ -19,6 +19,9 @@ def _bench_module():
     return module
 
 
+PHASES = ["setup", "pretrain", "load", "eval", "check"]  # as run.py's workloads enter them
+
+
 def _copy_tree(dest):
     ignore = shutil.ignore_patterns("__pycache__", "bench_out")
     for name in ("src", "benchmarks", "tools"):
@@ -57,6 +60,27 @@ def test_smoke_pairs_give_one_row_per_metric(tmp_path):
     assert out["trees"]["change"]["path"] == str(change.resolve())
     assert out["paths_equal_length"] is True
     assert out["host"]["nproc"] >= 1 and out["host"]["env"]["MALLOC_TRIM_THRESHOLD_"]
+    assert [r["phase"] for r in out["traced_peak_mib"]] == PHASES
+    assert all(r["workload"] == "desk-cls-probe" and r["parent"] > 0 and r["change"] > 0
+               for r in out["traced_peak_mib"])
+
+
+def test_traced_peaks_repeat_within_a_hundredth_of_a_mib(tmp_path):
+    """Two --smoke runs of one tree under the tool's tracemalloc launcher,
+    outside any pair: each gives the traced peak of every phase the
+    workload enters, in order, and the two agree within 0.01 MiB.
+    peak_rows makes one row per phase of them, None for a failed run."""
+    bench = _bench_module()
+    tree = _copy_tree(tmp_path / "tree")
+    seconds = json.loads((REPO / "BENCHMARK.json").read_text())["run_seconds"]
+    first, second = (bench.traced_peaks(tree, "full-cls-ckpt", 3, seconds, True)
+                     for _ in range(2))
+    assert list(first) == list(second) == PHASES
+    for phase in PHASES:
+        assert 0 < first[phase] and abs(first[phase] - second[phase]) <= 0.01, phase
+    rows = bench.peak_rows("full-cls-ckpt", {"parent": None, "change": second})
+    assert rows == [{"workload": "full-cls-ckpt", "phase": p, "parent": None,
+                     "change": second[p]} for p in PHASES]
 
 
 def test_failed_runs_read_no_stale_result(tmp_path):
@@ -91,7 +115,7 @@ def test_failed_runs_read_no_stale_result(tmp_path):
     for r in out["runs"]:
         assert (r["correct"], r["quality"], r["metrics"]) == (False, None, {})
     assert out["quality"][0]["equal_pairs"] == 0
-    assert out["rows"] == []
+    assert out["rows"] == [] and out["traced_peak_mib"] == []
 
 
 @pytest.mark.parametrize("better", ["lower", "higher"])
@@ -122,8 +146,8 @@ def test_claim_needs_nine_in_ten_and_a_gap_beyond_the_spread(better, gaps, won, 
 
 
 def test_paths_of_unequal_length_warn_and_are_recorded(tmp_path, monkeypatch, capsys):
-    """Trees at r38 and r38x, no benchmark run (run_once, git_state and host
-    are stubbed): the tool warns on stderr before the runs, records each
+    """Trees at r38 and r38x, no benchmark run (run_once, traced_peaks,
+    git_state and host are stubbed): the tool warns on stderr before the runs, records each
     tree's resolved path, and writes paths_equal_length false. Trees at r38
     and r39 write it true, with no warning."""
     bench = _bench_module()
@@ -139,6 +163,7 @@ def test_paths_of_unequal_length_warn_and_are_recorded(tmp_path, monkeypatch, ca
                 "metrics": {"run_s": 1.0}, "quality": None}
 
     monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "traced_peaks", lambda *args: None)
     for parent, change, equal in (("r38", "r38x", False), ("r38", "r39", True)):
         for name in (parent, change):
             (tmp_path / name / "benchmarks").mkdir(parents=True, exist_ok=True)
@@ -165,8 +190,8 @@ def test_paths_of_unequal_length_warn_and_are_recorded(tmp_path, monkeypatch, ca
 ], ids=["clean", "half-the-runs-failed", "more-failed-operations"])
 def test_claim_needs_every_run_correct_and_no_more_failures(tmp_path, monkeypatch,
                                                             change_run, claim_met, status):
-    """Ten pairs, no benchmark run (run_once, git_state and host are
-    stubbed): the change's run_s is 10 below its pair's parent in every
+    """Ten pairs, no benchmark run (run_once, traced_peaks, git_state and
+    host are stubbed): the change's run_s is 10 below its pair's parent in every
     pair that has one. The claim is met when every run is correct and
     fails no operation; not when the change's odd-numbered runs fail,
     though it wins every pair left, nor when every change run is correct
@@ -190,6 +215,7 @@ def test_claim_needs_every_run_correct_and_no_more_failures(tmp_path, monkeypatc
         return {**run, **change_run(i)} if side == "change" else run
 
     monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "traced_peaks", lambda *args: None)
     assert bench.main(["--parent", str(tmp_path / "parent"), "--change",
                        str(tmp_path / "change"), "--pr", "0", "--workloads",
                        "desk-cls-probe", "--seeds", "3", "--pairs", "10"]) == status
@@ -199,11 +225,13 @@ def test_claim_needs_every_run_correct_and_no_more_failures(tmp_path, monkeypatc
 
 
 def test_rows_are_printed_after_the_last_run(tmp_path, monkeypatch, capsys):
-    """Two seeds of three pairs, no benchmark run (run_once, git_state and
-    host are stubbed): after the last run's line, stderr holds one line per
-    workload, seed and metric, with both medians, the parent's quartiles,
-    the pairs won and the claim_met and worse_than_bound flags of the row
-    written to BENCH_<pr>.json."""
+    """Two seeds of three pairs, no benchmark run (run_once, traced_peaks,
+    git_state and host are stubbed): after the last run's line, stderr
+    holds one line per workload, seed and metric, with both medians, the
+    parent's quartiles, the pairs won and the claim_met and
+    worse_than_bound flags of the row written to BENCH_<pr>.json, then one
+    line per traced phase, with both trees' peaks (the parent's traced run
+    recorded no "load")."""
     bench = _bench_module()
     shutil.copy(REPO / "BENCHMARK.json", tmp_path)
     monkeypatch.setattr(bench, "ROOT", tmp_path)
@@ -223,15 +251,25 @@ def test_rows_are_printed_after_the_last_run(tmp_path, monkeypatch, capsys):
                             "peak_rss_mb": 90.0 + i - (5.0 if tree.name == "change" else 0.0)},
                 "quality": None}
 
+    def traced_peaks(tree, workload, seed, seconds, smoke):
+        assert seed == 3  # the first seed only
+        if tree.name == "parent":
+            return {"setup": 1.0, "pretrain": 3.5}
+        return {"setup": 1.0, "pretrain": 3.25, "load": 2.0}
+
     monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "traced_peaks", traced_peaks)
     assert bench.main(["--parent", str(tmp_path / "parent"), "--change",
                        str(tmp_path / "change"), "--pr", "0", "--workloads",
                        "desk-cls-probe", "--seeds", "3,5", "--pairs", "3"]) == 0
     lines = capsys.readouterr().err.splitlines()
     rows = json.loads((tmp_path / "BENCH_0.json").read_text())["rows"]
     assert len(rows) == 4 and lines[-1].startswith("wrote ")
-    printed = lines[-1 - len(rows):-1]
-    assert "pair 2" in lines[-2 - len(rows)]
+    assert lines[-4:-1] == ["desk-cls-probe traced peak setup: 1.00 -> 1.00 MiB",
+                            "desk-cls-probe traced peak pretrain: 3.50 -> 3.25 MiB",
+                            "desk-cls-probe traced peak load: none -> 2.00 MiB"]
+    printed = lines[-4 - len(rows):-4]
+    assert "pair 2" in lines[-5 - len(rows)]
     assert printed == [bench.row_line(row) for row in rows]
     by_key = {(r["seed"], r["metric"]): line for r, line in zip(rows, printed)}
     assert by_key[(3, "peak_rss_mb")] == (

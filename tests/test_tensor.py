@@ -105,12 +105,37 @@ def test_relu_tie_gradient_zero():
 def _max_pool(x):
     """The max over the points of x [B, N, D] through shared_mlp_max_pool,
     with an identity weight and, in eval mode, a batch norm whose inv is
-    exactly 1: the pool and a relu that leaves positive values as they are."""
+    exactly 1: the pool and a relu that leaves positive values as they are.
+    Eval mode records no node; _routes takes the pool's gradient."""
     B, N, D = x.shape
     bn = T.BNState(D, dtype=x.dtype)
     bn.running_var[:] = 1.0 - T._BN_EPS
     return T.shared_mlp_max_pool(T.reshape(x, (B * N, D)), Tensor(np.eye(D, dtype=x.dtype)),
                                  bn, 0.9, False, N)
+
+
+def _routes(clouds):
+    """Where training mode's pool sends each gradient, as 0/1 arrays [B, N, D]:
+    for the clouds [B, N, D], and for their copies with the points reversed,
+    in the copies' own point order.
+
+    Both run as one batch through shared_mlp_max_pool with an identity
+    weight, the copies' pooled gradient -1 against the clouds' +1. Each
+    column's maxima then cancel in dgamma and dbeta, and with them batch
+    norm's statistics terms, exactly when every centred value is exact:
+    clouds of quarter-integers whose 2 * B * N rows are a power of 2. So x's
+    gradient is a_j at each cloud's routed point, -a_j at each copy's and 0
+    elsewhere."""
+    B, N, D = clouds.shape
+    both = np.concatenate([clouds, clouds[:, ::-1]])
+    x = Tensor(both.reshape(2 * B * N, D), dtype=np.float64, requires_grad=True)
+    bn = T.BNState(D, dtype=np.float64)
+    bn.beta.data[:] = 10.0  # every pooled value above the relu kink
+    sign = Tensor(np.repeat([1.0, -1.0], B)[:, None] * np.ones(D))
+    T.backward(tsum(mul(T.shared_mlp_max_pool(x, Tensor(np.eye(D)), bn, 0.9, True, N), sign)))
+    r = x.grad.reshape(2, B, N, D) / x.grad.max(axis=0)  # a_j: the clouds' routed value
+    assert np.isin(r, (-1.0, 0.0, 1.0)).all()
+    return r[0], -r[1]
 
 
 def test_max_pool_values():
@@ -137,42 +162,28 @@ def test_max_pool_empty_cloud():
 
 
 def test_max_pool_tie_routes_first():
-    x = Tensor(np.array([[[2.0], [2.0]]]), requires_grad=True)
-    T.backward(tsum(_max_pool(x)))
-    assert np.array_equal(x.grad[0, :, 0], [1.0, 0.0])
-
-
-def test_max_pools_route_ties_and_nan_columns_alike():
-    """The pool sends a column's gradient to its first point at the max,
-    and a NaN column's to point 0. Cloud 0 ties in both columns; cloud 1 has
-    two NaN points, so both its columns are NaN.
-
-    In eval mode with an identity weight and batch norm, the x gradient is a
-    times the pooled one at the routed point. A NaN column's pooled gradient
-    is 0 (relu mask), so only its dgamma, 0 times xhat at the routed point,
-    shows the route: 0 at point 0, NaN at a NaN point."""
-    nan = np.nan
-    clouds = np.array([[[1.0, 0.5], [3.0, 1.0], [3.0, 2.0], [0.0, 2.0]],
-                       [[1.0, 1.0], [nan, nan], [2.0, 2.0], [nan, nan]]])
-    routed = np.zeros((2, 4, 2))
-    routed[0, 1, 0] = routed[0, 2, 1] = routed[1, 0, 0] = routed[1, 0, 1] = 1.0
-    x = Tensor(clouds.reshape(8, 2), dtype=np.float64, requires_grad=True)
-    bn = T.BNState(2, dtype=np.float64)
-    T.backward(tsum(T.shared_mlp_max_pool(x, Tensor(np.eye(2)), bn, 0.9, False, 4)))
-    a = 1.0 / np.sqrt(1.0 + T._BN_EPS)
-    want = a * routed
-    want[1] = 0.0  # cloud 1's pooled gradient is masked out
-    np.testing.assert_array_equal(x.grad.reshape(2, 4, 2), want)
-    np.testing.assert_array_equal(bn.gamma.grad, [3.0 * a, 2.0 * a])
+    """The cloud [2, 2, 0, 0] ties at its max: its gradient goes to point 0,
+    and its reversed copy's to point 2, the first of the tie there."""
+    route, copy = _routes(np.array([[[2.0], [2.0], [0.0], [0.0]]]))
+    assert np.array_equal(route[0, :, 0], [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(copy[0, :, 0], [0.0, 0.0, 1.0, 0.0])
 
 
 def test_max_pool_gradient_goes_to_argmax_on_finite_ties():
-    r = np.random.default_rng(0).integers(1, 4, size=(4, 6, 5)).astype(float)
-    x = Tensor(r, requires_grad=True)
-    T.backward(tsum(_max_pool(x)))
-    want = np.zeros_like(r)
-    np.put_along_axis(want, r.argmax(axis=1)[:, None], 1.0, axis=1)
-    assert np.array_equal(x.grad, want)
+    r = np.random.default_rng(0).integers(1, 4, size=(4, 8, 5)).astype(float)
+    for clouds, got in zip((r, r[:, ::-1]), _routes(r)):
+        want = np.zeros_like(r)
+        np.put_along_axis(want, clouds.argmax(axis=1)[:, None], 1.0, axis=1)
+        assert np.array_equal(got, want)
+
+
+def _assert_inference(out, op, params):
+    """An eval-mode encoder op records no node: its output keeps the op's
+    name but has no parents and no backward, and a backward through it
+    leaves every parameter's gradient None."""
+    assert (out._op, out._parents, out._backward) == (op, (), None)
+    T.backward(tsum(out))
+    assert all(p.grad is None for p in params)
 
 
 def _bn_layer(x, state, momentum, training):
@@ -577,6 +588,9 @@ def test_shared_mlp_matches_finite_differences(rng, training):
     x, w, bn = _shared_mlp_inputs(rng, np.float64)
     r = Tensor(rng.normal(size=(12, 5)), dtype=np.float64)
     params = [x, w, bn.gamma, bn.beta]
+    if not training:  # inference: no gradient to difference
+        _assert_inference(T.shared_mlp(x, w, bn, 0.9, False), "shared_mlp", params)
+        return
 
     def forward():
         return tsum(mul(T.shared_mlp(x, w, bn, 0.9, training), r))
@@ -599,11 +613,14 @@ def test_shared_mlp_equals_unfused_chain_float32(rng, training):
         0.8, training, r)
 
     out = T.shared_mlp(x, w, bn, 0.8, training)
-    assert out._op == "shared_mlp" and out._parents == (x, w, bn.gamma, bn.beta)
-    T.backward(tsum(mul(out, Tensor(r))))
     np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-5)
     np.testing.assert_allclose(bn.running_mean, want_mean, rtol=1e-6, atol=1e-6)
     np.testing.assert_allclose(bn.running_var, want_var, rtol=1e-5)
+    if not training:
+        _assert_inference(out, "shared_mlp", (x, w, bn.gamma, bn.beta))
+        return
+    assert out._op == "shared_mlp" and out._parents == (x, w, bn.gamma, bn.beta)
+    T.backward(tsum(mul(out, Tensor(r))))
     for name, p in zip(("x", "w", "gamma", "beta"), (x, w, bn.gamma, bn.beta)):
         scale = np.abs(want_grads[name]).max()
         np.testing.assert_allclose(p.grad, want_grads[name], rtol=1e-4,
@@ -626,23 +643,24 @@ def test_shared_mlp_shape_errors():
 
 
 def test_max_pool_forward_is_np_max_without_argmax(rng, monkeypatch):
-    x = np.maximum(rng.normal(size=(3, 7, 5)), 0) + 1.0  # relu's zeros tie, at 1
-    t = Tensor(x, requires_grad=True)
+    """Eval mode's values are np.max's, and training mode routes each
+    gradient to np.argmax's point; neither calls argmax."""
+    x = np.round(np.maximum(rng.normal(size=(4, 8, 5)), 0) * 4) / 4 + 1.0  # relu's zeros tie, at 1
 
     def no_argmax(*args, **kwargs):
         raise AssertionError("forward pass called argmax")
 
     monkeypatch.setattr(np, "argmax", no_argmax)
-    out = _max_pool(t)
-    assert (out.data == np.max(x, axis=1)).all()
+    out = _max_pool(Tensor(x))
+    route, _ = _routes(x)
     monkeypatch.undo()
-    T.backward(tsum(out))
+    assert (out.data == np.max(x, axis=1)).all()
     want = np.zeros_like(x)
     idx = np.argmax(x, axis=1)
-    for bi in range(3):
+    for bi in range(4):
         for d in range(5):
             want[bi, idx[bi, d], d] = 1.0
-    assert (t.grad == want).all()
+    assert (route == want).all()
 
 
 def test_shared_gradient_is_not_aliased(monkeypatch):
@@ -824,6 +842,10 @@ def test_shared_mlp_max_pool_finite_differences(rng, training):
             _mix_gamma_signs(bn)
         r = Tensor(rng.normal(size=(3, 5)), dtype=np.float64)
         params = [x, w, bn.gamma, bn.beta]
+        if not training:  # inference: no gradient to difference
+            _assert_inference(T.shared_mlp_max_pool(x, w, bn, 0.9, False, 4),
+                              "shared_mlp_max_pool", params)
+            continue
 
         def forward():
             return tsum(mul(T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4), r))
@@ -854,6 +876,9 @@ def test_shared_mlp_max_pool_equals_unfused_chain_float32(rng, training):
         for got, ref in ((out.data, want.data), (bn.running_mean, bn2.running_mean),
                          (bn.running_var, bn2.running_var)):
             np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5 * np.abs(ref).max())
+        if not training:
+            _assert_inference(out, "shared_mlp_max_pool", (x, w, bn.gamma, bn.beta))
+            continue
         T.backward(tsum(mul(out, Tensor(r))))
         T.backward(tsum(mul(want, Tensor(r))))
         for name, p, q in zip(("x", "w", "gamma", "beta"), (x, w, bn.gamma, bn.beta),
@@ -877,7 +902,7 @@ def test_shared_mlp_max_pool_keeps_one_layer_array(rng, training):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert out._backward is not None
+    assert (out._backward is not None) == training  # eval mode records no node
     assert kept <= 1.25 * B * N * D * 4, kept / (B * N * D * 4)
 
 
@@ -894,7 +919,7 @@ def test_shared_mlp_eval_keeps_one_layer_array(rng):
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert out._backward is not None
+    assert out._backward is None
     assert kept <= 1.25 * R * D * 4, kept / (R * D * 4)
 
 
@@ -1062,8 +1087,8 @@ def test_layer_backward_blocks_equal_one_block(rng, din, dout, dtype):
         x.grad = w.grad = bn.gamma.grad = bn.beta.grad = None
         T._layer_backward(x, w, bn, a, stats, xg, dbeta, dx0.copy(), blocks)
         grads.append([p.grad for p in (x, w, bn.gamma, bn.beta)])
-    inv, m0, _, gram = stats
-    dgamma = inv * (np.einsum("ij,ij->j", w.data, xg) - m0 * dbeta)
+    inv = stats[0]
+    dgamma = inv * np.einsum("ij,ij->j", w.data, xg)
     want = dx0 - xs @ ((w.data * (inv * a * dgamma / len(xs))) @ w.data.T)
     want -= w.data @ (a * dbeta / len(xs))
     assert np.array_equal(grads[0][0], want)
@@ -1192,14 +1217,18 @@ def test_shared_mlp_max_pool_ties_route_to_first_point(rng, training):
         bn.gamma.data = np.array(gamma)
         x.data = np.repeat(x.data[::N], N, axis=0)
         x2, w2, bn2 = _copy_layer(x, w, bn)
-        T.backward(tsum(T.shared_mlp_max_pool(x, w, bn, 0.9, training, N)))
-        T.backward(tsum(reference_shared_mlp_max_pool(x2, w2, bn2, 0.9, training, N)))
+        out = T.shared_mlp_max_pool(x, w, bn, 0.9, training, N)
+        ref = reference_shared_mlp_max_pool(x2, w2, bn2, 0.9, training, N)
+        np.testing.assert_allclose(out.data, ref.data, rtol=1e-12, atol=1e-12)
+        if not training:  # inference: the tied values, and no gradient to route
+            _assert_inference(out, "shared_mlp_max_pool", (x, w, bn.gamma, bn.beta))
+            continue
+        T.backward(tsum(out))
+        T.backward(tsum(ref))
         np.testing.assert_allclose(x.grad, x2.grad, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(w.grad, w2.grad, rtol=1e-12, atol=1e-12)
         first, rest = x.grad.reshape(B, N, 3)[:, 0], x.grad.reshape(B, N, 3)[:, 1:]
         assert np.abs(first[:, None] - rest).max(axis=(0, 2)).min() > 0  # first != each tie
-        if not training:  # no batch-norm term: only the first point has a gradient
-            assert (rest == 0).all() and (first != 0).any()
 
 
 @pytest.mark.parametrize("training", [True, False])
@@ -1209,6 +1238,9 @@ def test_shared_mlp_max_pool_dead_channel_gets_no_gradient(rng, training):
     r = Tensor(rng.normal(size=(3, 4)))
     out = T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4)
     assert (out.data[:, 2] == 0).all()
+    if not training:
+        _assert_inference(out, "shared_mlp_max_pool", (x, w, bn.gamma, bn.beta))
+        return
     T.backward(tsum(mul(out, r)))
     assert bn.gamma.grad[2] == 0 and bn.beta.grad[2] == 0
     assert (w.grad[:, 2] == 0).all()
@@ -1225,7 +1257,11 @@ def test_shared_mlp_max_pool_forward_calls_no_argmax(rng, monkeypatch):
         monkeypatch.setattr(np, "argmax", no_argmax)
         out = T.shared_mlp_max_pool(x, w, bn, 0.9, training, 4)
         monkeypatch.undo()
-        T.backward(tsum(out))
+        if training:
+            T.backward(tsum(out))
+            assert np.isfinite(x.grad).all() and (x.grad != 0).any()
+        else:
+            _assert_inference(out, "shared_mlp_max_pool", ())
 
 
 def test_shared_mlp_max_pool_is_one_tape_node(rng):

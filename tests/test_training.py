@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pointcl import models, tensor as T, training
+from pointcl.losses import contrastive_loss_seg
 from pointcl.tensor import Tensor
 from pointcl.training import (AdamState, TrainConfig, adam_step, bn_schedule,
                               build_batch, load_train_checkpoint, lr_schedule,
@@ -542,10 +543,13 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, small_dataset):
 
 @pytest.mark.parametrize("train_mode", [True, False])
 def test_seg_loss_gradients_through_fused_encoder(train_mode):
-    """float64 finite differences through _forward_loss on the seg path.
+    """float64 finite differences of the seg loss.
 
-    With three encoder layers the seg branch reads the middle one, a fused
-    layer whose input requires grad and whose output feeds two consumers.
+    Training mode runs _forward_loss: with three encoder layers the seg
+    branch reads the middle one, a fused layer whose input requires grad and
+    whose output feeds two consumers. An eval-mode encoder is inference: the
+    seg branch's inputs take no gradient, every encoder parameter's stays
+    None, and the seg branch's still match.
     """
     rng = np.random.default_rng(11)
     cfg = tiny_cfg(pairs_per_batch=3, points_per_cloud=6,
@@ -565,10 +569,16 @@ def test_seg_loss_gradients_through_fused_encoder(train_mode):
     trans = rng.normal(size=(3, 6, 3))
 
     def forward():
-        return training._forward_loss(model, orig, trans, cfg, np.random.default_rng(7),
-                                      "seg", training=train_mode, bn_momentum=0.9)
+        if train_mode:
+            return training._forward_loss(model, orig, trans, cfg, np.random.default_rng(7),
+                                          "seg", bn_momentum=0.9)
+        g, per_point = models.encode(np.concatenate([orig, trans]), model.encoder, False)
+        z = models.segment_embed(per_point, g, model.seg, True)
+        return contrastive_loss_seg(T.index(z, slice(0, 3)), T.index(z, slice(3, 6)), cfg.loss)
 
     T.backward(forward())
+    assert [p.grad is None for p in model.encoder.params()] == [not train_mode] * 9
+    assert all(p.grad is not None for p in model.seg.params())
     params = [p for p in model.params() if p.grad is not None]
     grads = [p.grad.copy() for p in params]
     fd = finite_difference_grads(lambda: forward().item(), params, h=1e-5)

@@ -31,6 +31,12 @@ quartiles, the pairs won, claim_met and worse_than_bound. A run that
 exits non-zero, or whose last stdout line is not a result object, counts
 as failed, with no metrics and no quality. The exit status is 0 when
 every run was correct.
+
+Per workload each tree also runs once more, outside the pairs, at the
+first seed under tracemalloc (LAUNCHER): traced_peak_mib holds, per
+workload and phase, each tree's traced peak above the phase's start. The
+figure counts the bytes the program allocates, so unlike peak_rss_mb it
+does not move with the heap's layout. It is printed after the rows.
 """
 
 import argparse
@@ -45,6 +51,41 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HEAP_ENV = {"MALLOC_TRIM_THRESHOLD_": "268435456", "MALLOC_MMAP_THRESHOLD_": "33554432"}
 RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}  # of run.py's last stdout line
+
+# run.py under tracemalloc, with the tree as the working directory and
+# run.py's arguments after -c: run.py's BLAS variables are set before numpy
+# loads, and each phase of the tree's instrument.Instrument resets the
+# traced peak as it starts and records it, above its start, as it ends (the
+# largest over a phase's entries). The last stdout line is {phase: MiB}.
+LAUNCHER = """
+import os, sys
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = "1"
+import contextlib, json, runpy, tracemalloc
+tracemalloc.start()
+sys.path[:0] = [os.path.abspath("benchmarks"), os.path.abspath("src")]
+import instrument
+phase, peaks = instrument.Instrument.phase, {}
+
+@contextlib.contextmanager
+def traced(self, name):
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    with phase(self, name):
+        yield
+    peak = (tracemalloc.get_traced_memory()[1] - start) / 2**20
+    peaks[name] = max(peaks.get(name, 0.0), peak)
+
+instrument.Instrument.phase = traced
+sys.argv = ["benchmarks/run.py"] + sys.argv[1:]
+code = 0
+try:
+    runpy.run_path("benchmarks/run.py", run_name="__main__")
+except SystemExit as e:
+    code = e.code
+print(json.dumps(peaks))
+sys.exit(code)
+"""
 
 
 def git_state(tree: Path):
@@ -72,24 +113,30 @@ def paths_equal_length(trees):
     return False
 
 
+def run_child(tree: Path, script, workload, seed, seconds, smoke):
+    """One run of the tree's benchmarks/run.py at --trace 0, started by
+    script (a path, or ["-c", code]): the process and its last stdout line
+    read as JSON, None if it is none."""
+    cmd = [sys.executable, *script, "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
+    proc = subprocess.run(cmd, cwd=tree, env={**os.environ, **HEAP_ENV},
+                          capture_output=True, text=True)
+    try:
+        return proc, json.loads(proc.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        return proc, None
+
+
 def run_once(tree: Path, workload, seed, seconds, smoke):
     """One benchmark process; its result line plus the quality figures of
     the result.json it wrote. A run that exits non-zero, or whose last
     stdout line is not a result object, is failed: correct False, with no
     metrics and no quality. The run's result.json is deleted before it
     starts, so an earlier run's file is never read as this one's."""
-    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"] + (["--smoke"] if smoke else [])
     tag = f"seed{seed}-s{seconds}-trace0" + ("-smoke" if smoke else "")
     result = tree / "bench_out" / workload / tag / "result.json"
     result.unlink(missing_ok=True)
-    proc = subprocess.run(cmd, cwd=tree, env={**os.environ, **HEAP_ENV},
-                          capture_output=True, text=True)
-    lines = proc.stdout.strip().splitlines()
-    try:
-        line = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        line = None
+    proc, line = run_child(tree, ["benchmarks/run.py"], workload, seed, seconds, smoke)
     failed = {"exit_status": proc.returncode, "correct": False, "attempted": None,
               "failed": None, "metrics": {}, "quality": None}
     if proc.returncode != 0 or not (isinstance(line, dict) and RESULT_KEYS <= line.keys()):
@@ -102,6 +149,28 @@ def run_once(tree: Path, workload, seed, seconds, smoke):
             "failed": line["failed"],
             "metrics": {k: v["value"] for k, v in line["metrics"].items()},
             "quality": quality}
+
+
+def traced_peaks(tree: Path, workload, seed, seconds, smoke):
+    """{phase: MiB} of one run of the tree under LAUNCHER; None when the run
+    exits non-zero or prints no table."""
+    proc, peaks = run_child(tree, ["-c", LAUNCHER], workload, seed, seconds, smoke)
+    return peaks if proc.returncode == 0 and isinstance(peaks, dict) else None
+
+
+def peak_rows(workload, peaks):
+    """traced_peak_mib's rows of one workload from each tree's {phase: MiB}
+    (None for a failed run): one per phase either tree recorded, in the
+    order the runs entered them."""
+    phases = dict.fromkeys(p for side in peaks.values() for p in (side or {}))
+    return [{"workload": workload, "phase": p,
+             **{side: (table or {}).get(p) for side, table in peaks.items()}} for p in phases]
+
+
+def peak_line(row):
+    return (f"{row['workload']} traced peak {row['phase']}: "
+            + " -> ".join("none" if row[side] is None else f"{row[side]:.2f}"
+                          for side in ("parent", "change")) + " MiB")
 
 
 def quartiles(values):
@@ -190,7 +259,7 @@ def main(argv=None) -> int:
     equal_length = paths_equal_length(trees)
     seconds = spec["run_seconds"]
 
-    runs, rows, quality = [], [], []
+    runs, rows, quality, peak_table = [], [], [], []
     for w in workloads:
         for seed in seeds:
             paired = []
@@ -215,17 +284,22 @@ def main(argv=None) -> int:
                 if row is not None:
                     row["claim_met"] = row["claim_met"] and clean
                     rows.append({"workload": w, "seed": seed, **row})
+        peak_table += peak_rows(w, {side: traced_peaks(trees[side], w, seeds[0], seconds,
+                                                       args.smoke) for side in trees})
 
     out = {"pr": args.pr, "seconds": seconds, "smoke": args.smoke, "seeds": seeds,
            "pairs": args.pairs, "workloads": workloads,
            "trees": {side: {"path": str(tree), **git_state(tree)}
                      for side, tree in trees.items()},
            "paths_equal_length": equal_length,
-           "host": host(), "rows": rows, "quality": quality, "runs": runs}
+           "host": host(), "rows": rows, "quality": quality,
+           "traced_peak_mib": peak_table, "runs": runs}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     for row in rows:
         print(row_line(row), file=sys.stderr)
+    for row in peak_table:
+        print(peak_line(row), file=sys.stderr)
     print(f"wrote {path}", file=sys.stderr)
     return 0 if all(r["correct"] for r in runs) else 1
 
