@@ -38,6 +38,7 @@ __all__ = [
 PROBE_EPOCHS = 100     # full-batch Adam epochs of the linear probe
 PROBE_LR = 0.001       # the linear probe's Adam learning rate
 FINETUNE_EPOCHS = 20   # epochs of supervised finetuning
+_RIDGE = 1e-3          # the per-point probe's ridge penalty λ, per training row
 
 # The single-transform sweep and the two-transform compositions.
 TABLE4_SUITE = [
@@ -211,6 +212,17 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
     return g, labels
 
 
+def _check_finite(x):
+    """Raise FloatingPointError, naming the row count and the first bad row,
+    if a row of the probe's features x [rows, D] holds a nan or inf."""
+    # A nan reaches max and min too, and neither forms a [rows, D] mask.
+    if len(x) and not (np.isfinite(x.max()) and np.isfinite(x.min())):
+        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+        raise FloatingPointError(
+            f"the probe's features are not finite: {len(bad)} of {len(x)} rows "
+            f"hold a nan or inf, the first is row {bad[0]}")
+
+
 def fit_probe(train_feats, train_labels, num_classes,
               epochs=PROBE_EPOCHS) -> tuple[DenseLayer, float, float]:
     """Full-batch Adam fit of a single affine classifier on cached features,
@@ -230,13 +242,7 @@ def fit_probe(train_feats, train_labels, num_classes,
         x = x.astype(np.float32)
     if x.ndim != 2:
         raise T.ShapeError(f"fit_probe: features of shape {x.shape} are not [rows, D]")
-    # A nan reaches max and min too, and neither forms a [rows, D] mask. An
-    # empty x is left to the kernel's empty-batch error.
-    if len(x) and not (np.isfinite(x.max()) and np.isfinite(x.min())):
-        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-        raise FloatingPointError(
-            f"the probe's features are not finite: {len(bad)} of {len(x)} rows "
-            f"hold a nan or inf, the first is row {bad[0]}")
+    _check_finite(x)  # an empty x is left to the kernel's empty-batch error
     objective = T._SoftmaxCE(x, train_labels, num_classes, "fit_probe")
     wb = T.Tensor(np.zeros((x.shape[1] + 1, num_classes), dtype=x.dtype))
     opt = AdamState([wb])
@@ -392,28 +398,84 @@ def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:
             f"part-count mismatch: {train_ds.num_parts} vs {test_ds.num_parts}")
 
 
+def _moments(feats, labels, num_classes):
+    """Bᵀ B in float64 for B = [1, A, Y]: A the rows of feats [S, N, D] and Y
+    their one-hot labels [S, N] over num_classes. So one [1 + D + K]² array
+    holds the row count, the column sums, the class counts, AᵀA and AᵀY. It
+    is summed over blocks of _EVAL_BATCH clouds, each cast to float64 alone:
+    no [S·N, D] float64 array is formed."""
+    S, N, D = feats.shape
+    m = np.zeros((1 + D + num_classes,) * 2)
+    for i in range(0, S, _EVAL_BATCH):
+        a = feats[i:i + _EVAL_BATCH].reshape(-1, D)
+        b = np.empty((len(a), len(m)))
+        b[:, 0] = 1.0
+        b[:, 1:1 + D] = a
+        b[:, 1 + D:] = labels[i:i + _EVAL_BATCH].reshape(-1, 1) == np.arange(num_classes)
+        m += b.T @ b
+    return m
+
+
+def _ridge_fit(feats, labels, num_classes):
+    """The per-point probe as a ridge least-squares classifier on one-hot
+    targets (Rifkin et al. 2003), from feats [S, N, D] and labels [S, N].
+    With Z the features standardized by their training mean μ and std σ, W
+    [D, K] solves (ZᵀZ + λR·I) W = Zᵀ(Y − ȳ), for R rows and λ = _RIDGE;
+    the intercept ȳ, the class frequencies, is not penalized. Everything
+    comes from _moments in float64, with no second pass. A column whose
+    std is below 1e-6 of its root mean square (a constant one, say) takes σ
+    = 1 and its centred column is zero, so its weight is 0. Returns (W, μ,
+    σ, ȳ), all float64."""
+    D = feats.shape[-1]
+    m = _moments(feats, labels, num_classes)
+    R, s = m[0, 0], m[0, 1:]
+    c = m[1:, 1:] - np.outer(s, s) / R  # Σ (b − b̄)(b − b̄)ᵀ over [A, Y]
+    var = np.diag(c)[:D] / R
+    dead = var <= 1e-12 * np.diag(m)[1:1 + D] / R
+    idx = np.flatnonzero(dead)
+    c[idx] = c[:, idx] = 0.0
+    sigma = np.sqrt(np.where(dead, 1.0, var))
+    zz = c[:D, :D] / np.outer(sigma, sigma)
+    zy = c[:D, D:] / sigma[:, None]
+    W = np.linalg.solve(zz + _RIDGE * R * np.eye(D), zy)
+    return W, s[:D] / R, sigma, s[D:] / R
+
+
+def _ridge_probe(feats, labels, num_classes) -> DenseLayer:
+    """_ridge_fit's classifier with its standardization folded in: the
+    float32 layer x @ (W/σ) + (ȳ − μ·W/σ), which probe_predict applies to
+    the raw features."""
+    W, mu, sigma, ybar = _ridge_fit(feats, labels, num_classes)
+    w = W / sigma[:, None]
+    return DenseLayer(w=T.Tensor(w.astype(np.float32)),
+                      b=T.Tensor((ybar - mu @ w).astype(np.float32)))
+
+
 def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
                       probe_epochs: int = PROBE_EPOCHS, seed: int = 0) -> Metrics:
-    """Fit a per-point linear probe on frozen point embeddings; report mIoU.
-    The train set's clouds are sampled (see sample_stack) under seed, the
-    test set's under seed + 1."""
+    """Fit a per-point linear probe on frozen point embeddings in closed form
+    (_ridge_probe); report mIoU and the probe's accuracy on its training
+    points. The train set's clouds are sampled (see sample_stack) under
+    seed, the test set's under seed + 1. probe_epochs is checked (>= 0) but
+    not read: the fit has no epochs."""
     _check_epochs("probe", probe_epochs)
     check_segmentation_sets(train_ds, test_ds)
     if model.seg is None:
         raise ValueError("model has no segmentation branch")
     tr_f, tr_y, _ = extract_point_features(model, train_ds, points_per_cloud, seed)
-    probe, loss, acc = fit_probe(tr_f.reshape(-1, tr_f.shape[-1]), tr_y.reshape(-1),
-                                 train_ds.num_parts, epochs=probe_epochs)
-    del tr_f, tr_y  # the fit is done: they are not kept beside the test set's
-    te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
+    _check_finite(tr_f.reshape(-1, tr_f.shape[-1]))
+    probe = _ridge_probe(tr_f, tr_y, train_ds.num_parts)
     # One predict per cloud: BLAS rounds a [S*N, D] product differently for
     # many feature and part counts, and that can move a tied argmax.
+    acc = float(np.mean([probe_predict(probe, f) == y for f, y in zip(tr_f, tr_y)]))
+    del tr_f, tr_y  # the fit is done: they are not kept beside the test set's
+    te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
     preds = [probe_predict(probe, f) for f in te_f]
     ppc = test_ds.parts_per_class or {
         c: list(range(test_ds.num_parts)) for c in set(te_c)}
     return segmentation_metrics(preds, te_y, te_c.tolist(), ppc,
-                                tags={"protocol": "segmentation", "probe_train_loss": loss,
+                                tags={"protocol": "segmentation",
                                       "probe_train_accuracy": acc})
 
 

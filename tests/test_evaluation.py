@@ -99,27 +99,39 @@ def test_fit_probe_zero_epochs_reports_nan(rng):
 
 
 def test_probe_protocols_tag_fit_loss_and_accuracy(monkeypatch, seg_dataset):
-    """linear_probe_eval and segmentation_eval report the loss and accuracy
-    their fit_probe call returned."""
+    """linear_probe_eval reports the loss and accuracy its fit_probe call
+    returned. segmentation_eval does not call fit_probe: it reports no
+    cross-entropy, and its training accuracy is a recount of its probe's
+    per-cloud predictions on the training points."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
-    fits = []
-    fit = evaluation.fit_probe
+    fits, probes = [], []
+    fit, ridge = evaluation.fit_probe, evaluation._ridge_probe
 
     def spy(*args, **kwargs):
         fits.append(fit(*args, **kwargs))
         return fits[-1]
 
+    def ridge_spy(*args):
+        probes.append((ridge(*args), args))
+        return probes[-1][0]
+
     monkeypatch.setattr(evaluation, "fit_probe", spy)
+    monkeypatch.setattr(evaluation, "_ridge_probe", ridge_spy)
     m, _, _ = linear_probe_eval(model, seg_dataset, seg_dataset, points_per_cloud=32,
                                 probe_epochs=20)
     m_seg = segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=32,
                               probe_epochs=20)
-    for metrics, (_, loss, acc) in zip((m, m_seg), fits):
-        assert metrics.tags["probe_train_loss"] == loss
-        assert metrics.tags["probe_train_accuracy"] == acc
-        assert 0 < loss < np.log(seg_dataset.num_parts) and 0 <= acc <= 1
-    assert len(fits) == 2
+    assert len(fits) == 1 and len(probes) == 1
+    (_, loss, acc), = fits
+    assert m.tags["probe_train_loss"] == loss
+    assert m.tags["probe_train_accuracy"] == acc
+    assert 0 < loss < np.log(seg_dataset.num_parts) and 0 <= acc <= 1
+    (probe, (feats, labels, _)), = probes
+    hits = [evaluation.probe_predict(probe, f) == y for f, y in zip(feats, labels)]
+    assert m_seg.tags == {"protocol": "segmentation",
+                          "probe_train_accuracy": float(np.mean(hits))}
+    assert 0 <= m_seg.tags["probe_train_accuracy"] <= 1
 
 
 def test_fit_probe_allocates_under_two_logit_arrays(rng):
