@@ -132,11 +132,18 @@ def write_resolved_config(cfg, out_dir):
             f.write(f"{k} = {v}\n")
 
 
+_HELP = {
+    "probe_epochs": "Adam epochs of the classification probe; the segmentation probe "
+                    "is fit in closed form and does not read it",
+}
+
+
 def _add_common(sp):
     sp.add_argument("--config", help="key = value configuration file")
     sp.add_argument("--out", required=True, help="output directory")
     for key in _SCHEMA:
-        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+        sp.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None,
+                        help=_HELP.get(key))
 
 
 def build_parser():
@@ -220,7 +227,12 @@ def cmd_probe(args, cfg):
         rows.append(m.row())
         _dump_predictions(pred, gt, test_ds,
                           os.path.join(args.out, f"predictions_{source}.csv"))
-    _emit_report(rows, args.out, "probe_metrics")
+    # the test set the probes read (seed + 1), so its encode is reused
+    top1 = evaluation.instance_retrieval(model, test_ds, cfg["transform"],
+                                         points_per_cloud=cfg["points"],
+                                         seed=cfg["seed"] + 1)
+    _emit_report([{**r, "instance_retrieval": top1} for r in rows], args.out,
+                 "probe_metrics")
 
 
 def cmd_finetune(args, cfg):

@@ -16,6 +16,7 @@ from . import models, tensor as T
 from .models import DenseLayer, ModelParams
 from .pointcloud import Dataset, sample_stack
 from .training import AdamState, TrainConfig, _pin_heap, adam_step, pretrain
+from .transforms import parse_transform, transform_stack
 
 __all__ = [
     "Metrics",
@@ -26,6 +27,7 @@ __all__ = [
     "extract_features",
     "fit_probe",
     "linear_probe_eval",
+    "instance_retrieval",
     "pretrain_finetune_eval",
     "segmentation_eval",
     "check_segmentation_sets",
@@ -282,6 +284,27 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
          "probe_train_loss": loss, "probe_train_accuracy": acc}
     m = classification_metrics(pred, te_y, test_ds.num_classes, tags=t)
     return m, pred, te_y
+
+
+def instance_retrieval(model: ModelParams, ds: Dataset, transform: str,
+                       points_per_cloud: int = TrainConfig.points_per_cloud,
+                       seed: int = 0) -> float:
+    """Held-out instance retrieval, after instance discrimination (Wu et al.
+    2018): each of ds's clouds, sampled (see sample_stack) under seed, and
+    its copy under transform, drawn from default_rng(seed + 1), are embedded
+    by the head in eval mode, the originals through extract_features (so a
+    probe's encode of the set is reused). Returns the fraction of copies
+    whose nearest original by cosine is their own: near 1 for an encoder
+    trained on the transform's pairs, near 1/len(ds) for one trained on
+    wrong pairs."""
+    points, _ = _stack(ds, points_per_cloud, seed)
+    copies, _ = transform_stack(points, parse_transform(transform),
+                                np.random.default_rng(seed + 1))
+    z, _ = extract_features(model, ds, points_per_cloud, seed, source="head")
+    zc = _in_batches(copies, lambda b: models.project(
+        models.encode(b, model.encoder, training=False)[0], model.head, training=False))
+    # the head's rows have unit norm, so a dot product is a cosine
+    return float(np.mean((zc @ z.T).argmax(axis=1) == np.arange(len(z))))
 
 
 # ---------------------------------------------------------------------------

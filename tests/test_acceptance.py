@@ -146,7 +146,10 @@ def test_criterion_5_rigid_rotations():
 
 def test_criterion_6_desk_scale_end_to_end(e2e_datasets):
     """Pretrain 30 epochs; loss below chance after the first epoch and
-    trending down; frozen probe beats a random-encoder probe by >= 10 pp.
+    trending down; frozen probe beats a random-encoder probe by >= 10 pp;
+    the head retrieves at least half of the held-out clouds' rotated copies
+    (an encoder pretrained on wrong pairs retrieves few, and so does a
+    random one: the probe gap alone passes both).
 
     Thresholds ratified on the baseline run: dropout disabled at desk scale
     (the full-scale 0.7 rate drowns the contrastive signal in a 64-wide
@@ -172,13 +175,15 @@ def test_criterion_6_desk_scale_end_to_end(e2e_datasets):
     m_rand, _, _ = evaluation.linear_probe_eval(rand, train, test,
                                                 points_per_cloud=128, seed=0)
     gap = m_pre.overall_accuracy - m_rand.overall_accuracy
+    top1 = evaluation.instance_retrieval(model, test, cfg.transform,
+                                         points_per_cloud=128, seed=5)
     elapsed = time.time() - t0
-    ok = below_chance and monotone and gap >= 0.10 and elapsed < 600
+    ok = below_chance and monotone and gap >= 0.10 and top1 >= 0.5 and elapsed < 600
     report(6, ok, f"epoch-2 loss {ep[1]:.3f} < ln16 {np.log(16):.3f}: "
                   f"{below_chance}; monotone MA: {monotone}; "
                   f"probe {m_pre.overall_accuracy:.3f} vs random "
                   f"{m_rand.overall_accuracy:.3f} (gap {gap * 100:.1f} pp); "
-                  f"{elapsed:.0f}s")
+                  f"instance retrieval {top1:.3f} >= 0.5; {elapsed:.0f}s")
 
 
 @pytest.fixture(scope="module")

@@ -298,13 +298,15 @@ def _count_calls(monkeypatch, module, name):
 def test_probe_both_sources_encode_each_set_once(tmp_path, ci_files, monkeypatch):
     """probe --features both encodes the training set and the test set once
     each, and export-features --features both its one set once: the head
-    source reads the encoder source's features."""
+    source reads the encoder source's features. The probe's instance
+    retrieval reads the test set's features too, and encodes only the
+    test set's transformed copies."""
     train, test, ckpt = ci_files
     calls = _count_calls(monkeypatch, models, "encode")
     assert run(["probe", "--train-data", str(train), "--test-data", str(test),
                 "--checkpoint", str(ckpt), "--out", str(tmp_path / "probe"),
                 "--points", "32", "--probe-epochs", "5", "--features", "both"]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 3
     del calls[:]
     assert run(["export-features", "--data", str(test), "--checkpoint", str(ckpt),
                 "--out", str(tmp_path / "features"), "--points", "32",

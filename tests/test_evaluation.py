@@ -15,6 +15,7 @@ from pointcl.evaluation import (Metrics, ablate_transforms,
 from pointcl.pointcloud import (Dataset, SyntheticSpec, generate_synthetic_dataset,
                                 load_dataset, sample_points, sample_stack,
                                 save_dataset)
+from pointcl.losses import LossConfig
 from pointcl.training import TrainConfig, pretrain
 
 from oracles import (brute_force_iou, finite_difference_grads, max_rel_error, mul,
@@ -908,3 +909,141 @@ def test_segmentation_eval_same_on_data_read_back(tmp_path, seg_dataset):
     assert runs[1].class_miou == runs[0].class_miou
     # without the map, parts a shape cannot have count as IoU 1
     assert runs[2].instance_miou > runs[0].instance_miou
+
+
+# ---------------------------------------------------------------------------
+# The per-point probe's ridge fit and the instance retrieval check
+# ---------------------------------------------------------------------------
+
+def _point_rows(rng, S=40, N=16, D=6, K=4):
+    """Per-point features [S, N, D] (more clouds than one _EVAL_BATCH block)
+    over shifted, scaled columns, and labels [S, N] that leave class K - 1
+    without points."""
+    feats = (rng.normal(size=(S, N, D)) * rng.uniform(0.5, 3, size=D)
+             + rng.normal(size=D)).astype(np.float32)
+    return feats, rng.integers(0, K - 1, size=(S, N)), K
+
+
+def test_blocked_moments_equal_concatenated_float64(rng):
+    feats, labels, K = _point_rows(rng)
+    D = feats.shape[-1]
+    a = feats.reshape(-1, D).astype(np.float64)
+    b = np.hstack([np.ones((len(a), 1)), a, np.eye(K)[labels.reshape(-1)]])
+    m = evaluation._moments(feats, labels, K)
+    assert m.dtype == np.float64 and m.shape == (1 + D + K,) * 2
+    assert np.allclose(m, b.T @ b, rtol=1e-13, atol=0)
+    assert m[0, 0] == len(a)  # the row count and the class counts are exact
+    assert m[0, 1 + D:].tolist() == np.bincount(labels.reshape(-1), minlength=K).tolist()
+
+
+def test_ridge_weights_equal_augmented_lstsq(rng):
+    """W equals np.linalg.lstsq on [Z; √(λR)·I] W = [Y − ȳ; 0] in float64,
+    for Z the features standardized by their float64 mean and std: the
+    normal equations of that system are (ZᵀZ + λR·I) W = Zᵀ(Y − ȳ)."""
+    feats, labels, K = _point_rows(rng)
+    a = feats.reshape(-1, feats.shape[-1]).astype(np.float64)
+    R, D = a.shape
+    y = np.eye(K)[labels.reshape(-1)]
+    z = (a - a.mean(axis=0)) / a.std(axis=0)
+    want = np.linalg.lstsq(np.vstack([z, np.sqrt(evaluation._RIDGE * R) * np.eye(D)]),
+                           np.vstack([y - y.mean(axis=0), np.zeros((D, K))]),
+                           rcond=None)[0]
+    W, mu, sigma, ybar = evaluation._ridge_fit(feats, labels, K)
+    assert np.allclose(W, want, rtol=1e-9, atol=1e-12)
+    assert np.allclose(mu, a.mean(axis=0), rtol=1e-12)
+    assert np.allclose(sigma, a.std(axis=0), rtol=1e-10)
+    assert np.array_equal(ybar, y.mean(axis=0))
+    assert not W[:, -1].any()  # no point has class K - 1
+
+
+def test_folded_probe_logits_equal_standardized_model(rng):
+    """The float32 probe applies the fit's standardization folded in: its
+    logits on the raw features are ((x − μ)/σ) W + ȳ, to float32 rounding,
+    and its predictions are probe_predict's argmax of them."""
+    feats, labels, K = _point_rows(rng)
+    probe = evaluation._ridge_probe(feats, labels, K)
+    W, mu, sigma, ybar = evaluation._ridge_fit(feats, labels, K)
+    x = feats.reshape(-1, feats.shape[-1])
+    want = (x.astype(np.float64) - mu) / sigma @ W + ybar
+    got = x @ probe.w.data + probe.b.data
+    assert probe.w.dtype == probe.b.dtype == np.float32
+    assert not probe.w.requires_grad and not probe.b.requires_grad
+    assert np.allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
+    assert np.array_equal(evaluation.probe_predict(probe, x), got.argmax(axis=1))
+
+
+def test_constant_feature_columns_get_zero_weight(rng):
+    """A constant column and an all-zero one (a dead channel) take σ = 1:
+    their centred columns are zero, so their weights are 0, with no
+    divide or invalid operation on the way. The live columns get the fit
+    they get without them."""
+    feats, labels, K = _point_rows(rng)
+    dead = np.concatenate([feats, np.full(feats.shape[:2] + (1,), 3.7, np.float32),
+                           np.zeros(feats.shape[:2] + (1,), np.float32)], axis=2)
+    with np.errstate(divide="raise", invalid="raise"):
+        W, _, sigma, _ = evaluation._ridge_fit(dead, labels, K)
+        probe = evaluation._ridge_probe(dead, labels, K)
+    live, _, _, _ = evaluation._ridge_fit(feats, labels, K)
+    assert sigma[-2:].tolist() == [1.0, 1.0]
+    assert not W[-2:].any() and not probe.w.data[-2:].any()
+    assert np.allclose(W[:-2], live, rtol=1e-9, atol=1e-12)
+
+
+def test_segmentation_eval_rejects_non_finite_features(monkeypatch, seg_dataset):
+    """A nan per-point training feature raises the probe's non-finite
+    error, with the row count and the first bad row, before the fit."""
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    extract = evaluation.extract_point_features
+
+    def broken(*args, **kwargs):
+        feats, labels, classes = extract(*args, **kwargs)
+        feats[1, 3, 2] = np.nan
+        return feats, labels, classes
+
+    monkeypatch.setattr(evaluation, "extract_point_features", broken)
+    monkeypatch.setattr(evaluation, "_ridge_probe", None)  # the fit would fail on it
+    rows = len(seg_dataset) * 32
+    with pytest.raises(FloatingPointError,
+                       match=rf"^the probe's features are not finite: 1 of {rows} "
+                             rf"rows hold a nan or inf, the first is row {32 + 3}$"):
+        segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=32)
+
+
+def test_segmentation_eval_is_deterministic_and_reads_no_epochs(seg_dataset):
+    """Fixed-seed segmentation_eval gives one report, whatever probe_epochs
+    says (it is checked, not read), on the model and on a copy of it."""
+    model, _ = pretrain(seg_dataset, tiny_cfg(epochs=1, pairs_per_batch=2),
+                        objective="seg")
+    runs = [segmentation_eval(m, seg_dataset, seg_dataset, points_per_cloud=32,
+                              probe_epochs=epochs, seed=4)
+            for m, epochs in ((model, 5), (model, 50), (copy.deepcopy(model), 0))]
+    assert runs[0].row() == runs[1].row() == runs[2].row()
+    assert set(runs[0].tags) == {"protocol", "probe_train_accuracy"}
+
+
+@pytest.mark.parametrize("pairs, passes", [("rolled", False), ("permuted", True)])
+def test_instance_retrieval_fails_wrong_pairs(monkeypatch, pairs, passes):
+    """An encoder pretrained on pairs whose transformed half is rolled by one
+    cloud, so that no cloud meets its own copy, retrieves under half of the
+    held-out copies; one whose transformed clouds have their points
+    permuted, which max pooling ignores, retrieves at least half. 0.5 is
+    criterion 6's bound."""
+    rng = np.random.default_rng(0)
+    classes = ["sphere", "cube", "cylinder", "torus"]
+    train = generate_synthetic_dataset(SyntheticSpec(classes, 16, 32), rng)
+    test = generate_synthetic_dataset(SyntheticSpec(classes, 5, 32, split="test"), rng)
+    build, shuffle = training.build_batch, np.random.default_rng(99)
+
+    def wrong(ds, cfg, rng):
+        orig, trans = build(ds, cfg, rng)
+        if pairs == "rolled":
+            return orig, np.roll(trans, 1, axis=0)
+        return orig, np.stack([c[shuffle.permutation(len(c))] for c in trans])
+
+    monkeypatch.setattr(training, "build_batch", wrong)
+    cfg = TrainConfig(pairs_per_batch=8, epochs=30, points_per_cloud=32, seed=0,
+                      loss=LossConfig(tau=0.1), dropout_rate=0.0)
+    model, _ = pretrain(train, cfg, objective="cls")
+    top1 = evaluation.instance_retrieval(model, test, cfg.transform, 32, seed=5)
+    assert (top1 >= 0.5) == passes, top1
