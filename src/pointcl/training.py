@@ -187,10 +187,21 @@ class LossRecord:
     loss: float
 
 
-def write_loss_curve(records, path):
+def _curve_rows(path, before):
+    """The rows of the loss curve at path whose step is below before, as the
+    text fields they were written with; none if there is no file."""
+    if not os.path.exists(path):
+        return []
+    with open(path, newline="") as f:
+        return [row for row in list(csv.reader(f))[1:] if int(row[0]) < before]
+
+
+def write_loss_curve(records, path, kept=()):
+    """The curve of records at path, after the rows kept (_curve_rows)."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["step", "epoch", "lr", "bn_momentum", "loss"])
+        w.writerows(kept)
         for r in records:
             w.writerow([r.step, r.epoch, f"{r.lr:.10g}",
                         f"{r.bn_momentum:.10g}", f"{r.loss:.10g}"])
@@ -223,6 +234,10 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
     Returns (model, loss_records). With out_dir set, writes loss_curve.csv,
     periodic checkpoints and checkpoint_final.pclm. A run that raises after
     completing a step still writes loss_curve.csv, with the steps it completed.
+    A run resumed into an out_dir that holds a loss_curve.csv keeps that
+    file's rows below the resume step and writes its own after them, so a
+    killed run resumed from its last checkpoint leaves the uninterrupted
+    run's curve; records holds only the resumed steps.
     """
     if objective not in ("cls", "seg"):
         raise ValueError(f"objective must be 'cls' or 'seg', got {objective!r}")
@@ -233,11 +248,15 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
     rng = np.random.default_rng(cfg.seed)
     start_step = 0
     records: list[LossRecord] = []
+    curve = os.path.join(out_dir, "loss_curve.csv") if out_dir else None
+    kept = []  # an earlier curve's rows below the resume step
     if resume is not None:
         model, opt, rng, start_step = load_train_checkpoint(resume)
         if start_step >= total_steps:  # before out_dir's files are rewritten
             raise ValueError(f"{resume} is at step {start_step}, and the run "
                              f"has {total_steps} steps: nothing to resume")
+        if curve:
+            kept = _curve_rows(curve, start_step)
     else:
         if model is None:
             model = models.ModelParams.create(
@@ -277,11 +296,11 @@ def pretrain(ds: Dataset, cfg: TrainConfig, objective: str = "cls",
     except BaseException:
         # Keep the curve of the completed steps. A run that failed before
         # its first step leaves an earlier curve in out_dir as it was.
-        if out_dir and records:
-            write_loss_curve(records, os.path.join(out_dir, "loss_curve.csv"))
+        if curve and records:
+            write_loss_curve(records, curve, kept)
         raise
-    if out_dir:
-        write_loss_curve(records, os.path.join(out_dir, "loss_curve.csv"))
+    if curve:
+        write_loss_curve(records, curve, kept)
     return model, records
 
 

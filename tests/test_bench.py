@@ -278,3 +278,96 @@ def test_rows_are_printed_after_the_last_run(tmp_path, monkeypatch, capsys):
     assert by_key[(5, "run_s")] == (
         "desk-cls-probe seed 5 run_s: 11 -> 21 s (parent q1-q3 10.5-11.5), "
         "won 0/3, claim_met=False worse_than_bound=True")
+
+
+def _outputs(parent, change):
+    """The outputs section of a --outputs --smoke run of parent's tool."""
+    proc = subprocess.run(
+        [sys.executable, str(parent / "tools" / "bench.py"), "--parent", str(parent),
+         "--change", str(change), "--pr", "0", "--outputs", "--smoke"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads((parent / "BENCH_0.json").read_text())["outputs"]
+
+
+def test_outputs_of_two_copies_are_equal_bytes(tmp_path):
+    """The smoke CLI matrix on two copies of this tree: every command exits
+    0, and every file of every case reads "equal bytes"."""
+    parent, change = _copy_tree(tmp_path / "parent"), _copy_tree(tmp_path / "change")
+    out = _outputs(parent, change)
+    bench = _bench_module()
+    assert out["failed"] == {"parent": {}, "change": {}}
+    assert out["cases"] == [[case, *args] for case, args in bench.output_cases(True)]
+    assert set(out["files"].values()) == {"equal bytes"}
+    assert out["equal_files"] == len(out["files"])
+    cases = {case for case, _ in bench.output_cases(True) if not case.startswith("data/")}
+    assert cases == {rel.rsplit("/", 1)[0] for rel in out["files"]
+                     if not rel.startswith("data/")}
+    assert "w8_p32_n32_b4/segment/segmentation_metrics.csv" in out["files"]
+    assert out["trees"]["change"]["path"] == str(change.resolve())
+
+
+def test_outputs_list_the_probe_csvs_when_the_probe_lr_changes(tmp_path):
+    """A change copy whose PROBE_LR is doubled: the probe's metrics CSV is
+    listed with a numeric difference in its training loss and no label or
+    column difference, and only the probe's files differ."""
+    parent, change = _copy_tree(tmp_path / "parent"), _copy_tree(tmp_path / "change")
+    source = change / "src" / "pointcl" / "evaluation.py"
+    text = source.read_text()
+    assert "PROBE_LR = 0.001 " in text
+    source.write_text(text.replace("PROBE_LR = 0.001 ", "PROBE_LR = 0.002 "))
+    files = _outputs(parent, change)["files"]
+    differ = {rel: d for rel, d in files.items() if d != "equal bytes"}
+    metrics = differ["w8_p32_n32_b4/probe/probe_metrics.csv"]
+    assert metrics["rows"] == [2, 2] and metrics["label_rows"] == []
+    assert metrics["parent_only_columns"] == metrics["change_only_columns"] == []
+    assert metrics["numeric"]["probe_train_loss"]["max_abs"] > 0
+    assert all(rel.startswith("w8_p32_n32_b4/probe/") for rel in differ), differ
+
+
+def test_csv_difference_reads_columns_numbers_and_labels(tmp_path):
+    """Numeric columns give their largest absolute and relative difference,
+    a column holding text or a nan is compared as labels, row by row, and
+    each file's own columns are named."""
+    bench = _bench_module()
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    a.write_text("name,x,loss,old\nq,1.0,nan,1\nr,-4,0.5,2\ns,0,1,3\n")
+    b.write_text("name,new,x,loss\nq,7,1.5,nan\nR,8,-4,0.5\ns,9,0,2\n")
+    assert bench.csv_difference(a, b) == {
+        "rows": [3, 3], "parent_only_columns": ["old"], "change_only_columns": ["new"],
+        "numeric": {"x": {"max_abs": 0.5, "max_rel": 0.5 / 1.5}},
+        "label_rows": [1, 2]}
+    assert bench.compare_outputs(tmp_path, tmp_path) == {"a.csv": "equal bytes",
+                                                         "b.csv": "equal bytes"}
+
+
+def test_outputs_and_paired_runs_share_one_record(tmp_path, monkeypatch):
+    """No benchmark or CLI run (outputs_section, run_once, traced_peaks,
+    git_state and host are stubbed): an --outputs run, a paired run and
+    another --outputs run into one BENCH_<pr>.json leave both sections."""
+    bench = _bench_module()
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench, "git_state", lambda tree: {"commit": None, "dirty": None})
+    monkeypatch.setattr(bench, "host", lambda: {})
+    monkeypatch.setattr(bench, "traced_peaks", lambda *args: None)
+    monkeypatch.setattr(bench, "run_once", lambda *args: {
+        "exit_status": 0, "correct": True, "attempted": 1, "failed": 0,
+        "metrics": {"run_s": 1.0}, "quality": None})
+    sections = iter([{"failed": {}, "n": 1}, {"failed": {}, "n": 2}])
+    monkeypatch.setattr(bench, "outputs_section", lambda trees, smoke: next(sections))
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmarks").mkdir(parents=True)
+        (tmp_path / side / "benchmarks" / "run.py").touch()
+        (tmp_path / side / "src" / "pointcl").mkdir(parents=True)
+        (tmp_path / side / "src" / "pointcl" / "cli.py").touch()
+    trees = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+             "--pr", "0"]
+    record = tmp_path / "BENCH_0.json"
+    assert bench.main(trees + ["--outputs"]) == 0
+    assert bench.main(trees + ["--workloads", "desk-cls-probe", "--seeds", "3",
+                               "--pairs", "1"]) == 0
+    assert json.loads(record.read_text())["outputs"] == {"failed": {}, "n": 1}
+    assert bench.main(trees + ["--outputs"]) == 0
+    out = json.loads(record.read_text())
+    assert out["outputs"] == {"failed": {}, "n": 2} and len(out["rows"]) == 1

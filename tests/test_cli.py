@@ -6,7 +6,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from pointcl import cli, evaluation, models
+from pointcl import cli, evaluation, models, training
 from pointcl.cli import main
 from pointcl.pointcloud import Dataset, load_dataset, save_dataset
 from pointcl.training import TrainConfig
@@ -436,6 +436,9 @@ def test_defaults_agree():
     assert cfg["head_widths"] == tc.head_widths == m.head.widths
     assert cfg["seg_widths"] == tc.seg_widths == m.seg.widths
     assert cfg["dropout"] == tc.dropout_rate == m.head.dropout_rate
+    # the one CLI default that is not the library's: periodic checkpoints
+    assert cli._TRAIN_DEFAULTS == TrainConfig(checkpoint_every=100) != tc
+    assert cfg["checkpoint_every"] == 100
 
 
 # Every CLI key -> (a non-default flag value, where the value lands): a
@@ -462,6 +465,7 @@ _KEY_TARGETS = {
     "head_widths": ("6,3", "head_widths"),
     "seg_widths": ("6,3", "seg_widths"),
     "dropout": ("0.25", "dropout_rate"),
+    "checkpoint_every": ("7", "checkpoint_every"),
     "probe_epochs": ("7", [("probe", "linear_probe_eval", "probe_epochs"),
                            ("segment", "segmentation_eval", "probe_epochs"),
                            ("ablate", "ablate_transforms", "probe_epochs")]),
@@ -489,14 +493,16 @@ def test_every_key_has_a_target():
 
 @pytest.mark.parametrize("key", list(_KEY_TARGETS))
 def test_key_default_and_flag_reach_the_library(key, tmp_path, monkeypatch):
-    """Each key's default is the library default it maps to, and a
-    non-default flag reaches that TrainConfig field or protocol keyword."""
+    """Each key's default is the library default it maps to (for a
+    training key, cli._TRAIN_DEFAULTS's field; test_defaults_agree pins
+    how that differs from TrainConfig()), and a non-default flag reaches
+    that TrainConfig field or protocol keyword."""
     value, target = _KEY_TARGETS[key]
     parser, default = cli._SCHEMA[key]
     assert parser(value) != default
     flag = [f"--{key.replace('_', '-')}", value]
     if isinstance(target, str):
-        assert default == attrgetter(target)(TrainConfig())
+        assert default == attrgetter(target)(cli._TRAIN_DEFAULTS)
         args = cli.build_parser().parse_args(["pretrain", "--data", "d", "--out", "o"] + flag)
         tc = cli.make_train_config(cli.resolve_config(args))
         assert attrgetter(target)(tc) == parser(value)
@@ -575,3 +581,72 @@ def test_malformed_checkpoint_header_runtime_failure(tmp_path, data_files, capsy
     assert "runtime failure" in capsys.readouterr().err
     failed = (out / ".failed").read_text()
     assert failed.startswith(f"CheckpointError: {bad}: bad header: ")
+
+
+def _pretrain_args(data, out, *flags):
+    """A 10-step desk pretrain of data_files' 40 training clouds that
+    checkpoints every 2 steps."""
+    return ["pretrain", "--data", str(data), "--out", str(out), "--pairs", "4",
+            "--epochs", "1", "--points", "32", "--encoder-widths", "8,16",
+            "--head-widths", "8,4", "--checkpoint-every", "2", *flags]
+
+
+def test_killed_pretrain_resumes_to_the_uninterrupted_files(tmp_path, data_files,
+                                                            monkeypatch):
+    """A pretrain stopped by an error in its 6th update, after its second
+    periodic checkpoint (step 4), exits 1 with a 5-row loss curve. Resumed
+    from that checkpoint with --resume into the same directory, it keeps
+    the curve's rows below step 4 and appends the rest: the directory then
+    holds the uninterrupted run's files, byte for byte, and no .failed."""
+    train, _ = data_files
+    whole, out = tmp_path / "whole", tmp_path / "killed"
+    assert run(_pretrain_args(train, whole)) == 0
+    step, calls = training.adam_step, []
+
+    def killed(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 6:
+            raise RuntimeError("killed")
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "adam_step", killed)
+    assert run(_pretrain_args(train, out)) == 1
+    monkeypatch.setattr(training, "adam_step", step)
+    assert len((out / "loss_curve.csv").read_text().splitlines()) == 1 + 5
+    assert sorted(p.name for p in out.glob("checkpoint_*")) == [
+        "checkpoint_000002.pclm", "checkpoint_000004.pclm"]
+    assert run(_pretrain_args(train, out, "--resume",
+                              str(out / "checkpoint_000004.pclm"))) == 0
+    assert sorted(os.listdir(out)) == sorted(os.listdir(whole))
+    assert {"checkpoint_final.pclm", "loss_curve.csv"} < set(os.listdir(out))
+    for name in os.listdir(whole):
+        assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("flags, field", [
+    (["--encoder-widths", "8,32"], "encoder_widths"),
+    (["--head-widths", "8,6"], "head_widths"),
+    (["--dropout", "0.25"], "dropout_rate"),
+    ([], "seg_widths"),
+], ids=["encoder", "head", "dropout", "seg-checkpoint"])
+def test_mismatched_resume_exit_2_writes_nothing(tmp_path, data_files, capsys, flags,
+                                                 field):
+    """--resume with a checkpoint whose model config differs from the
+    resolved one (or a segment run's, which has a seg branch) exits 2,
+    naming the first differing field, before the output directory is made."""
+    train, _ = data_files
+    source = tmp_path / "source"
+    if field == "seg_widths":
+        assert run(["gen-data", "--per-class", "5", "--points", "32", "--with-parts",
+                    "--out", str(tmp_path / "parts.pcds")]) == 0
+        assert run(["segment", "--data", str(tmp_path / "parts.pcds"), "--out",
+                    str(source), "--pairs", "4", "--epochs", "1", "--points", "32",
+                    "--encoder-widths", "8,16", "--head-widths", "8,4"]) == 0
+    else:
+        assert run(_pretrain_args(train, source)) == 0
+    capsys.readouterr()
+    out = tmp_path / "resumed"
+    assert run(_pretrain_args(train, out, "--resume",
+                              str(source / "checkpoint_final.pclm"), *flags)) == 2
+    assert f"the checkpoint's {field} is" in capsys.readouterr().err
+    assert not out.exists()

@@ -102,8 +102,9 @@ def test_fit_probe_zero_epochs_reports_nan(rng):
 def test_probe_protocols_tag_fit_loss_and_accuracy(monkeypatch, seg_dataset):
     """linear_probe_eval reports the loss and accuracy its fit_probe call
     returned. segmentation_eval does not call fit_probe: it reports no
-    cross-entropy, and its training accuracy is a recount of its probe's
-    per-cloud predictions on the training points."""
+    cross-entropy, and its one tag besides the protocol is the training mse
+    its _ridge_probe call returned, which lies below the mse of predicting
+    the class frequencies, 1 − Σ ȳ²."""
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
     fits, probes = [], []
@@ -128,11 +129,10 @@ def test_probe_protocols_tag_fit_loss_and_accuracy(monkeypatch, seg_dataset):
     assert m.tags["probe_train_loss"] == loss
     assert m.tags["probe_train_accuracy"] == acc
     assert 0 < loss < np.log(seg_dataset.num_parts) and 0 <= acc <= 1
-    (probe, (feats, labels, _)), = probes
-    hits = [evaluation.probe_predict(probe, f) == y for f, y in zip(feats, labels)]
-    assert m_seg.tags == {"protocol": "segmentation",
-                          "probe_train_accuracy": float(np.mean(hits))}
-    assert 0 <= m_seg.tags["probe_train_accuracy"] <= 1
+    ((_, mse), (moments, K)), = probes
+    assert m_seg.tags == {"protocol": "segmentation", "probe_train_mse": mse}
+    ybar = moments[0, -K:] / moments[0, 0]
+    assert 0 < mse < 1 - np.sum(ybar ** 2)
 
 
 def test_fit_probe_allocates_under_two_logit_arrays(rng):
@@ -785,24 +785,37 @@ def test_point_features_never_read_the_stored_features(monkeypatch):
     assert id(model.encoder) not in evaluation._MEMO
 
 
-def test_segmentation_eval_frees_train_features_before_the_test_set(monkeypatch,
-                                                                   seg_dataset):
+def test_segmentation_eval_frees_train_features_before_the_test_set(monkeypatch):
     """segmentation_eval fits its probe on the train set's per-point
-    features, then drops them and their point labels: a weakref to each is
-    dead when the test set's extract_point_features call starts."""
+    features, one encode batch at a time (40 clouds: 2 batches), then drops
+    them, the sampled clouds and their point labels: a weakref to each
+    batch's features, to the clouds and to the labels is dead when the test
+    set's extract_point_features call starts, the only such call."""
+    ds = _forty_clouds()
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
+    stack, embed = evaluation._stack, models.segment_embed
     extract, refs, alive = evaluation.extract_point_features, [], []
 
-    def tracked(*args, **kwargs):
-        alive.append([r() is not None for r in refs])
-        out = extract(*args, **kwargs)
-        refs.extend(weakref.ref(a) for a in out[:2])
+    def tracked_stack(*args, **kwargs):
+        out = stack(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in out if not alive)
         return out
 
-    monkeypatch.setattr(evaluation, "extract_point_features", tracked)
-    segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=32, probe_epochs=5)
-    assert alive == [[], [False, False]]
+    def tracked_embed(*args, **kwargs):
+        out = embed(*args, **kwargs)
+        refs.extend(weakref.ref(out.data) for _ in [0] if not alive)
+        return out
+
+    def tracked_extract(*args, **kwargs):
+        alive.append([r() is not None for r in refs])
+        return extract(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_stack", tracked_stack)
+    monkeypatch.setattr(models, "segment_embed", tracked_embed)
+    monkeypatch.setattr(evaluation, "extract_point_features", tracked_extract)
+    segmentation_eval(model, ds, ds, points_per_cloud=32, probe_epochs=5)
+    assert alive == [[False] * 4]
 
 
 def test_finetune_leaves_the_model_unchanged(small_dataset):
@@ -915,6 +928,13 @@ def test_segmentation_eval_same_on_data_read_back(tmp_path, seg_dataset):
 # The per-point probe's ridge fit and the instance retrieval check
 # ---------------------------------------------------------------------------
 
+def _held_moments(feats, labels, K):
+    """_moments of a held feature array [S, N, D], in the blocks of
+    _EVAL_BATCH clouds that segmentation_eval streams."""
+    blocks = np.split(feats, range(evaluation._EVAL_BATCH, len(feats), evaluation._EVAL_BATCH))
+    return evaluation._moments([f.reshape(-1, f.shape[-1]) for f in blocks], labels, K)
+
+
 def _point_rows(rng, S=40, N=16, D=6, K=4):
     """Per-point features [S, N, D] (more clouds than one _EVAL_BATCH block)
     over shifted, scaled columns, and labels [S, N] that leave class K - 1
@@ -929,7 +949,7 @@ def test_blocked_moments_equal_concatenated_float64(rng):
     D = feats.shape[-1]
     a = feats.reshape(-1, D).astype(np.float64)
     b = np.hstack([np.ones((len(a), 1)), a, np.eye(K)[labels.reshape(-1)]])
-    m = evaluation._moments(feats, labels, K)
+    m = _held_moments(feats, labels, K)
     assert m.dtype == np.float64 and m.shape == (1 + D + K,) * 2
     assert np.allclose(m, b.T @ b, rtol=1e-13, atol=0)
     assert m[0, 0] == len(a)  # the row count and the class counts are exact
@@ -948,7 +968,7 @@ def test_ridge_weights_equal_augmented_lstsq(rng):
     want = np.linalg.lstsq(np.vstack([z, np.sqrt(evaluation._RIDGE * R) * np.eye(D)]),
                            np.vstack([y - y.mean(axis=0), np.zeros((D, K))]),
                            rcond=None)[0]
-    W, mu, sigma, ybar = evaluation._ridge_fit(feats, labels, K)
+    W, mu, sigma, ybar, _ = evaluation._ridge_fit(_held_moments(feats, labels, K), K)
     assert np.allclose(W, want, rtol=1e-9, atol=1e-12)
     assert np.allclose(mu, a.mean(axis=0), rtol=1e-12)
     assert np.allclose(sigma, a.std(axis=0), rtol=1e-10)
@@ -961,8 +981,9 @@ def test_folded_probe_logits_equal_standardized_model(rng):
     logits on the raw features are ((x − μ)/σ) W + ȳ, to float32 rounding,
     and its predictions are probe_predict's argmax of them."""
     feats, labels, K = _point_rows(rng)
-    probe = evaluation._ridge_probe(feats, labels, K)
-    W, mu, sigma, ybar = evaluation._ridge_fit(feats, labels, K)
+    m = _held_moments(feats, labels, K)
+    probe, _ = evaluation._ridge_probe(m, K)
+    W, mu, sigma, ybar, _ = evaluation._ridge_fit(m, K)
     x = feats.reshape(-1, feats.shape[-1])
     want = (x.astype(np.float64) - mu) / sigma @ W + ybar
     got = x @ probe.w.data + probe.b.data
@@ -980,34 +1001,56 @@ def test_constant_feature_columns_get_zero_weight(rng):
     feats, labels, K = _point_rows(rng)
     dead = np.concatenate([feats, np.full(feats.shape[:2] + (1,), 3.7, np.float32),
                            np.zeros(feats.shape[:2] + (1,), np.float32)], axis=2)
+    m = _held_moments(dead, labels, K)
     with np.errstate(divide="raise", invalid="raise"):
-        W, _, sigma, _ = evaluation._ridge_fit(dead, labels, K)
-        probe = evaluation._ridge_probe(dead, labels, K)
-    live, _, _, _ = evaluation._ridge_fit(feats, labels, K)
+        W, _, sigma, _, _ = evaluation._ridge_fit(m, K)
+        probe, _ = evaluation._ridge_probe(m, K)
+    live, _, _, _, _ = evaluation._ridge_fit(_held_moments(feats, labels, K), K)
     assert sigma[-2:].tolist() == [1.0, 1.0]
     assert not W[-2:].any() and not probe.w.data[-2:].any()
     assert np.allclose(W[:-2], live, rtol=1e-9, atol=1e-12)
 
 
-def test_segmentation_eval_rejects_non_finite_features(monkeypatch, seg_dataset):
-    """A nan per-point training feature raises the probe's non-finite
-    error, with the row count and the first bad row, before the fit."""
+def _reject_non_finite(monkeypatch, bad, count):
+    """segmentation_eval on 40 clouds of 32 points, so 2 streamed batches,
+    with a nan at each (batch, cloud, point) of bad in the batch's
+    segment_embed output, raises the probe's non-finite error naming count
+    bad rows of 1280 and row 35 as the first, before the fit and before the
+    test set is embedded."""
+    ds = _forty_clouds()
     model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
                                       head_widths=[8, 4], seg_widths=[8, 4], with_seg=True)
-    extract = evaluation.extract_point_features
+    embed, calls = models.segment_embed, []
 
     def broken(*args, **kwargs):
-        feats, labels, classes = extract(*args, **kwargs)
-        feats[1, 3, 2] = np.nan
-        return feats, labels, classes
+        out = embed(*args, **kwargs)
+        for batch, cloud, point in bad:
+            if batch == len(calls):
+                out.data[cloud, point, 2] = np.nan
+        calls.append(1)
+        return out
 
-    monkeypatch.setattr(evaluation, "extract_point_features", broken)
+    monkeypatch.setattr(models, "segment_embed", broken)
     monkeypatch.setattr(evaluation, "_ridge_probe", None)  # the fit would fail on it
-    rows = len(seg_dataset) * 32
+    monkeypatch.setattr(evaluation, "extract_point_features", None)  # so would the test set
+    rows = len(ds) * 32
     with pytest.raises(FloatingPointError,
-                       match=rf"^the probe's features are not finite: 1 of {rows} "
+                       match=rf"^the probe's features are not finite: {count} of {rows} "
                              rf"rows hold a nan or inf, the first is row {32 + 3}$"):
-        segmentation_eval(model, seg_dataset, seg_dataset, points_per_cloud=32)
+        segmentation_eval(model, ds, ds, points_per_cloud=32)
+    assert len(calls) == 2
+
+
+def test_segmentation_eval_rejects_non_finite_features(monkeypatch):
+    """A nan per-point training feature raises the probe's non-finite
+    error, with the row count and the first bad row, before the fit."""
+    _reject_non_finite(monkeypatch, [(0, 1, 3)], 1)
+
+
+def test_non_finite_rows_are_counted_over_every_batch(monkeypatch):
+    """Bad rows in both streamed batches, listed out of row order: the
+    error counts all three and names row 35, the set's first."""
+    _reject_non_finite(monkeypatch, [(1, 0, 5), (0, 1, 3), (1, 2, 0)], 3)
 
 
 def test_segmentation_eval_is_deterministic_and_reads_no_epochs(seg_dataset):
@@ -1019,7 +1062,80 @@ def test_segmentation_eval_is_deterministic_and_reads_no_epochs(seg_dataset):
                               probe_epochs=epochs, seed=4)
             for m, epochs in ((model, 5), (model, 50), (copy.deepcopy(model), 0))]
     assert runs[0].row() == runs[1].row() == runs[2].row()
-    assert set(runs[0].tags) == {"protocol", "probe_train_accuracy"}
+    assert set(runs[0].tags) == {"protocol", "probe_train_mse"}
+
+
+def _streamed_fit(monkeypatch, model, ds):
+    """segmentation_eval on ds at 32 points, seed 3, and the moments and the
+    (probe, mse) of its one _ridge_probe call."""
+    ridge, seen = evaluation._ridge_probe, []
+
+    def spy(m, K):
+        seen.append((m, ridge(m, K)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(evaluation, "_ridge_probe", spy)
+    metrics = segmentation_eval(model, ds, ds, points_per_cloud=32, seed=3)
+    (m, fit), = seen
+    return metrics, m, fit
+
+
+def test_streamed_moments_equal_the_held_arrays(monkeypatch):
+    """The moments segmentation_eval sums from its streamed batches (40
+    clouds: a full and a filled one) equal _moments of the held
+    extract_point_features array bit for bit, and so the probe's w and b
+    equal the held fit's."""
+    ds = _forty_clouds()
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 6], with_seg=True)
+    _, m, (probe, _) = _streamed_fit(monkeypatch, model, ds)
+    feats, labels, _ = evaluation.extract_point_features(model, ds, 32, seed=3)
+    held = _held_moments(feats, labels, ds.num_parts)
+    assert np.array_equal(m, held)
+    want, _ = evaluation._ridge_probe(held, ds.num_parts)
+    assert np.array_equal(probe.w.data, want.w.data)
+    assert np.array_equal(probe.b.data, want.b.data)
+
+
+def test_probe_train_mse_equals_the_held_residual(monkeypatch):
+    """probe_train_mse, read off the moments, equals ‖(Y − ȳ) − ZW‖²/R
+    formed in float64 on the held training features, Z = (x − μ)/σ."""
+    ds = _forty_clouds()
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 6], with_seg=True)
+    metrics, m, (_, mse) = _streamed_fit(monkeypatch, model, ds)
+    feats, labels, _ = evaluation.extract_point_features(model, ds, 32, seed=3)
+    W, mu, sigma, ybar, _ = evaluation._ridge_fit(m, ds.num_parts)
+    x = feats.reshape(-1, feats.shape[-1]).astype(np.float64)
+    y = np.eye(ds.num_parts)[labels.reshape(-1)]
+    want = np.sum(((y - ybar) - (x - mu) / sigma @ W) ** 2) / len(x)
+    assert metrics.tags["probe_train_mse"] == mse
+    assert np.isclose(mse, want, rtol=1e-9, atol=0)
+
+
+def test_segmentation_eval_never_holds_the_train_features():
+    """The traced peak of segmentation_eval above its start, on 320
+    training clouds of 32 points with 32-wide embeddings (1.25 MiB as one
+    float32 array) and 8 test clouds, stays under 1.6 MiB. Streamed, it
+    reads 1.06 MiB; a copy that holds the training array reads 2.00 MiB."""
+    classes = ["cylinder", "cube", "sphere", "torus"]
+    train = generate_synthetic_dataset(
+        SyntheticSpec(classes, per_class=80, points_per_cloud=32, with_parts=True),
+        np.random.default_rng(4))
+    test = generate_synthetic_dataset(
+        SyntheticSpec(classes, per_class=2, points_per_cloud=32, with_parts=True,
+                      split="test"), np.random.default_rng(5))
+    model = models.ModelParams.create(np.random.default_rng(5), encoder_widths=[8, 16],
+                                      head_widths=[8, 4], seg_widths=[8, 32], with_seg=True)
+    segmentation_eval(model, train, test, points_per_cloud=32)  # warm-up
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        segmentation_eval(model, train, test, points_per_cloud=32)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2 ** 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("pairs, passes", [("rolled", False), ("permuted", True)])

@@ -37,12 +37,28 @@ first seed under tracemalloc (LAUNCHER): traced_peak_mib holds, per
 workload and phase, each tree's traced peak above the phase's start. The
 figure counts the bytes the program allocates, so unlike peak_rss_mb it
 does not move with the heap's layout. It is printed after the rows.
+
+    python3 tools/bench.py --parent ../parent --change . --pr <n> --outputs
+
+--outputs runs no benchmark: it runs one fixed matrix of `pointcl`
+commands (output_cases; --smoke runs its small part) on each tree, each
+command a fresh process at one BLAS thread under the tree's bench_out/,
+and compares the two output trees file by file. The `outputs` section it
+writes holds, per file, "equal bytes", the tree a file is missing from,
+both sizes of other files that differ, or for a CSV the largest absolute
+and relative difference per shared numeric column, the rows whose label
+(non-numeric) columns differ and the columns only one tree has. Each
+mode keeps the other's keys of a BENCH_<pr>.json already there. The exit
+status is 0 when every command of both trees exited 0.
 """
 
 import argparse
+import csv
 import json
+import math
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -173,6 +189,166 @@ def peak_line(row):
                           for side in ("parent", "change")) + " MiB")
 
 
+# --outputs: the model widths and point sets of the matrix, by name
+WIDTHS = {"w8": ["--encoder-widths", "8,16", "--head-widths", "8,4", "--seg-widths", "8,4"],
+          "desk": [],
+          "full": ["--encoder-widths", "64,64,64,128,1024", "--head-widths", "512,256"]}
+PART_SETS = {"p32": 32, "p40": 40}  # points per stored cloud, read at --points 32
+
+
+def output_cases(smoke):
+    """The --outputs matrix as (case, pointcl arguments), in run order, with
+    paths relative to the run's directory: gen-data of 32- and 40-point
+    sets with parts and of one without; then, for each width set and part
+    set at 32 points (the 40-point set takes the resampling path), and for
+    the full widths at 128 points with 4 and 8 pairs, pretrain, probe and
+    export-features with --features both, finetune with and without
+    --init-head, and segment; then ablate --suite table5. --smoke keeps the
+    32-point part sets and, at widths w8, pretrain, probe, export-features,
+    finetune --init-head and segment."""
+    sets = {"p32": 32} if smoke else PART_SETS
+    cases = []
+    for name, points in sets.items():
+        for split, per_class, seed in (("train", 6, 0), ("test", 3, 1)):
+            cases.append((f"data/{name}_{split}", [
+                "gen-data", "--per-class", str(per_class), "--points", str(points),
+                "--seed", str(seed), "--with-parts", "--split", split,
+                "--out", f"data/{name}_{split}.pcds"]))
+    if not smoke:
+        cases.append(("data/plain_train", ["gen-data", "--per-class", "6", "--points", "32",
+                                           "--out", "data/plain_train.pcds"]))
+    runs = [(w, s, 32, 4) for w in (["w8"] if smoke else WIDTHS) for s in sets]
+    runs += [] if smoke else [("full", "p32", 128, pairs) for pairs in (4, 8)]
+    for widths, name, points, pairs in runs:
+        case = f"{widths}_{name}_n{points}_b{pairs}"
+        train, test = f"data/{name}_train.pcds", f"data/{name}_test.pcds"
+        common = ["--points", str(points), "--pairs", str(pairs), *WIDTHS[widths]]
+        ckpt = ["--checkpoint", f"{case}/pretrain/checkpoint_final.pclm"]
+        cases += [
+            (f"{case}/pretrain", ["pretrain", "--data", train, "--epochs", "2", *common]),
+            (f"{case}/probe", ["probe", "--train-data", train, "--test-data", test, *ckpt,
+                               "--probe-epochs", "20", "--features", "both", *common]),
+            (f"{case}/export", ["export-features", "--data", test, *ckpt,
+                                "--features", "both", *common])]
+        for head in [["--init-head"]] if smoke else [[], ["--init-head"]]:
+            cases.append((f"{case}/finetune" + "_head" * bool(head), [
+                "finetune", "--train-data", train, "--test-data", test, *ckpt,
+                "--finetune-epochs", "1", *head, *common]))
+        cases.append((f"{case}/segment", ["segment", "--data", train, "--test-data", test,
+                                          "--epochs", "2", *common]))
+    if not smoke:
+        cases.append(("ablate", ["ablate", "--suite", "table5", "--data", "data/p32_train.pcds",
+                                 "--test-data", "data/p32_test.pcds", "--epochs", "1",
+                                 "--probe-epochs", "5", "--points", "32", "--pairs", "4",
+                                 *WIDTHS["w8"]]))
+    # every command but gen-data writes into its case's directory
+    return [(case, args if args[0] == "gen-data" else [*args, "--out", case])
+            for case, args in cases]
+
+
+def run_outputs(tree: Path, cases):
+    """Every case in its own process of the tree's pointcl at one BLAS
+    thread, under a fresh tree/bench_out/outputs; returns that directory
+    and the cases that exited non-zero, as {case: exit status}."""
+    root = tree / "bench_out" / "outputs"
+    shutil.rmtree(root, ignore_errors=True)
+    (root / "data").mkdir(parents=True)
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+           **{v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+    failed = {}
+    for case, args in cases:
+        proc = subprocess.run([sys.executable, "-m", "pointcl.cli", *args], cwd=root, env=env,
+                              capture_output=True, text=True)
+        if proc.returncode != 0:
+            failed[case] = proc.returncode
+            print(f"{tree} {case}: exit {proc.returncode}\n{proc.stderr}", file=sys.stderr)
+    return root, failed
+
+
+def _number(text):
+    """text as a finite float; None for other text (nan and inf too)."""
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def csv_difference(a: Path, b: Path):
+    """How two CSV files differ: both row counts, the columns each has
+    alone, the largest absolute and relative difference of each shared
+    column whose every value is a finite number in both files, and the
+    indices of the rows (both files', up to the shorter) in which a shared
+    column of other values differs."""
+    def read(path):
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        return (rows[0], rows[1:]) if rows else ([], [])
+
+    (head_a, rows_a), (head_b, rows_b) = read(a), read(b)
+    shared = [c for c in head_a if c in head_b]
+    pairs = list(zip(rows_a, rows_b))
+    numeric, label_rows = {}, set()
+    for col in shared:
+        i, j = head_a.index(col), head_b.index(col)
+        cells = [(r[i] if i < len(r) else "", q[j] if j < len(q) else "") for r, q in pairs]
+        values = [(_number(x), _number(y)) for x, y in cells]
+        if all(x is not None and y is not None for x, y in values):
+            diffs = [abs(x - y) for x, y in values]
+            rels = [d / max(abs(x), abs(y)) if d else 0.0 for d, (x, y) in zip(diffs, values)]
+            numeric[col] = {"max_abs": max(diffs, default=0.0), "max_rel": max(rels, default=0.0)}
+        else:
+            label_rows.update(k for k, (x, y) in enumerate(cells) if x != y)
+    return {"rows": [len(rows_a), len(rows_b)],
+            "parent_only_columns": [c for c in head_a if c not in head_b],
+            "change_only_columns": [c for c in head_b if c not in head_a],
+            "numeric": numeric, "label_rows": sorted(label_rows)}
+
+
+def compare_outputs(parent: Path, change: Path):
+    """{relative path: "equal bytes" or how the file differs}, for every
+    file under either directory, in path order."""
+    files = sorted({p.relative_to(root).as_posix() for root in (parent, change)
+                    for p in root.rglob("*") if p.is_file()})
+    out = {}
+    for rel in files:
+        a, b = parent / rel, change / rel
+        if not (a.is_file() and b.is_file()):
+            out[rel] = {"only_in": "parent" if a.is_file() else "change"}
+        elif a.read_bytes() == b.read_bytes():
+            out[rel] = "equal bytes"
+        elif rel.endswith(".csv"):
+            out[rel] = csv_difference(a, b)
+        else:
+            out[rel] = {"bytes": [a.stat().st_size, b.stat().st_size]}
+    return out
+
+
+def outputs_section(trees, smoke):
+    """Both trees' output matrix, run and compared: the `outputs` section."""
+    cases = output_cases(smoke)
+    roots, failed = {}, {}
+    for side, tree in trees.items():
+        roots[side], failed[side] = run_outputs(tree, cases)
+    files = compare_outputs(roots["parent"], roots["change"])
+    for rel, diff in files.items():
+        if diff != "equal bytes":
+            print(f"differs: {rel} {json.dumps(diff)}", file=sys.stderr)
+    equal = sum(diff == "equal bytes" for diff in files.values())
+    print(f"outputs: {equal} of {len(files)} files equal", file=sys.stderr)
+    return {"smoke": smoke, "trees": {side: {"path": str(tree), **git_state(tree)}
+                                      for side, tree in trees.items()},
+            "cases": [[case, *args] for case, args in cases], "failed": failed,
+            "equal_files": equal, "files": files}
+
+
+def write_record(path: Path, out):
+    """out's keys written into the JSON record at path, over the keys of a
+    record already there, which stay."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    path.write_text(json.dumps({**old, **out}, indent=1) + "\n")
+
+
 def quartiles(values):
     if len(values) < 2:
         return values[0], values[0]
@@ -238,11 +414,25 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
     ap.add_argument("--change", type=Path, required=True, help="source tree of the change")
     ap.add_argument("--pr", required=True, help="names the output, BENCH_<pr>.json")
-    ap.add_argument("--workloads", required=True, help="comma-separated workload names")
-    ap.add_argument("--seeds", required=True, help="comma-separated benchmark seeds")
-    ap.add_argument("--pairs", type=int, required=True, help="pairs per workload and seed")
+    ap.add_argument("--workloads", help="comma-separated workload names")
+    ap.add_argument("--seeds", help="comma-separated benchmark seeds")
+    ap.add_argument("--pairs", type=int, help="pairs per workload and seed")
     ap.add_argument("--smoke", action="store_true", help="tiny sizes (run.py --smoke)")
+    ap.add_argument("--outputs", action="store_true",
+                    help="compare the CLI outputs of both trees instead of benchmarking")
     args = ap.parse_args(argv)
+    path = ROOT / f"BENCH_{args.pr}.json"
+    if args.outputs:
+        trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+        for side, tree in trees.items():
+            if not (tree / "src" / "pointcl" / "cli.py").is_file():
+                ap.error(f"--{side} {tree} has no src/pointcl/cli.py")
+        section = outputs_section(trees, args.smoke)
+        write_record(path, {"pr": args.pr, "outputs": section})
+        print(f"wrote {path}", file=sys.stderr)
+        return 0 if not any(section["failed"].values()) else 1
+    if None in (args.workloads, args.seeds, args.pairs):
+        ap.error("--workloads, --seeds and --pairs are required without --outputs")
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -294,8 +484,7 @@ def main(argv=None) -> int:
            "paths_equal_length": equal_length,
            "host": host(), "rows": rows, "quality": quality,
            "traced_peak_mib": peak_table, "runs": runs}
-    path = ROOT / f"BENCH_{args.pr}.json"
-    path.write_text(json.dumps(out, indent=1) + "\n")
+    write_record(path, out)
     for row in rows:
         print(row_line(row), file=sys.stderr)
     for row in peak_table:
