@@ -799,12 +799,14 @@ def test_segmentation_eval_frees_train_features_before_the_test_set(monkeypatch)
 
     def tracked_stack(*args, **kwargs):
         out = stack(*args, **kwargs)
-        refs.extend(weakref.ref(a) for a in out if not alive)
+        if not alive:  # the training set's clouds and labels
+            refs.extend(weakref.ref(a) for a in out)
         return out
 
     def tracked_embed(*args, **kwargs):
         out = embed(*args, **kwargs)
-        refs.extend(weakref.ref(out.data) for _ in [0] if not alive)
+        if not alive:  # a training batch's features
+            refs.append(weakref.ref(out.data))
         return out
 
     def tracked_extract(*args, **kwargs):
