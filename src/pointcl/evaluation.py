@@ -274,14 +274,6 @@ def fit_probe(train_feats, train_labels, num_classes,
     return probe, loss, objective.accuracy(probe.w.data, probe.b.data)
 
 
-def probe_predict(probe: DenseLayer, feats):
-    """The probe's class for each row of feats, argmax(x @ w + b), formed
-    from the arrays: linear_forward's bits without its tape node."""
-    logits = np.asarray(feats, dtype=probe.w.dtype) @ probe.w.data
-    logits += probe.b.data
-    return logits.argmax(axis=1)
-
-
 def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
                       points_per_cloud: int = TrainConfig.points_per_cloud,
                       source: str = "encoder", probe_epochs: int = PROBE_EPOCHS,
@@ -294,7 +286,8 @@ def linear_probe_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
     tr_f, tr_y = extract_features(model, train_ds, points_per_cloud, seed, source)
     te_f, te_y = extract_features(model, test_ds, points_per_cloud, seed + 1, source)
     probe, loss, acc = fit_probe(tr_f, tr_y, train_ds.num_classes, epochs=probe_epochs)
-    pred = probe_predict(probe, te_f)
+    logits = T.linear_forward(T.Tensor(te_f, dtype=probe.w.dtype), probe.w, probe.b)
+    pred = logits.data.argmax(axis=1)
     t = {"protocol": "linear_probe", "features": source,
          "probe_train_loss": loss, "probe_train_accuracy": acc}
     m = classification_metrics(pred, te_y, test_ds.num_classes, tags=t)
@@ -490,8 +483,8 @@ def _ridge_fit(m, num_classes):
 
 def _ridge_probe(m, num_classes) -> tuple[DenseLayer, float]:
     """_ridge_fit's classifier with its standardization folded in, the
-    float32 layer x @ (W/σ) + (ȳ − μ·W/σ) that probe_predict applies to the
-    raw features, and the fit's training mse."""
+    float32 layer x @ (W/σ) + (ȳ − μ·W/σ) that segmentation_eval applies to
+    the raw features, and the fit's training mse."""
     W, mu, sigma, ybar, mse = _ridge_fit(m, num_classes)
     w = W / sigma[:, None]
     return DenseLayer(w=T.Tensor(w.astype(np.float32)),
@@ -524,7 +517,8 @@ def segmentation_eval(model: ModelParams, train_ds: Dataset, test_ds: Dataset,
     te_f, te_y, te_c = extract_point_features(model, test_ds, points_per_cloud, seed + 1)
     # One predict per cloud: BLAS rounds a [S*N, D] product differently for
     # many feature and part counts, and that can move a tied argmax.
-    preds = [probe_predict(probe, f) for f in te_f]
+    preds = [T.linear_forward(T.Tensor(f, dtype=probe.w.dtype), probe.w, probe.b)
+             .data.argmax(axis=1) for f in te_f]
     ppc = test_ds.parts_per_class or {
         c: list(range(test_ds.num_parts)) for c in set(te_c)}
     return segmentation_metrics(preds, te_y, te_c.tolist(), ppc,

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -77,10 +78,14 @@ class EncoderLayer:
         return [self.w, self.bn.gamma, self.bn.beta]
 
 
-def _dense_stack(rng, dims, dtype):
-    return [DenseLayer(_glorot(rng, a, b, dtype),
-                       Tensor(np.zeros(b, dtype=dtype), requires_grad=True))
+def _dense_stack(weight, dims, dtype):
+    return [DenseLayer(weight(a, b), Tensor(np.zeros(b, dtype=dtype), requires_grad=True))
             for a, b in zip(dims, dims[1:])]
+
+
+def _frozen(layers):
+    """Dense layers on their own arrays, as tensors that take no gradient."""
+    return [DenseLayer(Tensor(l.w.data), Tensor(l.b.data)) for l in layers]
 
 
 def _d_mid(encoder_widths):
@@ -123,13 +128,8 @@ class ModelParams:
         if with_seg and seg_widths is None:
             raise ValueError("seg_widths must be widths >= 1 for a segmentation "
                              "branch, got None")
-        dims = [3] + list(encoder_widths)
-        enc = LayerStack([EncoderLayer(_glorot(rng, a, b, dtype), BNState(b, dtype=dtype))
-                          for a, b in zip(dims, dims[1:])])
-        head = LayerStack(_dense_stack(rng, dims[-1:] + list(head_widths), dtype), dropout_rate)
-        seg = LayerStack(_dense_stack(rng, [_d_mid(encoder_widths) + dims[-1]] + list(seg_widths),
-                                      dtype)) if with_seg else None
-        return ModelParams(encoder=enc, head=head, seg=seg)
+        return _build(lambda a, b: _glorot(rng, a, b, dtype), encoder_widths, head_widths,
+                      seg_widths if with_seg else None, dropout_rate, dtype)
 
     @property
     def config(self):
@@ -143,6 +143,19 @@ class ModelParams:
         if self.seg is not None:
             ps += self.seg.params()
         return ps
+
+
+def _build(weight, encoder_widths, head_widths, seg_widths, dropout_rate, dtype):
+    """The model of these widths (no seg branch for seg_widths None): each
+    weight matrix is weight(fan_in, fan_out), taken in layer order (encoder,
+    head, seg branch), and every other array is a constant."""
+    dims = [3] + list(encoder_widths)
+    enc = LayerStack([EncoderLayer(weight(a, b), BNState(b, dtype=dtype))
+                      for a, b in zip(dims, dims[1:])])
+    head = LayerStack(_dense_stack(weight, dims[-1:] + list(head_widths), dtype), dropout_rate)
+    seg = None if seg_widths is None else LayerStack(_dense_stack(
+        weight, [_d_mid(encoder_widths) + dims[-1]] + list(seg_widths), dtype))
+    return ModelParams(encoder=enc, head=head, seg=seg)
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +191,9 @@ def _hidden(h: Tensor, layers, dropout_rate=0.0, rng=None):
 def project(global_feat: Tensor, head: LayerStack, training: bool,
             rng: np.random.Generator | None = None, normalize: bool = True):
     """Projection head: FC stack with ReLU + dropout between layers, linear
-    output, then (by default) unit-norm rows."""
-    *hidden, last = head.layers
+    output, then (by default) unit-norm rows. training selects tracking: eval
+    mode runs on _frozen layers, so an untracked input records no tape node."""
+    *hidden, last = head.layers if training else _frozen(head.layers)
     h = _hidden(global_feat, hidden, head.dropout_rate if training else 0.0, rng)
     h = T.linear_forward(h, last.w, last.b)
     if normalize:
@@ -191,9 +205,9 @@ def segment_embed(per_point: Tensor, global_feat: Tensor, seg: LayerStack,
                   training: bool, normalize: bool = True):
     """Per-point embeddings [B, N, d_out] from the per-point features
     concatenated with their cloud's global feature (never formed); rows
-    unit-normalized by default."""
+    unit-normalized by default. training selects tracking, as in project."""
     B, N, _ = per_point.shape
-    first, *rest = seg.layers
+    first, *rest = seg.layers if training else _frozen(seg.layers)
     h = T.linear_points_global(per_point, global_feat, first.w, first.b)
     for layer in rest:
         h = T.linear_forward(T.relu(h), layer.w, layer.b)
@@ -338,24 +352,23 @@ def load_checkpoint(path):
                                          "dropout_rate")}
         if _model_nbytes(config) > size - pos:  # before allocating any of it
             raise CheckpointError(f"{path}: truncated at byte {size}")
-        model = ModelParams.create(np.random.default_rng(0),  # values overwritten below
-                                   with_seg=config["seg_widths"] is not None, **config)
-        slots = _model_slots(model)
+        # The model's arrays are read into in place, so no weight is drawn
+        # first; the model is discarded if a later check fails.
+        model = _build(lambda a, b: Tensor(np.empty((a, b), np.float32), requires_grad=True),
+                       dtype=np.float32, **config)
         rest = []
-        for slot in chain(slots, repeat(None, header["tensors"])):
+        for slot in chain(_model_slots(model), repeat(None, header["tensors"])):
             ndim = take(1)[0]
             dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
             need(4 * math.prod(dims))
-            expect = getattr(*slot).shape if slot else dims
-            if dims != expect:
-                raise CheckpointError(f"{path}: shape mismatch {dims} vs expected {expect}")
-            arr = np.empty(dims, dtype="<f4")
+            arr = getattr(*slot) if slot else np.empty(dims, dtype=np.float32)
+            if dims != arr.shape:
+                raise CheckpointError(f"{path}: shape mismatch {dims} vs expected {arr.shape}")
             if f.readinto(arr) != arr.nbytes:
                 raise CheckpointError(f"{path}: truncated at byte {size}")
-            arr = arr.astype(np.float32, copy=False)
-            if slot:  # the model is discarded if a later check fails
-                setattr(*slot, arr)
-            else:
+            if sys.byteorder == "big":  # the file's values are little-endian
+                arr.byteswap(inplace=True)
+            if not slot:
                 rest.append(arr)
         if pos != size:
             raise CheckpointError(f"{path}: {size - pos} bytes after the last tensor")

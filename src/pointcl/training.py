@@ -330,7 +330,7 @@ def load_train_checkpoint(path):
     adam = extra.get("adam")
     if not (isinstance(adam, dict) and type(adam.get("step_count")) is int):
         raise models.CheckpointError(f"{path}: bad header: 'adam' is {adam!r}")
-    opt = AdamState(params)
+    opt = AdamState([])  # its moments are the checkpoint's
     opt.step_count = adam["step_count"]
     opt.m, opt.v = moments[:len(params)], moments[len(params):]
     rng = np.random.default_rng(0)

@@ -31,6 +31,13 @@ def tiny_cfg(**kw):
     return TrainConfig(**defaults)
 
 
+def _predict(probe, feats):
+    """The protocols' predict: the argmax of linear_forward on the probe, the
+    features cast to its dtype."""
+    return T.linear_forward(T.Tensor(feats, dtype=probe.w.dtype), probe.w,
+                            probe.b).data.argmax(axis=1)
+
+
 def test_classification_metrics_exact():
     m = classification_metrics([0, 1, 1, 0], [0, 1, 0, 0], num_classes=2)
     assert m.overall_accuracy == 0.75
@@ -41,7 +48,7 @@ def test_probe_one_hot_features_perfect():
     feats = np.eye(4, dtype=np.float32)[np.tile(np.arange(4), 10)]
     labels = np.tile(np.arange(4), 10)
     probe, _, _ = evaluation.fit_probe(feats, labels, 4, epochs=200)
-    pred = evaluation.probe_predict(probe, feats)
+    pred = _predict(probe, feats)
     assert (pred == labels).all()
 
 
@@ -210,19 +217,22 @@ def test_probe_loss_matches_float64_finite_differences(rng):
 
 
 def test_probe_records_nothing_on_the_tape(rng, monkeypatch):
-    """The fit and the predict run with the tape's node maker raising: the
-    probe's tensors take no gradient, and probe_predict forms x @ w + b
-    from the arrays."""
+    """The fit and the predict run with the tape's node maker raising on a
+    tracked parent: the probe's tensors take no gradient, so linear_forward
+    on them forms x @ w + b and records no node."""
     feats = rng.normal(size=(40, 6)).astype(np.float32)
+    result = T._result
 
-    def recorded(*args):
-        raise AssertionError("a probe call recorded a tape node")
+    def untracked(data, parents, *rest):
+        if any(p.requires_grad for p in parents):
+            raise AssertionError("a probe call recorded a tape node")
+        return result(data, parents, *rest)
 
-    monkeypatch.setattr(T, "_result", recorded)
+    monkeypatch.setattr(T, "_result", untracked)
     probe, _, _ = evaluation.fit_probe(feats, rng.integers(0, 3, size=40), 3, epochs=5)
     assert not probe.w.requires_grad and not probe.b.requires_grad
     want = (feats @ probe.w.data + probe.b.data).argmax(axis=1)
-    assert np.array_equal(evaluation.probe_predict(probe, feats), want)
+    assert np.array_equal(_predict(probe, feats), want)
 
 
 def test_random_classifier_chance_level(rng):
@@ -981,7 +991,8 @@ def test_ridge_weights_equal_augmented_lstsq(rng):
 def test_folded_probe_logits_equal_standardized_model(rng):
     """The float32 probe applies the fit's standardization folded in: its
     logits on the raw features are ((x − μ)/σ) W + ȳ, to float32 rounding,
-    and its predictions are probe_predict's argmax of them."""
+    and its predictions, the argmax of linear_forward on it, are the argmax
+    of them."""
     feats, labels, K = _point_rows(rng)
     m = _held_moments(feats, labels, K)
     probe, _ = evaluation._ridge_probe(m, K)
@@ -992,7 +1003,7 @@ def test_folded_probe_logits_equal_standardized_model(rng):
     assert probe.w.dtype == probe.b.dtype == np.float32
     assert not probe.w.requires_grad and not probe.b.requires_grad
     assert np.allclose(got, want, rtol=0, atol=1e-5 * np.abs(want).max())
-    assert np.array_equal(evaluation.probe_predict(probe, x), got.argmax(axis=1))
+    assert np.array_equal(_predict(probe, x), got.argmax(axis=1))
 
 
 def test_constant_feature_columns_get_zero_weight(rng):
